@@ -16,7 +16,9 @@ vet:
 	$(GO) vet ./...
 
 # Repository-specific static checks: forbids raw map[string]props.Value
-# construction outside internal/props (see internal/lint).
+# construction outside internal/props, undocumented exports in the
+# doc-enforced packages, and sort.Slice/sort.SliceStable in the
+# result-path packages (see internal/lint).
 lint:
 	$(GO) run ./cmd/tgraph-lint .
 

@@ -1,9 +1,10 @@
 // Command tgraph-lint runs the repository's custom static checks (see
 // internal/lint): it fails when any package outside internal/props
 // constructs a raw map[string]props.Value (the pattern the interned
-// Props runtime replaced), or when an exported symbol in a
+// Props runtime replaced), when an exported symbol in a
 // doc-coverage-enforced package (internal/storage) lacks a godoc
-// comment. Usage:
+// comment, or when a package on the zoom result path calls sort.Slice
+// or sort.SliceStable. Usage:
 //
 //	tgraph-lint [dir]
 //
@@ -35,7 +36,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tgraph-lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags = append(diags, docDiags...)
+	sortDiags, err := lint.CheckSorts(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tgraph-lint: %v\n", err)
+		os.Exit(2)
+	}
+	diags = append(append(diags, docDiags...), sortDiags...)
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}

@@ -129,8 +129,7 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 	defer obs.StartSpan("azoom.OG").End()
 	vsp := obs.StartSpan("vertices")
 	msp := obs.StartSpan("skolem-map")
-	mapped := dataflow.FlatMap(g.graph.Vertices(), func(v graphx.Vertex[[]HistoryItem]) []azVertexState {
-		out := make([]azVertexState, 0, len(v.Attr))
+	mapped := dataflow.FlatMapAppend(g.graph.Vertices(), func(v graphx.Vertex[[]HistoryItem], out []azVertexState) []azVertexState {
 		for _, h := range v.Attr {
 			if s, ok := azoomMapVertices(spec, v.ID, h.Interval, h.Props); ok {
 				out = append(out, s)
@@ -179,8 +178,7 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 		id       EdgeID
 		src, dst VertexID
 	}
-	redirected := dataflow.FlatMap(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem]) []dataflow.Pair[newEdgeKey, HistoryItem] {
-		out := make([]dataflow.Pair[newEdgeKey, HistoryItem], 0, len(e.Attr))
+	redirected := dataflow.FlatMapAppend(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem], out []dataflow.Pair[newEdgeKey, HistoryItem]) []dataflow.Pair[newEdgeKey, HistoryItem] {
 		for _, eh := range e.Attr {
 			et := EdgeTuple{ID: e.ID, Src: e.Src, Dst: e.Dst, Interval: eh.Interval, Props: eh.Props}
 			for _, t := range RedirectEdge(spec, edgeSkolem, et, table[e.Src], table[e.Dst]) {
@@ -235,15 +233,15 @@ func (g *RG) azoom(spec AZoomSpec) (TGraph, error) {
 		}
 		ssp := obs.StartSpan("snapshot")
 		// Vertex update + identity-equivalence reduce within the snapshot.
-		mapped := dataflow.FlatMap(snap.Graph.Vertices(), func(v graphx.Vertex[props.Props]) []dataflow.Pair[VertexID, azVertexAcc] {
+		mapped := dataflow.FlatMapAppend(snap.Graph.Vertices(), func(v graphx.Vertex[props.Props], out []dataflow.Pair[VertexID, azVertexAcc]) []dataflow.Pair[VertexID, azVertexAcc] {
 			newID, ok := spec.Skolem(v.ID, v.Attr)
 			if !ok {
-				return nil
+				return out
 			}
-			return []dataflow.Pair[VertexID, azVertexAcc]{{
+			return append(out, dataflow.Pair[VertexID, azVertexAcc]{
 				First:  newID,
 				Second: azVertexAcc{Base: spec.newProps(newID, v.Attr), Agg: agg.Init(v.Attr)},
-			}}
+			})
 		})
 		reduced := dataflow.ReduceByKey(mapped,
 			func(p dataflow.Pair[VertexID, azVertexAcc]) VertexID { return p.First },
@@ -258,18 +256,18 @@ func (g *RG) azoom(spec AZoomSpec) (TGraph, error) {
 		})
 
 		// Edge redirection via the snapshot triplet view.
-		newEdges := dataflow.FlatMap(graphx.Triplets(snap.Graph), func(t graphx.Triplet[props.Props, props.Props]) []graphx.Edge[props.Props] {
+		newEdges := dataflow.FlatMapAppend(graphx.Triplets(snap.Graph), func(t graphx.Triplet[props.Props, props.Props], out []graphx.Edge[props.Props]) []graphx.Edge[props.Props] {
 			s1, ok1 := spec.Skolem(t.Edge.Src, t.SrcAttr)
 			s2, ok2 := spec.Skolem(t.Edge.Dst, t.DstAttr)
 			if !ok1 || !ok2 {
-				return nil
+				return out
 			}
-			return []graphx.Edge[props.Props]{{
+			return append(out, graphx.Edge[props.Props]{
 				ID:   edgeSkolem(t.Edge.ID, s1, s2),
 				Src:  s1,
 				Dst:  s2,
 				Attr: t.Edge.Attr,
-			}}
+			})
 		})
 		newSnaps[i] = Snapshot{
 			Interval: snap.Interval,

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/dataflow"
+	"repro/internal/props"
+	"repro/internal/temporal"
+)
+
+// TestCoalesceVEAllocatesPerPartition: coalescing 1 000 vertices and
+// 1 000 edges, each split into three states that merge back into one,
+// costs a few dozen allocations per relation and partition (the
+// shuffle's and the grouping's arrays, the key index's growth steps) —
+// not several per entity. The bound is a fifth of the entity count.
+func TestCoalesceVEAllocatesPerPartition(t *testing.T) {
+	const entities, parts = 1000, 4
+	ctx := dataflow.NewContext(dataflow.WithParallelism(1), dataflow.WithDefaultPartitions(parts))
+	defer ctx.Close()
+	p := props.New("type", "person", "name", "x")
+	var vs []VertexTuple
+	var es []EdgeTuple
+	for _, iv := range []temporal.Interval{temporal.MustInterval(4, 9), temporal.MustInterval(0, 2), temporal.MustInterval(2, 4)} {
+		for i := 1; i <= entities; i++ {
+			vs = append(vs, VertexTuple{ID: VertexID(i), Interval: iv, Props: p})
+			es = append(es, EdgeTuple{ID: EdgeID(i), Src: VertexID(i), Dst: 1, Interval: iv, Props: p})
+		}
+	}
+	g := NewVE(ctx, vs, es)
+	c := g.Coalesce()
+	if nv, ne := len(c.VertexStates()), len(c.EdgeStates()); nv != entities || ne != entities {
+		t.Fatalf("coalesced to %d vertex and %d edge states, want %d each", nv, ne, entities)
+	}
+	allocs := testing.AllocsPerRun(10, func() { g.Coalesce() })
+	if limit := 2 * 50 * parts; allocs > float64(limit) {
+		t.Errorf("VE.Coalesce over %d entities in %d partitions: %v allocs, want at most %d", 2*entities, parts, allocs, limit)
+	}
+}
+
+// TestCoalesceLeavesItsInputAlone: the in-place fold runs on arrays the
+// coalesce owns. The source graph — VE partitions, OG history arrays
+// (shared with the result when already coalesced, copied when not) —
+// reads the same before and after.
+func TestCoalesceLeavesItsInputAlone(t *testing.T) {
+	ctx := testCtx()
+	vs := []VertexTuple{
+		{ID: cat, Interval: temporal.MustInterval(4, 9), Props: props.New("type", "person")},
+		{ID: cat, Interval: temporal.MustInterval(1, 4), Props: props.New("type", "person")},
+		{ID: ann, Interval: temporal.MustInterval(1, 3), Props: props.New("type", "person", "x", 1)},
+	}
+	es := []EdgeTuple{
+		{ID: 1, Src: ann, Dst: cat, Interval: temporal.MustInterval(2, 3), Props: props.New("type", "e")},
+		{ID: 1, Src: ann, Dst: cat, Interval: temporal.MustInterval(1, 2), Props: props.New("type", "e")},
+	}
+	for _, g := range []TGraph{NewVE(ctx, vs, es), ToOG(NewVE(ctx, vs, es))} {
+		beforeV, beforeE := g.VertexStates(), g.EdgeStates()
+		c := g.Coalesce()
+		if n := len(c.VertexStates()); n != 2 {
+			t.Errorf("%s: coalesced to %d vertex states, want 2", g.Rep(), n)
+		}
+		if !reflect.DeepEqual(g.VertexStates(), beforeV) || !reflect.DeepEqual(g.EdgeStates(), beforeE) {
+			t.Errorf("%s: Coalesce changed the graph it was called on", g.Rep())
+		}
+	}
+
+	// NormalizeHistory is the in-place form: the result is a prefix of
+	// its (reordered) argument, which is why incr and shard pass copies.
+	h := []HistoryItem{
+		{Interval: temporal.MustInterval(3, 5), Props: props.New("type", "a")},
+		{Interval: temporal.MustInterval(1, 3), Props: props.New("type", "a")},
+	}
+	kept := slices.Clone(h)
+	out := NormalizeHistory(h)
+	if len(out) != 1 || &out[0] != &h[0] || !out[0].Interval.Equal(temporal.MustInterval(1, 5)) {
+		t.Errorf("NormalizeHistory = %v, want [1,5) written over h[0]", out)
+	}
+	if reflect.DeepEqual(h, kept) {
+		t.Error("NormalizeHistory is documented to work in place, but left its argument untouched")
+	}
+}
+
+// TestCoalesceEdgeOrderIsTotal: two states of one edge id with the same
+// interval, between different vertex pairs, used to come out of the
+// unstable sort in either order, and whichever came last decided which
+// of them the following state merged into. The endpoints now break the
+// tie, so every arrival order coalesces to the same states.
+func TestCoalesceEdgeOrderIsTotal(t *testing.T) {
+	ctx := testCtx()
+	p := props.New("type", "e")
+	states := []EdgeTuple{
+		{ID: 1, Src: 1, Dst: 2, Interval: temporal.MustInterval(0, 4), Props: p},
+		{ID: 1, Src: 3, Dst: 4, Interval: temporal.MustInterval(0, 4), Props: p},
+		{ID: 1, Src: 3, Dst: 4, Interval: temporal.MustInterval(4, 8), Props: p},
+	}
+	want := []EdgeTuple{
+		{ID: 1, Src: 1, Dst: 2, Interval: temporal.MustInterval(0, 4), Props: p},
+		{ID: 1, Src: 3, Dst: 4, Interval: temporal.MustInterval(0, 8), Props: p},
+	}
+	for _, order := range [][]int{{0, 1, 2}, {1, 0, 2}, {2, 1, 0}, {2, 0, 1}} {
+		var es []EdgeTuple
+		for _, i := range order {
+			es = append(es, states[i])
+		}
+		got := NewVE(ctx, nil, es).Coalesce().EdgeStates()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("arrival order %v coalesced to %v, want %v", order, got, want)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/props"
 	"repro/internal/temporal"
@@ -38,11 +39,8 @@ func MergeParallelEdges(g TGraph, newType string, agg props.AggSpec) (TGraph, er
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].dst < keys[j].dst
+	slices.SortFunc(keys, func(a, b pairKey) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
 	})
 
 	var es []EdgeTuple

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/dataflow"
@@ -267,8 +268,21 @@ func (s WZoomSpec) Validate() error {
 	return nil
 }
 
-// vertexEq and edgeEq are the value-equivalence predicates used for
-// temporal coalescing.
+// The accessors temporal.Coalesce folds each entity's states with: the
+// address of a state's interval, the total order — interval first, then
+// an edge's endpoints, so states of one edge id between different
+// vertex pairs never interleave by arrival order — and the
+// value-equivalence predicate.
+func vertexIv(t *VertexTuple) *temporal.Interval  { return &t.Interval }
+func edgeIv(t *EdgeTuple) *temporal.Interval      { return &t.Interval }
+func historyIv(h *HistoryItem) *temporal.Interval { return &h.Interval }
+
+func vertexCmp(a, b VertexTuple) int  { return a.Interval.Compare(b.Interval) }
+func historyCmp(a, b HistoryItem) int { return a.Interval.Compare(b.Interval) }
+func edgeCmp(a, b EdgeTuple) int {
+	return cmp.Or(a.Interval.Compare(b.Interval), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
 func vertexEq(a, b VertexTuple) bool {
 	return a.ID == b.ID && a.Props.Equal(b.Props)
 }
@@ -276,6 +290,8 @@ func vertexEq(a, b VertexTuple) bool {
 func edgeEq(a, b EdgeTuple) bool {
 	return a.ID == b.ID && a.Src == b.Src && a.Dst == b.Dst && a.Props.Equal(b.Props)
 }
+
+func historyEq(a, b HistoryItem) bool { return a.Props.Equal(b.Props) }
 
 // lifetimeOf computes the smallest interval covering all states.
 func lifetimeOf(vs []VertexTuple, es []EdgeTuple) temporal.Interval {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/graphx"
@@ -89,15 +89,16 @@ func ogFromGraph(g *graphx.Graph[[]HistoryItem, []HistoryItem], coalesced bool) 
 	return &OG{graph: g, edgeIDs: ids, coalesced: coalesced, lifetime: life}
 }
 
-// normalizeHistory drops empty intervals and sorts by start time.
+// normalizeHistory drops empty intervals and sorts by start time. A
+// history already in that form is returned as is — OG never writes to
+// a history array it was given — anything else as a sorted copy.
 func normalizeHistory(h []HistoryItem) []HistoryItem {
-	out := make([]HistoryItem, 0, len(h))
-	for _, it := range h {
-		if !it.Interval.IsEmpty() {
-			out = append(out, it)
-		}
+	empty := func(it HistoryItem) bool { return it.Interval.IsEmpty() }
+	if !slices.ContainsFunc(h, empty) && slices.IsSortedFunc(h, historyCmp) {
+		return h
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Interval.Before(out[j].Interval) })
+	out := slices.DeleteFunc(slices.Clone(h), empty)
+	slices.SortStableFunc(out, historyCmp)
 	return out
 }
 
@@ -175,28 +176,20 @@ func (g *OG) Coalesce() TGraph {
 	return ogFromGraph(graphx.FromDatasets(v, e, g.graph.Strategy()), true)
 }
 
-// coalesceHistory merges adjacent value-equivalent history items.
+// coalesceHistory merges adjacent value-equivalent history items. h
+// belongs to the graph being coalesced and is shared with it: an
+// already coalesced history is returned as is, anything else is folded
+// on a copy.
 func coalesceHistory(h []HistoryItem) []HistoryItem {
-	states := make([]temporal.Stated[props.Props], len(h))
-	for i, it := range h {
-		states[i] = temporal.Stated[props.Props]{Interval: it.Interval, Value: it.Props}
+	if temporal.IsCoalesced(h, historyIv, historyCmp, historyEq) {
+		return h
 	}
-	merged := temporal.Coalesce(states, func(a, b props.Props) bool { return a.Equal(b) })
-	out := make([]HistoryItem, len(merged))
-	for i, s := range merged {
-		out[i] = HistoryItem{Interval: s.Interval, Props: s.Value}
-	}
-	return out
+	return temporal.Coalesce(slices.Clone(h), historyIv, historyCmp, historyEq)
 }
 
 // sortHistory orders a history array by interval, in place, and
-// returns it. Insertion sort: per-entity histories are short, and
-// sort.Slice would allocate once per entity in the zoom hot loops.
+// returns it.
 func sortHistory(h []HistoryItem) []HistoryItem {
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j].Interval.Before(h[j-1].Interval); j-- {
-			h[j], h[j-1] = h[j-1], h[j]
-		}
-	}
+	slices.SortStableFunc(h, historyCmp)
 	return h
 }

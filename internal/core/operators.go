@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/props"
 	"repro/internal/temporal"
@@ -262,11 +262,6 @@ func combineStates(left, right map[any][]temporal.Stated[sideState], kind setOpK
 		}
 	}
 	// Deterministic output order (map iteration is random).
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].iv.Equal(out[j].iv) {
-			return out[i].iv.Before(out[j].iv)
-		}
-		return false
-	})
+	slices.SortFunc(out, func(a, b keyedState) int { return a.iv.Compare(b.iv) })
 	return out
 }

@@ -46,8 +46,14 @@ func NewVE(ctx *dataflow.Context, vs []VertexTuple, es []EdgeTuple) *VE {
 }
 
 func veFromDatasets(ctx *dataflow.Context, v *dataflow.Dataset[VertexTuple], e *dataflow.Dataset[EdgeTuple], coalesced bool) *VE {
-	vs, es := v.Collect(), e.Collect()
-	return &VE{ctx: ctx, v: v, e: e, coalesced: coalesced, lifetime: lifetimeOf(vs, es)}
+	life := temporal.Empty
+	for _, part := range v.Partitions() {
+		life = temporal.Span(life, lifetimeOf(part, nil))
+	}
+	for _, part := range e.Partitions() {
+		life = temporal.Span(life, lifetimeOf(nil, part))
+	}
+	return &VE{ctx: ctx, v: v, e: e, coalesced: coalesced, lifetime: life}
 }
 
 // Rep implements TGraph.
@@ -94,41 +100,19 @@ func (g *VE) Coalesce() TGraph {
 }
 
 // coalesceVertexDataset groups vertex states by id and coalesces each
-// group.
+// group in place: GroupByKey hands every group a fresh run it owns.
 func coalesceVertexDataset(v *dataflow.Dataset[VertexTuple]) *dataflow.Dataset[VertexTuple] {
 	groups := dataflow.GroupByKey(v, func(t VertexTuple) VertexID { return t.ID })
-	return dataflow.FlatMap(groups, func(gr dataflow.Group[VertexID, VertexTuple]) []VertexTuple {
-		states := make([]temporal.Stated[VertexTuple], len(gr.Values))
-		for i, t := range gr.Values {
-			states[i] = temporal.Stated[VertexTuple]{Interval: t.Interval, Value: t}
-		}
-		merged := temporal.Coalesce(states, vertexEq)
-		out := make([]VertexTuple, len(merged))
-		for i, s := range merged {
-			t := s.Value
-			t.Interval = s.Interval
-			out[i] = t
-		}
-		return out
+	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[VertexID, VertexTuple], out []VertexTuple) []VertexTuple {
+		return append(out, temporal.Coalesce(gr.Values, vertexIv, vertexCmp, vertexEq)...)
 	})
 }
 
 // coalesceEdgeDataset groups edge states by id and coalesces each
-// group.
+// group in place.
 func coalesceEdgeDataset(e *dataflow.Dataset[EdgeTuple]) *dataflow.Dataset[EdgeTuple] {
 	groups := dataflow.GroupByKey(e, func(t EdgeTuple) EdgeID { return t.ID })
-	return dataflow.FlatMap(groups, func(gr dataflow.Group[EdgeID, EdgeTuple]) []EdgeTuple {
-		states := make([]temporal.Stated[EdgeTuple], len(gr.Values))
-		for i, t := range gr.Values {
-			states[i] = temporal.Stated[EdgeTuple]{Interval: t.Interval, Value: t}
-		}
-		merged := temporal.Coalesce(states, edgeEq)
-		out := make([]EdgeTuple, len(merged))
-		for i, s := range merged {
-			t := s.Value
-			t.Interval = s.Interval
-			out[i] = t
-		}
-		return out
+	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[EdgeID, EdgeTuple], out []EdgeTuple) []EdgeTuple {
+		return append(out, temporal.Coalesce(gr.Values, edgeIv, edgeCmp, edgeEq)...)
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -129,11 +131,11 @@ func wzoomTuplesDataflow[T any, ID comparable](
 ) *dataflow.Dataset[T] {
 	br := r.Bind()
 	asp := obs.StartSpan("align-clip")
-	aligned := dataflow.FlatMap(d, func(t T) []dataflow.Pair[wzKey[ID], WZState] {
+	type rec = dataflow.Pair[wzKey[ID], WZState]
+	aligned := dataflow.FlatMapAppend(d, func(t T, out []rec) []rec {
 		iv := ivOf(t)
-		var out []dataflow.Pair[wzKey[ID], WZState]
 		for _, w := range temporal.OverlappingWindows(windows, iv) {
-			out = append(out, dataflow.Pair[wzKey[ID], WZState]{
+			out = append(out, rec{
 				First: wzKey[ID]{ID: idOf(t), Win: w.Index},
 				Second: WZState{
 					Start:   iv.Start,
@@ -146,20 +148,24 @@ func wzoomTuplesDataflow[T any, ID comparable](
 	})
 	asp.End()
 	gsp := obs.StartSpan("group-by")
-	groups := dataflow.GroupByKey(aligned, func(p dataflow.Pair[wzKey[ID], WZState]) wzKey[ID] { return p.First })
+	groups := dataflow.GroupByKey(aligned, func(p rec) wzKey[ID] { return p.First })
 	gsp.End()
 	defer obs.StartSpan("filter-resolve").End()
-	return dataflow.FlatMap(groups, func(gr dataflow.Group[wzKey[ID], dataflow.Pair[wzKey[ID], WZState]]) []T {
-		states := make([]WZState, len(gr.Values))
-		for i, p := range gr.Values {
-			states[i] = p.Second
+	return dataflow.MapPartitions(groups, func(_ int, grs []dataflow.Group[wzKey[ID], rec]) []T {
+		// One output slice and one state scratch per partition.
+		out := make([]T, 0, len(grs))
+		var states []WZState
+		for _, gr := range grs {
+			states = states[:0]
+			for _, p := range gr.Values {
+				states = append(states, p.Second)
+			}
+			w := windows[gr.Key.Win]
+			if p, ok := WZoomReduce(states, w, q, br); ok {
+				out = append(out, make_(gr.Key.ID, w.Interval, p))
+			}
 		}
-		w := windows[gr.Key.Win]
-		p, ok := WZoomReduce(states, w, q, br)
-		if !ok {
-			return nil
-		}
-		return []T{make_(gr.Key.ID, w.Interval, p)}
+		return out
 	})
 }
 
@@ -317,7 +323,7 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 		for id := range vStates {
 			vids = append(vids, id)
 		}
-		sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
+		slices.Sort(vids)
 		for _, id := range vids {
 			if p, ok := WZoomReduce(vStates[id], w, spec.VQuant, vres); ok {
 				keptV[id] = struct{}{}
@@ -329,7 +335,7 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 		for k := range eStates {
 			eks = append(eks, k)
 		}
-		sort.Slice(eks, func(i, j int) bool { return eks[i].id < eks[j].id })
+		slices.SortFunc(eks, func(a, b ekey) int { return cmp.Compare(a.id, b.id) })
 		dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
 		for _, k := range eks {
 			p, ok := WZoomReduce(eStates[k], w, spec.EQuant, eres)

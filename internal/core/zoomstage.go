@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/props"
@@ -73,13 +75,7 @@ func AZoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []AZS
 			agg.Accumulate(frags[i].agg, s.Props)
 		}
 	}
-	// Insertion sort; fragment counts per group are small and
-	// sort.Slice allocates.
-	for i := 1; i < len(frags); i++ {
-		for j := i; j > 0 && frags[j].iv.Before(frags[j-1].iv); j-- {
-			frags[j], frags[j-1] = frags[j-1], frags[j]
-		}
-	}
+	slices.SortStableFunc(frags, func(a, b frag) int { return a.iv.Compare(b.iv) })
 	out := make([]VertexTuple, 0, len(frags))
 	for _, f := range frags {
 		out = append(out, VertexTuple{ID: newID, Interval: f.iv, Props: agg.Result(base, f.agg)})
@@ -168,7 +164,7 @@ func WZoomReduce(states []WZState, window temporal.Window, q temporal.Quantifier
 		// immutable, so the state's property set is returned as-is.
 		return states[0].Props, true
 	}
-	sort.SliceStable(states, func(i, j int) bool { return states[i].Start < states[j].Start })
+	slices.SortStableFunc(states, func(a, b WZState) int { return cmp.Compare(a.Start, b.Start) })
 	ps := make([]props.Props, len(states))
 	for i, s := range states {
 		ps[i] = s.Props
@@ -212,9 +208,11 @@ func WZoomEntity(h []HistoryItem, windows []temporal.Window, q temporal.Quantifi
 // adjacent value-equivalent items — the per-entity coalescing stage.
 // The incremental engine normalizes an entity's base states with it
 // before re-running WZoomEntity, matching the representation-level
-// Coalesce the batch path applies.
+// Coalesce the batch path applies. It works in place (see
+// temporal.Coalesce): h is reordered and the result is a prefix of it,
+// so callers pass a copy of any history they retain.
 func NormalizeHistory(h []HistoryItem) []HistoryItem {
-	return coalesceHistory(sortHistory(h))
+	return temporal.Coalesce(h, historyIv, historyCmp, historyEq)
 }
 
 // BoundEdgeSkolem returns the spec's edge Skolem function with the

@@ -19,13 +19,14 @@
 package dataflow
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/maphash"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -479,7 +480,7 @@ func (c *Context) finishJob(stage string, failed []*TaskError, cancelErr error, 
 	if len(failed) == 0 && cancelErr == nil {
 		return
 	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i].Partition < failed[j].Partition })
+	slices.SortFunc(failed, func(a, b *TaskError) int { return cmp.Compare(a.Partition, b.Partition) })
 	panic(&JobError{Stage: stage, Tasks: failed, Cancel: cancelErr, TasksSkipped: skipped})
 }
 

@@ -1,6 +1,6 @@
 package dataflow
 
-import "sort"
+import "slices"
 
 // Dataset is a horizontally partitioned, immutable collection of
 // records of type T, bound to the Context that executes operations over
@@ -137,7 +137,15 @@ func (d *Dataset[T]) Coalesced() *Dataset[T] {
 // shuffle.
 func (d *Dataset[T]) SortBy(less func(a, b T) bool) *Dataset[T] {
 	all := d.Collect()
-	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	slices.SortStableFunc(all, func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 	d.ctx.countShuffle(int64(len(all)), len(d.parts))
 	return Parallelize(d.ctx, all, len(d.parts))
 }
@@ -175,11 +183,19 @@ func FilterMap[T, U any](d *Dataset[T], f func(T) (U, bool)) *Dataset[U] {
 // FlatMap applies f to every record and concatenates the results within
 // each partition. It is a narrow transformation.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
+	return FlatMapAppend(d, func(rec T, out []U) []U { return append(out, f(rec)...) })
+}
+
+// FlatMapAppend is FlatMap in append style: f appends the records it
+// emits for rec to out and returns the extended slice, so a partition's
+// output is built in one growing array instead of one result slice per
+// record. f must only append to out — it must not retain or reorder it.
+func FlatMapAppend[T, U any](d *Dataset[T], f func(rec T, out []U) []U) *Dataset[U] {
 	out := make([][]U, len(d.parts))
 	d.ctx.runTasks("flatmap", len(d.parts), func(i int) {
-		var p []U
+		p := make([]U, 0, len(d.parts[i]))
 		for _, rec := range d.parts[i] {
-			p = append(p, f(rec)...)
+			p = f(rec, p)
 		}
 		out[i] = p
 	})

@@ -14,7 +14,11 @@ type Pair[A, B any] struct {
 	Second B
 }
 
-// Group is a key with all records sharing it.
+// Group is a key with all records sharing it. Values is a
+// capacity-capped run of an array the groups of one partition share:
+// fresh (it aliases no input dataset), so its consumer may reorder or
+// overwrite it in place, but it lives as long as any sibling group is
+// retained.
 type Group[K comparable, V any] struct {
 	Key    K
 	Values []V
@@ -24,7 +28,10 @@ func hashKey[K comparable](seed maphash.Seed, k K) uint64 {
 	return maphash.Comparable(seed, k)
 }
 
-// shuffleByKey routes each record to partition hash(key) % numOut.
+// shuffleByKey routes each record to partition hash(key) % numOut. Each
+// source partition is laid out destination-contiguously in one array
+// and each destination is gathered into one exactly-sized array, so the
+// shuffle allocates per partition, not per (source, destination) pair.
 func shuffleByKey[K comparable, V any](d *Dataset[V], key func(V) K, numOut int) [][]V {
 	if numOut <= 0 {
 		numOut = max(len(d.parts), 1)
@@ -33,17 +40,21 @@ func shuffleByKey[K comparable, V any](d *Dataset[V], key func(V) K, numOut int)
 	// for destination dst.
 	buckets := make([][][]V, len(d.parts))
 	d.ctx.runTasks("shuffle-route", len(d.parts), func(i int) {
-		local := make([][]V, numOut)
-		for _, rec := range d.parts[i] {
-			dst := int(hashKey(d.ctx.seed, key(rec)) % uint64(numOut))
-			local[dst] = append(local[dst], rec)
+		recs := d.parts[i]
+		dsts := make([]int32, len(recs))
+		for j, rec := range recs {
+			dsts[j] = int32(hashKey(d.ctx.seed, key(rec)) % uint64(numOut))
 		}
-		buckets[i] = local
+		buckets[i] = scatter(recs, dsts, numOut, func(v V) V { return v })
 	})
 	out := make([][]V, numOut)
 	var moved int64
 	d.ctx.runTasks("shuffle-gather", numOut, func(dst int) {
-		var p []V
+		n := 0
+		for src := range buckets {
+			n += len(buckets[src][dst])
+		}
+		p := make([]V, 0, n)
 		for src := range buckets {
 			p = append(p, buckets[src][dst]...)
 		}
@@ -56,27 +67,83 @@ func shuffleByKey[K comparable, V any](d *Dataset[V], key func(V) K, numOut int)
 	return out
 }
 
+// scatter lays recs out group-contiguously in ONE backing array: gids
+// gives each record's group number in [0, n), and run g of the result
+// holds val of group g's records in input order. Runs are
+// capacity-capped sub-slices (a[i:j:j]) of the shared array, so
+// appending to one reallocates it instead of overwriting its
+// neighbour; an empty group's run is nil.
+func scatter[R, V any](recs []R, gids []int32, n int, val func(R) V) [][]V {
+	ends := make([]int, n)
+	for _, g := range gids {
+		ends[g]++
+	}
+	sum := 0
+	for g, c := range ends {
+		ends[g] = sum // start offset for now; advanced to the end below
+		sum += c
+	}
+	arena := make([]V, len(recs))
+	for j, rec := range recs {
+		arena[ends[gids[j]]] = val(rec)
+		ends[gids[j]]++
+	}
+	runs := make([][]V, n)
+	start := 0
+	for g, end := range ends {
+		if end > start {
+			runs[g] = arena[start:end:end]
+		}
+		start = end
+	}
+	return runs
+}
+
+// numberGroups assigns each record the number of its key's group,
+// numbering groups in first-seen order. idx and keys carry the
+// numbering so far (CoGroup numbers its right side after its left);
+// keys[g] is group g's key.
+func numberGroups[K comparable, R any](recs []R, key func(R) K, idx map[K]int32, keys []K) ([]int32, []K) {
+	gids := make([]int32, len(recs))
+	for j, rec := range recs {
+		k := key(rec)
+		g, ok := idx[k]
+		if !ok {
+			g = int32(len(keys))
+			idx[k] = g
+			keys = append(keys, k)
+		}
+		gids[j] = g
+	}
+	return gids, keys
+}
+
+// groupRecords builds the per-key runs of one partition: the key →
+// group number index and, per group, its records in input order (see
+// scatter for the layout and aliasing rules).
+func groupRecords[K comparable, R any](recs []R, key func(R) K) (map[K]int32, [][]R) {
+	idx := make(map[K]int32)
+	gids, keys := numberGroups(recs, key, idx, nil)
+	return idx, scatter(recs, gids, len(keys), func(r R) R { return r })
+}
+
 // GroupByKey shuffles by key and materialises one Group per distinct
-// key. Like Spark's groupByKey it moves every record; prefer
-// ReduceByKey or AggregateByKey when a combiner applies. The key
-// function is invoked exactly once per record, map-side: the shuffle
-// carries precomputed Pair[K, V] records, so a non-deterministic or
-// stateful key function cannot misgroup on the reduce side.
+// key, in first-seen order. Like Spark's groupByKey it moves every
+// record; prefer ReduceByKey or AggregateByKey when a combiner applies.
+// The key function is invoked exactly once per record, map-side: the
+// shuffle carries precomputed Pair[K, V] records, so a non-deterministic
+// or stateful key function cannot misgroup on the reduce side. The
+// groups of one partition share one backing array (see Group).
 func GroupByKey[K comparable, V any](d *Dataset[V], key func(V) K) *Dataset[Group[K, V]] {
 	paired := Map(d, func(v V) Pair[K, V] { return Pair[K, V]{First: key(v), Second: v} })
 	shuffled := shuffleByKey(paired, func(p Pair[K, V]) K { return p.First }, len(d.parts))
 	out := make([][]Group[K, V], len(shuffled))
 	d.ctx.runTasks("groupbykey", len(shuffled), func(i int) {
-		idx := make(map[K]int)
-		var groups []Group[K, V]
-		for _, p := range shuffled[i] {
-			j, ok := idx[p.First]
-			if !ok {
-				j = len(groups)
-				idx[p.First] = j
-				groups = append(groups, Group[K, V]{Key: p.First})
-			}
-			groups[j].Values = append(groups[j].Values, p.Second)
+		gids, keys := numberGroups(shuffled[i], func(p Pair[K, V]) K { return p.First }, make(map[K]int32), nil)
+		runs := scatter(shuffled[i], gids, len(keys), func(p Pair[K, V]) V { return p.Second })
+		groups := make([]Group[K, V], len(keys))
+		for g, k := range keys {
+			groups[g] = Group[K, V]{Key: k, Values: runs[g]}
 		}
 		out[i] = groups
 	})
@@ -171,14 +238,14 @@ func Join[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, 
 	rs := shuffleByKey(r, rKey, n)
 	out := make([][]Pair[L, R], n)
 	l.ctx.runTasks("join", n, func(i int) {
-		byKey := make(map[K][]R)
-		for _, rr := range rs[i] {
-			k := rKey(rr)
-			byKey[k] = append(byKey[k], rr)
-		}
+		idx, rights := groupRecords(rs[i], rKey)
 		var p []Pair[L, R]
 		for _, ll := range ls[i] {
-			for _, rr := range byKey[lKey(ll)] {
+			g, ok := idx[lKey(ll)]
+			if !ok {
+				continue
+			}
+			for _, rr := range rights[g] {
 				p = append(p, Pair[L, R]{First: ll, Second: rr})
 			}
 		}
@@ -197,14 +264,10 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 	rs := shuffleByKey(r, rKey, n)
 	out := make([][]L, n)
 	l.ctx.runTasks("semijoin", n, func(i int) {
-		byKey := make(map[K][]R)
-		for _, rr := range rs[i] {
-			k := rKey(rr)
-			byKey[k] = append(byKey[k], rr)
-		}
+		idx, rights := groupRecords(rs[i], rKey)
 		var p []L
 		for _, ll := range ls[i] {
-			rights, ok := byKey[lKey(ll)]
+			g, ok := idx[lKey(ll)]
 			if !ok {
 				continue
 			}
@@ -212,7 +275,7 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 				p = append(p, ll)
 				continue
 			}
-			for _, rr := range rights {
+			for _, rr := range rights[g] {
 				if match(ll, rr) {
 					p = append(p, ll)
 					break
@@ -225,46 +288,26 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 }
 
 // CoGroup joins the groups of two datasets by key: one output per key
-// present on either side, with all left and right records for it.
+// present on either side (left keys first, each side in first-seen
+// order), with all left and right records for it. Group.Values alias
+// one array per side and partition, as in GroupByKey.
 func CoGroup[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K) *Dataset[Pair[Group[K, L], Group[K, R]]] {
 	n := max(len(l.parts), len(r.parts))
 	ls := shuffleByKey(l, lKey, n)
 	rs := shuffleByKey(r, rKey, n)
 	out := make([][]Pair[Group[K, L], Group[K, R]], n)
 	l.ctx.runTasks("cogroup", n, func(i int) {
-		type slot struct {
-			ls []L
-			rs []R
-		}
-		idx := make(map[K]*slot)
-		order := make([]K, 0)
-		for _, ll := range ls[i] {
-			k := lKey(ll)
-			s, ok := idx[k]
-			if !ok {
-				s = &slot{}
-				idx[k] = s
-				order = append(order, k)
+		idx := make(map[K]int32)
+		lgids, keys := numberGroups(ls[i], lKey, idx, nil)
+		rgids, keys := numberGroups(rs[i], rKey, idx, keys)
+		lefts := scatter(ls[i], lgids, len(keys), func(v L) L { return v })
+		rights := scatter(rs[i], rgids, len(keys), func(v R) R { return v })
+		p := make([]Pair[Group[K, L], Group[K, R]], len(keys))
+		for g, k := range keys {
+			p[g] = Pair[Group[K, L], Group[K, R]]{
+				First:  Group[K, L]{Key: k, Values: lefts[g]},
+				Second: Group[K, R]{Key: k, Values: rights[g]},
 			}
-			s.ls = append(s.ls, ll)
-		}
-		for _, rr := range rs[i] {
-			k := rKey(rr)
-			s, ok := idx[k]
-			if !ok {
-				s = &slot{}
-				idx[k] = s
-				order = append(order, k)
-			}
-			s.rs = append(s.rs, rr)
-		}
-		p := make([]Pair[Group[K, L], Group[K, R]], 0, len(order))
-		for _, k := range order {
-			s := idx[k]
-			p = append(p, Pair[Group[K, L], Group[K, R]]{
-				First:  Group[K, L]{Key: k, Values: s.ls},
-				Second: Group[K, R]{Key: k, Values: s.rs},
-			})
 		}
 		out[i] = p
 	})

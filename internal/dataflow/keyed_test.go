@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGroupByKey(t *testing.T) {
@@ -290,5 +291,88 @@ func TestJoinCardinalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGroupsShareOneArrayWithoutOverlap pins the arena layout: the
+// groups of a partition are consecutive runs of one backing array, each
+// capacity-capped, so appending to one group's Values reallocates that
+// group instead of overwriting its neighbour — and groups come in
+// first-seen order with their records in input order.
+func TestGroupsShareOneArrayWithoutOverlap(t *testing.T) {
+	ctx := NewContext(WithParallelism(1), WithDefaultPartitions(1))
+	in := []int{7, 3, 7, 5, 3, 7, 9}
+	groups := GroupByKey(Parallelize(ctx, in, 1), func(x int) int { return x }).Collect()
+	var keys []int
+	for i, g := range groups {
+		keys = append(keys, g.Key)
+		if cap(g.Values) != len(g.Values) {
+			t.Errorf("group %d: cap %d > len %d, an append would run into the next group", g.Key, cap(g.Values), len(g.Values))
+		}
+		if i > 0 {
+			prev := groups[i-1].Values
+			if unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)*int(unsafe.Sizeof(prev[0]))) != unsafe.Pointer(&g.Values[0]) {
+				t.Errorf("group %d does not start where group %d ends: not one backing array", g.Key, groups[i-1].Key)
+			}
+		}
+	}
+	if want := []int{7, 3, 5, 9}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("group order = %v, want first-seen order %v", keys, want)
+	}
+	grown := append(groups[0].Values, -1)
+	if got := groups[1].Values; !reflect.DeepEqual(got, []int{3, 3}) {
+		t.Errorf("appending to group 7 changed group 3 to %v", got)
+	}
+	if !reflect.DeepEqual(grown, []int{7, 7, 7, -1}) {
+		t.Errorf("grown group = %v", grown)
+	}
+
+	// CoGroup: left keys first, then keys only the right side has; a
+	// side without records for a key has nil Values.
+	l := Parallelize(ctx, []string{"b", "a", "b"}, 1)
+	r := Parallelize(ctx, []string{"c", "a", "c"}, 1)
+	id := func(s string) string { return s }
+	var got []string
+	for _, p := range CoGroup(l, r, id, id).Collect() {
+		got = append(got, p.First.Key)
+		if cap(p.First.Values) != len(p.First.Values) || cap(p.Second.Values) != len(p.Second.Values) {
+			t.Errorf("cogroup %q: runs are not capacity-capped", p.First.Key)
+		}
+		if p.First.Key == "c" && p.First.Values != nil {
+			t.Errorf("cogroup c: left side = %v, want nil", p.First.Values)
+		}
+	}
+	if want := []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cogroup order = %v, want %v", got, want)
+	}
+}
+
+// TestGroupByKeyAllocatesPerPartition: grouping builds a fixed number
+// of arrays per partition plus the key index's O(log groups) growth
+// steps — not one slice per group. A hundred times the groups may cost
+// a few more map growths, never a hundred times the allocations.
+func TestGroupByKeyAllocatesPerPartition(t *testing.T) {
+	ctx := NewContext(WithParallelism(1), WithDefaultPartitions(4))
+	allocs := func(groups int) float64 {
+		d := Parallelize(ctx, ints(20000), 4)
+		return testing.AllocsPerRun(5, func() { GroupByKey(d, func(x int) int { return x % groups }) })
+	}
+	few, many := allocs(50), allocs(5000)
+	if many > few+4*50 || many > 400 {
+		t.Errorf("GroupByKey allocs: %v for 50 groups, %v for 5000 — want O(partitions), not O(groups)", few, many)
+	}
+}
+
+func TestFlatMapAppend(t *testing.T) {
+	ctx := testCtx()
+	d := Parallelize(ctx, []int{1, 2, 3, 0}, 2)
+	got := FlatMapAppend(d, func(x int, out []int) []int {
+		for i := 0; i < x; i++ {
+			out = append(out, x)
+		}
+		return out
+	}).Collect()
+	if want := []int{1, 2, 2, 3, 3, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("FlatMapAppend = %v, want %v", got, want)
 	}
 }

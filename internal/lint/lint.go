@@ -9,7 +9,12 @@
 //   - godoc coverage: every exported top-level symbol in the packages
 //     listed in docDirs must carry a doc comment, so the storage/scan
 //     API documented in DESIGN.md stays documented at the source level
-//     (CheckDocs).
+//     (CheckDocs);
+//   - no reflective sorts on the result path: sort.Slice and
+//     sort.SliceStable allocate a reflection swapper and a closure per
+//     call, which the packages in sortDirs run per entity or per
+//     request; they sort with slices.SortFunc / slices.SortStableFunc
+//     (CheckSorts).
 //
 // The checkers are purely syntactic (go/parser + go/ast, no type
 // checking), which keeps them dependency-free and fast; the map check
@@ -160,9 +165,15 @@ var docDirs = []string{"internal/storage", "internal/serve", "internal/resil", "
 // comment. A doc comment on a grouped declaration covers the whole
 // group. Test files are exempt.
 func CheckDocs(root string) ([]Diagnostic, error) {
+	return checkSources(root, docDirs, CheckDocsSource)
+}
+
+// checkSources applies check to every non-test .go file under the
+// given directories of root (recursively, skipping testdata).
+func checkSources(root string, dirs []string, check func(*token.FileSet, string, []byte) ([]Diagnostic, error)) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	fset := token.NewFileSet()
-	for _, dir := range docDirs {
+	for _, dir := range dirs {
 		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -180,7 +191,7 @@ func CheckDocs(root string) ([]Diagnostic, error) {
 			if rerr != nil {
 				return rerr
 			}
-			fds, perr := CheckDocsSource(fset, path, src)
+			fds, perr := check(fset, path, src)
 			if perr != nil {
 				return perr
 			}
@@ -191,6 +202,55 @@ func CheckDocs(root string) ([]Diagnostic, error) {
 			return diags, err
 		}
 	}
+	return diags, nil
+}
+
+// sortDirs are the packages between keyed records and response bytes
+// (and the storage writers beside them), where a sort runs per entity,
+// per group or per request. The walk is recursive.
+var sortDirs = []string{"internal/core", "internal/temporal", "internal/dataflow", "internal/props", "internal/serve", "internal/storage"}
+
+// CheckSorts walks the sortDirs under root and reports every call of
+// sort.Slice or sort.SliceStable. Test files are exempt.
+func CheckSorts(root string) ([]Diagnostic, error) {
+	return checkSources(root, sortDirs, CheckSortsSource)
+}
+
+// CheckSortsSource checks one file's source text for reflective sort
+// calls (the unit CheckSorts applies per file, exposed for tests). The
+// sort package is recognised through any import alias.
+func CheckSortsSource(fset *token.FileSet, filename string, src []byte) ([]Diagnostic, error) {
+	f, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	sortName := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value != `"sort"` {
+			continue
+		}
+		sortName = "sort"
+		if imp.Name != nil {
+			sortName = imp.Name.Name
+		}
+	}
+	if sortName == "" {
+		return nil, nil
+	}
+	var diags []Diagnostic
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Slice" && sel.Sel.Name != "SliceStable") {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == sortName {
+			diags = append(diags, Diagnostic{
+				Pos:     fset.Position(sel.Pos()),
+				Message: "sort." + sel.Sel.Name + " allocates a reflection swapper per call; use slices.SortFunc or slices.SortStableFunc",
+			})
+		}
+		return true
+	})
 	return diags, nil
 }
 

@@ -200,3 +200,45 @@ func TestRepositoryDocsAreClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
+
+func TestSortsFlagsReflectiveSorts(t *testing.T) {
+	src := `package x
+import (
+	"slices"
+	"sort"
+)
+func f(xs []int) {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.Ints(xs)
+	slices.Sort(xs)
+}
+`
+	got, err := CheckSortsSource(token.NewFileSet(), "src.go", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Pos.Line != 7 || got[1].Pos.Line != 8 {
+		t.Fatalf("diagnostics = %v, want the calls on lines 7 and 8", got)
+	}
+	aliased := `package x
+import s "sort"
+type sort struct{ Slice func() }
+func f(xs []int, v sort) { s.Slice(xs, nil); v.Slice() }
+`
+	if got, _ := CheckSortsSource(token.NewFileSet(), "src.go", []byte(aliased)); len(got) != 1 {
+		t.Fatalf("diagnostics = %v, want only the aliased sort.Slice", got)
+	}
+}
+
+// TestRepositorySortsAreClean runs the sort checker over the
+// repository itself.
+func TestRepositorySortsAreClean(t *testing.T) {
+	diags, err := CheckSorts("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}

@@ -334,9 +334,8 @@ func (b *Builder) Build() Props {
 	}
 	f := b.f
 	b.f = nil
-	// Insertion sort: property sets are small, and sort.Slice would
-	// allocate (reflect-based swapper) on every Build in the zoom hot
-	// loops.
+	// Insertion sort: property sets are small, and this runs on every
+	// Build in the zoom hot loops.
 	for i := 1; i < len(f); i++ {
 		for j := i; j > 0 && f[j].k < f[j-1].k; j-- {
 			f[j], f[j-1] = f[j-1], f[j]

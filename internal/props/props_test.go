@@ -1,6 +1,7 @@
 package props
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,10 +212,17 @@ func TestValueString(t *testing.T) {
 		{Bool(false), "false"},
 		{Int(-3), "-3"},
 		{Float(2.5), "2.5"},
+		{Float(math.Copysign(0, -1)), "-0"},
+		{Float(1e21), "1e+21"},
+		{Float(math.Inf(-1)), "-Inf"},
+		{Int(math.MinInt64), "-9223372036854775808"},
 		{StringVal("x"), "x"},
 	} {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("%v.String() = %q, want %q", tc.v.Kind(), got, tc.want)
+		}
+		if got := string(tc.v.AppendTo([]byte("p="))); got != "p="+tc.want {
+			t.Errorf("%v.AppendTo = %q, want %q", tc.v.Kind(), got, "p="+tc.want)
 		}
 	}
 }

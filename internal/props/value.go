@@ -121,20 +121,27 @@ func (v Value) Less(o Value) bool {
 
 // String renders the value for display and round-trippable encoding.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return v.str
+	}
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of the value to dst, for
+// encoders that build their output in one buffer.
+func (v Value) AppendTo(dst []byte) []byte {
 	switch v.kind {
 	case KindNil:
-		return "<nil>"
+		return append(dst, "<nil>"...)
 	case KindBool:
-		if v.num != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.num != 0)
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.AppendInt(dst, v.num, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.fl, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.fl, 'g', -1, 64)
 	default:
-		return v.str
+		return append(dst, v.str...)
 	}
 }
 

@@ -640,7 +640,7 @@ func (h *graphHandle) encodeViewLocked(v incr.View) ([]byte, error) {
 		}
 		g = cg
 	}
-	return encodeGraph(g)
+	return encodeGraph(g), nil
 }
 
 // compactLocked folds the WAL tail into a fresh columnar epoch and
@@ -1118,9 +1118,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 					return e
 				}
 			}
-			var e error
-			body, e = encodeGraph(out)
-			return e
+			body = encodeGraph(out)
+			return nil
 		})
 		if err != nil {
 			return nil, 0, err
@@ -1219,9 +1218,8 @@ func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard
 			if err != nil {
 				return err
 			}
-			var e error
-			body, e = encodeGraph(out)
-			return e
+			body = encodeGraph(out)
+			return nil
 		})
 		if err != nil {
 			return nil, 0, err

@@ -1,10 +1,13 @@
 package serve
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/props"
@@ -393,59 +396,166 @@ type GraphJSON struct {
 }
 
 // encodeGraph renders a result graph as deterministic JSON bytes: the
-// graph is coalesced, states are sorted, and encoding/json emits map
-// keys sorted — so recomputing the same query yields identical bytes.
-func encodeGraph(g core.TGraph) ([]byte, error) {
+// graph is coalesced and its states are written by encodeStates — so
+// recomputing the same query yields identical bytes. It is the one
+// encoder behind the cold path, the sharded path and patched views.
+func encodeGraph(g core.TGraph) []byte {
 	c := g.Coalesce()
-	life := c.Lifetime()
-	out := GraphJSON{
-		Rep:      c.Rep().String(),
-		Lifetime: [2]int64{int64(life.Start), int64(life.End)},
-		Vertices: []StateJSON{},
-		Edges:    []StateJSON{},
-	}
-	for _, v := range c.VertexStates() {
-		out.Vertices = append(out.Vertices, StateJSON{
-			ID: int64(v.ID), Start: int64(v.Interval.Start), End: int64(v.Interval.End),
-			Props: propsMap(v.Props),
-		})
-	}
-	for _, e := range c.EdgeStates() {
-		out.Edges = append(out.Edges, StateJSON{
-			ID: int64(e.ID), Src: int64(e.Src), Dst: int64(e.Dst),
-			Start: int64(e.Interval.Start), End: int64(e.Interval.End),
-			Props: propsMap(e.Props),
-		})
-	}
-	sort.Slice(out.Vertices, func(i, j int) bool { return stateLess(out.Vertices[i], out.Vertices[j]) })
-	sort.Slice(out.Edges, func(i, j int) bool { return stateLess(out.Edges[i], out.Edges[j]) })
-	return json.Marshal(out)
+	return encodeStates(c.Rep().String(), c.Lifetime(), c.VertexStates(), c.EdgeStates())
 }
 
-func stateLess(a, b StateJSON) bool {
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.End < b.End
+// encoder is the reusable scratch of one encodeStates call: the output
+// buffer and the property fields of the state being written.
+type encoder struct {
+	buf    []byte
+	fields []propField
 }
 
-func propsMap(p props.Props) map[string]string {
+type propField struct {
+	name string
+	v    props.Value
+}
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// encodeStates writes the wire form of a result — byte for byte what
+// json.Marshal(GraphJSON{...}) produces — straight from the tuples:
+// states ordered by (id, src, dst, start, end) (vs and es are sorted in
+// place), fields in StateJSON's order with src, dst and props omitted
+// when zero or empty, property keys ordered by name, every property
+// value as a JSON string, strings escaped as encoding/json escapes
+// them. The body is sized exactly (cap == len), so a cache holding it
+// retains no slack.
+func encodeStates(rep string, life temporal.Interval, vs []core.VertexTuple, es []core.EdgeTuple) []byte {
+	slices.SortStableFunc(vs, func(a, b core.VertexTuple) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), a.Interval.Compare(b.Interval))
+	})
+	slices.SortStableFunc(es, func(a, b core.EdgeTuple) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), a.Interval.Compare(b.Interval))
+	})
+	e := encoders.Get().(*encoder)
+	// A state with a few properties takes about 128 bytes; a buffer
+	// fresh from the pool then grows once, not by doubling.
+	b := append(slices.Grow(e.buf[:0], 128*(len(vs)+len(es))), `{"rep":`...)
+	b = appendJSONString(b, rep)
+	b = append(b, `,"lifetime":[`...)
+	b = strconv.AppendInt(b, int64(life.Start), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(life.End), 10)
+	b = append(b, `],"vertices":[`...)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = e.appendState(b, int64(v.ID), 0, 0, v.Interval, v.Props)
+	}
+	b = append(b, `],"edges":[`...)
+	for i, t := range es {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = e.appendState(b, int64(t.ID), int64(t.Src), int64(t.Dst), t.Interval, t.Props)
+	}
+	b = append(b, `]}`...)
+	body := make([]byte, len(b))
+	copy(body, b)
+	e.buf = b
+	clear(e.fields[:cap(e.fields)]) // keep no property strings alive from the pool
+	encoders.Put(e)
+	return body
+}
+
+// appendState writes one StateJSON object.
+func (e *encoder) appendState(b []byte, id, src, dst int64, iv temporal.Interval, p props.Props) []byte {
+	b = strconv.AppendInt(append(b, `{"id":`...), id, 10)
+	if src != 0 {
+		b = strconv.AppendInt(append(b, `,"src":`...), src, 10)
+	}
+	if dst != 0 {
+		b = strconv.AppendInt(append(b, `,"dst":`...), dst, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"start":`...), int64(iv.Start), 10)
+	b = strconv.AppendInt(append(b, `,"end":`...), int64(iv.End), 10)
 	if p.Len() == 0 {
-		return nil
+		return append(b, '}')
 	}
-	m := make(map[string]string, p.Len())
+	// Props iterates in interned-key order; the wire orders keys by
+	// name. Insertion sort: property sets hold a handful of fields.
+	fields := e.fields[:0]
 	p.Range(func(k props.Key, v props.Value) bool {
-		m[k.Name()] = v.String()
+		f := propField{k.Name(), v}
+		j := len(fields)
+		fields = append(fields, f)
+		for ; j > 0 && fields[j-1].name > f.name; j-- {
+			fields[j] = fields[j-1]
+		}
+		fields[j] = f
 		return true
 	})
-	return m
+	e.fields = fields
+	b = append(b, `,"props":{`...)
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendJSONString(b, f.name), ':')
+		if s, ok := f.v.AsString(); ok {
+			b = appendJSONString(b, s)
+		} else {
+			var text [32]byte
+			b = appendJSONString(b, f.v.AppendTo(text[:0]))
+		}
+	}
+	return append(b, '}', '}')
+}
+
+// appendJSONString appends src as a JSON string literal, escaped the
+// way encoding/json's Marshal escapes it: the quote, the backslash and
+// control bytes; <, > and & as \u00XX (Marshal's HTML-safe default);
+// U+2028 and U+2029; and each byte of invalid UTF-8 as \ufffd.
+func appendJSONString[S []byte | string](dst []byte, src S) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		if c := src[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		// Decode from a copy of at most one rune's bytes, so that the
+		// conversion of a []byte source stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, src[start:i]...), `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, src[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, src[start:]...), '"')
 }

@@ -1,0 +1,226 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/props"
+	"repro/internal/temporal"
+)
+
+// referenceEncode is the encoder encodeStates replaced, kept as the
+// specification of the wire format: build the documented GraphJSON
+// value and let encoding/json render it.
+func referenceEncode(rep string, life temporal.Interval, vs []core.VertexTuple, es []core.EdgeTuple) []byte {
+	out := GraphJSON{
+		Rep:      rep,
+		Lifetime: [2]int64{int64(life.Start), int64(life.End)},
+		Vertices: []StateJSON{},
+		Edges:    []StateJSON{},
+	}
+	propsMap := func(p props.Props) map[string]string {
+		if p.Len() == 0 {
+			return nil
+		}
+		m := make(map[string]string, p.Len())
+		p.Range(func(k props.Key, v props.Value) bool {
+			m[k.Name()] = v.String()
+			return true
+		})
+		return m
+	}
+	for _, v := range vs {
+		out.Vertices = append(out.Vertices, StateJSON{
+			ID: int64(v.ID), Start: int64(v.Interval.Start), End: int64(v.Interval.End),
+			Props: propsMap(v.Props),
+		})
+	}
+	for _, e := range es {
+		out.Edges = append(out.Edges, StateJSON{
+			ID: int64(e.ID), Src: int64(e.Src), Dst: int64(e.Dst),
+			Start: int64(e.Interval.Start), End: int64(e.Interval.End),
+			Props: propsMap(e.Props),
+		})
+	}
+	less := func(s []StateJSON) func(i, j int) bool {
+		return func(i, j int) bool {
+			a, b := s[i], s[j]
+			if a.ID != b.ID {
+				return a.ID < b.ID
+			}
+			if a.Src != b.Src {
+				return a.Src < b.Src
+			}
+			if a.Dst != b.Dst {
+				return a.Dst < b.Dst
+			}
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			return a.End < b.End
+		}
+	}
+	sort.Slice(out.Vertices, less(out.Vertices))
+	sort.Slice(out.Edges, less(out.Edges))
+	b, err := json.Marshal(out)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// checkEncode compares the two encoders on one result; encodeStates
+// sorts its arguments, so each side gets its own copy.
+func checkEncode(t *testing.T, rep string, life temporal.Interval, vs []core.VertexTuple, es []core.EdgeTuple) bool {
+	t.Helper()
+	want := referenceEncode(rep, life, vs, es)
+	got := encodeStates(rep, life, append([]core.VertexTuple(nil), vs...), append([]core.EdgeTuple(nil), es...))
+	if !bytes.Equal(got, want) {
+		t.Errorf("encodeStates differs from json.Marshal(GraphJSON):\n got %s\nwant %s", got, want)
+		return false
+	}
+	if cap(got) != len(got) {
+		t.Errorf("body has %d bytes of slack; cached bodies must be exactly sized", cap(got)-len(got))
+		return false
+	}
+	return true
+}
+
+// nasty holds the strings the escaper has a rule for: the quote, the
+// backslash, the HTML characters, control bytes with and without a
+// short escape, DEL, U+2028/2029, non-ASCII, and invalid UTF-8 (a lone
+// continuation byte, a truncated sequence, a surrogate half).
+var nasty = []string{
+	"", "a", "type", `"`, `\`, "<", ">", "&", "</script>", "\x00", "\x01", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
+	"\u2028", "\u2029", "é", "日本", "🙂", "\x80", "\xff", "\xe2\x80", "a\xc3", "\xed\xa0\x80", "\ufffd", "<nil>", "NaN",
+}
+
+func randString(r *rand.Rand) string {
+	var s string
+	for n := r.Intn(4); n >= 0; n-- {
+		s += nasty[r.Intn(len(nasty))]
+	}
+	return s
+}
+
+func randValue(r *rand.Rand) props.Value {
+	switch r.Intn(6) {
+	case 0:
+		return props.Nil()
+	case 1:
+		return props.Bool(r.Intn(2) == 0)
+	case 2:
+		return props.Int(r.Int63() - r.Int63())
+	case 3:
+		return props.Float([]float64{0, math.Copysign(0, -1), 1e21, 1e-7, -2.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), r.NormFloat64()}[r.Intn(10)])
+	default:
+		return props.StringVal(randString(r))
+	}
+}
+
+func randProps(r *rand.Rand) props.Props {
+	var b props.Builder
+	for n := r.Intn(5); n > 0; n-- {
+		b.Set(randString(r), randValue(r))
+	}
+	return b.Build() // zero fields: the empty set, encoded without "props"
+}
+
+// randResult draws a result with no two states equal on every sort
+// field (the reference's sort is unstable): state i starts at time i.
+func randResult(r *rand.Rand) (temporal.Interval, []core.VertexTuple, []core.EdgeTuple) {
+	id := func() int64 { return []int64{0, 1, 2, -3, math.MaxInt64, math.MinInt64}[r.Intn(6)] }
+	var vs []core.VertexTuple
+	for i := r.Intn(6); i > 0; i-- {
+		iv := temporal.Interval{Start: temporal.Time(i), End: temporal.Time(i + r.Intn(4))}
+		vs = append(vs, core.VertexTuple{ID: core.VertexID(id()), Interval: iv, Props: randProps(r)})
+	}
+	var es []core.EdgeTuple
+	for i := r.Intn(6); i > 0; i-- {
+		iv := temporal.Interval{Start: temporal.Time(-i), End: temporal.Time(r.Intn(4) - i)}
+		es = append(es, core.EdgeTuple{ID: core.EdgeID(id()), Src: core.VertexID(id()), Dst: core.VertexID(id()), Interval: iv, Props: randProps(r)})
+	}
+	return temporal.Interval{Start: temporal.Time(id()), End: temporal.Time(id())}, vs, es
+}
+
+func TestEncodeStatesMatchesReferenceQuick(t *testing.T) {
+	// Intern two keys against their name order, so that a set holding
+	// both iterates "zz" before "aa".
+	props.KeyOf("zz-encode-order")
+	props.KeyOf("aa-encode-order")
+	ordered := props.New("zz-encode-order", 1, "aa-encode-order", 2, "mm", "x")
+	checkEncode(t, "OG", temporal.MustInterval(0, 3), []core.VertexTuple{{ID: 7, Interval: temporal.MustInterval(0, 3), Props: ordered}}, nil)
+	checkEncode(t, "VE", temporal.Empty, nil, nil)
+
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		life, vs, es := randResult(r)
+		return checkEncode(t, randString(r), life, vs, es)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzEncodeStates drives the same comparison from fuzzed keys, values
+// and numbers; testdata/fuzz/FuzzEncodeStates holds the seed corpus.
+func FuzzEncodeStates(f *testing.F) {
+	f.Add("type", "person", "school", "MIT", int64(1), int64(0), int64(2), int64(1), int64(7), 2.5, uint8(0))
+	f.Add("", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0), math.Copysign(0, -1), uint8(1))
+	f.Add("<k>", "a&b\u2028", "\xff\"", "\\\x00\x1f", int64(-1), int64(3), int64(0), int64(-9), int64(9), 1e21, uint8(2))
+	f.Fuzz(func(t *testing.T, k1, s1, k2, s2 string, id, src, dst, start, end int64, fl float64, shape uint8) {
+		var b props.Builder
+		b.Set(k1, props.StringVal(s1))
+		b.Set(k2, []props.Value{props.StringVal(s2), props.Float(fl), props.Int(id), props.Bool(fl > 0), props.Nil()}[shape%5])
+		p := b.Build()
+		if shape&0x80 != 0 {
+			p = props.Props{}
+		}
+		iv := temporal.Interval{Start: temporal.Time(start), End: temporal.Time(end)}
+		vs := []core.VertexTuple{{ID: core.VertexID(id), Interval: iv, Props: p}, {ID: core.VertexID(src), Interval: temporal.Interval{Start: iv.Start + 1, End: iv.End}}}
+		es := []core.EdgeTuple{{ID: core.EdgeID(id), Src: core.VertexID(src), Dst: core.VertexID(dst), Interval: iv, Props: p}}
+		switch {
+		case shape&0x40 != 0:
+			vs, es = vs[:1], nil // vertex-only
+		case shape&0x20 != 0:
+			vs, es = nil, nil // the empty graph
+		}
+		checkEncode(t, s1, iv, vs, es)
+	})
+}
+
+// TestEncodeGraphAllocations: the encoder allocates the two state
+// slices the graph hands it and the exactly-sized body — nothing per
+// state, per property or per byte of growth. (Up to 4 leaves room for
+// a sync.Pool refill after a collection.)
+func TestEncodeGraphAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the encoder scratch at random")
+	}
+	ctx := dataflow.NewContext(dataflow.WithParallelism(1))
+	defer ctx.Close()
+	build := func(n int) core.TGraph {
+		var vs []core.VertexTuple
+		var es []core.EdgeTuple
+		for i := 0; i < n; i++ {
+			p := props.New("type", "person", "name", "v<"+string(rune('a'+i%26))+">", "age", i, "score", float64(i)/3)
+			vs = append(vs, core.VertexTuple{ID: core.VertexID(n - i), Interval: temporal.MustInterval(0, 5), Props: p})
+			es = append(es, core.EdgeTuple{ID: core.EdgeID(n - i), Src: core.VertexID(i + 1), Dst: 1, Interval: temporal.MustInterval(1, 4), Props: p})
+		}
+		return core.NewVE(ctx, vs, es).Coalesce()
+	}
+	for _, n := range []int{10, 1000} {
+		g := build(n)
+		encodeGraph(g) // grow the pooled buffer
+		if allocs := testing.AllocsPerRun(20, func() { encodeGraph(g) }); allocs > 4 {
+			t.Errorf("encodeGraph over %d states: %v allocs, want at most 4", 2*n, allocs)
+		}
+	}
+}

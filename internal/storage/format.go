@@ -32,8 +32,10 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/props"
@@ -232,7 +234,7 @@ func encodeProps(p props.Props, d chunkKeyDict) []byte {
 		fields = append(fields, encField{idx: d.idx[k], kind: kind, payload: payload})
 		return true
 	})
-	sort.Slice(fields, func(i, j int) bool { return fields[i].idx < fields[j].idx })
+	slices.SortFunc(fields, func(a, b encField) int { return cmp.Compare(a.idx, b.idx) })
 	for _, f := range fields {
 		buf = putUvarint(buf, uint64(f.idx))
 		buf = putUvarint(buf, uint64(f.kind))

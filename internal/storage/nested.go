@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/props"
@@ -167,11 +168,8 @@ func writeNested(path, kind string, rows []nestedRow, opts WriteOptions) (Manife
 // returns the staged file plus its manifest entry.
 func stageNested(path, kind string, rows []nestedRow, opts WriteOptions) (stagedFile, ManifestEntry, error) {
 	// Sort on the pushdown columns (firstStart, then id).
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].firstStart != rows[j].firstStart {
-			return rows[i].firstStart < rows[j].firstStart
-		}
-		return rows[i].id < rows[j].id
+	slices.SortFunc(rows, func(a, b nestedRow) int {
+		return cmp.Or(cmp.Compare(a.firstStart, b.firstStart), cmp.Compare(a.id, b.id))
 	})
 	sf, sum, err := writeStaged(path, opts.FaultHook, func(w io.Writer) error {
 		return encodeNested(w, kind, rows, opts)

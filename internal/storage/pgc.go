@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -164,18 +165,12 @@ func edgeRows(states []core.EdgeTuple) []row {
 func sortRows(rows []row, order SortOrder) {
 	switch order {
 	case SortStructural:
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].start != rows[j].start {
-				return rows[i].start < rows[j].start
-			}
-			return rows[i].id < rows[j].id
+		slices.SortFunc(rows, func(a, b row) int {
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.id, b.id))
 		})
 	default:
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].id != rows[j].id {
-				return rows[i].id < rows[j].id
-			}
-			return rows[i].start < rows[j].start
+		slices.SortFunc(rows, func(a, b row) int {
+			return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.start, b.start))
 		})
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/props"
@@ -155,7 +156,7 @@ func encodePayload(buf []byte, seq uint64, d Delta) []byte {
 		fields = append(fields, kv{k.Name(), v})
 		return true
 	})
-	sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
+	slices.SortFunc(fields, func(a, b kv) int { return strings.Compare(a.name, b.name) })
 	buf = appendUvarint(buf, uint64(len(fields)))
 	for _, f := range fields {
 		buf = appendUvarint(buf, uint64(len(f.name)))

@@ -11,9 +11,10 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Time is a discrete time point drawn from a linearly ordered domain.
@@ -138,6 +139,12 @@ func (iv Interval) Before(other Interval) bool {
 	return iv.End < other.End
 }
 
+// Compare orders intervals by (Start, End), the order Before induces:
+// negative when iv sorts first, zero when the bounds are equal.
+func (iv Interval) Compare(other Interval) int {
+	return cmp.Or(cmp.Compare(iv.Start, other.Start), cmp.Compare(iv.End, other.End))
+}
+
 // String renders the interval in the paper's [start, end) notation.
 func (iv Interval) String() string {
 	if iv.IsEmpty() {
@@ -165,7 +172,7 @@ func Span(ivs ...Interval) Interval {
 
 // SortIntervals sorts intervals in place by (Start, End).
 func SortIntervals(ivs []Interval) {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Before(ivs[j]) })
+	slices.SortFunc(ivs, Interval.Compare)
 }
 
 // CoalesceIntervals merges overlapping and meeting intervals into a

@@ -102,50 +102,64 @@ func Align[T any](states []Stated[T]) []Stated[T] {
 // states into states of maximal length, implementing the partitioning
 // method for temporal coalescing: sort by start time, then fold,
 // merging a state into its predecessor when the intervals are adjacent
-// and the values are equivalent under eq. The input slice is not
-// modified; the result is sorted by (Start, End).
+// and the values are equivalent under eq.
+//
+// Coalesce works IN PLACE on the states themselves: iv yields the
+// address of a state's validity interval, empty states are dropped,
+// the rest are reordered, merged intervals are written through iv, and
+// the result is a prefix of the input slice. Callers that retain the
+// input must pass a copy. A run that IsCoalesced — in particular a
+// single state — is returned untouched and without allocating.
+//
+// cmp must order states by interval (Interval.Compare) first and may
+// break ties on the caller's remaining identity fields (an edge's
+// endpoints); the sort is stable, so the order is total and states
+// with identical intervals and different values fold the same way on
+// every run.
 //
 // The caller is responsible for grouping by entity first: Coalesce
 // treats every input state as belonging to the same entity.
-func Coalesce[T any](states []Stated[T], eq func(a, b T) bool) []Stated[T] {
-	work := make([]Stated[T], 0, len(states))
-	for _, s := range states {
-		if !s.Interval.IsEmpty() {
-			work = append(work, s)
+func Coalesce[T any](states []T, iv func(*T) *Interval, cmp func(a, b T) int, eq func(a, b T) bool) []T {
+	if IsCoalesced(states, iv, cmp, eq) {
+		return states
+	}
+	work := states[:0]
+	for i := range states {
+		if !iv(&states[i]).IsEmpty() {
+			work = append(work, states[i])
 		}
 	}
-	if len(work) == 0 {
-		return nil
-	}
-	sort.Slice(work, func(i, j int) bool { return work[i].Interval.Before(work[j].Interval) })
-	out := work[:1]
-	for _, s := range work[1:] {
-		last := &out[len(out)-1]
-		if last.Interval.Adjacent(s.Interval) && eq(last.Value, s.Value) {
-			last.Interval = last.Interval.Union(s.Interval)
+	slices.SortStableFunc(work, cmp)
+	out := work[:min(1, len(work))]
+	for i := 1; i < len(work); i++ {
+		last := iv(&out[len(out)-1])
+		if last.Adjacent(*iv(&work[i])) && eq(out[len(out)-1], work[i]) {
+			*last = last.Union(*iv(&work[i]))
 		} else {
-			out = append(out, s)
+			out = append(out, work[i])
 		}
 	}
 	return out
 }
 
 // IsCoalesced reports whether the states (all assumed to belong to one
-// entity) are coalesced under eq: no two states overlap, and no two
-// value-equivalent states are adjacent.
-func IsCoalesced[T any](states []Stated[T], eq func(a, b T) bool) bool {
-	if len(states) < 2 {
-		return true
-	}
-	sorted := make([]Stated[T], len(states))
-	copy(sorted, states)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Interval.Before(sorted[j].Interval) })
-	for i := 1; i < len(sorted); i++ {
-		prev, cur := sorted[i-1], sorted[i]
-		if prev.Interval.Overlaps(cur.Interval) {
+// entity) are in the form Coalesce produces: every state non-empty, in
+// cmp order, no two states overlapping, and no two value-equivalent
+// states adjacent. It does not allocate.
+func IsCoalesced[T any](states []T, iv func(*T) *Interval, cmp func(a, b T) int, eq func(a, b T) bool) bool {
+	for i := range states {
+		cur := iv(&states[i])
+		if cur.IsEmpty() {
 			return false
 		}
-		if prev.Interval.Adjacent(cur.Interval) && eq(prev.Value, cur.Value) {
+		if i == 0 {
+			continue
+		}
+		prev := iv(&states[i-1])
+		if cmp(states[i-1], states[i]) > 0 || prev.Overlaps(*cur) {
+			return false
+		}
+		if prev.Meets(*cur) && eq(states[i-1], states[i]) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -179,18 +180,17 @@ func WindowOf(windows []Window, t Time) (Window, bool) {
 }
 
 // OverlappingWindows returns the consecutive run of windows that
-// overlap iv.
+// overlap iv, found by binary search over the sorted, disjoint window
+// relation. The result is a capacity-capped sub-slice of windows, not a
+// copy: callers must treat it as read-only.
 func OverlappingWindows(windows []Window, iv Interval) []Window {
 	if iv.IsEmpty() {
 		return nil
 	}
-	var out []Window
-	for _, w := range windows {
-		if w.Interval.Overlaps(iv) {
-			out = append(out, w)
-		} else if len(out) > 0 {
-			break
-		}
+	lo := sort.Search(len(windows), func(i int) bool { return windows[i].Interval.End > iv.Start })
+	hi := lo + sort.Search(len(windows)-lo, func(i int) bool { return windows[lo+i].Interval.Start >= iv.End })
+	if lo == hi {
+		return nil
 	}
-	return out
+	return windows[lo:hi:hi]
 }
