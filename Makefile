@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race bench fmt bench-json chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr smoke-shard
+.PHONY: check build vet lint test test-race bench fmt bench-json pairs chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr smoke-shard
 
 check: build vet lint test-race chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr smoke-shard
 
@@ -103,6 +103,14 @@ bench:
 # Regenerate the checked-in machine-readable benchmark results.
 bench-json:
 	$(GO) run ./cmd/tgraph-bench -exp all -json BENCH_all.json
+
+# Alternating base/change pairs of one benchmark workload, judged by
+# the benchmark's -compare (see tools/pairs.sh):
+#   make pairs W=serve-churn BASE=HEAD~1 N=10
+BASE ?= HEAD~1
+N ?= 10
+pairs:
+	bash tools/pairs.sh $(W) $(BASE) $(N)
 
 fmt:
 	gofmt -l -w .

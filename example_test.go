@@ -52,6 +52,21 @@ func printVertices(g tgraph.Graph) {
 	}
 }
 
+// printEdges prints edge states in (id, start) order: EdgeStates
+// promises no order of its own.
+func printEdges(g tgraph.Graph) {
+	es := g.EdgeStates()
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].ID != es[j].ID {
+			return es[i].ID < es[j].ID
+		}
+		return es[i].Interval.Before(es[j].Interval)
+	})
+	for _, e := range es {
+		fmt.Printf("%d -> %d %v\n", e.Src, e.Dst, e.Interval)
+	}
+}
+
 // The paper's Figure 2: attribute-based zoom from people to schools.
 func Example_attributeZoom() {
 	ctx := tgraph.NewContext(tgraph.WithParallelism(2))
@@ -87,9 +102,7 @@ func Example_windowZoom() {
 		return
 	}
 	printVertices(quarters)
-	for _, e := range quarters.EdgeStates() {
-		fmt.Printf("%d -> %d %v\n", e.Src, e.Dst, e.Interval)
-	}
+	printEdges(quarters)
 	// Output:
 	// 1 [1, 7) {school=MIT, type=person}
 	// 2 [4, 9) {school=CMU, type=person}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -309,38 +311,123 @@ func TestAZoomCrossRepresentationEquivalence(t *testing.T) {
 	}
 }
 
-// TestWZoomCrossRepresentationEquivalence: likewise for wZoom^T across
-// VE, OG and RG, for several quantifier combinations.
+// fragmented splits random states of g into two adjacent
+// value-equivalent halves: the same graph, uncoalesced.
+func fragmented(r *rand.Rand, g *VE) *VE {
+	var vs []VertexTuple
+	for _, v := range g.VertexStates() {
+		if v.Interval.Duration() > 1 && r.Intn(2) == 0 {
+			mid := v.Interval.Start + 1 + temporal.Time(r.Intn(int(v.Interval.Duration())-1))
+			head := v
+			head.Interval.End, v.Interval.Start = mid, mid
+			vs = append(vs, v, head) // out of order on purpose
+			continue
+		}
+		vs = append(vs, v)
+	}
+	var es []EdgeTuple
+	for _, e := range g.EdgeStates() {
+		if e.Interval.Duration() > 1 && r.Intn(2) == 0 {
+			mid := e.Interval.Start + 1 + temporal.Time(r.Intn(int(e.Interval.Duration())-1))
+			head := e
+			head.Interval.End, e.Interval.Start = mid, mid
+			es = append(es, e, head)
+			continue
+		}
+		es = append(es, e)
+	}
+	return NewVE(g.ctx, vs, es)
+}
+
+// requireStatesIdentical compares two zoom results state for state in
+// (id, interval) order WITHOUT coalescing them first: both must have
+// emitted the same per-window states.
+func requireStatesIdentical(t *testing.T, label string, got, want TGraph) {
+	t.Helper()
+	sortV := func(g TGraph) []string {
+		out := fmtV(g.VertexStates())
+		sort.Strings(out)
+		return out
+	}
+	sortE := func(g TGraph) []string {
+		out := fmtE(g.EdgeStates())
+		sort.Strings(out)
+		return out
+	}
+	if gv, wv := sortV(got), sortV(want); !reflect.DeepEqual(gv, wv) {
+		t.Errorf("%s: vertex states\ngot:  %v\nwant: %v", label, gv, wv)
+	}
+	if ge, we := sortE(got), sortE(want); !reflect.DeepEqual(ge, we) {
+		t.Errorf("%s: edge states\ngot:  %v\nwant: %v", label, ge, we)
+	}
+}
+
+// TestWZoomCrossRepresentationEquivalence: likewise for wZoom^T, over
+// random specs — unit and change-based windows down to a single window
+// over the whole lifetime, every quantifier, first/last/any — on a
+// coalesced graph and on the same graph fragmented into adjacent
+// value-equivalent states. VE (one grouped pass per relation) and OG
+// (a narrow map over history arrays) must emit identical per-window
+// states either way, whether VE coalesces inside the zoom or was
+// coalesced before it; RG windows over raw snapshots, so it is held to
+// the coalesced answer on unit windows.
 func TestWZoomCrossRepresentationEquivalence(t *testing.T) {
 	ctx := testCtx()
 	quants := []temporal.Quantifier{temporal.All(), temporal.Most(), temporal.Exists(), temporal.MustAtLeast(0.4)}
+	resolves := []props.ResolveSpec{
+		{Default: props.ResolveFirst}, {Default: props.ResolveLast}, {Default: props.ResolveAny},
+		{Default: props.ResolveLast, PerKey: map[string]props.Resolver{"w": props.ResolveFirst}},
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomValidGraph(r, ctx)
 		spec := WZoomSpec{
-			Window:   temporal.MustEveryN(temporal.Time(1 + r.Intn(5))),
 			VQuant:   quants[r.Intn(len(quants))],
 			EQuant:   quants[r.Intn(len(quants))],
-			VResolve: props.LastWins,
-			EResolve: props.LastWins,
+			VResolve: resolves[r.Intn(len(resolves))],
+			EResolve: resolves[r.Intn(len(resolves))],
 		}
-		veOut, err := g.WZoom(spec)
-		if err != nil {
-			t.Fatalf("VE wZoom: %v", err)
+		switch r.Intn(4) {
+		case 0:
+			spec.Window = temporal.MustEveryNChanges(1 + r.Intn(4))
+		case 1:
+			spec.Window = temporal.MustEveryN(1000) // one window
+		default:
+			spec.Window = temporal.MustEveryN(temporal.Time(1 + r.Intn(5)))
 		}
-		ogOut, err := ToOG(g).WZoom(spec)
-		if err != nil {
-			t.Fatalf("OG wZoom: %v", err)
+		unit := !temporal.UsesChangePoints(spec.Window)
+		for _, in := range []struct {
+			label string
+			g     *VE
+		}{{"coalesced", g}, {"fragmented", fragmented(r, g)}} {
+			veOut, err := in.g.WZoom(spec)
+			if err != nil {
+				t.Fatalf("VE wZoom: %v", err)
+			}
+			pre, err := in.g.Coalesce().WZoom(spec)
+			if err != nil {
+				t.Fatalf("VE wZoom of coalesced input: %v", err)
+			}
+			ogOut, err := ToOG(in.g).WZoom(spec)
+			if err != nil {
+				t.Fatalf("OG wZoom: %v", err)
+			}
+			requireStatesIdentical(t, in.label+": OG vs VE", ogOut, veOut)
+			requireStatesIdentical(t, in.label+": VE coalesced before vs inside", pre, veOut)
+			if unit {
+				rgOut, err := ToRG(in.g).WZoom(spec)
+				if err != nil {
+					t.Fatalf("RG wZoom: %v", err)
+				}
+				requireGraphsEqual(t, in.label+": RG vs VE", rgOut, veOut)
+			}
 		}
-		rgOut, err := ToRG(g).WZoom(spec)
-		if err != nil {
-			t.Fatalf("RG wZoom: %v", err)
+		if t.Failed() {
+			t.Logf("seed %d, spec %+v", seed, spec)
 		}
-		requireGraphsEqual(t, "OG vs VE", ogOut, veOut)
-		requireGraphsEqual(t, "RG vs VE", rgOut, veOut)
 		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }

@@ -98,9 +98,12 @@ type TGraph interface {
 	Lifetime() temporal.Interval
 	// VertexStates returns the graph's vertex states as flat tuples
 	// (the canonical interchange form; for OGC, with only the type
-	// property).
+	// property). Their order is unspecified — it follows the engine's
+	// partitioning, which differs between representations, operators
+	// and runs — so callers that print or compare states sort them.
 	VertexStates() []VertexTuple
-	// EdgeStates returns the edge states as flat tuples.
+	// EdgeStates returns the edge states as flat tuples, in unspecified
+	// order like VertexStates.
 	EdgeStates() []EdgeTuple
 	// NumVertices returns the number of distinct vertex ids.
 	NumVertices() int
@@ -276,6 +279,11 @@ func (s WZoomSpec) Validate() error {
 func vertexIv(t *VertexTuple) *temporal.Interval  { return &t.Interval }
 func edgeIv(t *EdgeTuple) *temporal.Interval      { return &t.Interval }
 func historyIv(h *HistoryItem) *temporal.Interval { return &h.Interval }
+
+// The same states' property sets, for the wZoom kernel.
+func vertexProps(t *VertexTuple) props.Props  { return t.Props }
+func edgeProps(t *EdgeTuple) props.Props      { return t.Props }
+func historyProps(h *HistoryItem) props.Props { return h.Props }
 
 func vertexCmp(a, b VertexTuple) int  { return a.Interval.Compare(b.Interval) }
 func historyCmp(a, b HistoryItem) int { return a.Interval.Compare(b.Interval) }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/dataflow"
 	"repro/internal/props"
 	"repro/internal/temporal"
 )
@@ -15,7 +16,8 @@ import (
 // subgraph (selection), map (attribute transformation), and
 // union/intersection/difference. Each preserves the input's physical
 // representation and leaves its output uncoalesced (lazy coalescing,
-// as with aZoom^T).
+// as with aZoom^T) — except Trim on VE, which cannot undo coalescing
+// and says so.
 
 // preserveRep converts states back to g's representation.
 func preserveRep(g TGraph, vs []VertexTuple, es []EdgeTuple) (TGraph, error) {
@@ -27,8 +29,25 @@ func preserveRep(g TGraph, vs []VertexTuple, es []EdgeTuple) (TGraph, error) {
 }
 
 // Trim restricts the graph to the given window, clipping every state —
-// the temporal-slice operator. States outside the window disappear.
+// the temporal-slice operator. States outside the window disappear. On
+// VE it is two narrow passes over the partitions, and the result stays
+// coalesced if the input was: clipping moves no state towards another,
+// so it cannot make two value-equivalent states adjacent. The other
+// representations go through the flat-state interchange form.
 func Trim(g TGraph, window temporal.Interval) (TGraph, error) {
+	if ve, ok := g.(*VE); ok {
+		return runGuarded(ve.ctx, func() (TGraph, error) {
+			v := dataflow.FilterMap(ve.v, func(t VertexTuple) (VertexTuple, bool) {
+				t.Interval = t.Interval.Intersect(window)
+				return t, !t.Interval.IsEmpty()
+			})
+			e := dataflow.FilterMap(ve.e, func(t EdgeTuple) (EdgeTuple, bool) {
+				t.Interval = t.Interval.Intersect(window)
+				return t, !t.Interval.IsEmpty()
+			})
+			return veFromDatasets(ve.ctx, v, e, ve.coalesced), nil
+		})
+	}
 	var vs []VertexTuple
 	for _, v := range g.VertexStates() {
 		iv := v.Interval.Intersect(window)

@@ -18,6 +18,17 @@ func TestTrim(t *testing.T) {
 	if !temporal.MustInterval(2, 6).Covers(out.Lifetime()) {
 		t.Errorf("lifetime %v escapes trim window", out.Lifetime())
 	}
+	// On VE the clip is partition-wise: no shuffle, and figure1's
+	// coalesced flag survives (clipping cannot make states adjacent).
+	if m := g.Context().Metrics(); m.Shuffles != 0 {
+		t.Errorf("VE Trim shuffled %d times, want a narrow pass", m.Shuffles)
+	}
+	if !out.IsCoalesced() {
+		t.Error("Trim of a coalesced VE must stay coalesced")
+	}
+	if raw, err := Trim(NewVE(testCtx(), g.VertexStates(), g.EdgeStates()), temporal.MustInterval(2, 6)); err != nil || raw.IsCoalesced() {
+		t.Errorf("Trim of an unflagged VE: coalesced=%v err=%v, want unflagged", raw != nil && raw.IsCoalesced(), err)
+	}
 	vs := canonV(t, out)
 	for _, v := range vs {
 		if v.ID == cat && !v.Interval.Equal(temporal.MustInterval(2, 6)) {

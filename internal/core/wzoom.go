@@ -24,75 +24,91 @@ import (
 // temporally coalesced — representations coalesce on demand (lazy
 // coalescing).
 
-// wzKey identifies one (entity, window) group.
-type wzKey[ID comparable] struct {
-	ID  ID
-	Win int
-}
+// The per-entity kernel (clip, quantify, resolve) lives in zoomstage.go
+// as wzoomRun / WZoomEntity / WZoomReduce, shared by VE, OG, the
+// incremental maintenance engine and the shard workers.
 
-// The per-window reduce (clip, quantify, resolve) lives in
-// zoomstage.go as the exported WZState/WZoomReduce kernel, shared with
-// the incremental maintenance engine.
-
-// wzoomWindows materialises the window relation for a graph. Change
-// points feed change-based window specs; unit specs ignore them.
+// wzoomWindows materialises the window relation for a graph. Only
+// change-based window specs read the change points, so only they pay
+// for collecting the states.
 func wzoomWindows(g TGraph, spec WZoomSpec) []temporal.Window {
-	changePoints := changePointsOf(g.VertexStates(), g.EdgeStates())
+	var changePoints []temporal.Time
+	if temporal.UsesChangePoints(spec.Window) {
+		changePoints = changePointsOf(g.VertexStates(), g.EdgeStates())
+	}
 	return spec.Window.Windows(g.Lifetime(), changePoints)
 }
 
-// WZoom over VE (Algorithm 5): join states with the window relation
-// (expressed as a flatMap over overlapping windows — each state is
-// copied once per window it spans, the cost the paper attributes to VE
-// for small windows), group by (entity, window), filter by quantifier,
-// and resolve. Dangling edges are removed with two semijoins.
+// veEdgeKey is the entity an edge state belongs to. Edge states merge
+// only within one (id, src, dst) — edgeEq compares the endpoints — so
+// coalescing groups of this key makes every merge that coalescing
+// groups of the edge id makes.
+type veEdgeKey struct {
+	ID       EdgeID
+	Src, Dst VertexID
+}
+
+// WZoom over VE. Algorithm 5 as the paper states it: join the states
+// with the window relation — every state is copied once per window it
+// spans — group by (entity, window), filter each group by the
+// quantifier, resolve, and remove dangling edges with two semijoins;
+// its input must be coalesced, which on VE is one more grouping
+// shuffle per relation. The paper attributes VE's wZoom cost to the
+// locality that plan lacks (Section 4).
+//
+// What runs here computes the same relation and keeps the locality the
+// first shuffle buys: each relation is grouped by entity once; a
+// group's run is coalesced in place when the input is not flagged
+// coalesced; and the windows are evaluated over the run by the
+// per-entity kernel OG applies to its history arrays (wzoomRun). No
+// state is copied per window and nothing is shuffled twice. Change
+// points, where the window spec wants them, come from the coalesced
+// runs. The two dangling-edge semijoins are the paper's.
 func (g *VE) WZoom(spec WZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if !g.coalesced {
-		// Coalescing runs dataflow jobs too, so it happens inside the
-		// recursive call's guard.
-		return runGuarded(g.ctx, func() (TGraph, error) {
-			return g.Coalesce().(*VE).WZoom(spec)
-		})
 	}
 	return runGuarded(g.ctx, func() (TGraph, error) { return g.wzoom(spec) })
 }
 
 func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 	defer obs.StartSpan("wzoom.VE").End()
+	gsp := obs.StartSpan("group-by")
+	vg := dataflow.GroupByKey(g.v, func(t VertexTuple) VertexID { return t.ID })
+	eg := dataflow.GroupByKey(g.e, func(t EdgeTuple) veEdgeKey { return veEdgeKey{t.ID, t.Src, t.Dst} })
+	gsp.End()
+	if !g.coalesced {
+		csp := obs.StartSpan("coalesce.VE")
+		vg = coalesceGroups(vg, vertexIv, vertexCmp, vertexEq)
+		eg = coalesceGroups(eg, edgeIv, edgeCmp, edgeEq)
+		csp.End()
+	}
+
 	wsp := obs.StartSpan("windows")
-	windows := wzoomWindows(g, spec)
+	var changePoints []temporal.Time
+	if temporal.UsesChangePoints(spec.Window) {
+		changePoints = temporal.Boundaries(append(groupIntervals(vg, vertexIv), groupIntervals(eg, edgeIv)...))
+	}
+	windows := spec.Window.Windows(g.lifetime, changePoints)
 	wsp.End()
+
 	if err := checkpoint(g.ctx, "wzoom.VE:vertices"); err != nil {
 		return nil, err
 	}
-
 	vsp := obs.StartSpan("vertices")
-	v := wzoomTuplesDataflow(g.ctx, g.v, windows, spec.VQuant, spec.VResolve,
-		func(t VertexTuple) VertexID { return t.ID },
-		func(t VertexTuple) temporal.Interval { return t.Interval },
-		func(t VertexTuple) props.Props { return t.Props },
+	v := wzoomGroups(vg, windows, spec.VQuant, spec.VResolve, vertexIv, vertexProps,
 		func(id VertexID, iv temporal.Interval, p props.Props) VertexTuple {
 			return VertexTuple{ID: id, Interval: iv, Props: p}
 		})
 	vsp.End()
 
-	type eid struct {
-		ID       EdgeID
-		Src, Dst VertexID
-	}
 	if err := checkpoint(g.ctx, "wzoom.VE:edges"); err != nil {
 		return nil, err
 	}
 	esp := obs.StartSpan("edges")
-	e := wzoomTuplesDataflow(g.ctx, g.e, windows, spec.EQuant, spec.EResolve,
-		func(t EdgeTuple) eid { return eid{t.ID, t.Src, t.Dst} },
-		func(t EdgeTuple) temporal.Interval { return t.Interval },
-		func(t EdgeTuple) props.Props { return t.Props },
-		func(id eid, iv temporal.Interval, p props.Props) EdgeTuple {
-			return EdgeTuple{ID: id.ID, Src: id.Src, Dst: id.Dst, Interval: iv, Props: p}
+	e := wzoomGroups(eg, windows, spec.EQuant, spec.EResolve, edgeIv, edgeProps,
+		func(k veEdgeKey, iv temporal.Interval, p props.Props) EdgeTuple {
+			return EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: iv, Props: p}
 		})
 	esp.End()
 
@@ -116,54 +132,63 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 	return veFromDatasets(g.ctx, v, e, false), nil
 }
 
-// wzoomTuplesDataflow is the generic per-relation pipeline of
-// Algorithm 5: align with windows, group, filter, resolve.
-func wzoomTuplesDataflow[T any, ID comparable](
-	ctx *dataflow.Context,
-	d *dataflow.Dataset[T],
+// coalesceGroups coalesces every group's run in place — GroupByKey
+// hands each group a fresh run it owns — and returns the groups with
+// their shortened runs.
+func coalesceGroups[K comparable, T any](
+	groups *dataflow.Dataset[dataflow.Group[K, T]],
+	ivOf func(*T) *temporal.Interval,
+	order func(a, b T) int,
+	eq func(a, b T) bool,
+) *dataflow.Dataset[dataflow.Group[K, T]] {
+	return dataflow.MapPartitions(groups, func(_ int, grs []dataflow.Group[K, T]) []dataflow.Group[K, T] {
+		for i := range grs {
+			grs[i].Values = temporal.Coalesce(grs[i].Values, ivOf, order, eq)
+		}
+		return grs
+	})
+}
+
+// groupIntervals lists the interval of every grouped state.
+func groupIntervals[K comparable, T any](groups *dataflow.Dataset[dataflow.Group[K, T]], ivOf func(*T) *temporal.Interval) []temporal.Interval {
+	var ivs []temporal.Interval
+	for _, part := range groups.Partitions() {
+		for _, gr := range part {
+			for i := range gr.Values {
+				ivs = append(ivs, *ivOf(&gr.Values[i]))
+			}
+		}
+	}
+	return ivs
+}
+
+// wzoomGroups evaluates the window relation over every entity's
+// coalesced run: one kernel scratch and one output array per partition.
+func wzoomGroups[K comparable, T any](
+	groups *dataflow.Dataset[dataflow.Group[K, T]],
 	windows []temporal.Window,
 	q temporal.Quantifier,
 	r props.ResolveSpec,
-	idOf func(T) ID,
-	ivOf func(T) temporal.Interval,
-	propsOf func(T) props.Props,
-	make_ func(ID, temporal.Interval, props.Props) T,
+	ivOf func(*T) *temporal.Interval,
+	propsOf func(*T) props.Props,
+	make_ func(K, temporal.Interval, props.Props) T,
 ) *dataflow.Dataset[T] {
 	br := r.Bind()
-	asp := obs.StartSpan("align-clip")
-	type rec = dataflow.Pair[wzKey[ID], WZState]
-	aligned := dataflow.FlatMapAppend(d, func(t T, out []rec) []rec {
-		iv := ivOf(t)
-		for _, w := range temporal.OverlappingWindows(windows, iv) {
-			out = append(out, rec{
-				First: wzKey[ID]{ID: idOf(t), Win: w.Index},
-				Second: WZState{
-					Start:   iv.Start,
-					Covered: iv.Intersect(w.Interval).Duration(),
-					Props:   propsOf(t),
-				},
-			})
-		}
-		return out
-	})
-	asp.End()
-	gsp := obs.StartSpan("group-by")
-	groups := dataflow.GroupByKey(aligned, func(p rec) wzKey[ID] { return p.First })
-	gsp.End()
-	defer obs.StartSpan("filter-resolve").End()
-	return dataflow.MapPartitions(groups, func(_ int, grs []dataflow.Group[wzKey[ID], rec]) []T {
-		// One output slice and one state scratch per partition.
-		out := make([]T, 0, len(grs))
-		var states []WZState
+	return dataflow.MapPartitions(groups, func(_ int, grs []dataflow.Group[K, T]) []T {
+		// An entity yields at most one state per window its run spans.
+		n := 0
 		for _, gr := range grs {
-			states = states[:0]
-			for _, p := range gr.Values {
-				states = append(states, p.Second)
+			span := temporal.Empty
+			for i := range gr.Values {
+				span = temporal.Span(span, *ivOf(&gr.Values[i]))
 			}
-			w := windows[gr.Key.Win]
-			if p, ok := WZoomReduce(states, w, q, br); ok {
-				out = append(out, make_(gr.Key.ID, w.Interval, p))
-			}
+			n += len(temporal.OverlappingWindows(windows, span))
+		}
+		out := make([]T, 0, n)
+		var scratch []WZState
+		for _, gr := range grs {
+			out, scratch = wzoomRun(gr.Values, ivOf, propsOf, windows, q, br, scratch, out,
+				func(iv temporal.Interval, p props.Props) T { return make_(gr.Key, iv, p) })
 		}
 		return out
 	})
@@ -307,13 +332,13 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 			covered := ref.iv.Intersect(w.Interval).Duration()
 			for _, part := range ref.g.Vertices().Partitions() {
 				for _, v := range part {
-					vStates[v.ID] = append(vStates[v.ID], WZState{Start: ref.iv.Start, Covered: covered, Props: v.Attr})
+					vStates[v.ID] = append(vStates[v.ID], WZState{Win: wi, Start: ref.iv.Start, Covered: covered, Props: v.Attr})
 				}
 			}
 			for _, part := range ref.g.Edges().Partitions() {
 				for _, e := range part {
 					k := ekey{id: e.ID, src: e.Src, dst: e.Dst}
-					eStates[k] = append(eStates[k], WZState{Start: ref.iv.Start, Covered: covered, Props: e.Attr})
+					eStates[k] = append(eStates[k], WZState{Win: wi, Start: ref.iv.Start, Covered: covered, Props: e.Attr})
 				}
 			}
 		}

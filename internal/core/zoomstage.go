@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/props"
 	"repro/internal/temporal"
@@ -131,10 +130,12 @@ func RedirectEdge(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, src, dst []A
 	return out
 }
 
-// WZState is one input state clipped to a window: the state's original
-// start (for first/last resolution ordering), the duration of the
-// window it covers, and its property set.
+// WZState is one input state clipped to a window: the window, the
+// state's original start (for first/last resolution ordering), the
+// duration of the window it covers, and its property set.
 type WZState struct {
+	// Win is the index of the window the state was clipped to.
+	Win int
 	// Start is the original state's start time; resolution orders
 	// states by it.
 	Start temporal.Time
@@ -172,35 +173,75 @@ func WZoomReduce(states []WZState, window temporal.Window, q temporal.Quantifier
 	return r.Apply(ps), true
 }
 
-// WZoomEntity recomputes one entity's full windowed history from its
-// coalesced input history: each state is clipped to the windows it
-// overlaps, and each touched window is reduced with WZoomReduce. This
-// is the per-entity unit of Algorithm 6 (OG's narrow map) and the
-// granule the incremental engine re-runs when a delta touches an
-// entity.
-func WZoomEntity(h []HistoryItem, windows []temporal.Window, q temporal.Quantifier, r props.BoundResolve) []HistoryItem {
-	byWin := make(map[int][]WZState)
-	for _, it := range h {
-		for _, w := range temporal.OverlappingWindows(windows, it.Interval) {
-			byWin[w.Index] = append(byWin[w.Index], WZState{
-				Start:   it.Interval.Start,
-				Covered: it.Interval.Intersect(w.Interval).Duration(),
-				Props:   it.Props,
+// wzoomRun is the per-entity kernel of wZoom^T: every state of the run
+// (one entity's coalesced states) is clipped to the windows it
+// overlaps, and each touched window, in window order, is reduced with
+// WZoomReduce; emit builds the output record of a window that passes,
+// and out grows at most once, by the number of touched windows. A
+// coalesced run already yields its clipped states in window order —
+// its states are sorted and disjoint — so the sort is skipped; any
+// other run is put in window order first, stably, so that a window
+// sees its states in run order either way. scratch is the clipped-state
+// buffer, handed back for the next entity.
+func wzoomRun[T, O any](
+	run []T,
+	ivOf func(*T) *temporal.Interval,
+	propsOf func(*T) props.Props,
+	windows []temporal.Window,
+	q temporal.Quantifier,
+	r props.BoundResolve,
+	scratch []WZState,
+	out []O,
+	emit func(temporal.Interval, props.Props) O,
+) ([]O, []WZState) {
+	items := scratch[:0]
+	inOrder := true
+	for i := range run {
+		iv := *ivOf(&run[i])
+		for _, w := range temporal.OverlappingWindows(windows, iv) {
+			if len(items) > 0 && w.Index < items[len(items)-1].Win {
+				inOrder = false
+			}
+			items = append(items, WZState{
+				Win:     w.Index,
+				Start:   iv.Start,
+				Covered: iv.Intersect(w.Interval).Duration(),
+				Props:   propsOf(&run[i]),
 			})
 		}
 	}
-	wins := make([]int, 0, len(byWin))
-	for w := range byWin {
-		wins = append(wins, w)
+	if !inOrder {
+		slices.SortStableFunc(items, func(a, b WZState) int { return cmp.Compare(a.Win, b.Win) })
 	}
-	sort.Ints(wins)
-	out := make([]HistoryItem, 0, len(wins))
-	for _, wi := range wins {
-		w := windows[wi]
-		if p, ok := WZoomReduce(byWin[wi], w, q, r); ok {
-			out = append(out, HistoryItem{Interval: w.Interval, Props: p})
+	touched := 0
+	for i := range items {
+		if i == 0 || items[i].Win != items[i-1].Win {
+			touched++
 		}
 	}
+	out = slices.Grow(out, touched)
+	for lo := 0; lo < len(items); {
+		hi := lo + 1
+		for hi < len(items) && items[hi].Win == items[lo].Win {
+			hi++
+		}
+		w := windows[items[lo].Win]
+		if p, ok := WZoomReduce(items[lo:hi], w, q, r); ok {
+			out = append(out, emit(w.Interval, p))
+		}
+		lo = hi
+	}
+	return out, items
+}
+
+// WZoomEntity recomputes one entity's full windowed history from its
+// coalesced input history. This is the per-entity unit of Algorithm 6
+// (OG's narrow map), the granule the incremental engine re-runs when a
+// delta touches an entity, and — over a grouped run of tuples — what VE
+// evaluates after its one shuffle (see wzoomRun).
+func WZoomEntity(h []HistoryItem, windows []temporal.Window, q temporal.Quantifier, r props.BoundResolve) []HistoryItem {
+	out, _ := wzoomRun(h, historyIv, historyProps, windows, q, r, nil, []HistoryItem(nil),
+		func(iv temporal.Interval, p props.Props) HistoryItem { return HistoryItem{Interval: iv, Props: p} })
 	return out
 }
 

@@ -286,7 +286,7 @@ func TestFaultHookSitesAndTransientInjection(t *testing.T) {
 		sites[key]++
 		n := sites[key]
 		mu.Unlock()
-		if site == "dataflow.shuffle-gather" && part == 0 && n == 1 {
+		if site == "dataflow.groupbykey" && part == 0 && n == 1 {
 			panic(Transient(errors.New("injected")))
 		}
 	}
@@ -300,8 +300,13 @@ func TestFaultHookSitesAndTransientInjection(t *testing.T) {
 	if got := groups.Count(); got != 2 {
 		t.Errorf("groups = %d, want 2", got)
 	}
-	if sites["dataflow.shuffle-route"] == 0 || sites["dataflow.shuffle-gather"] == 0 {
-		t.Errorf("expected shuffle sites to be visited, got %v", sites)
+	// A GroupByKey is two stages: route, then group straight from the
+	// source partitions. It has no map and no gather stage.
+	if sites["dataflow.shuffle-route"] != 3 || sites["dataflow.groupbykey"] != 4 {
+		t.Errorf("expected 3 route and 3+1 group attempts, got %v", sites)
+	}
+	if sites["dataflow.map"] != 0 || sites["dataflow.shuffle-gather"] != 0 {
+		t.Errorf("GroupByKey visited a map or gather stage: %v", sites)
 	}
 	if m := ctx.Metrics(); m.TaskRetries != 1 {
 		t.Errorf("TaskRetries = %d, want 1 (injected transient)", m.TaskRetries)

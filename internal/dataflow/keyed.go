@@ -28,64 +28,87 @@ func hashKey[K comparable](seed maphash.Seed, k K) uint64 {
 	return maphash.Comparable(seed, k)
 }
 
-// shuffleByKey routes each record to partition hash(key) % numOut. Each
-// source partition is laid out destination-contiguously in one array
-// and each destination is gathered into one exactly-sized array, so the
-// shuffle allocates per partition, not per (source, destination) pair.
-func shuffleByKey[K comparable, V any](d *Dataset[V], key func(V) K, numOut int) [][]V {
-	if numOut <= 0 {
-		numOut = max(len(d.parts), 1)
-	}
-	// buckets[src][dst] holds the records of source partition src bound
-	// for destination dst.
-	buckets := make([][][]V, len(d.parts))
+// route is the map side of a hash shuffle: one task per source partition
+// computes each record's destination, hash(key) % numOut, into a side
+// array parallel to the partition and, when keys is non-nil, stores the
+// key beside it — so key runs exactly once per record. No record moves
+// here: the destination tasks copy straight from the source partitions.
+func route[K comparable, V any](d *Dataset[V], key func(V) K, numOut int, keys [][]K) [][]int32 {
+	dsts := make([][]int32, len(d.parts))
 	d.ctx.runTasks("shuffle-route", len(d.parts), func(i int) {
 		recs := d.parts[i]
-		dsts := make([]int32, len(recs))
-		for j, rec := range recs {
-			dsts[j] = int32(hashKey(d.ctx.seed, key(rec)) % uint64(numOut))
+		ds := make([]int32, len(recs))
+		if keys != nil {
+			keys[i] = make([]K, len(recs))
 		}
-		buckets[i] = scatter(recs, dsts, numOut, func(v V) V { return v })
+		for j, rec := range recs {
+			k := key(rec)
+			ds[j] = int32(hashKey(d.ctx.seed, k) % uint64(numOut))
+			if keys != nil {
+				keys[i][j] = k
+			}
+		}
+		dsts[i] = ds
 	})
+	return dsts
+}
+
+// shuffleByKey routes each record to partition hash(key) % numOut and
+// gathers each destination, in (source, record) order, straight from
+// the source partitions into one exactly-sized array: one copy per
+// record and one allocation per destination.
+func shuffleByKey[K comparable, V any](d *Dataset[V], key func(V) K, numOut int) [][]V {
+	dsts := route(d, key, numOut, nil)
 	out := make([][]V, numOut)
-	var moved int64
 	d.ctx.runTasks("shuffle-gather", numOut, func(dst int) {
 		n := 0
-		for src := range buckets {
-			n += len(buckets[src][dst])
+		for _, ds := range dsts {
+			for _, t := range ds {
+				if t == int32(dst) {
+					n++
+				}
+			}
 		}
 		p := make([]V, 0, n)
-		for src := range buckets {
-			p = append(p, buckets[src][dst]...)
+		for src, ds := range dsts {
+			recs := d.parts[src]
+			for j, t := range ds {
+				if t == int32(dst) {
+					p = append(p, recs[j])
+				}
+			}
 		}
 		out[dst] = p
 	})
-	for _, p := range out {
-		moved += int64(len(p))
-	}
-	d.ctx.countShuffle(moved, numOut)
+	d.ctx.countShuffle(int64(d.Count()), numOut)
 	return out
+}
+
+// startOffsets turns per-group sizes into per-group start offsets in
+// place and returns the total size.
+func startOffsets(sizes []int) int {
+	sum := 0
+	for g, c := range sizes {
+		sizes[g] = sum
+		sum += c
+	}
+	return sum
 }
 
 // scatter lays recs out group-contiguously in ONE backing array: gids
 // gives each record's group number in [0, n), and run g of the result
-// holds val of group g's records in input order. Runs are
-// capacity-capped sub-slices (a[i:j:j]) of the shared array, so
-// appending to one reallocates it instead of overwriting its
-// neighbour; an empty group's run is nil.
-func scatter[R, V any](recs []R, gids []int32, n int, val func(R) V) [][]V {
+// holds group g's records in input order. Runs are capacity-capped
+// sub-slices (a[i:j:j]) of the shared array, so appending to one
+// reallocates it instead of overwriting its neighbour; an empty group's
+// run is nil.
+func scatter[V any](recs []V, gids []int32, n int) [][]V {
 	ends := make([]int, n)
 	for _, g := range gids {
 		ends[g]++
 	}
-	sum := 0
-	for g, c := range ends {
-		ends[g] = sum // start offset for now; advanced to the end below
-		sum += c
-	}
-	arena := make([]V, len(recs))
+	arena := make([]V, startOffsets(ends))
 	for j, rec := range recs {
-		arena[ends[gids[j]]] = val(rec)
+		arena[ends[gids[j]]] = rec
 		ends[gids[j]]++
 	}
 	runs := make([][]V, n)
@@ -124,29 +147,70 @@ func numberGroups[K comparable, R any](recs []R, key func(R) K, idx map[K]int32,
 func groupRecords[K comparable, R any](recs []R, key func(R) K) (map[K]int32, [][]R) {
 	idx := make(map[K]int32)
 	gids, keys := numberGroups(recs, key, idx, nil)
-	return idx, scatter(recs, gids, len(keys), func(r R) R { return r })
+	return idx, scatter(recs, gids, len(keys))
 }
 
 // GroupByKey shuffles by key and materialises one Group per distinct
 // key, in first-seen order. Like Spark's groupByKey it moves every
 // record; prefer ReduceByKey or AggregateByKey when a combiner applies.
 // The key function is invoked exactly once per record, map-side: the
-// shuffle carries precomputed Pair[K, V] records, so a non-deterministic
-// or stateful key function cannot misgroup on the reduce side. The
-// groups of one partition share one backing array (see Group).
+// route stage carries the keys in a side array, so a non-deterministic
+// or stateful key function cannot misgroup on the reduce side. Each
+// record is copied once: a destination task numbers its groups from the
+// carried keys, then places the records from the source partitions
+// straight into one group-contiguous array (see Group).
 func GroupByKey[K comparable, V any](d *Dataset[V], key func(V) K) *Dataset[Group[K, V]] {
-	paired := Map(d, func(v V) Pair[K, V] { return Pair[K, V]{First: key(v), Second: v} })
-	shuffled := shuffleByKey(paired, func(p Pair[K, V]) K { return p.First }, len(d.parts))
-	out := make([][]Group[K, V], len(shuffled))
-	d.ctx.runTasks("groupbykey", len(shuffled), func(i int) {
-		gids, keys := numberGroups(shuffled[i], func(p Pair[K, V]) K { return p.First }, make(map[K]int32), nil)
-		runs := scatter(shuffled[i], gids, len(keys), func(p Pair[K, V]) V { return p.Second })
-		groups := make([]Group[K, V], len(keys))
-		for g, k := range keys {
-			groups[g] = Group[K, V]{Key: k, Values: runs[g]}
+	numOut := len(d.parts)
+	keys := make([][]K, len(d.parts))
+	dsts := route(d, key, numOut, keys)
+	// gids[src][j] is record j's group number within its destination,
+	// written by the one destination task that owns the record.
+	gids := make([][]int32, len(d.parts))
+	for i, p := range d.parts {
+		gids[i] = make([]int32, len(p))
+	}
+	out := make([][]Group[K, V], numOut)
+	d.ctx.runTasks("groupbykey", numOut, func(dst int) {
+		idx := make(map[K]int32)
+		var gkeys []K
+		var ends []int // per group: its size, then its start, then its end
+		for src, ds := range dsts {
+			for j, t := range ds {
+				if t != int32(dst) {
+					continue
+				}
+				k := keys[src][j]
+				g, ok := idx[k]
+				if !ok {
+					g = int32(len(gkeys))
+					idx[k] = g
+					gkeys = append(gkeys, k)
+					ends = append(ends, 0)
+				}
+				ends[g]++
+				gids[src][j] = g
+			}
 		}
-		out[i] = groups
+		arena := make([]V, startOffsets(ends))
+		for src, ds := range dsts {
+			recs := d.parts[src]
+			for j, t := range ds {
+				if t == int32(dst) {
+					g := gids[src][j]
+					arena[ends[g]] = recs[j]
+					ends[g]++
+				}
+			}
+		}
+		groups := make([]Group[K, V], len(gkeys))
+		start := 0
+		for g, end := range ends {
+			groups[g] = Group[K, V]{Key: gkeys[g], Values: arena[start:end:end]}
+			start = end
+		}
+		out[dst] = groups
 	})
+	d.ctx.countShuffle(int64(d.Count()), numOut)
 	return &Dataset[Group[K, V]]{ctx: d.ctx, parts: out}
 }
 
@@ -239,14 +303,25 @@ func Join[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, 
 	out := make([][]Pair[L, R], n)
 	l.ctx.runTasks("join", n, func(i int) {
 		idx, rights := groupRecords(rs[i], rKey)
-		var p []Pair[L, R]
-		for _, ll := range ls[i] {
+		// Look every left record up once, so that the output is sized
+		// before it is filled.
+		matched := make([]int32, len(ls[i]))
+		total := 0
+		for j, ll := range ls[i] {
 			g, ok := idx[lKey(ll)]
 			if !ok {
-				continue
+				g = -1
+			} else {
+				total += len(rights[g])
 			}
-			for _, rr := range rights[g] {
-				p = append(p, Pair[L, R]{First: ll, Second: rr})
+			matched[j] = g
+		}
+		p := make([]Pair[L, R], 0, total)
+		for j, ll := range ls[i] {
+			if g := matched[j]; g >= 0 {
+				for _, rr := range rights[g] {
+					p = append(p, Pair[L, R]{First: ll, Second: rr})
+				}
 			}
 		}
 		out[i] = p
@@ -257,7 +332,8 @@ func Join[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, 
 // SemiJoin keeps the left records whose key appears in the right
 // dataset (at most once each), optionally filtered by match: if match
 // is non-nil a left record is kept when match(l, r) holds for at least
-// one right record with the same key.
+// one right record with the same key. The kept records of a partition
+// are compacted in place in the array the shuffle gathered them into.
 func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K, match func(L, R) bool) *Dataset[L] {
 	n := max(len(l.parts), len(r.parts))
 	ls := shuffleByKey(l, lKey, n)
@@ -265,7 +341,9 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 	out := make([][]L, n)
 	l.ctx.runTasks("semijoin", n, func(i int) {
 		idx, rights := groupRecords(rs[i], rKey)
-		var p []L
+		// ls[i] is this task's own freshly gathered array: the kept
+		// records are compacted to its front, behind the read position.
+		p := ls[i][:0]
 		for _, ll := range ls[i] {
 			g, ok := idx[lKey(ll)]
 			if !ok {
@@ -282,7 +360,7 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 				}
 			}
 		}
-		out[i] = p
+		out[i] = p[:len(p):len(p)]
 	})
 	return &Dataset[L]{ctx: l.ctx, parts: out}
 }
@@ -300,8 +378,8 @@ func CoGroup[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) 
 		idx := make(map[K]int32)
 		lgids, keys := numberGroups(ls[i], lKey, idx, nil)
 		rgids, keys := numberGroups(rs[i], rKey, idx, keys)
-		lefts := scatter(ls[i], lgids, len(keys), func(v L) L { return v })
-		rights := scatter(rs[i], rgids, len(keys), func(v R) R { return v })
+		lefts := scatter(ls[i], lgids, len(keys))
+		rights := scatter(rs[i], rgids, len(keys))
 		p := make([]Pair[Group[K, L], Group[K, R]], len(keys))
 		for g, k := range keys {
 			p[g] = Pair[Group[K, L], Group[K, R]]{

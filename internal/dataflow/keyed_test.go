@@ -3,6 +3,7 @@ package dataflow
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -374,5 +375,193 @@ func TestFlatMapAppend(t *testing.T) {
 	}).Collect()
 	if want := []int{1, 2, 2, 3, 3, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("FlatMapAppend = %v, want %v", got, want)
+	}
+}
+
+// rec is a record whose key and arrival position are both visible, so
+// a test can tell in-group order from a permutation.
+type rec struct{ K, Seq int }
+
+func recKey(r rec) int { return r.K }
+
+// randomParts draws 1–5 partitions, some empty, of records with keys in
+// [0, keys).
+func randomParts(r *rand.Rand, keys int) [][]rec {
+	parts := make([][]rec, 1+r.Intn(5))
+	seq := 0
+	for i := range parts {
+		if r.Intn(3) == 0 {
+			continue // an empty partition
+		}
+		for n := r.Intn(12); n > 0; n-- {
+			parts[i] = append(parts[i], rec{K: r.Intn(keys), Seq: seq})
+			seq++
+		}
+	}
+	return parts
+}
+
+// refShuffle is the naive model of the hash shuffle: destination dst
+// receives, in (source, record) order, the records whose key hashes to
+// it.
+func refShuffle(ctx *Context, parts [][]rec, numOut int) [][]rec {
+	out := make([][]rec, numOut)
+	for _, p := range parts {
+		for _, x := range p {
+			dst := hashKey(ctx.seed, x.K) % uint64(numOut)
+			out[dst] = append(out[dst], x)
+		}
+	}
+	return out
+}
+
+// refGroup is the naive map-based grouping: keys in first-seen order,
+// each key's records in arrival order.
+func refGroup(recs []rec, order []int, byKey map[int][]rec) ([]int, map[int][]rec) {
+	if byKey == nil {
+		byKey = map[int][]rec{}
+	}
+	for _, x := range recs {
+		if _, seen := byKey[x.K]; !seen {
+			order = append(order, x.K)
+		}
+		byKey[x.K] = append(byKey[x.K], x)
+	}
+	return order, byKey
+}
+
+// TestKeyedOpsMatchNaiveReference: GroupByKey, Join, SemiJoin and
+// CoGroup equal a map-based reference partition for partition — group
+// order, in-group order and capacity-capped runs included — over random
+// keys, 1–5 partitions a side and empty partitions.
+func TestKeyedOpsMatchNaiveReference(t *testing.T) {
+	capped := func(label string, vals []rec) {
+		if cap(vals) != len(vals) {
+			t.Errorf("%s: cap %d != len %d", label, cap(vals), len(vals))
+		}
+	}
+	// same treats nil and empty alike; DeepEqual does not.
+	same := func(a, b []rec) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ctx := NewContext(WithParallelism(1 + r.Intn(4)))
+		lparts, rparts := randomParts(r, 7), randomParts(r, 7)
+		l, rd := FromPartitions(ctx, lparts), FromPartitions(ctx, rparts)
+
+		got := GroupByKey(l, recKey).Partitions()
+		for dst, recs := range refShuffle(ctx, lparts, len(lparts)) {
+			order, byKey := refGroup(recs, nil, nil)
+			if len(got[dst]) != len(order) {
+				t.Errorf("GroupByKey partition %d: %d groups, want %d", dst, len(got[dst]), len(order))
+				continue
+			}
+			for g, k := range order {
+				if got[dst][g].Key != k || !reflect.DeepEqual(got[dst][g].Values, byKey[k]) {
+					t.Errorf("GroupByKey partition %d group %d = %v, want key %d %v", dst, g, got[dst][g], k, byKey[k])
+				}
+				capped("GroupByKey", got[dst][g].Values)
+			}
+		}
+
+		n := max(len(lparts), len(rparts))
+		ls, rs := refShuffle(ctx, lparts, n), refShuffle(ctx, rparts, n)
+		pred := func(a, b rec) bool { return (a.Seq+b.Seq)%3 != 0 }
+		joined := Join(l, rd, recKey, recKey).Partitions()
+		semi := SemiJoin(l, rd, recKey, recKey, nil).Partitions()
+		semiPred := SemiJoin(l, rd, recKey, recKey, pred).Partitions()
+		cogrouped := CoGroup(l, rd, recKey, recKey).Partitions()
+		for dst := 0; dst < n; dst++ {
+			_, rights := refGroup(rs[dst], nil, nil)
+			var wantJoin []Pair[rec, rec]
+			var wantSemi, wantSemiPred []rec
+			for _, a := range ls[dst] {
+				if len(rights[a.K]) > 0 {
+					wantSemi = append(wantSemi, a)
+				}
+				matched := false
+				for _, b := range rights[a.K] {
+					wantJoin = append(wantJoin, Pair[rec, rec]{First: a, Second: b})
+					matched = matched || pred(a, b)
+				}
+				if matched {
+					wantSemiPred = append(wantSemiPred, a)
+				}
+			}
+			if len(joined[dst]) != len(wantJoin) || (len(wantJoin) > 0 && !reflect.DeepEqual(joined[dst], wantJoin)) {
+				t.Errorf("Join partition %d = %v, want %v", dst, joined[dst], wantJoin)
+			}
+			if cap(joined[dst]) != len(joined[dst]) {
+				t.Errorf("Join partition %d: cap %d != len %d, output not sized once", dst, cap(joined[dst]), len(joined[dst]))
+			}
+			if !same(semi[dst], wantSemi) {
+				t.Errorf("SemiJoin partition %d = %v, want %v", dst, semi[dst], wantSemi)
+			}
+			if !same(semiPred[dst], wantSemiPred) {
+				t.Errorf("SemiJoin(pred) partition %d = %v, want %v", dst, semiPred[dst], wantSemiPred)
+			}
+			capped("SemiJoin", semi[dst])
+
+			order, lefts := refGroup(ls[dst], nil, nil)
+			seen := map[int][]rec{}
+			for k := range lefts {
+				seen[k] = nil
+			}
+			order, _ = refGroup(rs[dst], order, seen) // right-only keys, after the left ones
+			if len(cogrouped[dst]) != len(order) {
+				t.Errorf("CoGroup partition %d: %d keys, want %d", dst, len(cogrouped[dst]), len(order))
+				continue
+			}
+			for g, k := range order {
+				p := cogrouped[dst][g]
+				if p.First.Key != k || p.Second.Key != k || !same(p.First.Values, lefts[k]) || !same(p.Second.Values, rights[k]) {
+					t.Errorf("CoGroup partition %d group %d = %v, want key %d %v %v", dst, g, p, k, lefts[k], rights[k])
+				}
+				if (len(lefts[k]) == 0) != (p.First.Values == nil) || (len(rights[k]) == 0) != (p.Second.Values == nil) {
+					t.Errorf("CoGroup partition %d key %d: an empty side must be nil, a filled one not", dst, k)
+				}
+				capped("CoGroup left", p.First.Values)
+				capped("CoGroup right", p.Second.Values)
+			}
+		}
+		if m := ctx.Metrics(); m.Shuffles != 1+2*4 {
+			t.Errorf("Shuffles = %d, want 9: one per GroupByKey, two per binary operator", m.Shuffles)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupByKeyCopiesEachRecordOnce is the bytes guard: grouping N
+// records allocates the one group-contiguous copy of them plus the
+// per-record side arrays (key, destination, group number) — at most
+// 1.5 x N x sizeof(V) — and O(partitions) beyond that. Wrapping the
+// records in pairs or gathering them before grouping cost 4 x and more.
+func TestGroupByKeyCopiesEachRecordOnce(t *testing.T) {
+	type wide struct {
+		K    int
+		Body [5]int64 // 48 bytes a record, a vertex state's size
+	}
+	const n, parts, runs = 40000, 4, 5
+	data := make([]wide, n)
+	for i := range data {
+		data[i].K = i % 50
+	}
+	ctx := NewContext(WithParallelism(1), WithDefaultPartitions(parts))
+	d := Parallelize(ctx, data, parts)
+	key := func(w wide) int { return w.K }
+	GroupByKey(d, key) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		GroupByKey(d, key)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	budget := 1.5*n*float64(unsafe.Sizeof(wide{})) + parts*16<<10
+	if perRun > budget {
+		t.Errorf("GroupByKey allocated %.0f bytes for %d records of %d bytes (%.2f x), want <= %.0f (1.5 x + 16 KiB a partition)",
+			perRun, n, unsafe.Sizeof(wide{}), perRun/(n*float64(unsafe.Sizeof(wide{}))), budget)
 	}
 }

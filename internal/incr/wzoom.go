@@ -81,23 +81,10 @@ func NewWZoomView(g core.TGraph, spec core.WZoomSpec, opts Options) (*WZoomView,
 		v.eBase[k] = append(v.eBase[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 	}
 	v.lifetime = g.Lifetime()
-	v.changeSensitive = specUsesChangePoints(spec.Window)
+	v.changeSensitive = temporal.UsesChangePoints(spec.Window)
 	v.windows, v.vOut, v.eOut = v.rebuild(v.vBase, v.eBase, v.lifetime)
 	mViewBuild.Add(1)
 	return v, nil
-}
-
-// specUsesChangePoints reports whether the window spec's relation
-// depends on the change points. The spec declares it through the
-// optional UsesChangePoints method (both temporal built-ins do); a spec
-// that does not is conservatively treated as change-sensitive, because
-// no finite probe can prove a relation ignores its change points.
-func specUsesChangePoints(w temporal.WindowSpec) bool {
-	type changePointUser interface{ UsesChangePoints() bool }
-	if u, ok := w.(changePointUser); ok {
-		return u.UsesChangePoints()
-	}
-	return true
 }
 
 // ChangeSensitive reports whether the view's window spec derives its

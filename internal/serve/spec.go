@@ -178,27 +178,7 @@ func parseRangeStep(start, end int64) (step, error) {
 	return step{
 		canon:   fmt.Sprintf("range(%d,%d)", start, end),
 		depends: iv,
-		apply: func(g core.TGraph) (core.TGraph, error) {
-			var vs []core.VertexTuple
-			for _, v := range g.VertexStates() {
-				if v.Interval.Overlaps(iv) {
-					v.Interval = v.Interval.Intersect(iv)
-					vs = append(vs, v)
-				}
-			}
-			var es []core.EdgeTuple
-			for _, e := range g.EdgeStates() {
-				if e.Interval.Overlaps(iv) {
-					e.Interval = e.Interval.Intersect(iv)
-					es = append(es, e)
-				}
-			}
-			ve := core.NewVE(g.Context(), vs, es)
-			if g.Rep() == core.RepVE {
-				return ve, nil
-			}
-			return core.Convert(ve, g.Rep())
-		},
+		apply:   func(g core.TGraph) (core.TGraph, error) { return core.Trim(g, iv) },
 	}, nil
 }
 

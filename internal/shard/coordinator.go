@@ -196,19 +196,6 @@ func (s Stats) Header() string { return fmt.Sprintf("%d/%d", s.OK, s.N) }
 // (still byte-identical) gather fallback.
 func repFast(r core.Representation) bool { return r == core.RepVE || r == core.RepOG }
 
-// specUsesChangePoints reports whether the window spec derives its
-// relation from the graph's change points (the probe phase then also
-// collects per-shard state boundaries). Same detection as the
-// incremental views: the optional UsesChangePoints method, assumed true
-// for unknown specs.
-func specUsesChangePoints(w temporal.WindowSpec) bool {
-	type changePointUser interface{ UsesChangePoints() bool }
-	if u, ok := w.(changePointUser); ok {
-		return u.UsesChangePoints()
-	}
-	return true
-}
-
 // hasCustomAgg reports whether the aggregate spec carries a user
 // combine function. Custom combines are merged at the coordinator only
 // via the fallback: the spec documents them commutative/associative,
@@ -400,7 +387,7 @@ func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 // (global) vertex outputs.
 func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Query, st *Stats) (core.TGraph, error) {
 	spec := *q.WZ
-	cs := specUsesChangePoints(spec.Window)
+	cs := temporal.UsesChangePoints(spec.Window)
 	probes, _, perr := c.scatter(ctx, nil, func(_ context.Context, w *Worker) (any, error) {
 		return w.wzoomProbe(cs), nil
 	})

@@ -26,6 +26,19 @@ type WindowSpec interface {
 	String() string
 }
 
+// UsesChangePoints reports whether the spec's window relation depends
+// on the graph's change points. A spec says so through an optional
+// UsesChangePoints method (both built-ins have one); a spec without it
+// is assumed to use them. When it reports false, Windows may be given
+// nil change points, and a state insertion can move the relation only
+// by growing the lifetime.
+func UsesChangePoints(w WindowSpec) bool {
+	if u, ok := w.(interface{ UsesChangePoints() bool }); ok {
+		return u.UsesChangePoints()
+	}
+	return true
+}
+
 // unitWindow implements "n unit": windows of n ticks each, aligned to
 // the start of the graph lifetime.
 type unitWindow struct {
