@@ -27,16 +27,16 @@ func TestQueryRunCached(t *testing.T) {
 	cache := tgraph.NewQueryCache(1 << 20)
 	key := tgraph.CacheKey("test-graph", "azoom(school)")
 
-	build := func() *tgraph.Query {
-		return tgraph.NewQuery(g).AZoom(tgraph.GroupByProperty("school", "school", tgraph.Count("members")))
+	build := func() (tgraph.Graph, error) {
+		return tgraph.NewPipeline(g).AZoom(tgraph.GroupByProperty("school", "school", tgraph.Count("members"))).Result()
 	}
-	r1, out, err := build().RunCached(cache, key)
+	r1, out, err := tgraph.CachedResult(cache, key, build)
 	if err != nil || out != tgraph.CacheMiss {
-		t.Fatalf("first RunCached: outcome=%v err=%v", out, err)
+		t.Fatalf("first CachedResult: outcome=%v err=%v", out, err)
 	}
-	r2, out, err := build().RunCached(cache, key)
+	r2, out, err := tgraph.CachedResult(cache, key, build)
 	if err != nil || out != tgraph.CacheHit {
-		t.Fatalf("second RunCached: outcome=%v err=%v", out, err)
+		t.Fatalf("second CachedResult: outcome=%v err=%v", out, err)
 	}
 	if r1 != r2 {
 		t.Error("cache hit should return the identical resident graph")

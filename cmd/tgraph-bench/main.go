@@ -7,7 +7,6 @@
 //	tgraph-bench -exp fig10 [-scale 1.0] [-parallelism 8] [-seed 42]
 //	tgraph-bench -exp all
 //	tgraph-bench -exp fig14 -json out.json
-//	tgraph-bench -exp all -json BENCH_all.json
 //
 // With -json, every run also executes instrumented (tracing on, obs
 // registry reset per experiment) and the results are written as a JSON

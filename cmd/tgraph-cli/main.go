@@ -53,7 +53,6 @@ func main() {
 		vquant     = flag.String("vquant", "exists", "wZoom^T vertex quantifier")
 		equant     = flag.String("equant", "exists", "wZoom^T edge quantifier")
 		dump       = flag.Int("dump", 0, "print up to N vertex and edge states of the result")
-		explain    = flag.Bool("explain", false, "print the cost-based plan for the requested zooms instead of executing eagerly")
 		trace      = flag.Bool("trace", false, "record per-stage spans and print the span tree after execution")
 		timeout    = flag.Duration("timeout", 0, "deadline for all dataflow work, e.g. 30s (0 = none)")
 		permissive = flag.Bool("permissive", false, "skip corrupt chunks while loading instead of aborting")
@@ -149,30 +148,6 @@ func main() {
 	if *keyStats {
 		printKeyStats(g)
 		printWALStats(*dir)
-		return
-	}
-
-	if *explain {
-		q := tgraph.NewQuery(g)
-		if *azoom != "" {
-			var aggs []tgraph.AggField
-			if *count != "" {
-				aggs = append(aggs, tgraph.Count(*count))
-			}
-			q = q.AZoom(tgraph.GroupByProperty(*azoom, *azoom+"-group", aggs...))
-		}
-		if *wzoom != "" {
-			w, err := tgraph.ParseWindowSpec(*wzoom)
-			if err != nil {
-				fail("%v", err)
-			}
-			q = q.WZoom(tgraph.WZoomSpec{Window: w})
-		}
-		plan, err := q.Explain()
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Println("plan:", plan)
 		return
 	}
 

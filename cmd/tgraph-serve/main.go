@@ -18,13 +18,11 @@
 // fsync policy; acks are sent only after durability) and invalidates
 // cached results surgically by declared time range; -compact-after
 // folds the log into a fresh columnar epoch inline. -shards N splits
-// each flat graph across N in-process shard workers at load time and
-// serves queries scatter-gather (byte-identical to unsharded);
-// directories pre-split with tgraph-shard are detected automatically
-// and served from their per-shard storage and WALs. On SIGINT/SIGTERM
-// the server stops accepting connections and drains in-flight
-// requests; if they outlive -drain-timeout the process exits non-zero
-// so supervisors see the unclean shutdown.
+// each graph across N in-process shard workers at load time and serves
+// queries scatter-gather (byte-identical to unsharded). On
+// SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests; if they outlive -drain-timeout the process exits
+// non-zero so supervisors see the unclean shutdown.
 package main
 
 import (
@@ -93,7 +91,7 @@ func main() {
 	walSync := flag.String("wal-sync", "each", "append durability: WAL fsync policy, each (fsync before every ack) | batched (group commit)")
 	walSyncDelay := flag.Duration("wal-sync-delay", 0, "batched mode: max latency an append may wait for its group fsync (0 = WAL default)")
 	compactAfter := flag.Int("compact-after", 0, "fold the WAL into a new columnar epoch after this many appended records (0 disables inline compaction)")
-	shards := flag.Int("shards", 0, "split each flat graph into this many in-process shards at load time and serve scatter-gather (<= 1 serves unsharded; directories pre-split by tgraph-shard are always served sharded)")
+	shards := flag.Int("shards", 0, "split each graph into this many in-process shards at load time and serve scatter-gather (<= 1 serves unsharded)")
 	shardStrategy := flag.String("shard-strategy", "", "vertex-cut placement for -shards: EdgePartition2D (default) | EdgePartition1D | RandomVertexCut | TimeRange")
 	shardPartial := flag.Bool("shard-partial", false, "answer 200 with the surviving shards' merge (X-TGraph-Shards: k/n) when some shards fail, instead of failing the request")
 	flag.Var(&graphs, "graph", "graph to serve as name=dir[@rep]; repeatable")

@@ -1,5 +1,4 @@
-// Pipeline: chained zooms, representation switching, persistence and
-// snapshot analytics.
+// Pipeline: chained zooms, representation switching and persistence.
 //
 // Reproduces the paper's Section 5.3 workflow end to end:
 //
@@ -8,9 +7,7 @@
 //  2. load a temporal slice of it in the OG representation with
 //     predicate pushdown;
 //  3. run aZoom^T on OG, switch to VE, run wZoom^T there (the paper's
-//     OG-VE strategy), with lazy coalescing throughout;
-//  4. run Pregel-style analytics (degrees, connected components) over
-//     the zoomed result — the paper's future-work extension.
+//     OG-VE strategy), with lazy coalescing throughout.
 //
 // Run with: go run ./examples/pipeline
 package main
@@ -21,9 +18,7 @@ import (
 	"os"
 
 	tgraph "repro"
-	"repro/internal/algo"
 	"repro/internal/datagen"
-	"repro/internal/graphx"
 )
 
 func main() {
@@ -75,20 +70,4 @@ func main() {
 	}
 	fmt.Printf("pipeline %v: %d group vertices, %d edges\n",
 		p.Steps(), result.NumVertices(), result.NumEdges())
-
-	// 4. Analytics over the zoomed graph.
-	cc := algo.ConnectedComponentsSeries(result)
-	fmt.Println("\nconnected components per zoomed window:")
-	for _, pt := range cc {
-		fmt.Printf("  %v  components=%d largest=%d\n", pt.Interval, pt.Value.Count, pt.Value.Largest)
-	}
-	deg := algo.DegreeSeries(result, graphx.TotalDegrees)
-	if len(deg) > 0 {
-		last := deg[len(deg)-1]
-		top := algo.TopVertices(last.Value, 3)
-		fmt.Printf("\ntop-degree word groups in %v:\n", last.Interval)
-		for _, id := range top {
-			fmt.Printf("  vertex %d: degree %d\n", id, last.Value[id])
-		}
-	}
 }

@@ -2,8 +2,9 @@
 // every table and figure of the paper's evaluation (Section 5) at
 // laptop scale: the same parameter sweeps, representations and
 // workloads, with wall-clock time (and dataflow work counters) in place
-// of cluster minutes. cmd/tgraph-bench runs experiments by id;
-// bench_test.go wraps the same primitives as testing.B benchmarks.
+// of cluster minutes. cmd/tgraph-bench runs experiments by id. This is
+// the scale axis only; the five serving/ingest workloads, their bounds
+// and the per-layer probes live in benchmark/.
 package bench
 
 import (
@@ -217,10 +218,4 @@ func azoomSpecFor(dataset string) core.AZoomSpec {
 	default:
 		return core.GroupByProperty("word", "word-group")
 	}
-}
-
-// NGramsStressDataset generates the NGrams-scale scan-stress workload
-// used by the scan experiment (datagen.NGramsStress).
-func NGramsStressDataset(cfg Config) datagen.Dataset {
-	return datagen.NGramsStress(cfg.Scale, cfg.Seed+4)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"allocs", "coalesce", "faults", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "incr", "ingest", "load", "overload", "planner", "scan", "serve", "shard", "table1"}
+	want := []string{"coalesce", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "load", "table1"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(got), len(want))

@@ -271,10 +271,3 @@ func (s AZoomSpec) BoundEdgeSkolem() EdgeSkolemFunc { return s.edgeSkolem() }
 func ZoomChangePoints(vs []VertexTuple, es []EdgeTuple) []temporal.Time {
 	return changePointsOf(vs, es)
 }
-
-// ZoomLifetime returns the span of all state intervals — the lifetime
-// the window relation is anchored to. Exported for the incremental
-// engine alongside ZoomChangePoints.
-func ZoomLifetime(vs []VertexTuple, es []EdgeTuple) temporal.Interval {
-	return lifetimeOf(vs, es)
-}

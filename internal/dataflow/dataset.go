@@ -1,7 +1,5 @@
 package dataflow
 
-import "slices"
-
 // Dataset is a horizontally partitioned, immutable collection of
 // records of type T, bound to the Context that executes operations over
 // it. Transformations never mutate their input dataset.
@@ -103,51 +101,6 @@ func (d *Dataset[T]) Filter(pred func(T) bool) *Dataset[T] {
 		out[i] = kept
 	})
 	return &Dataset[T]{ctx: d.ctx, parts: out}
-}
-
-// ForEachPartition runs fn over every partition in parallel. fn must
-// not mutate the records.
-func (d *Dataset[T]) ForEachPartition(fn func(part int, recs []T)) {
-	d.ctx.runTasks("foreach", len(d.parts), func(i int) { fn(i, d.parts[i]) })
-}
-
-// Repartition redistributes the records evenly over numPartitions
-// partitions (a round-robin shuffle). It counts as a shuffle.
-func (d *Dataset[T]) Repartition(numPartitions int) *Dataset[T] {
-	if numPartitions <= 0 {
-		numPartitions = d.ctx.defaultPart
-	}
-	all := d.Collect()
-	d.ctx.countShuffle(int64(len(all)), numPartitions)
-	return Parallelize(d.ctx, all, numPartitions)
-}
-
-// Coalesced returns the dataset as a single partition without a
-// shuffle count (a narrow gather).
-func (d *Dataset[T]) Coalesced() *Dataset[T] {
-	if len(d.parts) == 1 {
-		return d
-	}
-	return FromPartitions(d.ctx, [][]T{d.Collect()})
-}
-
-// SortBy globally sorts the dataset with less and returns it
-// repartitioned into the same number of partitions (range-partitioned:
-// partition i holds smaller records than partition i+1). It counts as a
-// shuffle.
-func (d *Dataset[T]) SortBy(less func(a, b T) bool) *Dataset[T] {
-	all := d.Collect()
-	slices.SortStableFunc(all, func(a, b T) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	})
-	d.ctx.countShuffle(int64(len(all)), len(d.parts))
-	return Parallelize(d.ctx, all, len(d.parts))
 }
 
 // Map applies f to every record. It is a narrow transformation.

@@ -147,43 +147,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	ctx := testCtx()
-	d := Parallelize(ctx, []int{5, 3, 9, 1, 7}, 3)
-	got := d.SortBy(func(a, b int) bool { return a < b }).Collect()
-	want := []int{1, 3, 5, 7, 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortBy = %v, want %v", got, want)
-	}
-}
-
-func TestRepartitionAndCoalesced(t *testing.T) {
-	ctx := testCtx()
-	d := Parallelize(ctx, ints(12), 2)
-	r := d.Repartition(6)
-	if r.NumPartitions() != 6 || r.Count() != 12 {
-		t.Errorf("Repartition: parts=%d count=%d", r.NumPartitions(), r.Count())
-	}
-	c := r.Coalesced()
-	if c.NumPartitions() != 1 || c.Count() != 12 {
-		t.Errorf("Coalesced: parts=%d count=%d", c.NumPartitions(), c.Count())
-	}
-	if c.Coalesced() != c {
-		t.Error("Coalesced on single-partition dataset should be a no-op")
-	}
-}
-
-func TestForEachPartition(t *testing.T) {
-	ctx := testCtx()
-	d := Parallelize(ctx, ints(9), 3)
-	counts := make([]int, 3)
-	d.ForEachPartition(func(part int, recs []int) { counts[part] = len(recs) })
-	total := counts[0] + counts[1] + counts[2]
-	if total != 9 {
-		t.Errorf("ForEachPartition saw %d records, want 9", total)
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	ctx := testCtx()
 	ctx.ResetMetrics()

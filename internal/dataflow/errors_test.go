@@ -213,8 +213,9 @@ func TestDeadlineCancelsMidJob(t *testing.T) {
 	defer ctx.Close()
 	d := Parallelize(ctx, make([]int, 64), 64)
 	je := collectJobError(t, func() {
-		d.ForEachPartition(func(part int, recs []int) {
+		MapPartitions(d, func(part int, recs []int) []int {
 			time.Sleep(2 * time.Millisecond)
+			return recs
 		})
 	})
 	if je == nil {

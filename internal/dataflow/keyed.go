@@ -5,8 +5,8 @@ import "hash/maphash"
 // Keyed (wide) transformations. Each performs a hash shuffle: every
 // source partition routes its records to a target partition determined
 // by the hash of the record's key, then the per-key operation runs
-// partition-locally. ReduceByKey and AggregateByKey apply map-side
-// combining before the shuffle, mirroring Spark's combiners.
+// partition-locally. ReduceByKey applies map-side combining before the
+// shuffle, mirroring Spark's combiners.
 
 // Pair is a generic 2-tuple, used for join results and keyed outputs.
 type Pair[A, B any] struct {
@@ -122,37 +122,28 @@ func scatter[V any](recs []V, gids []int32, n int) [][]V {
 	return runs
 }
 
-// numberGroups assigns each record the number of its key's group,
-// numbering groups in first-seen order. idx and keys carry the
-// numbering so far (CoGroup numbers its right side after its left);
-// keys[g] is group g's key.
-func numberGroups[K comparable, R any](recs []R, key func(R) K, idx map[K]int32, keys []K) ([]int32, []K) {
+// groupRecords builds the per-key runs of one partition: the key →
+// group number index (groups numbered in first-seen order) and, per
+// group, its records in input order (see scatter for the layout and
+// aliasing rules).
+func groupRecords[K comparable, R any](recs []R, key func(R) K) (map[K]int32, [][]R) {
+	idx := make(map[K]int32)
 	gids := make([]int32, len(recs))
 	for j, rec := range recs {
 		k := key(rec)
 		g, ok := idx[k]
 		if !ok {
-			g = int32(len(keys))
+			g = int32(len(idx))
 			idx[k] = g
-			keys = append(keys, k)
 		}
 		gids[j] = g
 	}
-	return gids, keys
-}
-
-// groupRecords builds the per-key runs of one partition: the key →
-// group number index and, per group, its records in input order (see
-// scatter for the layout and aliasing rules).
-func groupRecords[K comparable, R any](recs []R, key func(R) K) (map[K]int32, [][]R) {
-	idx := make(map[K]int32)
-	gids, keys := numberGroups(recs, key, idx, nil)
-	return idx, scatter(recs, gids, len(keys))
+	return idx, scatter(recs, gids, len(idx))
 }
 
 // GroupByKey shuffles by key and materialises one Group per distinct
 // key, in first-seen order. Like Spark's groupByKey it moves every
-// record; prefer ReduceByKey or AggregateByKey when a combiner applies.
+// record; prefer ReduceByKey when a combiner applies.
 // The key function is invoked exactly once per record, map-side: the
 // route stage carries the keys in a side array, so a non-deterministic
 // or stateful key function cannot misgroup on the reduce side. Each
@@ -252,47 +243,6 @@ func ReduceByKey[K comparable, V any](d *Dataset[V], key func(V) K, reduce func(
 	return &Dataset[V]{ctx: d.ctx, parts: out}
 }
 
-// AggregateByKey folds records sharing a key into an accumulator of a
-// different type: init seeds the accumulator from a record, merge
-// combines accumulators (commutative, associative). Map-side combining
-// applies.
-func AggregateByKey[K comparable, V, A any](d *Dataset[V], key func(V) K, init func(V) A, merge func(a, b A) A) *Dataset[Pair[K, A]] {
-	prepared := MapPartitions(d, func(_ int, recs []V) []Pair[K, A] {
-		idx := make(map[K]int)
-		var acc []Pair[K, A]
-		for _, rec := range recs {
-			k := key(rec)
-			if j, ok := idx[k]; ok {
-				acc[j].Second = merge(acc[j].Second, init(rec))
-			} else {
-				idx[k] = len(acc)
-				acc = append(acc, Pair[K, A]{First: k, Second: init(rec)})
-			}
-		}
-		return acc
-	})
-	return ReduceByKey(prepared,
-		func(p Pair[K, A]) K { return p.First },
-		func(a, b Pair[K, A]) Pair[K, A] { return Pair[K, A]{First: a.First, Second: merge(a.Second, b.Second)} })
-}
-
-// CountByKey returns the number of records per distinct key.
-func CountByKey[K comparable, V any](d *Dataset[V], key func(V) K) map[K]int64 {
-	counts := AggregateByKey(d, key,
-		func(V) int64 { return 1 },
-		func(a, b int64) int64 { return a + b }).Collect()
-	out := make(map[K]int64, len(counts))
-	for _, p := range counts {
-		out[p.First] = p.Second
-	}
-	return out
-}
-
-// Distinct removes duplicate records under the given key.
-func Distinct[K comparable, V any](d *Dataset[V], key func(V) K) *Dataset[V] {
-	return ReduceByKey(d, key, func(a, _ V) V { return a })
-}
-
 // Join computes the inner equi-join of l and r on their keys: one
 // output pair per matching (left, right) combination. Both sides are
 // hash-shuffled to the same partitioning.
@@ -363,31 +313,4 @@ func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L)
 		out[i] = p[:len(p):len(p)]
 	})
 	return &Dataset[L]{ctx: l.ctx, parts: out}
-}
-
-// CoGroup joins the groups of two datasets by key: one output per key
-// present on either side (left keys first, each side in first-seen
-// order), with all left and right records for it. Group.Values alias
-// one array per side and partition, as in GroupByKey.
-func CoGroup[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K) *Dataset[Pair[Group[K, L], Group[K, R]]] {
-	n := max(len(l.parts), len(r.parts))
-	ls := shuffleByKey(l, lKey, n)
-	rs := shuffleByKey(r, rKey, n)
-	out := make([][]Pair[Group[K, L], Group[K, R]], n)
-	l.ctx.runTasks("cogroup", n, func(i int) {
-		idx := make(map[K]int32)
-		lgids, keys := numberGroups(ls[i], lKey, idx, nil)
-		rgids, keys := numberGroups(rs[i], rKey, idx, keys)
-		lefts := scatter(ls[i], lgids, len(keys))
-		rights := scatter(rs[i], rgids, len(keys))
-		p := make([]Pair[Group[K, L], Group[K, R]], len(keys))
-		for g, k := range keys {
-			p[g] = Pair[Group[K, L], Group[K, R]]{
-				First:  Group[K, L]{Key: k, Values: lefts[g]},
-				Second: Group[K, R]{Key: k, Values: rights[g]},
-			}
-		}
-		out[i] = p
-	})
-	return &Dataset[Pair[Group[K, L], Group[K, R]]]{ctx: l.ctx, parts: out}
 }

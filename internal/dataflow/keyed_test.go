@@ -93,47 +93,6 @@ func TestReduceByKey(t *testing.T) {
 	_ = sums
 }
 
-func TestAggregateByKey(t *testing.T) {
-	ctx := testCtx()
-	type rec struct {
-		k string
-		v int
-	}
-	data := []rec{{"a", 1}, {"b", 2}, {"a", 3}, {"b", 4}, {"a", 5}}
-	d := Parallelize(ctx, data, 3)
-	got := AggregateByKey(d,
-		func(r rec) string { return r.k },
-		func(r rec) int { return r.v },
-		func(a, b int) int { return a + b }).Collect()
-	out := map[string]int{}
-	for _, p := range got {
-		out[p.First] = p.Second
-	}
-	if !reflect.DeepEqual(out, map[string]int{"a": 9, "b": 6}) {
-		t.Errorf("AggregateByKey = %v", out)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := testCtx()
-	d := Parallelize(ctx, ints(30), 4)
-	got := CountByKey(d, func(x int) int { return x % 5 })
-	for k := 0; k < 5; k++ {
-		if got[k] != 6 {
-			t.Errorf("count[%d] = %d, want 6", k, got[k])
-		}
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := testCtx()
-	d := Parallelize(ctx, []int{1, 2, 2, 3, 3, 3}, 3)
-	got := sorted(Distinct(d, func(x int) int { return x }).Collect())
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("Distinct = %v", got)
-	}
-}
-
 func TestJoin(t *testing.T) {
 	ctx := testCtx()
 	type user struct {
@@ -190,34 +149,6 @@ func TestSemiJoinWithPredicate(t *testing.T) {
 		func(l, r int) bool { return r-l == 1 }).Collect())
 	if !reflect.DeepEqual(got, []int{10, 30}) {
 		t.Errorf("SemiJoin with predicate = %v, want [10 30]", got)
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	ctx := testCtx()
-	l := Parallelize(ctx, []int{1, 1, 2}, 2)
-	r := Parallelize(ctx, []int{2, 3}, 2)
-	got := CoGroup(l, r, func(x int) int { return x }, func(x int) int { return x }).Collect()
-	if len(got) != 3 {
-		t.Fatalf("CoGroup keys = %d, want 3", len(got))
-	}
-	for _, p := range got {
-		switch p.First.Key {
-		case 1:
-			if len(p.First.Values) != 2 || len(p.Second.Values) != 0 {
-				t.Errorf("key 1: %v", p)
-			}
-		case 2:
-			if len(p.First.Values) != 1 || len(p.Second.Values) != 1 {
-				t.Errorf("key 2: %v", p)
-			}
-		case 3:
-			if len(p.First.Values) != 0 || len(p.Second.Values) != 1 {
-				t.Errorf("key 3: %v", p)
-			}
-		default:
-			t.Errorf("unexpected key %d", p.First.Key)
-		}
 	}
 }
 
@@ -327,25 +258,6 @@ func TestGroupsShareOneArrayWithoutOverlap(t *testing.T) {
 	if !reflect.DeepEqual(grown, []int{7, 7, 7, -1}) {
 		t.Errorf("grown group = %v", grown)
 	}
-
-	// CoGroup: left keys first, then keys only the right side has; a
-	// side without records for a key has nil Values.
-	l := Parallelize(ctx, []string{"b", "a", "b"}, 1)
-	r := Parallelize(ctx, []string{"c", "a", "c"}, 1)
-	id := func(s string) string { return s }
-	var got []string
-	for _, p := range CoGroup(l, r, id, id).Collect() {
-		got = append(got, p.First.Key)
-		if cap(p.First.Values) != len(p.First.Values) || cap(p.Second.Values) != len(p.Second.Values) {
-			t.Errorf("cogroup %q: runs are not capacity-capped", p.First.Key)
-		}
-		if p.First.Key == "c" && p.First.Values != nil {
-			t.Errorf("cogroup c: left side = %v, want nil", p.First.Values)
-		}
-	}
-	if want := []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("cogroup order = %v, want %v", got, want)
-	}
 }
 
 // TestGroupByKeyAllocatesPerPartition: grouping builds a fixed number
@@ -417,10 +329,8 @@ func refShuffle(ctx *Context, parts [][]rec, numOut int) [][]rec {
 
 // refGroup is the naive map-based grouping: keys in first-seen order,
 // each key's records in arrival order.
-func refGroup(recs []rec, order []int, byKey map[int][]rec) ([]int, map[int][]rec) {
-	if byKey == nil {
-		byKey = map[int][]rec{}
-	}
+func refGroup(recs []rec) (order []int, byKey map[int][]rec) {
+	byKey = map[int][]rec{}
 	for _, x := range recs {
 		if _, seen := byKey[x.K]; !seen {
 			order = append(order, x.K)
@@ -430,10 +340,10 @@ func refGroup(recs []rec, order []int, byKey map[int][]rec) ([]int, map[int][]re
 	return order, byKey
 }
 
-// TestKeyedOpsMatchNaiveReference: GroupByKey, Join, SemiJoin and
-// CoGroup equal a map-based reference partition for partition — group
-// order, in-group order and capacity-capped runs included — over random
-// keys, 1–5 partitions a side and empty partitions.
+// TestKeyedOpsMatchNaiveReference: GroupByKey, Join and SemiJoin equal
+// a map-based reference partition for partition — group order, in-group
+// order and capacity-capped runs included — over random keys, 1–5
+// partitions a side and empty partitions.
 func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 	capped := func(label string, vals []rec) {
 		if cap(vals) != len(vals) {
@@ -450,7 +360,7 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 
 		got := GroupByKey(l, recKey).Partitions()
 		for dst, recs := range refShuffle(ctx, lparts, len(lparts)) {
-			order, byKey := refGroup(recs, nil, nil)
+			order, byKey := refGroup(recs)
 			if len(got[dst]) != len(order) {
 				t.Errorf("GroupByKey partition %d: %d groups, want %d", dst, len(got[dst]), len(order))
 				continue
@@ -469,9 +379,8 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 		joined := Join(l, rd, recKey, recKey).Partitions()
 		semi := SemiJoin(l, rd, recKey, recKey, nil).Partitions()
 		semiPred := SemiJoin(l, rd, recKey, recKey, pred).Partitions()
-		cogrouped := CoGroup(l, rd, recKey, recKey).Partitions()
 		for dst := 0; dst < n; dst++ {
-			_, rights := refGroup(rs[dst], nil, nil)
+			_, rights := refGroup(rs[dst])
 			var wantJoin []Pair[rec, rec]
 			var wantSemi, wantSemiPred []rec
 			for _, a := range ls[dst] {
@@ -500,31 +409,9 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 				t.Errorf("SemiJoin(pred) partition %d = %v, want %v", dst, semiPred[dst], wantSemiPred)
 			}
 			capped("SemiJoin", semi[dst])
-
-			order, lefts := refGroup(ls[dst], nil, nil)
-			seen := map[int][]rec{}
-			for k := range lefts {
-				seen[k] = nil
-			}
-			order, _ = refGroup(rs[dst], order, seen) // right-only keys, after the left ones
-			if len(cogrouped[dst]) != len(order) {
-				t.Errorf("CoGroup partition %d: %d keys, want %d", dst, len(cogrouped[dst]), len(order))
-				continue
-			}
-			for g, k := range order {
-				p := cogrouped[dst][g]
-				if p.First.Key != k || p.Second.Key != k || !same(p.First.Values, lefts[k]) || !same(p.Second.Values, rights[k]) {
-					t.Errorf("CoGroup partition %d group %d = %v, want key %d %v %v", dst, g, p, k, lefts[k], rights[k])
-				}
-				if (len(lefts[k]) == 0) != (p.First.Values == nil) || (len(rights[k]) == 0) != (p.Second.Values == nil) {
-					t.Errorf("CoGroup partition %d key %d: an empty side must be nil, a filled one not", dst, k)
-				}
-				capped("CoGroup left", p.First.Values)
-				capped("CoGroup right", p.Second.Values)
-			}
 		}
-		if m := ctx.Metrics(); m.Shuffles != 1+2*4 {
-			t.Errorf("Shuffles = %d, want 9: one per GroupByKey, two per binary operator", m.Shuffles)
+		if m := ctx.Metrics(); m.Shuffles != 1+2*3 {
+			t.Errorf("Shuffles = %d, want 7: one per GroupByKey, two per binary operator", m.Shuffles)
 		}
 		return !t.Failed()
 	}

@@ -263,26 +263,3 @@ func SNB(cfg SNBConfig) Dataset {
 	}
 	return Dataset{Name: "SNB", Vertices: vs, Edges: es}
 }
-
-// NGramsStress generates the NGrams-scale scan-stress dataset: the
-// standard NGrams generator driven to roughly 40x the laptop default
-// (~120k edge states at scale 1), emulating the shape of the paper's
-// largest dataset (1.32B-edge NGrams) for storage scan benchmarks.
-// scale multiplies the state counts; seed drives generation.
-func NGramsStress(scale float64, seed int64) Dataset {
-	s := func(n int) int {
-		if scale <= 0 {
-			return n
-		}
-		return max(1, int(float64(n)*scale))
-	}
-	d := NGrams(NGramsConfig{
-		Words:            s(5000),
-		Snapshots:        40,
-		PairsPerSnapshot: s(3200),
-		Persistence:      0.35,
-		Seed:             seed,
-	})
-	d.Name = "NGrams-stress"
-	return d
-}

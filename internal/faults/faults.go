@@ -10,17 +10,17 @@
 // Determinism: every decision is a pure function of (seed, site, hit
 // index). Running the same workload twice with the same seed injects
 // the same faults at the same sites, which is what lets the chaos tests
-// (make chaos, make crash) run under -race with fixed seeds and still
+// (make chaos) run under -race with fixed seeds and still
 // assert exact outcomes.
 //
 // Known sites:
 //
-//	dataflow.map, dataflow.flatmap, dataflow.filter, dataflow.foreach,
+//	dataflow.map, dataflow.flatmap, dataflow.filter,
 //	dataflow.mappartitions, dataflow.shuffle-route,
 //	dataflow.shuffle-gather, dataflow.groupbykey, dataflow.reducebykey,
-//	dataflow.join, dataflow.semijoin, dataflow.cogroup (task attempts;
-//	a GroupByKey visits shuffle-route and groupbykey only, the other
-//	keyed operators shuffle-route, shuffle-gather and their own stage);
+//	dataflow.join, dataflow.semijoin (task attempts; a GroupByKey
+//	visits shuffle-route and groupbykey only, the other keyed operators
+//	shuffle-route, shuffle-gather and their own stage);
 //	storage.pgc.chunk, storage.pgn.chunk (chunk reads);
 //	storage.write.create, storage.write.short, storage.write.sync,
 //	storage.write.rename (atomic-write crash points);

@@ -2,11 +2,10 @@
 // dataflow engine — the substitute this reproduction uses for Apache
 // Spark's GraphX library, on which the paper's Section 4 implementation
 // builds its graph-shaped representations. Like GraphX it offers
-// vertex-cut edge
-// partitioning strategies, a materialised triplet view built by
-// vertex-mirroring, aggregateMessages, and Pregel iteration. The RG, OG
-// and OGC representations of a TGraph are built on this layer; VE
-// bypasses it and works on raw datasets, exactly as in the paper.
+// vertex-cut edge partitioning strategies and a materialised triplet
+// view built by vertex-mirroring. The RG, OG and OGC representations of
+// a TGraph are built on this layer; VE bypasses it and works on raw
+// datasets, exactly as in the paper.
 package graphx
 
 import (
@@ -108,22 +107,6 @@ func (g *Graph[VD, ED]) NumVertices() int { return g.vertices.Count() }
 // NumEdges returns the edge count.
 func (g *Graph[VD, ED]) NumEdges() int { return g.edges.Count() }
 
-// MapVertices transforms every vertex attribute, preserving structure.
-func MapVertices[VD, VD2, ED any](g *Graph[VD, ED], f func(Vertex[VD]) VD2) *Graph[VD2, ED] {
-	v := dataflow.Map(g.vertices, func(x Vertex[VD]) Vertex[VD2] {
-		return Vertex[VD2]{ID: x.ID, Attr: f(x)}
-	})
-	return &Graph[VD2, ED]{vertices: v, edges: g.edges, strategy: g.strategy}
-}
-
-// MapEdges transforms every edge attribute, preserving structure.
-func MapEdges[VD, ED, ED2 any](g *Graph[VD, ED], f func(Edge[ED]) ED2) *Graph[VD, ED2] {
-	e := dataflow.Map(g.edges, func(x Edge[ED]) Edge[ED2] {
-		return Edge[ED2]{ID: x.ID, Src: x.Src, Dst: x.Dst, Attr: f(x)}
-	})
-	return &Graph[VD, ED2]{vertices: g.vertices, edges: e, strategy: g.strategy}
-}
-
 // routingTable materialises the vertex attributes once so that each
 // edge partition can mirror the vertices it references — the
 // "vertex-mirroring and multicast join" GraphX uses to build the
@@ -176,36 +159,4 @@ func (g *Graph[VD, ED]) Validate() error {
 		return fmt.Errorf("graphx: %d edges reference missing vertices (first: %d)", len(bad), bad[0])
 	}
 	return nil
-}
-
-// DegreeDirection selects which degree Degrees computes.
-type DegreeDirection int
-
-const (
-	// InDegrees counts incoming edges.
-	InDegrees DegreeDirection = iota
-	// OutDegrees counts outgoing edges.
-	OutDegrees
-	// TotalDegrees counts both.
-	TotalDegrees
-)
-
-// Degrees computes per-vertex degree via aggregateMessages. Vertices
-// with no incident edges are absent from the result, as in GraphX.
-func Degrees[VD, ED any](g *Graph[VD, ED], dir DegreeDirection) map[VertexID]int {
-	msgs := AggregateMessages(g,
-		func(t Triplet[VD, ED], send func(VertexID, int)) {
-			if dir == OutDegrees || dir == TotalDegrees {
-				send(t.Edge.Src, 1)
-			}
-			if dir == InDegrees || dir == TotalDegrees {
-				send(t.Edge.Dst, 1)
-			}
-		},
-		func(a, b int) int { return a + b })
-	out := make(map[VertexID]int, msgs.Count())
-	for _, p := range msgs.Collect() {
-		out[p.First] = p.Second
-	}
-	return out
 }

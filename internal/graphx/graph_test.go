@@ -1,7 +1,6 @@
 package graphx
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -64,47 +63,6 @@ func TestTriplets(t *testing.T) {
 	}
 }
 
-func TestMapVerticesAndEdges(t *testing.T) {
-	g := chainGraph(testCtx(), 4)
-	g2 := MapVertices(g, func(v Vertex[string]) int { return int(v.ID) * 10 })
-	for _, v := range g2.Vertices().Collect() {
-		if v.Attr != int(v.ID)*10 {
-			t.Errorf("vertex %d attr %d", v.ID, v.Attr)
-		}
-	}
-	g3 := MapEdges(g2, func(e Edge[int]) string { return "x" })
-	if g3.NumEdges() != 3 {
-		t.Errorf("MapEdges changed edge count")
-	}
-	for _, e := range g3.Edges().Collect() {
-		if e.Attr != "x" {
-			t.Errorf("edge attr %q", e.Attr)
-		}
-	}
-}
-
-func TestDegrees(t *testing.T) {
-	// Star: 0 -> 1, 0 -> 2, 0 -> 3
-	ctx := testCtx()
-	vs := []Vertex[struct{}]{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
-	es := []Edge[struct{}]{
-		{ID: 0, Src: 0, Dst: 1}, {ID: 1, Src: 0, Dst: 2}, {ID: 2, Src: 0, Dst: 3},
-	}
-	g := New(ctx, vs, es, nil)
-	out := Degrees(g, OutDegrees)
-	if out[0] != 3 || out[1] != 0 {
-		t.Errorf("out degrees: %v", out)
-	}
-	in := Degrees(g, InDegrees)
-	if in[0] != 0 || in[1] != 1 || in[2] != 1 || in[3] != 1 {
-		t.Errorf("in degrees: %v", in)
-	}
-	tot := Degrees(g, TotalDegrees)
-	if tot[0] != 3 || tot[1] != 1 {
-		t.Errorf("total degrees: %v", tot)
-	}
-}
-
 func TestPartitionStrategies(t *testing.T) {
 	for _, s := range []PartitionStrategy{EdgePartition1D{}, EdgePartition2D{}, RandomVertexCut{}} {
 		if s.String() == "" {
@@ -142,92 +100,6 @@ func TestRandomVertexCutColocatesParallelEdges(t *testing.T) {
 	s := RandomVertexCut{}
 	if s.Partition(3, 9, 8) != s.Partition(3, 9, 8) {
 		t.Error("parallel edges must colocate")
-	}
-}
-
-func TestReplicationFactor(t *testing.T) {
-	g := chainGraph(testCtx(), 50)
-	rf := ReplicationFactor(g)
-	if rf < 1 {
-		t.Errorf("replication factor %f < 1", rf)
-	}
-	empty := New[string, int](testCtx(), nil, nil, nil)
-	if ReplicationFactor(empty) != 0 {
-		t.Error("empty graph replication factor should be 0")
-	}
-}
-
-func TestAggregateMessages(t *testing.T) {
-	g := chainGraph(testCtx(), 4)
-	// Send edge attr to destination; sum.
-	msgs := AggregateMessages(g,
-		func(tr Triplet[string, int], send func(VertexID, int)) {
-			send(tr.Edge.Dst, tr.Edge.Attr+1)
-		},
-		func(a, b int) int { return a + b })
-	got := map[VertexID]int{}
-	for _, p := range msgs.Collect() {
-		got[p.First] = p.Second
-	}
-	if got[1] != 1 || got[2] != 2 || got[3] != 3 {
-		t.Errorf("messages: %v", got)
-	}
-	if _, ok := got[0]; ok {
-		t.Error("vertex 0 should receive nothing")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	ctx := testCtx()
-	// Two components: {1,2,3} and {10, 11}.
-	vs := []Vertex[struct{}]{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 10}, {ID: 11}}
-	es := []Edge[struct{}]{
-		{ID: 0, Src: 2, Dst: 1}, {ID: 1, Src: 2, Dst: 3}, {ID: 2, Src: 11, Dst: 10},
-	}
-	g := New(ctx, vs, es, nil)
-	cc := ConnectedComponents(g)
-	if cc[1] != 1 || cc[2] != 1 || cc[3] != 1 {
-		t.Errorf("component of {1,2,3}: %v", cc)
-	}
-	if cc[10] != 10 || cc[11] != 10 {
-		t.Errorf("component of {10,11}: %v", cc)
-	}
-}
-
-func TestPageRank(t *testing.T) {
-	ctx := testCtx()
-	// 1 and 2 both link to 3; 3 links to 1.
-	vs := []Vertex[struct{}]{{ID: 1}, {ID: 2}, {ID: 3}}
-	es := []Edge[struct{}]{
-		{ID: 0, Src: 1, Dst: 3}, {ID: 1, Src: 2, Dst: 3}, {ID: 2, Src: 3, Dst: 1},
-	}
-	g := New(ctx, vs, es, nil)
-	pr := PageRank(g, 30)
-	if pr[3] <= pr[1] || pr[3] <= pr[2] {
-		t.Errorf("vertex 3 should dominate: %v", pr)
-	}
-	sum := pr[1] + pr[2] + pr[3]
-	if math.Abs(sum-1) > 0.2 {
-		t.Errorf("ranks should roughly sum to 1, got %f", sum)
-	}
-	if len(PageRank(New[struct{}, int](ctx, nil, nil, nil), 5)) != 0 {
-		t.Error("PageRank of empty graph should be empty")
-	}
-}
-
-func TestPregelConvergesEarly(t *testing.T) {
-	ctx := testCtx()
-	g := chainGraph(ctx, 3)
-	init := MapVertices(g, func(v Vertex[string]) int { return 0 })
-	// No messages ever sent: vprog applies only the initial message.
-	res := Pregel(init, 7, 100,
-		func(id VertexID, attr int, msg int) int { return attr + msg },
-		func(t Triplet[int, int], send func(VertexID, int)) {},
-		func(a, b int) int { return a + b })
-	for _, v := range res.Vertices().Collect() {
-		if v.Attr != 7 {
-			t.Errorf("vertex %d = %d, want 7 (initial message only)", v.ID, v.Attr)
-		}
 	}
 }
 

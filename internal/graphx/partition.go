@@ -118,30 +118,3 @@ func partitionEdges[ED any](ctx *dataflow.Context, edges []Edge[ED], strategy Pa
 	}
 	return dataflow.FromPartitions(ctx, parts)
 }
-
-// ReplicationFactor measures the average number of partitions each
-// vertex is mirrored to under the graph's partitioning — the cost
-// metric vertex-cut strategies minimise.
-func ReplicationFactor[VD, ED any](g *Graph[VD, ED]) float64 {
-	seen := make(map[VertexID]map[int]struct{})
-	for pi, part := range g.Edges().Partitions() {
-		for _, e := range part {
-			for _, v := range [2]VertexID{e.Src, e.Dst} {
-				m, ok := seen[v]
-				if !ok {
-					m = make(map[int]struct{})
-					seen[v] = m
-				}
-				m[pi] = struct{}{}
-			}
-		}
-	}
-	if len(seen) == 0 {
-		return 0
-	}
-	total := 0
-	for _, m := range seen {
-		total += len(m)
-	}
-	return float64(total) / float64(len(seen))
-}

@@ -238,9 +238,17 @@ func TestQuickIncrAZoomEquivalence(t *testing.T) {
 // TestQuickIncrWZoomEquivalence does the same for WZoomView, across
 // unit and change-based window specs (the latter always taking the
 // full-fallback path) and all four representations; OGC is compared on
-// coalesced topology, the most it represents.
+// coalesced topology, the most it represents. Every run ends with a
+// delta that starts before the graph's lifetime: it shifts the window
+// alignment, so the view must report Stats.FallbackFull and its rebuilt
+// result must still equal the batch recompute.
 func TestQuickIncrWZoomEquivalence(t *testing.T) {
 	ctx := testCtx()
+	shift := core.VertexTuple{
+		ID:       1000,
+		Interval: temporal.MustInterval(-3, 1),
+		Props:    props.New("type", "p", "grp", "A", "val", int64(1)),
+	}
 	specs := []struct {
 		spec core.WZoomSpec
 		reps []core.Representation
@@ -271,7 +279,7 @@ func TestQuickIncrWZoomEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := genScenario(r)
-		allV := append(append([]core.VertexTuple{}, c.baseV...), c.deltaV...)
+		allV := append(append(append([]core.VertexTuple{}, c.baseV...), c.deltaV...), shift)
 		allE := append(append([]core.EdgeTuple{}, c.baseE...), c.deltaE...)
 		for si, sc := range specs {
 			spec := sc.spec
@@ -288,6 +296,14 @@ func TestQuickIncrWZoomEquivalence(t *testing.T) {
 					if _, err := view.Apply(batch); err != nil {
 						t.Fatalf("apply on %v: %v", rep, err)
 					}
+				}
+				st, err := view.Apply([]wal.Delta{wal.VertexDelta(shift)})
+				if err != nil {
+					t.Fatalf("lifetime-shifting apply on %v: %v", rep, err)
+				}
+				if !st.FallbackFull {
+					t.Errorf("seed %d spec %d rep %v: a delta starting before the lifetime did not set Stats.FallbackFull", seed, si, rep)
+					return false
 				}
 				fullRep, err := core.Convert(core.NewVE(ctx, allV, allE), rep)
 				if err != nil {

@@ -135,17 +135,13 @@ type Config struct {
 	// used when (re)loading a graph directory (see
 	// storage.ScanOptions.Parallelism); <= 0 selects GOMAXPROCS.
 	ScanParallelism int
-	// Shards splits each flat graph into this many in-process shard
-	// workers at load time (vertex-cut partitioning, see internal/shard)
-	// and serves queries scatter-gather; <= 1 serves unsharded.
-	// Directories already split on disk by tgraph-shard are detected
-	// automatically (shards.json) and served sharded regardless of this
-	// setting.
+	// Shards splits each graph into this many in-process shard workers
+	// at load time (vertex-cut partitioning, see internal/shard) and
+	// serves queries scatter-gather; <= 1 serves unsharded.
 	Shards int
 	// ShardStrategy names the placement strategy for Shards > 1
 	// ("EdgePartition2D" default, "EdgePartition1D", "RandomVertexCut",
-	// "TimeRange"). Ignored for pre-split directories, which carry their
-	// strategy in the manifest.
+	// "TimeRange").
 	ShardStrategy string
 	// ShardPartial enables degraded partial results when a subset of
 	// shards fails mid-query: the response merges the surviving shards'
@@ -217,14 +213,10 @@ type graphHandle struct {
 	walOpts      wal.Options
 	compactAfter int
 
-	// Sharded serving. shardDisk marks a directory pre-split by
-	// tgraph-shard (shards.json present): coord is built at New and the
-	// shard workers own the storage and WALs — h.graph and h.log stay
-	// nil. shards > 1 marks in-memory sharding of a flat directory: the
-	// flat graph and WAL work exactly as unsharded (durability,
-	// compaction), and each (re)load additionally splits the loaded
-	// states into a fresh coordinator that answers the queries.
-	shardDisk     bool
+	// Sharded serving (shards > 1): the graph and WAL work exactly as
+	// unsharded (durability, compaction, one atomic log append per
+	// batch), and each (re)load additionally splits the loaded states
+	// into a fresh coordinator that answers the queries.
 	shards        int
 	shardStrategy shard.Strategy
 	shardOpts     shard.Options
@@ -302,24 +294,6 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 				return err
 			}
 		}
-		if h.shardDisk {
-			// Pre-split directory: the coordinator checks each shard's base
-			// stamp and reloads only the changed ones. Like the flat stamp,
-			// the combined stamp tracks committed epochs only — live appends
-			// advance the workers in place.
-			stamp, err := h.coord.Ensure(reqCtx)
-			if err != nil {
-				return fmt.Errorf("serve: shards %s: %w", h.name, err)
-			}
-			if h.stamp != stamp {
-				if h.stamp != "" {
-					cache.InvalidatePrefix(h.name + "|")
-				}
-				h.stamp = stamp
-				h.deps = make(map[string]depEntry)
-			}
-			return nil
-		}
 		// The base stamp tracks committed epochs only: live appends this
 		// server acks advance the in-memory view directly (and invalidate
 		// surgically), so they must not — and do not — trip a reload.
@@ -358,8 +332,8 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 			h.deps = make(map[string]depEntry)
 			h.dropViewsLocked()
 			if h.shards > 1 {
-				// In-memory sharding: split the freshly loaded states into a
-				// new coordinator. The old one (if any) was built over the
+				// Sharding: split the freshly loaded states into a new
+				// coordinator. The old one (if any) was built over the
 				// replaced graph.
 				if h.coord != nil {
 					h.coord.Close()
@@ -381,11 +355,9 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 		return err
 	})
 	if err != nil {
-		if h.graph != nil || (h.shardDisk && h.stamp != "") {
+		if h.graph != nil {
 			// Degraded mode: the directory is unreadable (or the breaker
 			// refuses to check), but the last committed load still answers.
-			// For a pre-split directory the loaded state lives in the shard
-			// workers; h.graph stays nil and the stamp marks "ever loaded".
 			return h.graph, h.stamp, true, nil
 		}
 		return nil, "", false, err
@@ -404,9 +376,6 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delta) (resp AppendResponse, compacted bool, compactErr, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.shardDisk {
-		return h.appendShardedLocked(cache, ds)
-	}
 	if h.log == nil || h.graph == nil {
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
 	}
@@ -425,9 +394,9 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: apply %s: %w", h.name, aerr)
 	}
 	if h.coord != nil {
-		// In-memory sharding: route the acked deltas into the shard
-		// workers so the sharded view tracks the flat one. Worker appends
-		// are pure in-memory mutations (durability is the flat WAL above);
+		// Route the acked deltas into the shard workers so the sharded view
+		// tracks the flat one. Worker appends are pure in-memory mutations
+		// (durability is the WAL above);
 		// a failure means the split diverged — drop the coordinator and
 		// fall back to unsharded serving until the next reload re-splits.
 		if serr := h.coord.Append(ds); serr != nil {
@@ -451,31 +420,6 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 		return resp, true, nil, nil
 	}
 	return resp, false, nil, nil
-}
-
-// appendShardedLocked is the append path for pre-split directories: the
-// coordinator routes each delta to its owning shard, whose WAL makes it
-// durable before the in-memory mutation (vertices additionally replicate
-// to the shards mirroring them). There is no cross-shard atomicity: a
-// mid-batch failure leaves the deltas already routed durable on their
-// shards and the rest unwritten, the batch is NOT acked, and a client
-// retry re-appends the whole batch (at-least-once, like any WAL retry).
-// Tag versions are bumped even on failure so cached merges can never
-// mask the partially applied records. Caller holds h.mu.
-func (h *graphHandle) appendShardedLocked(cache *qcache.Cache, ds []wal.Delta) (resp AppendResponse, compacted bool, compactErr, err error) {
-	if h.coord == nil || h.stamp == "" {
-		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
-	}
-	aerr := h.coord.Append(ds)
-	invalidated := h.invalidateSpanLocked(cache, deltaSpan(ds))
-	if aerr != nil {
-		return AppendResponse{}, false, nil, fmt.Errorf("serve: append %s: %w", h.name, aerr)
-	}
-	h.appended += len(ds)
-	// Per-shard logs have independent sequence spaces, so the response
-	// carries no global FirstSeq/LastSeq. Inline compaction is not wired
-	// for shard WALs; compact offline by re-splitting with tgraph-shard.
-	return AppendResponse{Invalidated: invalidated}, false, nil, nil
 }
 
 // invalidateSpanLocked performs the surgical append invalidation: only
@@ -533,7 +477,7 @@ func (h *graphHandle) applyLocked(ds []wal.Delta) error {
 // metadata no flat view reproduces), and the shard workers already
 // cache partials per version. Caller holds h.mu.
 func (h *graphHandle) registerViewLocked(steps []step) {
-	if h.rep == core.RepOGC || len(steps) != 1 || h.shardDisk || h.shards > 1 {
+	if h.rep == core.RepOGC || len(steps) != 1 || h.shards > 1 {
 		return
 	}
 	st := steps[0]
@@ -768,30 +712,15 @@ func New(cfg Config) (*Server, error) {
 			walOpts:      walOpts,
 			compactAfter: cfg.CompactAfter,
 		}
-		shardOpts := shard.Options{
-			Parallelism:     cfg.Parallelism,
-			ScanParallelism: cfg.ScanParallelism,
-			CacheBytes:      cfg.CacheBytes,
-			Partial:         cfg.ShardPartial,
-			WALOpts:         walOpts,
-			FaultHook:       cfg.FaultHook,
-		}
-		switch {
-		case shard.IsSharded(gc.Dir):
-			// Pre-split directory: the coordinator owns the shard
-			// subdirectories (storage and WALs); the flat-graph fields stay
-			// nil and inline compaction is disabled.
-			shardOpts.OpenWAL = true
-			coord, err := shard.Open(gc.Dir, shardOpts)
-			if err != nil {
-				return nil, fmt.Errorf("serve: graph %q: %w", gc.Name, err)
-			}
-			h.coord = coord
-			h.shardDisk = true
-		case cfg.Shards > 1:
+		if cfg.Shards > 1 {
 			h.shards = cfg.Shards
 			h.shardStrategy = shardStrategy
-			h.shardOpts = shardOpts
+			h.shardOpts = shard.Options{
+				Parallelism: cfg.Parallelism,
+				CacheBytes:  cfg.CacheBytes,
+				Partial:     cfg.ShardPartial,
+				FaultHook:   cfg.FaultHook,
+			}
 		}
 		s.graphs[gc.Name] = h
 		s.names = append(s.names, gc.Name)
@@ -803,7 +732,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/pipeline", s.handlePipeline)
 	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
@@ -846,9 +774,9 @@ func (s *Server) Drain() {
 	s.closeLogs()
 }
 
-// closeLogs releases the write-ahead logs the server owns — the flat
-// per-graph logs and any shard coordinators' per-shard logs — flushing
-// any batched-but-unsynced records first.
+// closeLogs releases the per-graph write-ahead logs the server owns,
+// flushing any batched-but-unsynced records first, and the shard
+// coordinators.
 func (s *Server) closeLogs() {
 	for _, name := range s.names {
 		h := s.graphs[name]
@@ -1412,7 +1340,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		h.mu.Lock()
 		info := GraphInfo{
 			Name: h.name, Dir: h.dir, Rep: h.rep.String(),
-			Loaded: h.graph != nil || (h.shardDisk && h.stamp != ""), Stamp: h.stamp,
+			Loaded: h.graph != nil, Stamp: h.stamp,
 			Breaker: h.breaker.State().String(),
 		}
 		if h.log != nil {
@@ -1422,24 +1350,12 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		if h.coord != nil {
 			info.Shards = h.coord.N()
 			info.ShardStrategy = h.coord.Strategy().Name()
-			info.Appended = h.appended
 		}
 		h.mu.Unlock()
 		out = append(out, info)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// handleHealth is the legacy combined probe: 503 while draining, ok
-// otherwise. Prefer /livez + /readyz, which separate "restart me" from
-// "stop routing to me".
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Write([]byte("ok\n"))
 }
 
 // handleLive is the liveness probe: the process is up and the handler

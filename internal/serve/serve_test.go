@@ -355,8 +355,8 @@ func TestDrain(t *testing.T) {
 	if w := doJSON(t, s, "POST", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units"}); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("request during drain: %d, want 503", w.Code)
 	}
-	if w := doJSON(t, s, "GET", "/healthz", nil); w.Code != http.StatusServiceUnavailable {
-		t.Errorf("healthz during drain: %d, want 503", w.Code)
+	if w := doJSON(t, s, "GET", "/readyz", nil); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("readyz during drain: %d, want 503", w.Code)
 	}
 	select {
 	case <-drained:
@@ -403,8 +403,8 @@ func TestGraphsHealthMetricsEndpoints(t *testing.T) {
 		t.Errorf("graphs after query = %+v", infos)
 	}
 
-	if w := doJSON(t, s, "GET", "/healthz", nil); w.Code != http.StatusOK || w.Body.String() != "ok\n" {
-		t.Errorf("healthz = %d %q", w.Code, w.Body)
+	if w := doJSON(t, s, "GET", "/readyz", nil); w.Code != http.StatusOK {
+		t.Errorf("readyz = %d %s", w.Code, w.Body)
 	}
 	w = doJSON(t, s, "GET", "/metricsz", nil)
 	if w.Code != http.StatusOK {

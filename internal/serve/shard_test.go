@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/props"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/temporal"
 )
@@ -149,43 +148,6 @@ func TestShardedByteIdentity(t *testing.T) {
 	}
 }
 
-// A directory pre-split by SaveDir is detected and served sharded with
-// no Shards config, byte-identical to the flat directory, and reported
-// on /v1/graphs.
-func TestShardedDiskAutoDetect(t *testing.T) {
-	flatDir := t.TempDir()
-	saveShardFixture(t, flatDir)
-	flat := newServerOn(t, flatDir, "ve", Config{})
-	want := shardQueries(t, flat)
-	flat.Drain()
-
-	vs, es := shardFixture()
-	for _, n := range []int{1, 3} {
-		splitDir := t.TempDir()
-		ctx := dataflow.NewContext(dataflow.WithParallelism(2))
-		if err := shard.SaveDir(ctx, splitDir, vs, es, shard.VertexCut{}, n, storage.SaveOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		ctx.Close()
-		s := newServerOn(t, splitDir, "ve", Config{})
-		got := shardQueries(t, s)
-		for q, body := range want {
-			if !bytes.Equal(body.Bytes(), got[q].Bytes()) {
-				t.Errorf("n=%d: query %s: pre-split body differs from flat", n, q)
-			}
-		}
-		w := doJSON(t, s, "GET", "/v1/graphs", nil)
-		var infos []GraphInfo
-		if err := json.Unmarshal(w.Body.Bytes(), &infos); err != nil {
-			t.Fatal(err)
-		}
-		if len(infos) != 1 || infos[0].Shards != n || !infos[0].Loaded {
-			t.Errorf("n=%d: /v1/graphs = %+v, want loaded with %d shards", n, infos, n)
-		}
-		s.Drain()
-	}
-}
-
 // shardAppendDeltas exercises every routing case: a state for an
 // existing vertex, an edge whose endpoints live on (potentially)
 // different shards, a brand-new vertex, and an edge touching it.
@@ -244,38 +206,40 @@ func TestShardedAppendParity(t *testing.T) {
 	}
 }
 
-// Appends against a pre-split directory go to the owning shards' WALs
-// and survive a restart: a new server over the same directory replays
-// them and answers byte-identically.
-func TestShardedDiskAppendDurability(t *testing.T) {
-	splitDir := t.TempDir()
-	vs, es := shardFixture()
-	ctx := dataflow.NewContext(dataflow.WithParallelism(2))
-	if err := shard.SaveDir(ctx, splitDir, vs, es, shard.VertexCut{}, 3, storage.SaveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx.Close()
+// Appends against a sharded server are durable in the directory's WAL
+// and survive a restart: a new sharded server over the same directory
+// replays them, re-splits, and answers byte-identically.
+func TestShardedAppendDurability(t *testing.T) {
+	dir := t.TempDir()
+	saveShardFixture(t, dir)
+	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
 
-	s1 := newServerOn(t, splitDir, "ve", Config{})
+	s1 := newServerOn(t, dir, "ve", Config{Shards: 3})
+	w0 := doJSON(t, s1, "POST", "/v1/azoom", azoom)
 	if w := doJSON(t, s1, "POST", "/v1/append",
 		AppendRequest{Graph: "g", Deltas: shardAppendDeltas()}); w.Code != http.StatusOK {
 		t.Fatalf("append: %d %s", w.Code, w.Body)
 	}
-	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
 	w1 := doJSON(t, s1, "POST", "/v1/azoom", azoom)
 	if w1.Code != http.StatusOK {
 		t.Fatalf("post-append azoom: %d %s", w1.Code, w1.Body)
 	}
+	if bytes.Equal(w0.Body.Bytes(), w1.Body.Bytes()) {
+		t.Fatal("append did not change the azoom body; the restart check below would prove nothing")
+	}
 	s1.Drain()
 
-	s2 := newServerOn(t, splitDir, "ve", Config{})
+	s2 := newServerOn(t, dir, "ve", Config{Shards: 3})
 	defer s2.Drain()
 	w2 := doJSON(t, s2, "POST", "/v1/azoom", azoom)
 	if w2.Code != http.StatusOK {
 		t.Fatalf("replayed azoom: %d %s", w2.Code, w2.Body)
 	}
+	if h := w2.Header().Get("X-TGraph-Shards"); h != "3/3" {
+		t.Errorf("restarted X-TGraph-Shards = %q, want 3/3", h)
+	}
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
-		t.Error("restarted server's body differs: shard WAL replay lost appends")
+		t.Error("restarted server's body differs: WAL replay lost appends")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,18 +36,12 @@ const legBudgetFraction = 0.9
 type Options struct {
 	// Parallelism sizes each worker's dataflow context.
 	Parallelism int
-	// ScanParallelism sizes each worker's storage scan pool.
-	ScanParallelism int
 	// CacheBytes bounds each worker's partial-result cache.
 	CacheBytes int64
 	// Partial enables degraded partial-result merges when a subset of
 	// shards fails; when false the first leg failure cancels siblings
 	// and the scatter reports a typed *dataflow.JobError.
 	Partial bool
-	// WALOpts configures the per-shard write-ahead logs.
-	WALOpts wal.Options
-	// OpenWAL opens the shard WALs for appends (disk-backed only).
-	OpenWAL bool
 	// FaultHook, when non-nil, is invoked at fault sites (site
 	// "shard.leg" at the start of every scatter leg) and its error fails
 	// the leg — the chaos-testing seam, mirroring internal/faults.
@@ -56,8 +49,7 @@ type Options struct {
 }
 
 // Coordinator owns N in-process shard workers and serves scatter-gather
-// queries over them. Loads and appends are serialised; queries run
-// concurrently.
+// queries over them. Appends are serialised; queries run concurrently.
 type Coordinator struct {
 	n       int
 	st      Strategy
@@ -65,30 +57,12 @@ type Coordinator struct {
 	hook    func(site string) error
 	workers []*Worker
 
-	mu sync.Mutex // serialises Ensure and Append
-}
-
-// Open builds a Coordinator over a split directory written by SaveDir.
-// Workers load lazily on the first Ensure.
-func Open(dir string, opts Options) (*Coordinator, error) {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	st, err := m.strategyOf()
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{n: m.Shards, st: st, partial: opts.Partial, hook: opts.FaultHook}
-	for i := 0; i < m.Shards; i++ {
-		c.workers = append(c.workers, newDiskWorker(i, shardDir(dir, i), opts))
-	}
-	return c, nil
+	mu sync.Mutex // serialises Append and Close
 }
 
 // NewFromStates splits the given states in memory and builds a loaded
-// Coordinator over them — the serving layer's path for flat (unsplit)
-// graph directories run with -shards > 1.
+// Coordinator over them — the serving layer's path for graph
+// directories run with -shards > 1.
 func NewFromStates(vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n int, opts Options) *Coordinator {
 	parts, bound := Split(vs, es, st, n)
 	c := &Coordinator{n: len(parts), st: bound, partial: opts.Partial, hook: opts.FaultHook}
@@ -104,47 +78,13 @@ func (c *Coordinator) N() int { return c.n }
 // Strategy returns the coordinator's bound placement strategy.
 func (c *Coordinator) Strategy() Strategy { return c.st }
 
-// Close releases every worker's dataflow context and logs.
+// Close releases every worker's dataflow context.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
 		w.close()
 	}
-}
-
-// Ensure loads (or reloads, when their on-disk stamps changed) all
-// disk-backed workers and returns the combined base stamp identifying
-// the coordinator's committed on-disk state. Like the unsharded base
-// stamp, it tracks committed epochs only: live appends advance the
-// workers in place (and invalidate via their version-keyed caches and
-// the serving layer's tag versions) without changing it. In-memory
-// coordinators are always current.
-func (c *Coordinator) Ensure(ctx context.Context) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Shards load concurrently — each worker owns its storage directory
-	// and scan pool, so a cold N-shard ensure scans N ways in parallel.
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i, w := range c.workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			errs[i] = w.ensure(ctx)
-		}(i, w)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return "", err
-	}
-	stamps := make([]string, 0, c.n)
-	for _, w := range c.workers {
-		w.mu.RLock()
-		stamps = append(stamps, w.stamp)
-		w.mu.RUnlock()
-	}
-	return strings.Join(stamps, ","), nil
 }
 
 // Query is one operator chain, decomposed by the serving layer for
@@ -373,7 +313,7 @@ func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 		vs = append(vs, core.AZoomGroup(spec, agg, id, s)...)
 	}
 	mGroupsMerged.Add(int64(len(groups)))
-	return c.finish(dctx, q, vs, es, false)
+	return c.finish(dctx, q, vs, es)
 }
 
 // runWZoom is the two-phase shard-side wZoom path. Phase one probes
@@ -462,7 +402,7 @@ func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 			es = append(es, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: it.Interval, Props: it.Props})
 		}
 	}
-	return c.finish(dctx, q, vs, es, false)
+	return c.finish(dctx, q, vs, es)
 }
 
 // runGather is the fallback for every other chain shape: collect the
@@ -506,7 +446,7 @@ func (c *Coordinator) runGather(ctx context.Context, dctx *dataflow.Context, q Q
 
 // finish materialises merged zoom outputs in the serving representation
 // and applies the chain's tail steps.
-func (c *Coordinator) finish(dctx *dataflow.Context, q Query, vs []core.VertexTuple, es []core.EdgeTuple, _ bool) (core.TGraph, error) {
+func (c *Coordinator) finish(dctx *dataflow.Context, q Query, vs []core.VertexTuple, es []core.EdgeTuple) (core.TGraph, error) {
 	g, err := c.mergeGraph(dctx, q, vs, es)
 	if err != nil {
 		return nil, err
@@ -532,9 +472,8 @@ func (c *Coordinator) tail(q Query, g core.TGraph) (core.TGraph, error) {
 	return g, nil
 }
 
-// Append routes WAL deltas to their owning shards, preserving the
-// serving layer's durability order (per-shard log write before the
-// in-memory mutation). Vertex deltas go to the vertex's master shard
+// Append routes WAL deltas — already durable in the caller's log — to
+// their owning shards. Vertex deltas go to the vertex's master shard
 // and are replicated to every shard holding an edge that references the
 // vertex; edge deltas go to the edge's owner, after seeding mirrors for
 // any foreign endpoint the owner has not seen yet (so the redirect

@@ -1,7 +1,8 @@
-// Package shard partitions a loaded temporal graph into N shards and
-// serves zoom queries over them with an in-process scatter-gather
-// coordinator. Each shard owns its own storage directory, dataflow
-// context, scan pool, write-ahead logs and partial-result cache; the
+// Package shard partitions a loaded temporal graph into N in-memory
+// shards and serves zoom queries over them with an in-process
+// scatter-gather coordinator. Each shard owns its own dataflow context
+// and partial-result cache (durability is the caller's: the serving
+// layer logs every append to the flat directory's WAL first); the
 // coordinator fans a request out to every (non-pruned) shard worker
 // concurrently, gathers the per-shard partial results and re-reduces
 // them across shard boundaries with the zoomstage kernels from
@@ -63,27 +64,19 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/graphx"
-	"repro/internal/storage"
 	"repro/internal/temporal"
 )
-
-// ManifestFile is the marker file naming a sharded graph directory.
-const ManifestFile = "shards.json"
 
 // Strategy places vertex and edge states on shards. n is the shard
 // count; implementations must be pure functions of the tuple and n so
 // placement is deterministic across runs and processes.
 type Strategy interface {
-	// Name is the strategy's stable wire/manifest name.
+	// Name is the strategy's stable wire name.
 	Name() string
 	// VertexShard returns the master shard of a vertex state. All
 	// states of one vertex must map to one shard for EntityLocal
@@ -140,7 +133,7 @@ type TimeRange struct {
 	Bounds []temporal.Time
 }
 
-// TimeRangeName is TimeRange's manifest name.
+// TimeRangeName is TimeRange's wire name.
 const TimeRangeName = "TimeRange"
 
 // Name implements Strategy.
@@ -168,10 +161,9 @@ func (s TimeRange) EdgeShard(t core.EdgeTuple, n int) int {
 // EntityLocal implements Strategy.
 func (TimeRange) EntityLocal() bool { return false }
 
-// ParseStrategy maps a wire/manifest name to a Strategy. Empty selects
-// the default vertex cut (EdgePartition2D). TimeRange bounds come from
-// the manifest (when opening a split directory) or are derived from the
-// data (when splitting).
+// ParseStrategy maps a wire name to a Strategy. Empty selects the
+// default vertex cut (EdgePartition2D). TimeRange bounds are derived
+// from the data when splitting.
 func ParseStrategy(name string) (Strategy, error) {
 	switch name {
 	case "", "EdgePartition2D", "2d":
@@ -263,98 +255,4 @@ func deriveBounds(vs []core.VertexTuple, es []core.EdgeTuple, n int) []temporal.
 		bounds = append(bounds, life.Start+temporal.Time(int64(span)*int64(i)/int64(n)))
 	}
 	return bounds
-}
-
-// Manifest is the shards.json descriptor of a split directory.
-type Manifest struct {
-	Version  int     `json:"version"`
-	Shards   int     `json:"shards"`
-	Strategy string  `json:"strategy"`
-	Bounds   []int64 `json:"bounds,omitempty"`
-}
-
-// strategyOf reconstructs the manifest's bound Strategy.
-func (m Manifest) strategyOf() (Strategy, error) {
-	st, err := ParseStrategy(m.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := st.(TimeRange); ok {
-		bounds := make([]temporal.Time, len(m.Bounds))
-		for i, b := range m.Bounds {
-			bounds[i] = temporal.Time(b)
-		}
-		st = TimeRange{Bounds: bounds}
-	}
-	return st, nil
-}
-
-// shardDir returns the directory of shard i under a split root.
-func shardDir(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
-}
-
-// baseDir and mirrorDir are a shard's two storage directories: base
-// holds masters plus owned edges (and the shard's append WAL), mirror
-// holds replicated foreign endpoint states (and the mirror WAL).
-func baseDir(shard string) string   { return filepath.Join(shard, "base") }
-func mirrorDir(shard string) string { return filepath.Join(shard, "mirror") }
-
-// IsSharded reports whether dir is a split directory (has a shard
-// manifest).
-func IsSharded(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestFile))
-	return err == nil
-}
-
-// ReadManifest reads and validates a split directory's manifest.
-func ReadManifest(dir string) (Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return Manifest{}, fmt.Errorf("shard: manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return Manifest{}, fmt.Errorf("shard: manifest: %w", err)
-	}
-	if m.Shards < 1 {
-		return Manifest{}, fmt.Errorf("shard: manifest: want shards >= 1, got %d", m.Shards)
-	}
-	return m, nil
-}
-
-// SaveDir splits the graph's states into n shards under the strategy
-// and writes the split directory: shard-NNN/base and shard-NNN/mirror
-// storage directories (each a complete storage.SaveGraph layout, so the
-// shard WALs replay on load) plus the shards.json manifest, written
-// last so a torn split is not mistaken for a complete one.
-func SaveDir(ctx *dataflow.Context, dir string, vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n int, opts storage.SaveOptions) error {
-	parts, bound := Split(vs, es, st, n)
-	for i, p := range parts {
-		sd := shardDir(dir, i)
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		if err := storage.SaveGraph(baseDir(sd), core.NewVE(ctx, p.Masters, p.Edges), opts); err != nil {
-			return fmt.Errorf("shard %d: base: %w", i, err)
-		}
-		if err := storage.SaveGraph(mirrorDir(sd), core.NewVE(ctx, p.Mirrors, nil), opts); err != nil {
-			return fmt.Errorf("shard %d: mirror: %w", i, err)
-		}
-	}
-	m := Manifest{Version: 1, Shards: n, Strategy: bound.Name()}
-	if tr, ok := bound.(TimeRange); ok {
-		for _, b := range tr.Bounds {
-			m.Bounds = append(m.Bounds, int64(b))
-		}
-	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, ManifestFile+".tmp")
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestFile))
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/graphx"
 	"repro/internal/props"
-	"repro/internal/storage"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
@@ -280,47 +279,6 @@ func TestRangeGatherPrunes(t *testing.T) {
 		return core.NewVE(g.Context(), cvs, ces).AZoom(spec)
 	}
 	runBoth(t, "range+azoom", vs, es, TimeRange{}, 4, q, clipStates)
-}
-
-// TestSaveDirOpenRoundTrip splits to disk, reopens through the
-// manifest, and asserts the disk-backed coordinator answers exactly
-// like the in-memory one, WAL machinery included.
-func TestSaveDirOpenRoundTrip(t *testing.T) {
-	vs, es := genGraph(40, 80)
-	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
-	defer dctx.Close()
-	dir := t.TempDir()
-	if err := SaveDir(dctx, dir, vs, es, VertexCut{}, 3, storage.SaveOptions{}); err != nil {
-		t.Fatalf("SaveDir: %v", err)
-	}
-	if !IsSharded(dir) {
-		t.Fatal("IsSharded = false after SaveDir")
-	}
-	c, err := Open(dir, Options{Parallelism: 2, OpenWAL: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer c.Close()
-	stamp, err := c.Ensure(context.Background())
-	if err != nil {
-		t.Fatalf("Ensure: %v", err)
-	}
-	if stamp == "" {
-		t.Fatal("Ensure returned empty stamp")
-	}
-	spec := azSpec()
-	q := Query{Canon: "disk-azoom", Rep: core.RepVE, AZ: &spec}
-	got, _, err := c.Run(context.Background(), dctx, q)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want, err := core.NewVE(dctx, vs, es).AZoom(spec)
-	if err != nil {
-		t.Fatalf("direct: %v", err)
-	}
-	if g, w := canon(t, got), canon(t, want); g != w {
-		t.Errorf("disk-backed output differs\n--- got ---\n%s--- want ---\n%s", g, w)
-	}
 }
 
 // TestAppendRouting appends vertex and edge deltas (including an edge

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/props"
 	"repro/internal/qcache"
-	"repro/internal/storage"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
@@ -27,28 +26,19 @@ type edgeKey struct {
 const cancelStride = 512
 
 // Worker is one in-process shard: the shard's state maps (masters,
-// mirrors, owned edges), its own dataflow context and scan options for
-// (re)loads, its own write-ahead logs when disk-backed, and a small
-// cache of partial results keyed by the shard's state version.
+// mirrors, owned edges), its own dataflow context, and a small cache of
+// partial results keyed by the shard's state version.
 //
 // All query methods take the scatter leg's context and abort between
-// entities when it ends. State mutations (loads, appends) are
-// serialised by the coordinator; queries run concurrently under the
-// read lock.
+// entities when it ends. Appends are serialised by the coordinator;
+// queries run concurrently under the read lock.
 type Worker struct {
-	idx        int
-	baseDir    string // "" for in-memory workers
-	mirrorPath string
-	dctx       *dataflow.Context
-	scanPar    int
-	cache      *qcache.Cache
-	walOpts    wal.Options
-	openWAL    bool
+	idx   int
+	dctx  *dataflow.Context
+	cache *qcache.Cache
 
 	mu      sync.RWMutex
-	loaded  bool
 	version uint64 // bumped on every state mutation; part of cache keys
-	stamp   string
 	masters map[core.VertexID][]core.HistoryItem
 	mirrors map[core.VertexID][]core.HistoryItem
 	edges   map[edgeKey][]core.HistoryItem
@@ -56,149 +46,40 @@ type Worker struct {
 	// the vertices whose future states must replicate to this shard.
 	endpoints map[core.VertexID]struct{}
 	span      temporal.Interval // span of base (master + edge) states
-	baseLog   *wal.Log
-	mirLog    *wal.Log
-}
-
-// newDiskWorker builds an unloaded worker over shard directory sd.
-func newDiskWorker(idx int, sd string, opts Options) *Worker {
-	return &Worker{
-		idx:        idx,
-		baseDir:    baseDir(sd),
-		mirrorPath: mirrorDir(sd),
-		dctx:       dataflow.NewContext(dataflow.WithParallelism(opts.Parallelism)),
-		scanPar:    opts.ScanParallelism,
-		cache:      qcache.New(opts.CacheBytes),
-		walOpts:    opts.WALOpts,
-		openWAL:    opts.OpenWAL,
-	}
 }
 
 // newMemWorker builds a loaded in-memory worker from a split part.
 func newMemWorker(idx int, p Part, opts Options) *Worker {
 	w := &Worker{
-		idx:   idx,
-		dctx:  dataflow.NewContext(dataflow.WithParallelism(opts.Parallelism)),
-		cache: qcache.New(opts.CacheBytes),
+		idx:       idx,
+		dctx:      dataflow.NewContext(dataflow.WithParallelism(opts.Parallelism)),
+		cache:     qcache.New(opts.CacheBytes),
+		version:   1,
+		masters:   make(map[core.VertexID][]core.HistoryItem),
+		mirrors:   make(map[core.VertexID][]core.HistoryItem),
+		edges:     make(map[edgeKey][]core.HistoryItem),
+		endpoints: make(map[core.VertexID]struct{}),
+		span:      temporal.Empty,
 	}
-	w.install(p.Masters, p.Mirrors, p.Edges, "mem")
+	for _, t := range p.Masters {
+		w.masters[t.ID] = append(w.masters[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+		w.span = temporal.Span(w.span, t.Interval)
+	}
+	for _, t := range p.Mirrors {
+		w.mirrors[t.ID] = append(w.mirrors[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+	}
+	for _, t := range p.Edges {
+		k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
+		w.edges[k] = append(w.edges[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+		w.span = temporal.Span(w.span, t.Interval)
+		w.endpoints[t.Src] = struct{}{}
+		w.endpoints[t.Dst] = struct{}{}
+	}
 	return w
 }
 
-// install replaces the worker's state maps. Caller must not hold w.mu.
-func (w *Worker) install(masters, mirrors []core.VertexTuple, edges []core.EdgeTuple, stamp string) {
-	m := make(map[core.VertexID][]core.HistoryItem)
-	span := temporal.Empty
-	for _, t := range masters {
-		m[t.ID] = append(m[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
-		span = temporal.Span(span, t.Interval)
-	}
-	mir := make(map[core.VertexID][]core.HistoryItem)
-	for _, t := range mirrors {
-		mir[t.ID] = append(mir[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
-	}
-	e := make(map[edgeKey][]core.HistoryItem)
-	eps := make(map[core.VertexID]struct{})
-	for _, t := range edges {
-		k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-		e[k] = append(e[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
-		span = temporal.Span(span, t.Interval)
-		eps[t.Src] = struct{}{}
-		eps[t.Dst] = struct{}{}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.masters, w.mirrors, w.edges = m, mir, e
-	w.endpoints = eps
-	w.span = span
-	w.stamp = stamp
-	w.loaded = true
-	w.version++
-}
-
-// stampNow reads the shard's current on-disk identity: the base and
-// mirror directories' manifest stamps combined.
-func (w *Worker) stampNow() (string, error) {
-	s1, err := storage.BaseStamp(w.baseDir)
-	if err != nil {
-		return "", fmt.Errorf("shard %d: %w", w.idx, err)
-	}
-	s2, err := storage.BaseStamp(w.mirrorPath)
-	if err != nil {
-		return "", fmt.Errorf("shard %d: %w", w.idx, err)
-	}
-	return s1 + "+" + s2, nil
-}
-
-// ensure loads (or reloads, when the on-disk stamp changed) a
-// disk-backed worker's state through its own scan pool. WAL replay
-// happens inside storage.Load, so every previously acked shard append
-// is recovered. In-memory workers are always current.
-func (w *Worker) ensure(ctx context.Context) error {
-	if w.baseDir == "" {
-		return nil
-	}
-	stamp, err := w.stampNow()
-	if err != nil {
-		return err
-	}
-	w.mu.RLock()
-	current := w.loaded && w.stamp == stamp
-	w.mu.RUnlock()
-	if current {
-		return nil
-	}
-	load := func(dir string) (core.TGraph, error) {
-		g, _, err := storage.Load(w.dctx, dir, storage.LoadOptions{
-			Rep:  core.RepVE,
-			Scan: storage.ScanOptions{Parallelism: w.scanPar, Ctx: ctx},
-		})
-		return g, err
-	}
-	base, err := load(w.baseDir)
-	if err != nil {
-		return fmt.Errorf("shard %d: base: %w", w.idx, err)
-	}
-	mir, err := load(w.mirrorPath)
-	if err != nil {
-		return fmt.Errorf("shard %d: mirror: %w", w.idx, err)
-	}
-	w.install(base.VertexStates(), mir.VertexStates(), base.EdgeStates(), stamp)
-	if w.openWAL {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.baseLog == nil {
-			l, _, err := wal.Open(w.baseDir, w.walOpts)
-			if err != nil {
-				return fmt.Errorf("shard %d: wal: %w", w.idx, err)
-			}
-			w.baseLog = l
-		}
-		if w.mirLog == nil {
-			l, _, err := wal.Open(w.mirrorPath, w.walOpts)
-			if err != nil {
-				return fmt.Errorf("shard %d: mirror wal: %w", w.idx, err)
-			}
-			w.mirLog = l
-		}
-	}
-	return nil
-}
-
-// close releases the worker's dataflow context and logs.
-func (w *Worker) close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.baseLog != nil {
-		w.baseLog.Close()
-		w.baseLog = nil
-	}
-	if w.mirLog != nil {
-		w.mirLog.Close()
-		w.mirLog = nil
-	}
-	w.dctx.Close()
-}
+// close releases the worker's dataflow context.
+func (w *Worker) close() { w.dctx.Close() }
 
 // Span returns the interval covered by the shard's base states —
 // consulted for range pruning, so it must stay current across appends.
@@ -209,13 +90,12 @@ func (w *Worker) Span() temporal.Interval {
 }
 
 // cacheKey builds a partial-result cache key bound to the shard's
-// current state version, so any append or reload invalidates by
-// construction.
+// current state version, so any append invalidates by construction.
 func (w *Worker) cacheKey(phase string, parts ...string) string {
 	w.mu.RLock()
-	stamp, version := w.stamp, w.version
+	version := w.version
 	w.mu.RUnlock()
-	return qcache.Key(append([]string{phase, stamp, fmt.Sprint(version)}, parts...)...)
+	return qcache.Key(append([]string{phase, fmt.Sprint(version)}, parts...)...)
 }
 
 // vstatesLocked returns the full AZState list of a vertex the shard
@@ -470,17 +350,10 @@ func (w *Worker) masterStates(id core.VertexID) []core.HistoryItem {
 	return copyHistory(w.masters[id])
 }
 
-// appendMaster logs (when disk-backed) and applies one vertex delta to
-// the shard's mastered states. The log write precedes the in-memory
-// mutation, mirroring the serving layer's durability order.
+// appendMaster applies one vertex delta to the shard's mastered states.
 func (w *Worker) appendMaster(d wal.Delta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.baseLog != nil {
-		if _, err := w.baseLog.Append(d); err != nil {
-			return fmt.Errorf("shard %d: append: %w", w.idx, err)
-		}
-	}
 	t, ok := d.VertexTuple()
 	if !ok {
 		return fmt.Errorf("shard %d: appendMaster: not a vertex delta", w.idx)
@@ -491,17 +364,12 @@ func (w *Worker) appendMaster(d wal.Delta) error {
 	return nil
 }
 
-// appendMirror logs (to the mirror WAL) and applies vertex deltas to
-// the shard's mirror states. Mirror states never contribute to the
-// shard's span (their masters do, elsewhere).
+// appendMirror applies vertex deltas to the shard's mirror states.
+// Mirror states never contribute to the shard's span (their masters do,
+// elsewhere).
 func (w *Worker) appendMirror(ds ...wal.Delta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.mirLog != nil {
-		if _, err := w.mirLog.Append(ds...); err != nil {
-			return fmt.Errorf("shard %d: mirror append: %w", w.idx, err)
-		}
-	}
 	for _, d := range ds {
 		t, ok := d.VertexTuple()
 		if !ok {
@@ -513,16 +381,11 @@ func (w *Worker) appendMirror(ds ...wal.Delta) error {
 	return nil
 }
 
-// appendEdge logs and applies one edge delta to the shard's owned
-// edges. Callers must have seeded mirrors for foreign endpoints first.
+// appendEdge applies one edge delta to the shard's owned edges. Callers
+// must have seeded mirrors for foreign endpoints first.
 func (w *Worker) appendEdge(d wal.Delta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.baseLog != nil {
-		if _, err := w.baseLog.Append(d); err != nil {
-			return fmt.Errorf("shard %d: append: %w", w.idx, err)
-		}
-	}
 	t, ok := d.EdgeTuple()
 	if !ok {
 		return fmt.Errorf("shard %d: appendEdge: not an edge delta", w.idx)

@@ -11,7 +11,7 @@ import (
 	"repro/internal/faults"
 )
 
-// The crash-consistency property (run by `make crash`): loading a
+// The crash-consistency property (run by `make test-race`): loading a
 // directory after a crash at ANY point of a save yields the old
 // committed graph, a typed error (ErrIncompleteSave /
 // ErrManifestMismatch), or — in Permissive mode — a best-effort

@@ -244,13 +244,9 @@ func encodeProps(p props.Props, d chunkKeyDict) []byte {
 	return buf
 }
 
-// decodeProps decodes a property blob. keys is the chunk's decoded key
-// table (epoch-2 layout); a nil table selects the legacy epoch-1
-// decoding with labels inlined per field.
+// decodeProps decodes a property blob against the chunk's decoded key
+// table.
 func decodeProps(data []byte, keys []props.Key) (props.Props, error) {
-	if keys == nil {
-		return decodePropsLegacy(data)
-	}
 	r := &byteReader{buf: data}
 	n, err := r.uvarint()
 	if err != nil {
@@ -288,49 +284,6 @@ func decodeProps(data []byte, keys []props.Key) (props.Props, error) {
 		b.SetK(keys[idx], v)
 	}
 	return b.Build(), nil
-}
-
-// decodePropsLegacy decodes the epoch-1 blob layout: count, then per
-// key (len, key, kind, len, payload).
-func decodePropsLegacy(data []byte) (props.Props, error) {
-	r := &byteReader{buf: data}
-	n, err := r.uvarint()
-	if err != nil {
-		return props.Props{}, err
-	}
-	if n == 0 {
-		return props.Props{}, nil
-	}
-	var p props.Builder
-	p.Grow(int(n))
-	for i := uint64(0); i < n; i++ {
-		klen, err := r.uvarint()
-		if err != nil {
-			return props.Props{}, err
-		}
-		kb, err := r.bytes(int(klen))
-		if err != nil {
-			return props.Props{}, err
-		}
-		kind, err := r.uvarint()
-		if err != nil {
-			return props.Props{}, err
-		}
-		plen, err := r.uvarint()
-		if err != nil {
-			return props.Props{}, err
-		}
-		pb, err := r.bytes(int(plen))
-		if err != nil {
-			return props.Props{}, err
-		}
-		v, err := props.Decode(props.Kind(kind), string(pb))
-		if err != nil {
-			return props.Props{}, err
-		}
-		p.Set(string(kb), v)
-	}
-	return p.Build(), nil
 }
 
 // dictEncode dictionary-encodes byte strings: returns the dictionary

@@ -1,11 +1,10 @@
 package storage
 
-// Legacy-layout compatibility: this build must keep loading directories
-// written before the epoch-2 key-dictionary layout — 6-column chunks
-// with property labels inlined in every blob, manifest epoch 1, and
-// manifest-less directories from before the commit-record format. The
+// Epoch-1 layout rejection: directories written before the epoch-2
+// key-dictionary layout — 6-column chunks with property labels inlined
+// in every blob, manifest epoch 1 — are refused, never mis-decoded. The
 // epoch-1 encoders below exist only as test fixtures; they replicate
-// the old writer's byte layout (the one decodePropsLegacy reads).
+// the old writer's byte layout.
 
 import (
 	"bytes"
@@ -20,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/props"
-	"repro/internal/temporal"
 )
 
 // legacyEncodeProps serialises a property set in the epoch-1 blob
@@ -199,9 +197,9 @@ func writeFooterAndTrailer(t *testing.T, path string, buf *bytes.Buffer, footer 
 	}
 }
 
-// legacyWriteManifest commits the directory with a format-epoch-1
-// manifest over the files already on disk.
-func legacyWriteManifest(t *testing.T, dir string, names []string) {
+// legacyWriteManifest commits the directory with a manifest of the
+// given format epoch over the files already on disk.
+func legacyWriteManifest(t *testing.T, dir string, names []string, epoch int) {
 	t.Helper()
 	var entries []ManifestEntry
 	for _, name := range names {
@@ -213,7 +211,7 @@ func legacyWriteManifest(t *testing.T, dir string, names []string) {
 			Name: name, Size: int64(len(data)), CRC: crc32.ChecksumIEEE(data),
 		})
 	}
-	m := Manifest{Epoch: 1, Entries: entries}
+	m := Manifest{Epoch: epoch, Entries: entries}
 	crc, err := entriesCRC(entries)
 	if err != nil {
 		t.Fatal(err)
@@ -250,140 +248,55 @@ func writeLegacyDir(t *testing.T, dir string, vs []core.VertexTuple, es []core.E
 	}
 	legacyWritePGN(t, filepath.Join(dir, NestedVerticesFile), "vertices", nestedVertexRows(ogvs), 64)
 	legacyWritePGN(t, filepath.Join(dir, NestedEdgesFile), "edges", nestedEdgeRows(oges), 64)
-	legacyWriteManifest(t, dir, layoutFiles)
+	legacyWriteManifest(t, dir, layoutFiles, 1)
 }
 
-func sortTuples(vs []core.VertexTuple, es []core.EdgeTuple) {
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].ID != vs[j].ID {
-			return vs[i].ID < vs[j].ID
-		}
-		return vs[i].Interval.Start < vs[j].Interval.Start
-	})
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].ID != es[j].ID {
-			return es[i].ID < es[j].ID
-		}
-		return es[i].Interval.Start < es[j].Interval.Start
-	})
-}
-
-func assertStatesEqual(t *testing.T, g core.TGraph, wantV []core.VertexTuple, wantE []core.EdgeTuple) {
-	t.Helper()
-	gotV, gotE := g.VertexStates(), g.EdgeStates()
-	sortTuples(gotV, gotE)
-	sortTuples(wantV, wantE)
-	if len(gotV) != len(wantV) || len(gotE) != len(wantE) {
-		t.Fatalf("got %d vertex / %d edge states, want %d / %d", len(gotV), len(gotE), len(wantV), len(wantE))
-	}
-	for i := range wantV {
-		if gotV[i].ID != wantV[i].ID || !gotV[i].Interval.Equal(wantV[i].Interval) || !gotV[i].Props.Equal(wantV[i].Props) {
-			t.Fatalf("vertex state %d: got %+v, want %+v", i, gotV[i], wantV[i])
-		}
-	}
-	for i := range wantE {
-		if gotE[i].ID != wantE[i].ID || gotE[i].Src != wantE[i].Src || gotE[i].Dst != wantE[i].Dst ||
-			!gotE[i].Interval.Equal(wantE[i].Interval) || !gotE[i].Props.Equal(wantE[i].Props) {
-			t.Fatalf("edge state %d: got %+v, want %+v", i, gotE[i], wantE[i])
-		}
-	}
-}
-
-// TestLegacyDirLoadsAllReps checks that an epoch-1 directory — 6-column
-// chunks, inline-key blobs, epoch-1 manifest — still loads strictly
-// into every representation with the original states intact.
-func TestLegacyDirLoadsAllReps(t *testing.T) {
+// TestEpoch1LayoutRejected pins the two rejections that replace the
+// epoch-1 decode path. An epoch-1 manifest is a typed
+// ErrManifestMismatch. Epoch-1 chunks behind a manifest that passes (a
+// current-epoch one, or none under Permissive) are an ordinary decode
+// error by their column count: fatal in strict mode, every chunk
+// counted corrupt and nothing decoded under Permissive — never a panic,
+// never inline-key blobs read as dictionary indexes.
+func TestEpoch1LayoutRejected(t *testing.T) {
 	dir := t.TempDir()
-	vs, es := sampleVertices(150), sampleEdges(90)
-	writeLegacyDir(t, dir, vs, es)
+	writeLegacyDir(t, dir, sampleVertices(150), sampleEdges(90))
+	reps := []core.Representation{core.RepVE, core.RepRG, core.RepOG, core.RepOGC}
 
-	for _, rep := range []core.Representation{core.RepVE, core.RepRG, core.RepOG} {
-		g, _, err := Load(testCtx(), dir, LoadOptions{Rep: rep})
-		if err != nil {
-			t.Fatalf("%s: load legacy dir: %v", rep, err)
+	for _, rep := range reps {
+		if _, _, err := Load(testCtx(), dir, LoadOptions{Rep: rep}); !errors.Is(err, ErrManifestMismatch) {
+			t.Errorf("%s: epoch-1 manifest: err = %v, want ErrManifestMismatch", rep, err)
 		}
-		if rep == core.RepRG {
-			// RG splits states per snapshot; coalescing restores the
-			// maximal intervals the comparison expects.
-			g = g.Coalesce()
+	}
+	if vr, err := VerifyDir(dir); err != nil || vr.Clean {
+		t.Errorf("VerifyDir of an epoch-1 directory: clean=%v err=%v, want damaged", vr.Clean, err)
+	}
+
+	assertNothingDecoded := func(when string) {
+		t.Helper()
+		for _, rep := range reps {
+			g, stats, err := Load(testCtx(), dir, LoadOptions{Rep: rep, Permissive: true})
+			if err != nil {
+				t.Fatalf("%s, %s: permissive load: %v", when, rep, err)
+			}
+			if g.NumVertices() != 0 || g.NumEdges() != 0 || stats.ChunksCorrupt == 0 || stats.ChunksCorrupt != stats.ChunksRead {
+				t.Errorf("%s, %s: %d vertices / %d edges, stats %+v; want nothing decoded and every chunk read counted corrupt",
+					when, rep, g.NumVertices(), g.NumEdges(), stats)
+			}
 		}
-		assertStatesEqual(t, g, vs, es)
 	}
-	// OGC drops attributes; check the topology counts only.
-	g, _, err := Load(testCtx(), dir, LoadOptions{Rep: core.RepOGC})
-	if err != nil {
-		t.Fatalf("OGC: load legacy dir: %v", err)
-	}
-	if g.NumVertices() != 150 || g.NumEdges() != 90 {
-		t.Fatalf("OGC: %d vertices / %d edges, want 150 / 90", g.NumVertices(), g.NumEdges())
-	}
-}
 
-// TestLegacyDirVerifies checks that VerifyDir reports an epoch-1
-// directory clean: the manifest epoch is older than the build's, not
-// newer, and every CRC still holds.
-func TestLegacyDirVerifies(t *testing.T) {
-	dir := t.TempDir()
-	writeLegacyDir(t, dir, sampleVertices(80), sampleEdges(40))
-	rep, err := VerifyDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	legacyWriteManifest(t, dir, layoutFiles, FormatEpoch)
+	for _, rep := range reps {
+		_, _, err := Load(testCtx(), dir, LoadOptions{Rep: rep})
+		if err == nil || errors.Is(err, ErrManifestMismatch) || errors.Is(err, ErrIncompleteSave) {
+			t.Errorf("%s: 6-column chunks behind a current manifest: err = %v, want a chunk decode error", rep, err)
+		}
 	}
-	if !rep.Clean {
-		t.Fatalf("legacy dir not clean:\n%s", rep)
-	}
-	if rep.ManifestStatus != "ok" {
-		t.Fatalf("manifest status = %q, want ok", rep.ManifestStatus)
-	}
-}
+	assertNothingDecoded("current manifest")
 
-// TestManifestlessLegacyDir checks the oldest layout: epoch-1 files
-// with no MANIFEST at all. Strict loads refuse it as an incomplete
-// save; Permissive loads read it best-effort with full fidelity.
-func TestManifestlessLegacyDir(t *testing.T) {
-	dir := t.TempDir()
-	vs, es := sampleVertices(60), sampleEdges(30)
-	writeLegacyDir(t, dir, vs, es)
 	if err := os.Remove(filepath.Join(dir, ManifestFile)); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, _, err := Load(testCtx(), dir, LoadOptions{Rep: core.RepVE}); !errors.Is(err, ErrIncompleteSave) {
-		t.Fatalf("strict load of manifest-less dir: err = %v, want ErrIncompleteSave", err)
-	}
-	for _, rep := range []core.Representation{core.RepVE, core.RepOG} {
-		g, _, err := Load(testCtx(), dir, LoadOptions{Rep: rep, Permissive: true})
-		if err != nil {
-			t.Fatalf("%s: permissive load: %v", rep, err)
-		}
-		assertStatesEqual(t, g, vs, es)
-	}
-}
-
-// TestLegacyRangePushdown checks that zone-map pushdown still works
-// over epoch-1 files (the zone maps predate the key-dictionary column
-// and must keep functioning on the 6-column chunks).
-func TestLegacyRangePushdown(t *testing.T) {
-	dir := t.TempDir()
-	vs, es := sampleVertices(150), sampleEdges(90)
-	writeLegacyDir(t, dir, vs, es)
-
-	rng := temporal.Interval{Start: 10, End: 20}
-	g, _, err := Load(testCtx(), dir, LoadOptions{Rep: core.RepVE, Range: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantV []core.VertexTuple
-	for _, v := range vs {
-		if iv := v.Interval.Intersect(rng); !iv.IsEmpty() {
-			wantV = append(wantV, core.VertexTuple{ID: v.ID, Interval: iv, Props: v.Props})
-		}
-	}
-	var wantE []core.EdgeTuple
-	for _, e := range es {
-		if iv := e.Interval.Intersect(rng); !iv.IsEmpty() {
-			wantE = append(wantE, core.EdgeTuple{ID: e.ID, Src: e.Src, Dst: e.Dst, Interval: iv, Props: e.Props})
-		}
-	}
-	assertStatesEqual(t, g, wantV, wantE)
+	assertNothingDecoded("no manifest")
 }

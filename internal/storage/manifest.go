@@ -33,18 +33,17 @@ const QuarantineDir = "quarantine"
 // ManifestFile is the commit-record file name inside a graph directory.
 const ManifestFile = "MANIFEST"
 
-// FormatEpoch is the manifest format generation this build writes. A
-// manifest with a later epoch was produced by a newer layout and is
-// refused rather than misread. Earlier epochs load normally.
+// FormatEpoch is the manifest format generation this build writes and
+// the only one it reads: a manifest with any other epoch was produced
+// by a different layout and is refused rather than misread.
 //
 // Epoch history:
 //
 //	1 — initial manifest format; chunks carry 6 columns with property
-//	    keys inlined as strings in every blob.
+//	    keys inlined as strings in every blob. No writer produces it
+//	    any more; such chunks are rejected by their column count.
 //	2 — chunks carry a 7th column: the per-chunk key dictionary;
-//	    property blobs reference keys by dictionary index. Epoch-1
-//	    directories (and manifest-less legacy ones) still decode via
-//	    the inline-key path, selected per chunk by column count.
+//	    property blobs reference keys by dictionary index.
 const FormatEpoch = 2
 
 // Typed errors distinguishing the two ways a directory can fail its
@@ -169,8 +168,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err != nil || crc != m.CRC {
 		return nil, fmt.Errorf("storage: %s/%s fails its CRC check: %w", dir, ManifestFile, ErrIncompleteSave)
 	}
-	if m.Epoch > FormatEpoch {
-		return nil, fmt.Errorf("storage: %s/%s has format epoch %d, this build reads up to %d: %w",
+	if m.Epoch != FormatEpoch {
+		return nil, fmt.Errorf("storage: %s/%s has format epoch %d, this build reads only %d: %w",
 			dir, ManifestFile, m.Epoch, FormatEpoch, ErrManifestMismatch)
 	}
 	return &m, nil

@@ -27,7 +27,7 @@ import (
 // nestedRow is the on-disk record of one entity. The write path carries
 // the decoded history (hist) so the chunk encoder can build the chunk's
 // key dictionary; the read path carries the encoded history blob plus
-// the chunk's decoded key table (nil keys = legacy inline-key blobs).
+// the chunk's decoded key table.
 type nestedRow struct {
 	id         int64
 	src, dst   int64
@@ -74,7 +74,7 @@ func encodeHistory(h []core.HistoryItem, d chunkKeyDict) []byte {
 }
 
 // decodeHistory reverses encodeHistory. keys is the chunk's decoded key
-// table; nil selects the legacy inline-key blob decoding.
+// table.
 func decodeHistory(data []byte, keys []props.Key) ([]core.HistoryItem, error) {
 	r := &byteReader{buf: data}
 	n, err := r.uvarint()
@@ -127,12 +127,6 @@ func historySpan(h []core.HistoryItem) (first, last int64) {
 // atomically.
 func WriteNestedVertices(path string, vs []core.OGVertex, opts WriteOptions) error {
 	_, err := writeNested(path, "vertices", nestedVertexRows(vs), opts)
-	return err
-}
-
-// WriteNestedEdges writes OG edges in the nested layout, atomically.
-func WriteNestedEdges(path string, es []core.OGEdge, opts WriteOptions) error {
-	_, err := writeNested(path, "edges", nestedEdgeRows(es), opts)
 	return err
 }
 
@@ -350,10 +344,8 @@ func decodeNestedChunk(chunk []byte, cm nestedChunkMeta, sc *decodeScratch) ([]n
 	if crc32.ChecksumIEEE(chunk) != cm.CRC {
 		return nil, fmt.Errorf("storage: nested chunk at offset %d fails CRC check", cm.Offset)
 	}
-	// 6 columns: epoch-1 layout with labels inlined in history blobs.
-	// 7 columns: epoch-2 layout with a key-dictionary column.
-	if len(cm.ColLens) != 6 && len(cm.ColLens) != 7 {
-		return nil, fmt.Errorf("storage: nested chunk has %d columns, want 6 or 7", len(cm.ColLens))
+	if len(cm.ColLens) != 7 {
+		return nil, fmt.Errorf("storage: nested chunk has %d columns, want 7", len(cm.ColLens))
 	}
 	var cols [7][]byte
 	pos := 0
@@ -364,15 +356,9 @@ func decodeNestedChunk(chunk []byte, cm nestedChunkMeta, sc *decodeScratch) ([]n
 		cols[i] = chunk[pos : pos+l]
 		pos += l
 	}
-	var keys []props.Key
-	if len(cm.ColLens) == 7 {
-		var err error
-		if keys, err = decodeKeyTable(cols[6]); err != nil {
-			return nil, err
-		}
-		if keys == nil {
-			keys = []props.Key{} // non-nil: selects the epoch-2 blob decoding
-		}
+	keys, err := decodeKeyTable(cols[6])
+	if err != nil {
+		return nil, err
 	}
 	n := cm.Rows
 	ids, err := decodeDeltaIntsInto(sc.int64s(0, n), cols[0])
@@ -432,12 +418,8 @@ func ReadNestedVerticesOpts(path string, opts ReadOptions) ([]core.OGVertex, Sca
 	})
 }
 
-// ReadNestedEdges reads OG edges with time-range pushdown.
-func ReadNestedEdges(path string, rng temporal.Interval) ([]core.OGEdge, ScanStats, error) {
-	return ReadNestedEdgesOpts(path, ReadOptions{Range: rng})
-}
-
-// ReadNestedEdgesOpts is ReadNestedEdges with full read options.
+// ReadNestedEdgesOpts reads OG edges with time-range pushdown under
+// the given read options.
 func ReadNestedEdgesOpts(path string, opts ReadOptions) ([]core.OGEdge, ScanStats, error) {
 	r, err := openNested(path)
 	if err != nil {

@@ -63,8 +63,7 @@ type ReadOptions struct {
 // row is the flat on-disk record: vertex rows leave Src/Dst zero and
 // the isEdge flag distinguishes files, not rows. The write path carries
 // the property set itself (p); the read path carries the encoded blob
-// plus the chunk's decoded key table (nil keys = legacy inline-key
-// blobs).
+// plus the chunk's decoded key table.
 type row struct {
 	id       int64
 	src, dst int64
@@ -247,8 +246,7 @@ func encodePGC(w io.Writer, kind string, rows []row, opts WriteOptions) error {
 
 // encodeChunk lays out a chunk column-by-column and computes its zone
 // map. Property blobs reference the chunk's key dictionary, appended as
-// the seventh column (legacy 6-column chunks inline the labels; the
-// reader discriminates by column count).
+// the seventh column.
 func encodeChunk(rows []row) ([]byte, chunkMeta) {
 	n := len(rows)
 	dict := buildKeyDict(func(yield func(props.Props)) {
@@ -432,10 +430,8 @@ func decodeChunk(chunk []byte, cm chunkMeta, sc *decodeScratch) ([]row, error) {
 	if crc32.ChecksumIEEE(chunk) != cm.CRC {
 		return nil, fmt.Errorf("storage: chunk at offset %d fails CRC check", cm.Offset)
 	}
-	// 6 columns: epoch-1 layout with labels inlined in the blobs.
-	// 7 columns: epoch-2 layout with a key-dictionary column.
-	if len(cm.ColLens) != 6 && len(cm.ColLens) != 7 {
-		return nil, fmt.Errorf("storage: chunk has %d columns, want 6 or 7", len(cm.ColLens))
+	if len(cm.ColLens) != 7 {
+		return nil, fmt.Errorf("storage: chunk has %d columns, want 7", len(cm.ColLens))
 	}
 	var cols [7][]byte
 	pos := 0
@@ -446,15 +442,9 @@ func decodeChunk(chunk []byte, cm chunkMeta, sc *decodeScratch) ([]row, error) {
 		cols[i] = chunk[pos : pos+l]
 		pos += l
 	}
-	var keys []props.Key
-	if len(cm.ColLens) == 7 {
-		var err error
-		if keys, err = decodeKeyTable(cols[6]); err != nil {
-			return nil, err
-		}
-		if keys == nil {
-			keys = []props.Key{} // non-nil: selects the epoch-2 blob decoding
-		}
+	keys, err := decodeKeyTable(cols[6])
+	if err != nil {
+		return nil, err
 	}
 	n := cm.Rows
 	ids, err := decodeDeltaIntsInto(sc.int64s(0, n), cols[0])

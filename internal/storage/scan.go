@@ -190,30 +190,17 @@ func runScan(opts ScanOptions, n int, decode func(i int)) error {
 	return ctx.Err()
 }
 
-// scanFile is the engine shared by the flat (PGC) and nested (PGN)
-// readers: survivor selection over metas with zone-map skip and the
-// fault-injection hook, parallel decode via runScan, and in-order
-// reassembly of rows and statistics. decode is called once per
-// surviving chunk with its raw bytes, its footer entry and a pooled
-// scratch buffer; it must return either the chunk's materialised rows
-// or the error that makes the chunk corrupt (skipped and counted under
-// Permissive, fatal otherwise — chosen in chunk order, so strict-mode
-// errors are deterministic at any parallelism).
-func scanFile[M any](
-	data []byte,
-	opts ReadOptions,
-	metas []M,
-	skip func(M) bool,
-	extent func(M) (offset int64, length int),
-	site string,
-	decode func(chunk []byte, meta M, sc *decodeScratch) (chunkOut[row], error),
-) ([]row, ScanStats, error) {
-	return scanFileAs(data, opts, metas, skip, extent, site, decode)
-}
-
-// scanFileAs is scanFile generalised over the output row type (flat
-// scans produce row, nested scans produce nestedRow or converted
-// tuples).
+// scanFileAs is the engine shared by the flat (PGC) and nested (PGN)
+// readers, generic over the output row type (flat scans produce row,
+// nested scans produce nestedRow or converted tuples): survivor
+// selection over metas with zone-map skip and the fault-injection hook,
+// parallel decode via runScan, and in-order reassembly of rows and
+// statistics. decode is called once per surviving chunk with its raw
+// bytes, its footer entry and a pooled scratch buffer; it must return
+// either the chunk's materialised rows or the error that makes the
+// chunk corrupt (skipped and counted under Permissive, fatal otherwise
+// — chosen in chunk order, so strict-mode errors are deterministic at
+// any parallelism).
 func scanFileAs[M, R any](
 	data []byte,
 	opts ReadOptions,

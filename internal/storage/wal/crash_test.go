@@ -9,7 +9,7 @@ import (
 	"repro/internal/temporal"
 )
 
-// The WAL crash property (run by `make ingest-chaos`): a crash injected
+// The WAL crash property (run by `make test-race`): a crash injected
 // at ANY storage.wal.* site, at ANY append cadence, leaves a directory
 // that reopens without error to exactly the acked prefix — every
 // Append that returned a sequence number is recovered, every Append

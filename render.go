@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Rendering helpers: Graphviz DOT for snapshots and a textual timeline
@@ -14,7 +16,7 @@ import (
 // WriteDOT renders the graph's state at time t as a Graphviz digraph.
 // Vertex labels show the id and properties; edge labels show the type.
 func WriteDOT(w io.Writer, g Graph, t Time) error {
-	snap, ok := SnapshotAt(g, t)
+	snap, ok := core.SnapshotAt(g, t)
 	if !ok {
 		return fmt.Errorf("tgraph: no snapshot at time %d", t)
 	}

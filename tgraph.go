@@ -4,8 +4,7 @@
 // OGC), temporal attribute-based zoom (aZoom^T), temporal window-based
 // zoom (wZoom^T), operator chaining with representation switching and
 // lazy coalescing, a columnar storage format with predicate pushdown,
-// dataset generators modelling the paper's evaluation datasets, and
-// Pregel-style analytics over snapshots.
+// and dataset generators modelling the paper's evaluation datasets.
 //
 // Quick start:
 //
@@ -26,10 +25,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/incr"
 	"repro/internal/props"
 	"repro/internal/qcache"
-	"repro/internal/resil"
 	"repro/internal/storage"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
@@ -308,30 +305,19 @@ func RepairDir(dir string) ([]string, error) { return storage.RepairDir(dir) }
 // directory's write-ahead log.
 type WALDelta = wal.Delta
 
-// WAL is an open, appendable write-ahead log (see OpenWAL).
+// WAL is an open, appendable write-ahead log (see Compact).
 type WAL = wal.Log
 
-// WALOptions configures OpenWAL: sync mode ("each" fsyncs before every
-// ack, "batched" group-commits within WALMaxSyncDelay), segment size,
-// and strict-vs-permissive recovery.
+// WALOptions configures the log AppendCSV opens: sync mode ("each"
+// fsyncs before every ack, "batched" group-commits within
+// WALMaxSyncDelay), segment size, and strict-vs-permissive recovery.
 type WALOptions = wal.Options
-
-// WALRecovery reports what opening the log found and repaired (torn
-// tails truncated, corrupt records skipped).
-type WALRecovery = wal.Recovery
 
 // WAL delta kinds.
 const (
 	WALVertex = wal.KindVertex
 	WALEdge   = wal.KindEdge
 )
-
-// OpenWAL opens (creating if needed) the write-ahead log of a graph
-// directory, running torn-tail recovery first. The caller becomes the
-// directory's single writer until Close.
-func OpenWAL(dir string, opts WALOptions) (*WAL, WALRecovery, error) {
-	return wal.Open(dir, opts)
-}
 
 // ParseWALSyncMode parses "each" or "batched" (empty selects each).
 func ParseWALSyncMode(s string) (wal.SyncMode, error) { return wal.ParseSyncMode(s) }
@@ -366,42 +352,6 @@ func SubsumedWALSeq(dir string) (uint64, error) {
 		return 0, err
 	}
 	return m.WALSeq, nil
-}
-
-// Incremental zoom maintenance (internal/incr): materialized zoom
-// views that fold WAL deltas into the previous result instead of
-// re-running the zoom, byte-identical (canonically) to the batch
-// operators.
-
-// ZoomView is a maintainable materialized zoom result: Apply folds a
-// batch of WAL deltas in, Result snapshots the current output as
-// uncoalesced state tuples. Apply calls must be serialized by the
-// caller; Result may race Apply.
-type ZoomView = incr.View
-
-// ZoomViewStats reports what one ZoomView.Apply did: Skolem groups
-// patched, (entity, window) groups re-reduced, and whether the view
-// fell back to a full rebuild.
-type ZoomViewStats = incr.Stats
-
-// ZoomViewOptions configures a zoom view (fault-injection hook).
-type ZoomViewOptions = incr.Options
-
-// ErrViewUnsupported reports a zoom spec a view cannot maintain
-// incrementally (custom aggregates; see also change-based windows,
-// which build but rebuild fully on every Apply).
-var ErrViewUnsupported = incr.ErrUnsupported
-
-// NewAZoomView builds a materialized aZoom^T view over the graph's
-// current states; subsequent WAL deltas go through Apply.
-func NewAZoomView(g Graph, spec AZoomSpec, opts ZoomViewOptions) (*incr.AZoomView, error) {
-	return incr.NewAZoomView(g, spec, opts)
-}
-
-// NewWZoomView builds a materialized wZoom^T view over the graph's
-// current states; subsequent WAL deltas go through Apply.
-func NewWZoomView(g Graph, spec WZoomSpec, opts ZoomViewOptions) (*incr.WZoomView, error) {
-	return incr.NewWZoomView(g, spec, opts)
 }
 
 // AppendStats reports what one AppendCSV run acked durable.
@@ -443,8 +393,7 @@ func BaseStamp(dir string) (string, error) { return storage.BaseStamp(dir) }
 
 // QueryCache is a size-bounded LRU cache for query results with
 // singleflight deduplication: N concurrent computations of the same
-// key execute once and share the result. See Query.RunCached and
-// CachedResult.
+// key execute once and share the result. See CachedResult.
 type QueryCache = qcache.Cache
 
 // CacheOutcome classifies how a cached run obtained its result.
@@ -490,54 +439,3 @@ func Stamp(dir string) (string, error) { return storage.Stamp(dir) }
 // the graph's own context would race, so give each request its own
 // NewContext(WithTimeout(...)) and query through the rebound view.
 func Rebind(g Graph, ctx *Context) (Graph, error) { return core.Rebind(g, ctx) }
-
-// Resilience primitives (internal/resil): the overload substrate the
-// query service is built on, exported for embedded callers that serve
-// zoom results from their own request paths.
-
-// AdmissionLimiter bounds concurrent work with a bounded FIFO wait
-// queue and deadline-aware shedding: Acquire either admits (returning
-// a release func), queues in strict arrival order, or rejects with
-// ErrSaturated / ErrExpired.
-type AdmissionLimiter = resil.Limiter
-
-// NewAdmissionLimiter returns a limiter admitting maxInflight
-// concurrent holders with up to queueDepth waiters.
-func NewAdmissionLimiter(maxInflight, queueDepth int) *AdmissionLimiter {
-	return resil.NewLimiter(maxInflight, queueDepth)
-}
-
-// CircuitBreaker is a three-state (closed/open/half-open) breaker for
-// a repeatedly-called dependency: consecutive failures trip it open,
-// a cooldown later exactly one probe decides whether it closes.
-type CircuitBreaker = resil.Breaker
-
-// CircuitBreakerConfig configures a CircuitBreaker.
-type CircuitBreakerConfig = resil.BreakerConfig
-
-// NewCircuitBreaker returns a breaker with cfg's threshold and
-// cooldown (defaults: 3 consecutive failures, 5s cooldown).
-func NewCircuitBreaker(cfg CircuitBreakerConfig) *CircuitBreaker {
-	return resil.NewBreaker(cfg)
-}
-
-// RetryBudget is a token-bucket retry budget: retries spend from a
-// bucket that only successes refill, so a healthy service retries
-// freely while an outage cannot be amplified by a retry storm.
-type RetryBudget = resil.RetryBudget
-
-// NewRetryBudget returns a budget depositing ratio tokens per success
-// up to cap (defaults 0.1 and 10; the bucket starts full).
-func NewRetryBudget(ratio float64, cap float64) *RetryBudget {
-	return resil.NewRetryBudget(ratio, cap)
-}
-
-// Resilience sentinel errors.
-var (
-	// ErrSaturated reports an admission queue at capacity.
-	ErrSaturated = resil.ErrSaturated
-	// ErrExpired reports a deadline that would expire before service.
-	ErrExpired = resil.ErrExpired
-	// ErrBreakerOpen reports a circuit breaker refusing calls.
-	ErrBreakerOpen = resil.ErrOpen
-)

@@ -164,3 +164,22 @@ func TestConvertFacade(t *testing.T) {
 	}
 	_ = temporal.Empty // keep the internal import honest for test-only helpers
 }
+
+func TestFacadeCSVRoundTrip(t *testing.T) {
+	ctx := tgraph.NewContext()
+	g := exampleGraph(ctx)
+	dir := t.TempDir()
+	if err := tgraph.ExportCSV(dir, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := tgraph.ImportCSV(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() {
+		t.Errorf("CSV round trip: %d/%d", back.NumVertices(), back.NumEdges())
+	}
+	if err := tgraph.Validate(back); err != nil {
+		t.Errorf("imported graph invalid: %v", err)
+	}
+}
