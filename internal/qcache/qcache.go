@@ -134,14 +134,22 @@ func New(maxBytes int64) *Cache {
 // fixed-length hex digest. Parts are length-prefixed before hashing so
 // ("ab","c") and ("a","bc") cannot collide.
 func Key(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
+	var b [2 * sha256.Size]byte
+	return string(AppendKey(b[:0], parts...))
+}
+
+// AppendKey appends Key(parts...) to dst. The hashed input is built in
+// a stack buffer while it fits one, so a caller that appends into a
+// stack buffer of its own allocates nothing here.
+func AppendKey(dst []byte, parts ...string) []byte {
+	var buf [512]byte
+	in := buf[:0]
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		in = binary.BigEndian.AppendUint64(in, uint64(len(p)))
+		in = append(in, p...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(in)
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // Get returns the resident value for key, refreshing its recency. It
@@ -206,13 +214,15 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (any, int6
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits.Add(1)
+		// Read the entry under the lock: insertLocked and Patch replace a
+		// resident entry's value in place.
 		ent := el.Value.(*entry)
-		out := Hit
+		val, out := ent.val, Hit
 		if ent.patched {
 			out = Patched
 		}
 		c.mu.Unlock()
-		return ent.val, out, nil
+		return val, out, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()

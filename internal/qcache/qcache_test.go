@@ -1,8 +1,12 @@
 package qcache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +22,48 @@ func TestKeyCanonical(t *testing.T) {
 	}
 	if Key() == Key("") {
 		t.Error("zero parts and one empty part must differ")
+	}
+}
+
+// TestKeyGolden pins Key's output: the digests below were produced by
+// the streaming sha256.New implementation AppendKey replaced, so cache
+// keys (and anything that persisted one) keep their meaning.
+func TestKeyGolden(t *testing.T) {
+	cases := []struct {
+		parts []string
+		want  string
+	}{
+		{[]string{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{[]string{""}, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
+		{[]string{"ab", "c"}, "601d5476e2ccfe2c87a2bba7a322659734a05749d5b5aa781f513e4912db0d5f"},
+		{[]string{"a", "bc"}, "3fafa1cf2f19a7c1129beb20cf0983f73a489a221fc0dd2f16d1be292d089205"},
+		{[]string{"manifest:2:7:0badf00d", "wzoom(w=3 units,vq=exists,eq=exists,vr=any,er=any)"}, "6f85eff36ee9b140ca32aeddc88a8a16f4c084e8753cda33253b744c84d8cbc3"},
+		{[]string{"stamp", "wzoom(w=3 units)"}, "c157fd73ae108c293d3c43af3bc99d7c9edb8a462b3f13adc31b6da79770d00d"},
+		{[]string{"日本\x00\xff", "azoom(by=school,type=school-group,count=)", "x"}, "486e64bc5337e355847d781c4b046a48bb2b2a19679b8af0a507d7a2ec689d35"},
+	}
+	for _, c := range cases {
+		if got := Key(c.parts...); got != c.want {
+			t.Errorf("Key(%q) = %s, want %s", c.parts, got, c.want)
+		}
+		if got := string(AppendKey([]byte("pre|"), c.parts...)); got != "pre|"+c.want {
+			t.Errorf("AppendKey(pre|, %q) = %s, want pre|%s", c.parts, got, c.want)
+		}
+	}
+	// Inputs longer than AppendKey's stack buffer take the growing path.
+	long := strings.Repeat("range(0,100);", 60)
+	h := sha256.New()
+	for _, p := range []string{"stamp", long} {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	if got, want := Key("stamp", long), hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Key over a %d-byte part = %s, want %s", len(long), got, want)
+	}
+	var dst [128]byte
+	if allocs := testing.AllocsPerRun(20, func() { AppendKey(dst[:0], "manifest:2:7:0badf00d", "wzoom(w=3 units)") }); allocs != 0 {
+		t.Errorf("AppendKey into a stack buffer: %v allocs, want 0", allocs)
 	}
 }
 

@@ -6,27 +6,38 @@
 // Request flow: every query request first passes admission control (a
 // deadline-aware concurrency limiter with a bounded FIFO wait queue —
 // excess load is shed with 429 and a Retry-After header instead of
-// queueing unboundedly). Admitted requests re-check the target graph's
-// on-disk epoch identity via storage.BaseStamp (a changed manifest
-// epoch reloads the graph and flushes its cache entries); that
-// check-and-reload path runs behind a per-graph circuit breaker, and
-// while the breaker is open — or any reload attempt fails with a
-// loaded graph in hand — the service degrades instead of erroring: it
-// answers from the last-good graph view, marks the response
-// X-TGraph-Degraded: stale-graph, and counts it in
-// serve.degraded_requests. The request's operator chain is parsed and
-// canonicalised; the cache key is
-// "<graph>|<rangeTag>|v<tagVersion>|" + qcache.Key(baseStamp, chain);
-// and the
-// cache's singleflight DoCtx either returns resident response bytes
-// (byte-identical to the cold run, outcome in the X-TGraph-Cache
-// header) or computes them on a fresh per-request dataflow.Context —
-// with its own deadline — over a rebound view of the shared graph
-// (core.Rebind), so concurrent requests never share a cancellation
-// scope. A sharer whose client disconnects stops waiting immediately;
-// the leader finishes and its result is cached. Handler panics are
-// converted to typed 500s by a recovery middleware instead of killing
-// the process.
+// queueing unboundedly). The admitted request's body (at most 64 KiB,
+// else 413) is read into a pooled buffer and looked up, by the SHA-256
+// of endpoint and body, in the spec index: a body seen before maps
+// straight to its graph, canonical chain and range tag, so a repeat
+// request neither decodes JSON nor parses a step. A new body is
+// decoded (unknown fields and anything after the JSON value are 400s),
+// parsed, canonicalised and indexed.
+//
+// Each served graph publishes its state — graph, base stamp, the
+// MANIFEST bytes the stamp came from, shard coordinator, tag versions —
+// as one immutable value that reload, append and compaction replace
+// whole; a request loads it once and takes no lock on the way to a
+// cache hit. Before answering, the request re-checks the graph's
+// on-disk epoch: it reads MANIFEST and compares the bytes with the
+// published copy. Equal bytes mean an equal stamp; different ones are
+// parsed under the handle lock, and a changed epoch reloads the graph
+// and flushes its cache entries. That check-and-reload path runs
+// behind a per-graph circuit breaker, and while the breaker is open —
+// or any reload attempt fails with a loaded graph in hand — the
+// service degrades instead of erroring: it answers from the last
+// published graph, marks the response X-TGraph-Degraded: stale-graph,
+// and counts it in serve.degraded_requests. The cache key is
+// "<graph>|<rangeTag>|v<tagVersion>|" + qcache.Key(baseStamp, chain),
+// and the cache's singleflight DoCtx either returns resident response
+// bytes (byte-identical to the cold run, outcome in the X-TGraph-Cache
+// header) or — on a miss, which re-parses the pooled body — computes
+// them on a fresh per-request dataflow.Context with its own deadline
+// over a rebound view of the shared graph (core.Rebind), so concurrent
+// requests never share a cancellation scope. A sharer whose client
+// disconnects stops waiting immediately; the leader finishes and its
+// result is cached. Handler panics are converted to typed 500s by a
+// recovery middleware instead of killing the process.
 //
 // Live ingestion: POST /v1/append appends vertex/edge deltas to the
 // graph directory's write-ahead log (internal/storage/wal) and acks
@@ -79,10 +90,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -195,15 +209,15 @@ type Config struct {
 	breakerNow func() time.Time
 }
 
-// graphHandle is one served graph: the loaded shared TGraph, the
-// storage base stamp it answers for, the write-ahead log it owns as
-// the directory's single writer, the tag → interval index that makes
-// append-time cache invalidation surgical, and the resilience state
+// graphHandle is one served graph: the state it publishes to requests,
+// the write-ahead log it owns as the directory's single writer, the
+// registry of incrementally maintained views, and the resilience state
 // guarding its reload path.
 type graphHandle struct {
-	name string
-	dir  string
-	rep  core.Representation
+	name         string
+	dir          string
+	manifestPath string
+	rep          core.Representation
 
 	breaker *resil.Breaker
 	budget  *resil.RetryBudget
@@ -221,23 +235,48 @@ type graphHandle struct {
 	shardStrategy shard.Strategy
 	shardOpts     shard.Options
 
-	mu    sync.Mutex
-	stamp string // storage.BaseStamp at load/compaction time
-	graph core.TGraph
-	log   *wal.Log
-	coord *shard.Coordinator // non-nil while serving sharded
-	// deps maps each served rangeTag to the time interval results under
-	// it depend on; the zero interval means "everything" (the "full"
-	// tag). An append invalidates exactly the overlapping tags.
-	deps map[string]depEntry
+	// state is what requests answer from. It is replaced whole, never
+	// modified, and only under mu.
+	state atomic.Pointer[servedState]
+
+	// mu serialises the writers — reload, append, compaction and the
+	// registration of a new range tag — and guards the fields below. A
+	// cache hit never takes it.
+	mu  sync.Mutex
+	log *wal.Log
 	// views maps a canonical chain to its incrementally maintained zoom
 	// view slot. Slots are registered when an eligible chain (a single
-	// azoom/wzoom step with no range restriction) is first queried,
+	// azoom/wzoom step with no range restriction) is first computed,
 	// built lazily at the next append, and used to patch the chain's
 	// cache entry in place instead of leaving it to cold recomputation.
 	views map[string]*viewSlot
 	// appended counts records logged since the last compaction.
 	appended int
+}
+
+// servedState is one published version of a served graph: everything a
+// request reads, in one immutable value, so the graph it computes from,
+// the stamp and tag version it keys the result under and the
+// coordinator that scatters it always belong together. Writers copy
+// the current value, change the copy and publish it with one Store.
+type servedState struct {
+	// graph is the loaded graph with every acked append applied; nil
+	// after an append failed to apply in memory, which makes the next
+	// epoch check reload (replaying the append from the log).
+	graph core.TGraph
+	// stamp is storage.BaseStamp at load or compaction time.
+	stamp string
+	// manifest holds the MANIFEST bytes stamp was computed from (nil
+	// when the directory had none): the epoch check compares the file
+	// with them instead of parsing it.
+	manifest []byte
+	// coord answers the queries when serving sharded; nil otherwise.
+	coord *shard.Coordinator
+	// tags maps each served rangeTag to the time interval results under
+	// it depend on (the zero interval means "everything": the "full"
+	// tag) and its current key version. An append bumps exactly the
+	// overlapping tags.
+	tags map[string]depEntry
 }
 
 // viewSlot is one registered chain the handle maintains a materialized
@@ -270,84 +309,36 @@ type depEntry struct {
 	version uint64
 }
 
-// ensure returns a loaded graph and the stamp it answers for, reloading
-// if the directory's stamp no longer matches (and flushing the graph's
-// cache entries, since results keyed under the old stamp are stale —
-// prefix invalidation reclaims their bytes eagerly). The load runs
-// through the parallel scan engine with the triggering request's
-// context, so a client that disconnects (or times out) mid-reload
-// aborts the in-flight chunk decodes.
+// manifestBufs pools the buffers the epoch check reads MANIFEST into.
+var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// errReloading answers a request that registered a new range tag just
+// after an append failed to apply in memory: there is no graph to key
+// a result against until the next check reloads one.
+var errReloading = errors.New("serve: graph is reloading after a failed append apply")
+
+// ensure returns the state to answer from, reloading the graph first if
+// the directory's epoch moved (and flushing the graph's cache entries,
+// since results keyed under the old stamp are stale — prefix
+// invalidation reclaims their bytes eagerly). A reload runs through the
+// parallel scan engine with the triggering request's context, so a
+// client that disconnects (or times out) mid-reload aborts the
+// in-flight chunk decodes.
 //
-// The whole stamp-check-and-reload path runs behind the graph's circuit
+// The whole check-and-reload path runs behind the graph's circuit
 // breaker. When it fails — or the breaker is open and refuses to try —
-// and a previously loaded graph is in hand, ensure degrades instead of
-// erroring: it returns the last-good graph and stamp with degraded set,
-// so responses stay byte-identical to the last committed stamp's.
-// Transient reload failures get one immediate retry when the shared
-// retry budget allows it.
-func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (g core.TGraph, stamp string, degraded bool, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	attempt := func() error {
-		if h.hook != nil {
-			if err := h.hook("serve.reload"); err != nil {
-				return err
-			}
-		}
-		// The base stamp tracks committed epochs only: live appends this
-		// server acks advance the in-memory view directly (and invalidate
-		// surgically), so they must not — and do not — trip a reload.
-		stamp, err := storage.BaseStamp(h.dir)
-		if err != nil {
-			return fmt.Errorf("serve: stamp %s: %w", h.name, err)
-		}
-		if h.graph == nil || h.stamp != stamp {
-			if h.graph != nil {
-				cache.InvalidatePrefix(h.name + "|")
-			}
-			ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
-			// Load replays any WAL records the manifest does not subsume,
-			// so the view includes every previously acked append.
-			g, _, err := storage.Load(ctx, h.dir, storage.LoadOptions{
-				Rep:  h.rep,
-				Scan: storage.ScanOptions{Parallelism: scanParallelism, Ctx: reqCtx},
-			})
-			if err != nil {
-				return fmt.Errorf("serve: load %s: %w", h.name, err)
-			}
-			if h.log == nil {
-				// Take the directory's single-writer role: recovery (torn-tail
-				// truncation) already ran if needed, and appends go here.
-				l, _, err := wal.Open(h.dir, h.walOpts)
-				if err != nil {
-					return fmt.Errorf("serve: wal %s: %w", h.name, err)
-				}
-				h.log = l
-			}
-			h.graph, h.stamp = g, stamp
-			// Version reset is safe here: the stamp changed, so old keys
-			// can never collide with the new epoch's. Materialized views
-			// were built over the replaced graph; drop them and let the
-			// next append rebuild from the fresh load.
-			h.deps = make(map[string]depEntry)
-			h.dropViewsLocked()
-			if h.shards > 1 {
-				// Sharding: split the freshly loaded states into a new
-				// coordinator. The old one (if any) was built over the
-				// replaced graph.
-				if h.coord != nil {
-					h.coord.Close()
-				}
-				h.coord = shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
-			}
-		}
-		return nil
-	}
+// and a graph is published, ensure degrades instead of erroring: it
+// returns the last published state with degraded set, so responses
+// stay byte-identical to the last committed stamp's. Transient reload
+// failures get one immediate retry when the shared retry budget allows
+// it. On success the returned state always holds a graph.
+func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (st *servedState, degraded bool, err error) {
 	err = h.breaker.Do(func() error {
-		err := attempt()
+		var err error
+		st, err = h.check(reqCtx, cache, parallelism, scanParallelism)
 		if err != nil && dataflow.IsTransient(err) && h.budget.Allow() {
 			h.retries.Add(1)
-			err = attempt()
+			st, err = h.check(reqCtx, cache, parallelism, scanParallelism)
 		}
 		if err == nil {
 			h.budget.Deposit()
@@ -355,28 +346,172 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 		return err
 	})
 	if err != nil {
-		if h.graph != nil {
+		if last := h.state.Load(); last != nil && last.graph != nil {
 			// Degraded mode: the directory is unreadable (or the breaker
 			// refuses to check), but the last committed load still answers.
-			return h.graph, h.stamp, true, nil
+			return last, true, nil
 		}
-		return nil, "", false, err
+		return nil, false, err
 	}
-	return h.graph, h.stamp, false, nil
+	return st, false, nil
 }
 
-// append logs the deltas durably, advances the in-memory view, and
-// surgically invalidates the overlapping cache tags. It runs under
-// h.mu so appends serialise with reloads and with each other (the WAL
-// itself also serialises, but the in-memory rebuild must see a
-// consistent graph). compacted reports whether an inline epoch
-// compaction ran; compactErr carries its failure without un-acking the
-// append (the records are durable either way — compaction retries at
-// the next trigger, or offline via tgraph-cli -compact).
+// check is one epoch check. It reads MANIFEST into a pooled buffer and,
+// when the bytes equal the ones the published stamp was computed from,
+// returns the published state: no parse, no lock. Equal bytes imply an
+// equal stamp — the stamp is a function of the manifest, and every
+// commit advances its save epoch — which a (size, mtime, inode) proxy
+// could not promise: rename commits recycle inodes and file times tick
+// in jiffies. Anything else re-checks under h.mu.
+func (h *graphHandle) check(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (*servedState, error) {
+	if h.hook != nil {
+		if err := h.hook("serve.reload"); err != nil {
+			return nil, err
+		}
+	}
+	bp := manifestBufs.Get().(*[]byte)
+	defer manifestBufs.Put(bp)
+	data, found, err := storage.ReadManifestBytes(h.manifestPath, (*bp)[:0])
+	*bp = data
+	if err != nil {
+		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
+	}
+	if st := h.state.Load(); found && st != nil && st.graph != nil && bytes.Equal(data, st.manifest) {
+		return st, nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.refreshLocked(reqCtx, cache, parallelism, scanParallelism, bp)
+}
+
+// refreshLocked is the epoch check's slow path. It reads MANIFEST again
+// — one of this handle's compactions may have committed and published
+// it since the unlocked read, and then nothing is reloaded — parses it
+// through storage.ParseManifest (a directory without one gets
+// storage.BaseStamp's layout-file stamp), and reloads when the stamp
+// moved or no graph is published. Caller holds h.mu; bp is the check's
+// pooled buffer.
+func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, bp *[]byte) (*servedState, error) {
+	data, found, err := storage.ReadManifestBytes(h.manifestPath, (*bp)[:0])
+	*bp = data
+	if err != nil {
+		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
+	}
+	cur := h.state.Load()
+	if found && cur != nil && cur.graph != nil && bytes.Equal(data, cur.manifest) {
+		return cur, nil
+	}
+	var stamp string
+	var manifest []byte
+	if found {
+		m, err := storage.ParseManifest(h.dir, data)
+		if err != nil {
+			return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
+		}
+		stamp, manifest = m.BaseStamp(), bytes.Clone(data)
+	} else if stamp, err = storage.BaseStamp(h.dir); err != nil {
+		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
+	}
+	if cur != nil && cur.graph != nil && cur.stamp == stamp {
+		return cur, nil
+	}
+	return h.reloadLocked(reqCtx, cache, parallelism, scanParallelism, cur, stamp, manifest)
+}
+
+// reloadLocked loads the directory and publishes it as the new state.
+// Caller holds h.mu; cur is the state it replaces (nil before the first
+// load).
+func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, cur *servedState, stamp string, manifest []byte) (*servedState, error) {
+	if cur != nil && cur.graph != nil {
+		cache.InvalidatePrefix(h.name + "|")
+	}
+	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
+	// Load replays any WAL records the manifest does not subsume, so the
+	// view includes every previously acked append.
+	g, _, err := storage.Load(ctx, h.dir, storage.LoadOptions{
+		Rep:  h.rep,
+		Scan: storage.ScanOptions{Parallelism: scanParallelism, Ctx: reqCtx},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: load %s: %w", h.name, err)
+	}
+	if h.log == nil {
+		// Take the directory's single-writer role: recovery (torn-tail
+		// truncation) already ran if needed, and appends go here.
+		l, _, err := wal.Open(h.dir, h.walOpts)
+		if err != nil {
+			return nil, fmt.Errorf("serve: wal %s: %w", h.name, err)
+		}
+		h.log = l
+	}
+	ns := &servedState{graph: g, stamp: stamp, manifest: manifest}
+	if cur != nil && cur.stamp == stamp {
+		// Reloading after a failed apply: the epoch did not move, so the
+		// versions must not restart (the failure already bumped them all).
+		ns.tags = cur.tags
+	}
+	// Materialized views were built over the replaced graph; drop them
+	// and let the next append rebuild from the fresh load.
+	h.dropViewsLocked()
+	if h.shards > 1 {
+		// Sharding: split the freshly loaded states into a new coordinator.
+		// The old one (if any) was built over the replaced graph.
+		if cur != nil && cur.coord != nil {
+			cur.coord.Close()
+		}
+		ns.coord = shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
+	}
+	h.state.Store(ns)
+	return ns, nil
+}
+
+// version returns the key version of tag to answer st's request under.
+// A tag st does not know yet is registered at version 0 and published
+// under h.mu; the state returned is then the newly published one, so
+// the graph, stamp and version a request keys its result under still
+// come from one value.
+func (h *graphHandle) version(st *servedState, tag string, dep temporal.Interval) (*servedState, uint64, error) {
+	if e, ok := st.tags[tag]; ok {
+		return st, e.version, nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	cur := h.state.Load()
+	if cur.graph == nil {
+		return nil, 0, errReloading
+	}
+	if e, ok := cur.tags[tag]; ok {
+		return cur, e.version, nil
+	}
+	ns := *cur
+	ns.tags = make(map[string]depEntry, len(cur.tags)+1)
+	maps.Copy(ns.tags, cur.tags)
+	ns.tags[tag] = depEntry{iv: dep}
+	h.state.Store(&ns)
+	return &ns, 0, nil
+}
+
+// append logs the deltas durably, applies them to the in-memory graph,
+// and surgically invalidates the overlapping cache tags. It runs under
+// h.mu so appends serialise with reloads and with each other. The
+// order is what keeps readers consistent without the lock: WAL append
+// → new graph (and shard routing) → bumped versions → views patched
+// under the new versions' keys, which no reader uses yet → one Store
+// publishing graph and versions together → sweep of the retired
+// versions' keys. A reader holding the previous state computes from
+// the old graph and inserts under the old versions, which no later
+// lookup uses; a reader loading the new state sees the appended records
+// and the patched views; and the Store precedes the ack, so every read
+// issued after it does. compacted reports whether an inline
+// epoch compaction ran; compactErr carries its failure without
+// un-acking the append (the records are durable either way —
+// compaction retries at the next trigger, or offline via tgraph-cli
+// -compact).
 func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delta) (resp AppendResponse, compacted bool, compactErr, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.log == nil || h.graph == nil {
+	cur := h.state.Load()
+	if h.log == nil || cur == nil || cur.graph == nil {
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
 	}
 	last, err := h.log.Append(ds...)
@@ -384,32 +519,50 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: append %s: %w", h.name, err)
 	}
 	first := last - uint64(len(ds)) + 1
-	// Advance the in-memory view in place. If the rebuild fails the
-	// records are still durable in the log: drop the loaded graph so the
-	// next request reloads from storage, which replays them.
-	if aerr := h.applyLocked(ds); aerr != nil {
-		h.graph = nil
+	ns := *cur
+	g, aerr := applyDeltas(cur.graph, ds)
+	if aerr != nil {
+		// The records are durable in the log but the in-memory view could
+		// not follow: publish no graph, so the next check reloads from
+		// storage, which replays them.
+		ns.graph = nil
+		ns.tags, _ = h.bumpTags(cur.tags, temporal.Interval{})
+		h.state.Store(&ns)
 		h.dropViewsLocked()
 		cache.InvalidatePrefix(h.name + "|")
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: apply %s: %w", h.name, aerr)
 	}
-	if h.coord != nil {
+	ns.graph = g
+	if cur.coord != nil {
 		// Route the acked deltas into the shard workers so the sharded view
-		// tracks the flat one. Worker appends are pure in-memory mutations
-		// (durability is the WAL above);
-		// a failure means the split diverged — drop the coordinator and
-		// fall back to unsharded serving until the next reload re-splits.
-		if serr := h.coord.Append(ds); serr != nil {
-			h.coord.Close()
-			h.coord = nil
+		// tracks the flat one — before the Store, so no reader pairs the
+		// new versions with pre-append shards. Worker appends are pure
+		// in-memory mutations (durability is the WAL above); a failure
+		// means the split diverged — drop the coordinator and fall back to
+		// unsharded serving until the next reload re-splits.
+		if serr := cur.coord.Append(ds); serr != nil {
+			cur.coord.Close()
+			ns.coord = nil
 		}
 	}
-	invalidated := h.invalidateSpanLocked(cache, deltaSpan(ds))
+	var retired []string
+	ns.tags, retired = h.bumpTags(cur.tags, deltaSpan(ds))
+	if _, ok := ns.tags["full"]; !ok && len(h.views) > 0 {
+		// Registered views patch the "full" tag's entries; its entry may
+		// not exist yet (or was reset) — create it at version 0, exactly
+		// where version() would start it.
+		ns.tags["full"] = depEntry{}
+	}
 	// Incremental view maintenance: patch the registered chains' cache
-	// entries under the just-bumped version, so the next query for them
-	// hits a fresh body (X-TGraph-Cache: patched) instead of paying a
-	// cold recompute.
-	patched := h.maintainViewsLocked(cache, ds)
+	// entries under the bumped version before publishing it, so the
+	// first query that loads the new state hits a fresh body
+	// (X-TGraph-Cache: patched) instead of paying a cold recompute.
+	patched := h.maintainViewsLocked(cache, &ns, ds)
+	h.state.Store(&ns)
+	invalidated := 0
+	for _, prefix := range retired {
+		invalidated += cache.InvalidatePrefix(prefix)
+	}
 	h.appended += len(ds)
 	resp = AppendResponse{FirstSeq: first, LastSeq: last, Invalidated: invalidated, Patched: patched}
 	if h.compactAfter > 0 && h.appended >= h.compactAfter {
@@ -422,28 +575,28 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	return resp, false, nil, nil
 }
 
-// invalidateSpanLocked performs the surgical append invalidation: only
-// tags whose declared interval the deltas' span overlaps (plus "full",
-// which depends on everything) are bumped and swept. The version bump
-// is the correctness mechanism; the prefix sweep reclaims the dead
-// entries' bytes. Caller holds h.mu.
-func (h *graphHandle) invalidateSpanLocked(cache *qcache.Cache, span temporal.Interval) int {
-	invalidated := 0
-	for tag, e := range h.deps {
-		if tag == "full" || e.iv.IsEmpty() || e.iv.Overlaps(span) {
-			invalidated += cache.InvalidatePrefix(fmt.Sprintf("%s|%s|v%d|", h.name, tag, e.version))
+// bumpTags returns a copy of tags in which every tag the append span
+// overlaps — plus "full" and whole-graph entries, which depend on
+// everything; every tag when span is the zero interval — has moved to
+// its next version, and the key prefixes of the versions it retired.
+// The version bump is the correctness mechanism; sweeping the retired
+// prefixes only reclaims the dead entries' bytes. Caller holds h.mu.
+func (h *graphHandle) bumpTags(tags map[string]depEntry, span temporal.Interval) (map[string]depEntry, []string) {
+	out := make(map[string]depEntry, len(tags)+1)
+	var retired []string
+	for tag, e := range tags {
+		if span.IsEmpty() || tag == "full" || e.iv.IsEmpty() || e.iv.Overlaps(span) {
+			retired = append(retired, fmt.Sprintf("%s|%s|v%d|", h.name, tag, e.version))
 			e.version++
-			h.deps[tag] = e
 		}
+		out[tag] = e
 	}
-	return invalidated
+	return out, retired
 }
 
-// applyLocked rebuilds the in-memory graph with the deltas folded in,
-// mirroring what a storage.Load replay would produce. Caller holds
-// h.mu.
-func (h *graphHandle) applyLocked(ds []wal.Delta) error {
-	g := h.graph
+// applyDeltas returns g with the deltas folded in, mirroring what a
+// storage.Load replay would produce.
+func applyDeltas(g core.TGraph, ds []wal.Delta) (core.TGraph, error) {
 	vs := append([]core.VertexTuple(nil), g.VertexStates()...)
 	es := append([]core.EdgeTuple(nil), g.EdgeStates()...)
 	for _, d := range ds {
@@ -455,28 +608,23 @@ func (h *graphHandle) applyLocked(ds []wal.Delta) error {
 	}
 	ve := core.NewVE(g.Context(), vs, es)
 	if g.Rep() == core.RepVE {
-		h.graph = ve
-		return nil
+		return ve, nil
 	}
-	ng, err := core.Convert(ve, g.Rep())
-	if err != nil {
-		return err
-	}
-	h.graph = ng
-	return nil
+	return core.Convert(ve, g.Rep())
 }
 
-// registerViewLocked registers a materialized-view slot for an
-// eligible chain: a single azoom or wzoom step with no range
-// restriction (the "full" tag — range-restricted chains already enjoy
-// surgical invalidation, and multi-step chains are not single-view
+// registerView registers a materialized-view slot for an eligible
+// chain: a single azoom or wzoom step with no range restriction (the
+// "full" tag — range-restricted chains already enjoy surgical
+// invalidation, and multi-step chains are not single-view
 // maintainable). OGC graphs are excluded: the topology-only
 // representation drops the properties a patched body would need to
 // reproduce byte-identically. Sharded handles are excluded too: their
 // responses come out of the coordinator merge (which carries shard
 // metadata no flat view reproduces), and the shard workers already
-// cache partials per version. Caller holds h.mu.
-func (h *graphHandle) registerViewLocked(steps []step) {
+// cache partials per version. It runs on the miss path only: a chain
+// gets its slot when it is first computed, and slots are never removed.
+func (h *graphHandle) registerView(steps []step) {
 	if h.rep == core.RepOGC || len(steps) != 1 || h.shards > 1 {
 		return
 	}
@@ -484,6 +632,8 @@ func (h *graphHandle) registerViewLocked(steps []step) {
 	if st.azSpec == nil && st.wzSpec == nil {
 		return
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if _, ok := h.views[st.canon]; ok {
 		return
 	}
@@ -503,15 +653,16 @@ func (h *graphHandle) dropViewsLocked() {
 }
 
 // maintainViewsLocked advances every registered view past ds and
-// patches the corresponding cache entries under the current (bumped)
-// "full"-tag version. A slot without a view yet is built from the
-// post-append graph — which already includes ds, so no Apply is needed
-// this round. Any failure (unsupported spec, Apply error, encode error)
-// degrades that slot to the invalidate path: correctness never depends
-// on a patch landing, only hit-rate does. Caller holds h.mu. Returns
-// how many entries were patched.
-func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, ds []wal.Delta) int {
-	if len(h.views) == 0 || h.graph == nil {
+// patches the corresponding cache entries under st's (just bumped)
+// "full"-tag version. A slot without a view yet is built from st's
+// graph — which already includes ds, so no Apply is needed this round.
+// Any failure (unsupported spec, Apply error, encode error) degrades
+// that slot to the invalidate path: correctness never depends on a
+// patch landing, only hit-rate does. Caller holds h.mu; st is the state
+// it is about to publish, so no reader uses the patched keys yet.
+// Returns how many entries were patched.
+func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, ds []wal.Delta) int {
+	if len(h.views) == 0 {
 		return 0
 	}
 	patched := 0
@@ -520,7 +671,7 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, ds []wal.Delta) i
 			continue
 		}
 		if sl.view == nil {
-			v, err := h.buildViewLocked(sl)
+			v, err := h.buildView(sl, st.graph)
 			if err != nil {
 				sl.disabled = true
 				continue
@@ -530,19 +681,12 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, ds []wal.Delta) i
 			sl.view = nil
 			continue
 		}
-		body, err := h.encodeViewLocked(sl.view)
+		body, err := h.encodeView(sl.view, st.graph)
 		if err != nil {
 			sl.view = nil
 			continue
 		}
-		e, ok := h.deps["full"]
-		if !ok {
-			// The chain was registered but its tag entry may not exist yet
-			// (or was reset); create it at version 0, exactly where run()
-			// would start it.
-			h.deps["full"] = e
-		}
-		key := fmt.Sprintf("%s|%s|v%d|%s", h.name, "full", e.version, qcache.Key(h.stamp, sl.canon))
+		key := fmt.Sprintf("%s|%s|v%d|%s", h.name, "full", st.tags["full"].version, qcache.Key(st.stamp, sl.canon))
 		if cache.Patch(key, body, int64(len(body))) {
 			patched++
 		}
@@ -550,17 +694,17 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, ds []wal.Delta) i
 	return patched
 }
 
-// buildViewLocked constructs the slot's view over the current graph.
-// Change-sensitive window specs are refused: their window relation can
-// restructure on any delta (and the RG batch path windows over
-// uncoalesced states, so even a full rebuild is not byte-safe across
-// representations) — those chains stay on the invalidate path.
-func (h *graphHandle) buildViewLocked(sl *viewSlot) (incr.View, error) {
+// buildView constructs the slot's view over g. Change-sensitive window
+// specs are refused: their window relation can restructure on any delta
+// (and the RG batch path windows over uncoalesced states, so even a
+// full rebuild is not byte-safe across representations) — those chains
+// stay on the invalidate path.
+func (h *graphHandle) buildView(sl *viewSlot, g core.TGraph) (incr.View, error) {
 	opts := incr.Options{Hook: h.hook}
 	if sl.az != nil {
-		return incr.NewAZoomView(h.graph, *sl.az, opts)
+		return incr.NewAZoomView(g, *sl.az, opts)
 	}
-	v, err := incr.NewWZoomView(h.graph, *sl.wz, opts)
+	v, err := incr.NewWZoomView(g, *sl.wz, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -570,26 +714,28 @@ func (h *graphHandle) buildViewLocked(sl *viewSlot) (incr.View, error) {
 	return v, nil
 }
 
-// encodeViewLocked renders a view's result exactly as the cold path
-// renders the chain's: converted to the handle's representation and
+// encodeView renders a view's result exactly as the cold path renders
+// the chain's: converted to the handle's representation and
 // deterministically encoded, so a patched body is byte-identical to the
-// recompute it replaces.
-func (h *graphHandle) encodeViewLocked(v incr.View) ([]byte, error) {
+// recompute it replaces. g supplies the dataflow context.
+func (h *graphHandle) encodeView(v incr.View, g core.TGraph) ([]byte, error) {
 	vs, es := v.Result()
-	var g core.TGraph = core.NewVE(h.graph.Context(), vs, es)
+	var out core.TGraph = core.NewVE(g.Context(), vs, es)
 	if h.rep != core.RepVE {
-		cg, err := core.Convert(g, h.rep)
+		cg, err := core.Convert(out, h.rep)
 		if err != nil {
 			return nil, err
 		}
-		g = cg
+		out = cg
 	}
-	return encodeGraph(g), nil
+	return encodeGraph(out), nil
 }
 
 // compactLocked folds the WAL tail into a fresh columnar epoch and
-// adopts the new base stamp without reloading (the in-memory view
-// already includes every folded record). Caller holds h.mu.
+// publishes the stamp and MANIFEST bytes it committed, without
+// reloading: the in-memory graph already includes every folded record,
+// and a request that reads the new manifest finds its bytes published.
+// Caller holds h.mu.
 func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error {
 	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
 	defer ctx.Close()
@@ -598,16 +744,24 @@ func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error 
 	}); err != nil {
 		return err
 	}
-	stamp, err := storage.BaseStamp(h.dir)
+	data, found, err := storage.ReadManifestBytes(h.manifestPath, nil)
+	if err == nil && !found {
+		err = fmt.Errorf("serve: compact %s: %w", h.name, storage.ErrIncompleteSave)
+	}
 	if err != nil {
 		return err
 	}
-	// Entries keyed under the old stamp can never hit again; reclaim
-	// their bytes eagerly. The deps/version reset is safe because the
-	// stamp changed with the new epoch.
-	h.stamp = stamp
+	m, err := storage.ParseManifest(h.dir, data)
+	if err != nil {
+		return err
+	}
+	// The version reset is safe because the stamp changed with the new
+	// epoch; entries keyed under the old stamp can never hit again, and
+	// the sweep reclaims their bytes eagerly.
+	ns := *h.state.Load()
+	ns.stamp, ns.manifest, ns.tags = m.BaseStamp(), data, nil
+	h.state.Store(&ns)
 	cache.InvalidatePrefix(h.name + "|")
-	h.deps = make(map[string]depEntry)
 	h.appended = 0
 	return nil
 }
@@ -625,6 +779,10 @@ type Server struct {
 	scanParallelism int
 	limiter         *resil.Limiter // nil when MaxInflight <= 0
 	hook            func(site string) error
+	specs           *specIndex // nil when CacheBytes <= 0: nothing could hit
+
+	// The non-query endpoints (query endpoints live in their handlers).
+	appendEP, graphsEP *endpoint
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -699,7 +857,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: graph %q: %w", gc.Name, err)
 		}
 		h := &graphHandle{
-			name: gc.Name, dir: gc.Dir, rep: rep,
+			name: gc.Name, dir: gc.Dir, manifestPath: storage.ManifestPath(gc.Dir), rep: rep,
 			breaker: resil.NewBreaker(resil.BreakerConfig{
 				Name:      gc.Name,
 				Threshold: cfg.BreakerThreshold,
@@ -726,10 +884,17 @@ func New(cfg Config) (*Server, error) {
 		s.names = append(s.names, gc.Name)
 	}
 	sort.Strings(s.names)
+	if cfg.CacheBytes > 0 {
+		s.specs = &specIndex{m: make(map[[sha256.Size]byte]specEntry)}
+	}
+	ep := func(name string, parse func([]byte) (string, []step, error)) *endpoint {
+		return &endpoint{name: name, span: "serve." + name, hist: r.Histogram("serve.latency." + name), parse: parse}
+	}
+	s.appendEP, s.graphsEP = ep("append", nil), ep("graphs", nil)
 
-	s.mux.HandleFunc("POST /v1/azoom", s.handleAZoom)
-	s.mux.HandleFunc("POST /v1/wzoom", s.handleWZoom)
-	s.mux.HandleFunc("POST /v1/pipeline", s.handlePipeline)
+	s.mux.HandleFunc("POST /v1/azoom", s.handleQuery(ep("azoom", parseAZoomBody)))
+	s.mux.HandleFunc("POST /v1/wzoom", s.handleQuery(ep("wzoom", parseWZoomBody)))
+	s.mux.HandleFunc("POST /v1/pipeline", s.handleQuery(ep("pipeline", parsePipelineBody)))
 	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
@@ -785,9 +950,11 @@ func (s *Server) closeLogs() {
 			h.log.Close()
 			h.log = nil
 		}
-		if h.coord != nil {
-			h.coord.Close()
-			h.coord = nil
+		if st := h.state.Load(); st != nil && st.coord != nil {
+			st.coord.Close()
+			ns := *st
+			ns.coord = nil
+			h.state.Store(&ns)
 		}
 		h.mu.Unlock()
 	}
@@ -849,10 +1016,14 @@ func kindFor(code int, err error) string {
 		return "canceled"
 	case errors.Is(err, storage.ErrIncompleteSave):
 		return "reloading"
+	case errors.Is(err, errDraining):
+		return "draining"
 	}
 	switch code {
 	case http.StatusBadRequest:
 		return "bad-request"
+	case http.StatusRequestEntityTooLarge:
+		return "too-large"
 	case http.StatusNotFound:
 		return "not-found"
 	case http.StatusTooManyRequests:
@@ -911,20 +1082,32 @@ func statusForRunError(err error) int {
 	}
 }
 
+// errDraining refuses requests once Drain has started.
+var errDraining = errors.New("serve: server draining")
+
+// endpoint is one route's request bookkeeping, resolved once in New:
+// its span name, its latency histogram and, on the query endpoints, the
+// parser of its request body.
+type endpoint struct {
+	name  string
+	span  string
+	hist  *obs.Histogram
+	parse func(body []byte) (graph string, steps []step, err error)
+}
+
 // admit performs the shared request bookkeeping: drain refusal,
 // admission control (when limited), counters, span and latency
 // histogram. It returns false if the request was already answered
 // (drained or shed); otherwise the caller must call the returned done
 // func when finished.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, limited bool) (done func(), ok bool) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, limited bool) (done func(), ok bool) {
 	// Register before re-checking the flag: Drain sets the flag and then
 	// waits the group, so a request seeing draining==false here is
 	// either already registered or answered 503.
 	s.wg.Add(1)
 	if s.draining.Load() {
 		s.wg.Done()
-		s.errorsC.Add(1)
-		http.Error(w, `{"error":"server draining","kind":"draining"}`, http.StatusServiceUnavailable)
+		s.fail(w, http.StatusServiceUnavailable, errDraining)
 		return nil, false
 	}
 	release := func() {}
@@ -944,11 +1127,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	}
 	s.requests.Add(1)
 	s.inflight.Add(1)
-	span := obs.StartSpan("serve." + endpoint)
+	span := obs.StartSpan(ep.span)
 	start := time.Now()
-	hist := obs.Default().Histogram("serve.latency." + endpoint)
 	return func() {
-		hist.Observe(time.Since(start))
+		ep.hist.Observe(time.Since(start))
 		span.End()
 		s.inflight.Add(-1)
 		release()
@@ -956,11 +1138,160 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	}, true
 }
 
-// run executes a parsed operator chain against a named graph through
-// the cache and writes the response. r's context scopes any graph
-// reload the request triggers and bounds this caller's wait on a shared
-// in-flight computation.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, steps []step) {
+// maxQueryBody bounds a query request's body; specs are well under
+// 1 KiB.
+const maxQueryBody = 64 << 10
+
+// bodyBufs pools the query bodies, each read behind its endpoint's name
+// and a NUL: the bytes the spec index hashes.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// specIndexCap bounds the spec index. A full index is emptied and
+// refills from the next misses; a spec it forgot is parsed once more.
+const specIndexCap = 4096
+
+// specEntry is what a successful parse of one request body resolved to
+// — and nothing it would cost memory to keep: no parsed steps, no body.
+type specEntry struct {
+	h     *graphHandle
+	canon string            // canonical(steps)
+	tag   string            // rangeTag(dep)
+	dep   temporal.Interval // chainDepends(steps)
+}
+
+// specIndex maps SHA-256(endpoint, NUL, body) to the body's specEntry,
+// so a repeated request skips JSON decoding, step parsing and
+// canonicalisation. Entries depend only on the bytes, never on a
+// graph's state, so nothing invalidates them.
+type specIndex struct {
+	mu sync.RWMutex
+	m  map[[sha256.Size]byte]specEntry
+}
+
+func (x *specIndex) get(sum *[sha256.Size]byte) (specEntry, bool) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	e, ok := x.m[*sum]
+	return e, ok
+}
+
+func (x *specIndex) put(sum *[sha256.Size]byte, e specEntry) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.m) >= specIndexCap {
+		clear(x.m)
+	}
+	x.m[*sum] = e
+}
+
+// query is one query request on its way through the handler: the
+// endpoint, the resolved spec, and the pooled body; steps holds the
+// parsed chain once something has parsed it (the spec index lets a hit
+// skip that).
+type query struct {
+	ep    *endpoint
+	spec  specEntry
+	body  []byte
+	steps []step
+}
+
+// chain returns the parsed operator chain, re-parsing the body when
+// the spec index answered the lookup (it indexes only bodies that
+// parsed, so this parse succeeds too).
+func (q *query) chain() ([]step, error) {
+	if q.steps == nil {
+		_, steps, err := q.ep.parse(q.body)
+		if err != nil {
+			return nil, err
+		}
+		q.steps = steps
+	}
+	return q.steps, nil
+}
+
+// handleQuery serves one query endpoint: admit, read the body, resolve
+// it to a spec, run it.
+func (s *Server) handleQuery(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		done, ok := s.admit(w, r, ep, true)
+		if !ok {
+			return
+		}
+		defer done()
+		buf := bodyBufs.Get().(*bytes.Buffer)
+		defer bodyBufs.Put(buf)
+		buf.Reset()
+		buf.WriteString(ep.name)
+		buf.WriteByte(0)
+		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			s.fail(w, code, err)
+			return
+		}
+		q := query{ep: ep, body: buf.Bytes()[len(ep.name)+1:]}
+		if code, err := s.resolve(&q, buf.Bytes()); err != nil {
+			s.fail(w, code, err)
+			return
+		}
+		s.run(w, r, &q)
+	}
+}
+
+// resolve fills q.spec from the spec index, or parses q.body, indexes
+// the result and keeps the parsed steps in q. keyed is what the index
+// hashes: endpoint name, NUL, body. Only successful parses are indexed;
+// a failure returns the status to answer with.
+func (s *Server) resolve(q *query, keyed []byte) (int, error) {
+	var sum [sha256.Size]byte
+	if s.specs != nil {
+		sum = sha256.Sum256(keyed)
+		if e, ok := s.specs.get(&sum); ok {
+			q.spec = e
+			return 0, nil
+		}
+	}
+	graph, steps, err := q.ep.parse(q.body)
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	h, ok := s.graphs[graph]
+	if !ok {
+		return http.StatusNotFound, fmt.Errorf("unknown graph %q", graph)
+	}
+	dep := chainDepends(steps)
+	q.spec = specEntry{h: h, canon: canonical(steps), tag: rangeTag(dep), dep: dep}
+	q.steps = steps
+	if s.specs != nil {
+		s.specs.put(&sum, q.spec)
+	}
+	return 0, nil
+}
+
+// failEnsure answers a request whose graph could not be checked or
+// loaded and has no published graph to degrade to.
+func (s *Server) failEnsure(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) || errors.Is(err, errReloading) {
+		// A save is in progress (or was torn, or the breaker refuses to
+		// look) and no last-good graph exists yet; the graph may become
+		// loadable momentarily.
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", s.retryAfter())
+	}
+	s.fail(w, code, err)
+}
+
+// run executes a resolved query against its graph through the cache
+// and writes the response. r's context scopes any graph reload the
+// request triggers and bounds this caller's wait on a shared in-flight
+// computation. A hit takes no lock of the handle's: the graph, stamp,
+// coordinator and tag version all come from the one published state
+// ensure (or version, for a tag seen for the first time) returns.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 	if s.hook != nil {
 		if err := s.hook("serve.handler"); err != nil {
 			// An injected handler fault is a crash surrogate: surface it
@@ -968,64 +1299,41 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 			panic(err)
 		}
 	}
-	h, ok := s.graphs[graphName]
-	if !ok {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", graphName))
-		return
-	}
-	g, stamp, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+	h := q.spec.h
+	st, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
-			// A save is in progress (or was torn, or the breaker refuses to
-			// look) and no last-good graph exists yet; the graph may become
-			// loadable momentarily.
-			code = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		s.fail(w, code, err)
+		s.failEnsure(w, err)
 		return
 	}
 	if degraded {
 		s.degraded.Add(1)
 		w.Header().Set("X-TGraph-Degraded", "stale-graph")
 	}
-	// Record which time range this chain's result depends on, so an
-	// append can invalidate exactly the overlapping tags. The tag and
-	// its current version are baked into the key as their own segments:
-	// an append bumps the versions of (only) the overlapping tags and
-	// sweeps their prefixes. The graph view and the tag version must be
-	// read under one lock so a concurrent append cannot hand us a new
-	// version with a pre-append graph (the reverse — old version, old
-	// graph — is safe: our insertion key dies with the bump).
-	dep := chainDepends(steps)
-	tag := rangeTag(dep)
-	h.mu.Lock()
-	if h.deps == nil {
-		h.deps = make(map[string]depEntry)
+	// The chain's range tag and its current version are baked into the
+	// key as their own segments: an append bumps the versions of (only)
+	// the overlapping tags and sweeps their prefixes.
+	st, version, err := h.version(st, q.spec.tag, q.spec.dep)
+	if err != nil {
+		s.failEnsure(w, err)
+		return
 	}
-	e, seen := h.deps[tag]
-	if !seen {
-		e = depEntry{iv: dep}
-		h.deps[tag] = e
-	}
-	// Eligible chains also register a materialized-view slot here, so
-	// the next append can patch this chain's entry instead of leaving it
-	// invalidated.
-	h.registerViewLocked(steps)
-	if h.graph != nil {
-		g, stamp = h.graph, h.stamp
-	}
-	// The coordinator pointer and the stamp/version must come out of the
-	// same critical section: a concurrent reload swaps both together.
-	coord := h.coord
-	h.mu.Unlock()
-	key := fmt.Sprintf("%s|%s|v%d|%s", graphName, tag, e.version, qcache.Key(stamp, canonical(steps)))
-	if coord != nil {
-		s.runSharded(w, r, coord, h.rep, steps, key)
+	var kb [256]byte
+	k := append(append(append(kb[:0], h.name...), '|'), q.spec.tag...)
+	k = append(strconv.AppendUint(append(k, "|v"...), version, 10), '|')
+	key := string(qcache.AppendKey(k, st.stamp, q.spec.canon))
+	if st.coord != nil {
+		s.runSharded(w, r, st.coord, h.rep, q, key)
 		return
 	}
 	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
+		steps, err := q.chain()
+		if err != nil {
+			return nil, 0, err
+		}
+		// Eligible chains register a materialized-view slot on their
+		// first computation, so the next append can patch this chain's
+		// entry instead of leaving it invalidated.
+		h.registerView(steps)
 		defer obs.StartSpan("serve.compute").End()
 		s.computations.Add(1)
 		reqCtx := dataflow.NewContext(
@@ -1033,7 +1341,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 			dataflow.WithTimeout(s.timeout),
 		)
 		defer reqCtx.Close()
-		rb, err := core.Rebind(g, reqCtx)
+		rb, err := core.Rebind(st.graph, reqCtx)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1119,9 +1427,13 @@ func shardQuery(rep core.Representation, steps []step) shard.Query {
 // X-TGraph-Shards: n/n; partial merges (ShardPartial mode, some shards
 // failed) answer 200 with k/n, are counted as degraded, and are never
 // cached.
-func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard.Coordinator, rep core.Representation, steps []step, key string) {
-	q := shardQuery(rep, steps)
+func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard.Coordinator, rep core.Representation, q *query, key string) {
 	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
+		steps, err := q.chain()
+		if err != nil {
+			return nil, 0, err
+		}
+		sq := shardQuery(rep, steps)
 		defer obs.StartSpan("serve.compute").End()
 		s.computations.Add(1)
 		reqCtx := dataflow.NewContext(
@@ -1140,8 +1452,8 @@ func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard
 		}
 		var body []byte
 		var stats shard.Stats
-		err := reqCtx.Run(func() error {
-			out, st, err := coord.Run(runCtx, reqCtx, q)
+		err = reqCtx.Run(func() error {
+			out, st, err := coord.Run(runCtx, reqCtx, sq)
 			stats = st
 			if err != nil {
 				return err
@@ -1178,69 +1490,6 @@ func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard
 	w.Write(sb.body)
 }
 
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(into)
-}
-
-func (s *Server) handleAZoom(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, "azoom", true)
-	if !ok {
-		return
-	}
-	defer done()
-	var req AZoomRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := parseAZoomStep(req.GroupBy, req.NewType, req.Count)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.run(w, r, req.Graph, []step{st})
-}
-
-func (s *Server) handleWZoom(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, "wzoom", true)
-	if !ok {
-		return
-	}
-	defer done()
-	var req WZoomRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := parseWZoomStep(req.Window, req.VQuant, req.EQuant, req.VResolve, req.EResolve)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.run(w, r, req.Graph, []step{st})
-}
-
-func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, "pipeline", true)
-	if !ok {
-		return
-	}
-	defer done()
-	var req PipelineRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	steps, err := parseSteps(req.Steps)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.run(w, r, req.Graph, steps)
-}
-
 // handleAppend is the live-ingestion endpoint: it logs the request's
 // deltas to the graph's write-ahead log and answers 200 only after
 // they are durable under the configured fsync policy — an acked append
@@ -1248,13 +1497,13 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 // breaker) refuses appends with 503: accepting writes against a view
 // the server cannot reconcile with disk risks divergence.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, "append", true)
+	done, ok := s.admit(w, r, s.appendEP, true)
 	if !ok {
 		return
 	}
 	defer done()
 	var req AppendRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1268,14 +1517,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", req.Graph))
 		return
 	}
-	_, _, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+	_, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
-			code = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		s.fail(w, code, err)
+		s.failEnsure(w, err)
 		return
 	}
 	if degraded {
@@ -1329,7 +1573,7 @@ type GraphInfo struct {
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, "graphs", false)
+	done, ok := s.admit(w, r, s.graphsEP, false)
 	if !ok {
 		return
 	}
@@ -1337,19 +1581,21 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	out := make([]GraphInfo, 0, len(s.names))
 	for _, name := range s.names {
 		h := s.graphs[name]
-		h.mu.Lock()
 		info := GraphInfo{
 			Name: h.name, Dir: h.dir, Rep: h.rep.String(),
-			Loaded: h.graph != nil, Stamp: h.stamp,
 			Breaker: h.breaker.State().String(),
+		}
+		h.mu.Lock()
+		if st := h.state.Load(); st != nil {
+			info.Loaded, info.Stamp = st.graph != nil, st.stamp
+			if st.coord != nil {
+				info.Shards = st.coord.N()
+				info.ShardStrategy = st.coord.Strategy().Name()
+			}
 		}
 		if h.log != nil {
 			info.WALSeq = h.log.LastSeq()
 			info.Appended = h.appended
-		}
-		if h.coord != nil {
-			info.Shards = h.coord.N()
-			info.ShardStrategy = h.coord.Strategy().Name()
 		}
 		h.mu.Unlock()
 		out = append(out, info)
@@ -1388,7 +1634,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	} else {
 		for _, name := range s.names {
 			h := s.graphs[name]
-			_, _, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+			_, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 			switch {
 			case err != nil:
 				st.Ready = false

@@ -20,7 +20,7 @@ import (
 )
 
 // saveFigure1 writes the paper's Figure 1 graph into dir.
-func saveFigure1(t *testing.T, dir string) {
+func saveFigure1(t testing.TB, dir string) {
 	t.Helper()
 	ctx := dataflow.NewContext(dataflow.WithParallelism(2))
 	vs := []core.VertexTuple{
@@ -39,7 +39,7 @@ func saveFigure1(t *testing.T, dir string) {
 }
 
 // newTestServer saves Figure 1 and serves it as "fig1".
-func newTestServer(t *testing.T, cfg Config) (*Server, string) {
+func newTestServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	saveFigure1(t, dir)
@@ -247,6 +247,79 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// doRaw drives the handler with a literal body.
+func doRaw(s *Server, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+	return w
+}
+
+// A body is one JSON value: anything but whitespace after it is a 400,
+// on the query endpoints and on /v1/append, where a second
+// concatenated batch used to be dropped while the first was acked.
+func TestTrailingBytesRejected(t *testing.T) {
+	s, dir := newTestServer(t, Config{})
+	const batch = `{"graph":"fig1","deltas":[{"kind":"vertex","id":77,"start":1,"end":2}]}`
+	cases := []struct{ path, body string }{
+		{"/v1/wzoom", `{"graph":"fig1","window":"3 units"}{"graph":"nope"}`},
+		{"/v1/wzoom", `{"graph":"fig1","window":"3 units"} x`},
+		{"/v1/wzoom", `{"graph":"fig1","window":"3 units"}}`},
+		{"/v1/azoom", `{"graph":"fig1","groupBy":"school"}[]`},
+		{"/v1/pipeline", `{"graph":"fig1","steps":[{"op":"range","start":1,"end":5}]}0`},
+		{"/v1/append", batch + batch},
+	}
+	for _, c := range cases {
+		w := doRaw(s, c.path, c.body)
+		var e errorJSON
+		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusBadRequest || err != nil || e.Kind != "bad-request" {
+			t.Errorf("%s %s: %d %s, want 400 bad-request", c.path, c.body, w.Code, w.Body)
+		}
+	}
+	// Nothing of the rejected batch reached the log.
+	ctx := dataflow.NewContext(dataflow.WithParallelism(1))
+	defer ctx.Close()
+	if _, stats, err := storage.Load(ctx, dir, storage.LoadOptions{}); err != nil || stats.WALReplayed != 0 {
+		t.Errorf("after the rejected append: replayed %d records (err %v), want 0", stats.WALReplayed, err)
+	}
+	// Trailing whitespace is not data.
+	if w := doRaw(s, "/v1/wzoom", "{\"graph\":\"fig1\",\"window\":\"3 units\"}\n\t \r\n"); w.Code != http.StatusOK {
+		t.Errorf("trailing whitespace: %d %s, want 200", w.Code, w.Body)
+	}
+	if w := doRaw(s, "/v1/append", batch+"\n"); w.Code != http.StatusOK {
+		t.Errorf("append with trailing newline: %d %s, want 200", w.Code, w.Body)
+	}
+}
+
+// A query body beyond maxQueryBody answers 413 with a typed kind
+// instead of being read whole.
+func TestQueryBodyBounded(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	body := `{"graph":"fig1","window":"3 units","vquant":"` + strings.Repeat(" ", maxQueryBody) + `exists"}`
+	w := doRaw(s, "/v1/wzoom", body)
+	var e errorJSON
+	if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Kind != "too-large" {
+		t.Errorf("oversized body: %d %s, want 413 too-large", w.Code, w.Body)
+	}
+}
+
+// Two aZoom specs whose free-text fields rendered alike in the parent's
+// unquoted canonical form ("azoom(by=school,type=x,type=y,count=)")
+// shared one cache entry, so the second got the first one's body.
+func TestCanonicalFieldsAreQuoted(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	w1 := doJSON(t, s, "POST", "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school,type=x", NewType: "y"})
+	w2 := doJSON(t, s, "POST", "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school", NewType: "x,type=y"})
+	if w1.Code != http.StatusOK || w2.Code != http.StatusOK {
+		t.Fatalf("codes: %d %d", w1.Code, w2.Code)
+	}
+	if got := w2.Header().Get("X-TGraph-Cache"); got != "miss" {
+		t.Errorf("second spec answered %q, want miss: it is a different query", got)
+	}
+	if bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+		t.Error("different groupBy/newType answered one body")
+	}
+}
+
 // Re-saving the graph directory advances its stamp: the next request
 // reloads the graph, flushes its cache entries, and recomputes.
 func TestStampChangeInvalidates(t *testing.T) {
@@ -354,6 +427,14 @@ func TestDrain(t *testing.T) {
 	}
 	if w := doJSON(t, s, "POST", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units"}); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("request during drain: %d, want 503", w.Code)
+	} else {
+		var e errorJSON
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("drain 503 Content-Type = %q, want application/json", ct)
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Kind != "draining" {
+			t.Errorf("drain 503 body = %s (err %v), want kind draining", w.Body, err)
+		}
 	}
 	if w := doJSON(t, s, "GET", "/readyz", nil); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("readyz during drain: %d, want 503", w.Code)

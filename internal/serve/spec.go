@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,16 +83,37 @@ type WZoomRequest struct {
 }
 
 // step is a parsed, executable operator plus its canonical fingerprint
-// fragment. depends is the time interval the step's output can depend
-// on (zero = everything); only range steps constrain it. Zoom steps
-// also retain their parsed spec (azSpec/wzSpec) so the serving layer
-// can register an incrementally maintained view for the chain.
+// fragment. norm is the step in normal form — every field as its parsed
+// value prints it, defaults filled in — and canon renders norm, so
+// parsing a printed norm gives the same canon. depends is the time
+// interval the step's output can depend on (zero = everything); only
+// range steps constrain it. Zoom steps also retain their parsed spec
+// (azSpec/wzSpec) so the serving layer can register an incrementally
+// maintained view for the chain.
 type step struct {
 	canon   string
+	norm    StepRequest
 	depends temporal.Interval
 	apply   func(core.TGraph) (core.TGraph, error)
 	azSpec  *core.AZoomSpec
 	wzSpec  *core.WZoomSpec
+}
+
+// canonStep renders a normal-form step as its cache-key fragment.
+// aZoom's free-text fields are quoted: unquoted, groupBy "a,type=b"
+// with newType "c" and groupBy "a" with newType "b,type=c" rendered
+// alike and shared one cache entry.
+func canonStep(n StepRequest) string {
+	switch n.Op {
+	case "azoom":
+		return fmt.Sprintf("azoom(by=%q,type=%q,count=%q)", n.GroupBy, n.NewType, n.Count)
+	case "wzoom":
+		return fmt.Sprintf("wzoom(w=%s,vq=%s,eq=%s,vr=%s,er=%s)", n.Window, n.VQuant, n.EQuant, n.VResolve, n.EResolve)
+	case "switch":
+		return "switch(" + n.Rep + ")"
+	default:
+		return fmt.Sprintf("range(%d,%d)", n.Start, n.End)
+	}
 }
 
 // parseAZoomStep validates an aZoom step and canonicalises it.
@@ -104,8 +129,10 @@ func parseAZoomStep(groupBy, newType, count string) (step, error) {
 		aggs = append(aggs, props.Count(count))
 	}
 	spec := core.GroupByProperty(groupBy, newType, aggs...)
+	norm := StepRequest{Op: "azoom", GroupBy: groupBy, NewType: newType, Count: count}
 	return step{
-		canon:  fmt.Sprintf("azoom(by=%s,type=%s,count=%s)", groupBy, newType, count),
+		canon:  canonStep(norm),
+		norm:   norm,
 		apply:  func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) },
 		azSpec: &spec,
 	}, nil
@@ -148,8 +175,10 @@ func parseWZoomStep(window, vquant, equant, vresolve, eresolve string) (step, er
 		VResolve: props.ResolveSpec{Default: vr},
 		EResolve: props.ResolveSpec{Default: er},
 	}
+	norm := StepRequest{Op: "wzoom", Window: w.String(), VQuant: vq.String(), EQuant: eq.String(), VResolve: vr.String(), EResolve: er.String()}
 	return step{
-		canon:  fmt.Sprintf("wzoom(w=%s,vq=%s,eq=%s,vr=%s,er=%s)", w, vq, eq, vr, er),
+		canon:  canonStep(norm),
+		norm:   norm,
 		apply:  func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) },
 		wzSpec: &spec,
 	}, nil
@@ -161,8 +190,10 @@ func parseSwitchStep(rep string) (step, error) {
 	if err != nil {
 		return step{}, err
 	}
+	norm := StepRequest{Op: "switch", Rep: r.String()}
 	return step{
-		canon: fmt.Sprintf("switch(%s)", r),
+		canon: canonStep(norm),
+		norm:  norm,
 		apply: func(g core.TGraph) (core.TGraph, error) { return core.Convert(g, r) },
 	}, nil
 }
@@ -175,8 +206,10 @@ func parseRangeStep(start, end int64) (step, error) {
 		return step{}, fmt.Errorf("range: want start < end, got [%d, %d)", start, end)
 	}
 	iv := temporal.MustInterval(temporal.Time(start), temporal.Time(end))
+	norm := StepRequest{Op: "range", Start: start, End: end}
 	return step{
-		canon:   fmt.Sprintf("range(%d,%d)", start, end),
+		canon:   canonStep(norm),
+		norm:    norm,
 		depends: iv,
 		apply:   func(g core.TGraph) (core.TGraph, error) { return core.Trim(g, iv) },
 	}, nil
@@ -225,6 +258,63 @@ func parseSteps(reqs []StepRequest) ([]step, error) {
 		out = append(out, st)
 	}
 	return out, nil
+}
+
+// errTrailing rejects a request body that goes on after its JSON value.
+var errTrailing = errors.New("request body: data after the JSON value")
+
+// decodeJSON decodes exactly one JSON value from rd into v: unknown
+// fields are errors, and so is anything but whitespace after the value
+// — a second concatenated value would otherwise be dropped unread.
+func decodeJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailing
+	}
+	return nil
+}
+
+// The query endpoints' body parsers: each decodes its request shape and
+// parses it into the graph name and the operator chain.
+
+func parseAZoomBody(body []byte) (string, []step, error) {
+	var req AZoomRequest
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+		return "", nil, err
+	}
+	st, err := parseAZoomStep(req.GroupBy, req.NewType, req.Count)
+	if err != nil {
+		return "", nil, err
+	}
+	return req.Graph, []step{st}, nil
+}
+
+func parseWZoomBody(body []byte) (string, []step, error) {
+	var req WZoomRequest
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+		return "", nil, err
+	}
+	st, err := parseWZoomStep(req.Window, req.VQuant, req.EQuant, req.VResolve, req.EResolve)
+	if err != nil {
+		return "", nil, err
+	}
+	return req.Graph, []step{st}, nil
+}
+
+func parsePipelineBody(body []byte) (string, []step, error) {
+	var req PipelineRequest
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+		return "", nil, err
+	}
+	steps, err := parseSteps(req.Steps)
+	if err != nil {
+		return "", nil, err
+	}
+	return req.Graph, steps, nil
 }
 
 // canonical joins step fingerprints into the operator-chain part of the

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/props"
 	"repro/internal/temporal"
 )
@@ -223,4 +226,89 @@ func TestEncodeGraphAllocations(t *testing.T) {
 			t.Errorf("encodeGraph over %d states: %v allocs, want at most 4", 2*n, allocs)
 		}
 	}
+}
+
+// printSteps is the test-only printer: parsed steps back to a pipeline
+// request, each step in its normal form.
+func printSteps(graph string, steps []step) PipelineRequest {
+	req := PipelineRequest{Graph: graph}
+	for _, st := range steps {
+		req.Steps = append(req.Steps, st.norm)
+	}
+	return req
+}
+
+// FuzzSpecRequest drives a query endpoint with an arbitrary body;
+// testdata/fuzz/FuzzSpecRequest holds the seed corpus. The handler
+// never panics; the spec index and a fresh parse agree on graph,
+// canonical chain, range tag and error-ness; and printing the parsed
+// steps and parsing them again yields the same canonical chain.
+func FuzzSpecRequest(f *testing.F) {
+	s, _ := newTestServer(f, Config{})
+	handler := s.Handler()
+	eps := []*endpoint{
+		{name: "azoom", parse: parseAZoomBody},
+		{name: "wzoom", parse: parseWZoomBody},
+		{name: "pipeline", parse: parsePipelineBody},
+	}
+	panics := obs.Default().Counter("serve.panics_recovered")
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		ep := eps[int(which)%len(eps)]
+		before := panics.Value()
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest("POST", "/v1/"+ep.name, bytes.NewReader(body)))
+		if panics.Value() != before {
+			t.Fatalf("handler panicked: %s", w.Body)
+		}
+		if len(body) > maxQueryBody {
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte body answered %d, want 413", len(body), w.Code)
+			}
+			return
+		}
+
+		graph, steps, perr := ep.parse(body)
+		keyed := append([]byte(ep.name+"\x00"), body...)
+		for pass := 0; pass < 2; pass++ { // the second pass reads the index
+			q := query{ep: ep, body: body}
+			code, err := s.resolve(&q, keyed)
+			switch {
+			case perr != nil:
+				if err == nil || code != http.StatusBadRequest {
+					t.Fatalf("pass %d: parse fails (%v) but resolve answered %d %v", pass, perr, code, err)
+				}
+			case graph != "fig1":
+				if code != http.StatusNotFound {
+					t.Fatalf("pass %d: unknown graph %q answered %d %v", pass, graph, code, err)
+				}
+			default:
+				dep := chainDepends(steps)
+				want := specEntry{h: s.graphs["fig1"], canon: canonical(steps), tag: rangeTag(dep), dep: dep}
+				if err != nil || q.spec != want {
+					t.Fatalf("pass %d: resolve = %+v %v, want %+v", pass, q.spec, err, want)
+				}
+				if pass == 1 && q.steps != nil {
+					t.Fatal("a parsed spec was not indexed")
+				}
+			}
+		}
+		if perr != nil {
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("unparseable body answered %d, want 400", w.Code)
+			}
+			return
+		}
+
+		printed, err := json.Marshal(printSteps(graph, steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, steps2, err := parsePipelineBody(printed)
+		if err != nil {
+			t.Fatalf("printed steps do not parse: %v\n%s", err, printed)
+		}
+		if g2 != graph || canonical(steps2) != canonical(steps) || rangeTag(chainDepends(steps2)) != rangeTag(chainDepends(steps)) {
+			t.Fatalf("print → parse changed the chain:\n%s\n%s", canonical(steps), canonical(steps2))
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -153,13 +154,48 @@ func writeManifest(dir string, entries []ManifestEntry, walSeq uint64, hook Writ
 // ErrIncompleteSave; a torn or unparseable one returns an error wrapping
 // ErrIncompleteSave; an unsupported epoch wraps ErrManifestMismatch.
 func ReadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	data, found, err := ReadManifestBytes(ManifestPath(dir), nil)
+	if err != nil || !found {
+		return nil, err
+	}
+	return ParseManifest(dir, data)
+}
+
+// ManifestPath is the path of dir's MANIFEST file.
+func ManifestPath(dir string) string { return filepath.Join(dir, ManifestFile) }
+
+// ReadManifestBytes appends the raw bytes of the MANIFEST file at path
+// to buf and returns the extended slice, reusing buf's capacity, so a
+// caller that only compares the bytes with an earlier read allocates
+// no buffer. found is false, with buf returned as is, when the file
+// does not exist.
+func ReadManifestBytes(path string, buf []byte) (data []byte, found bool, err error) {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return buf, false, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: read manifest: %w", err)
+		return buf, false, fmt.Errorf("storage: read manifest: %w", err)
 	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true, nil
+		}
+		if err != nil {
+			return buf, true, fmt.Errorf("storage: read manifest: %w", err)
+		}
+	}
+}
+
+// ParseManifest decodes and validates the bytes of dir's MANIFEST with
+// ReadManifest's rules (dir only names the file in errors).
+func ParseManifest(dir string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("storage: %s/%s is torn (%v): %w", dir, ManifestFile, err, ErrIncompleteSave)
@@ -190,7 +226,7 @@ func BaseStamp(dir string) (string, error) {
 		return "", err
 	}
 	if m != nil {
-		return fmt.Sprintf("manifest:%d:%d:%08x", m.Epoch, m.SaveEpoch, m.CRC), nil
+		return m.BaseStamp(), nil
 	}
 	var b strings.Builder
 	b.WriteString("legacy")
@@ -202,6 +238,13 @@ func BaseStamp(dir string) (string, error) {
 		fmt.Fprintf(&b, ":%s:%d:%d", name, info.Size(), info.ModTime().UnixNano())
 	}
 	return b.String(), nil
+}
+
+// BaseStamp returns the BaseStamp of a directory whose MANIFEST is m.
+// It is a function of the manifest alone, so equal manifest bytes imply
+// an equal stamp.
+func (m *Manifest) BaseStamp() string {
+	return fmt.Sprintf("manifest:%d:%d:%08x", m.Epoch, m.SaveEpoch, m.CRC)
 }
 
 // Stamp returns the full identity token for the committed contents of

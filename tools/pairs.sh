@@ -1,46 +1,67 @@
 #!/usr/bin/env bash
 # Alternating base/change pairs of one benchmark workload: the protocol
 # of benchmark/README.md "Comparing two commits" for a change that
-# claims a gain. The base revision is checked out with `git worktree`
-# under .bench_build/, the change is this checkout as it stands; each
-# pair runs both at one seed, in the foreground, the side that goes
-# first alternating; then -compare judges the two records, the worktree
-# is removed and the script exits with -compare's status.
+# claims a gain, run in chunks so that no call outlives one foreground
+# shell command. Pair k runs seed k on both sides, the side that goes
+# first alternating with k; the change is this checkout as it stands.
 #
-#   tools/pairs.sh <workload> [base-rev] [pairs]     # defaults: HEAD~1, 10
-#   make pairs W=serve-churn BASE=HEAD~1 N=10
+#   tools/pairs.sh <workload> <base-rev> <from> <to> [pairs]   # pairs defaults to 10
+#   make pairs W=serve-hot BASE=HEAD~1 FROM=1 TO=4     # then FROM=5 TO=8, FROM=9 TO=10
 #
-# Every child runs under `timeout` and nothing is backgrounded, so no
-# process outlives the script.
+# The records accumulate in .bench_build/pairs/{base,change}.jsonl
+# across calls; a call with FROM=1 starts them afresh. The base revision
+# is exported with `git archive` into .bench_build/pairs-base and reused
+# by every later call while it still holds that revision. The call whose
+# TO reaches the pair count is the last: it prints -compare over all
+# the records, removes the export and exits with -compare's status.
+#
+# A 20 s run takes 21-22 s of wall time, so ten pairs plus the two cold
+# builds come to about ten minutes, the ceiling of one shell call; a
+# chunk of four pairs takes under five. Every child runs under
+# `timeout` and nothing is backgrounded, so no process outlives a call.
 set -euo pipefail
-w="${1:?usage: tools/pairs.sh <workload> [base-rev] [pairs]}"
-base="${2:-HEAD~1}"
-n="${3:-10}"
+usage="usage: tools/pairs.sh <workload> <base-rev> <from> <to> [pairs]"
+w="${1:?$usage}"
+base="${2:?$usage}"
+from="${3:?$usage}"
+to="${4:?$usage}"
+n="${5:-10}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 tree="$root/.bench_build/pairs-base"
 out="$root/.bench_build/pairs"
 
-cleanup() {
-  timeout 120 git worktree remove --force "$tree" >/dev/null 2>&1 || true
-  timeout 60 git worktree prune >/dev/null 2>&1 || true
-}
-trap cleanup EXIT
-cleanup
+rev="$(git rev-parse --verify "$base^{commit}")"
+if [ "$(cat "$tree/.rev" 2>/dev/null)" != "$rev" ]; then
+  rm -rf "$tree"
+  mkdir -p "$tree"
+  git archive "$rev" | tar -x -C "$tree"
+  echo "$rev" >"$tree/.rev"
+fi
 mkdir -p "$out"
-rm -f "$out/base.jsonl" "$out/change.jsonl"
-timeout 120 git worktree add --detach "$tree" "$base" >/dev/null
+if [ "$from" = 1 ]; then
+  rm -f "$out/base.jsonl" "$out/change.jsonl"
+fi
 
-# run <side> <checkout> <seed>: one recorded run; the first on a side
-# also builds it (a cold cache, hence the long limit).
+# run <side> <checkout> <seed> <commit>: one recorded run; the first on
+# a side also builds it (a cold cache, hence the long limit).
 run() {
-  (cd "$2" && timeout 900 bash benchmark/run.sh --workload "$w" --seed "$3" --seconds 20 --trace 0 --record "$out/$1.jsonl" | tail -n 1 | cut -c1-120)
+  (cd "$2" && TGRAPH_BENCH_COMMIT="$4" timeout 900 bash benchmark/run.sh --workload "$w" --seed "$3" --seconds 20 --trace 0 --record "$out/$1.jsonl" | tail -n 1 | cut -c1-120)
 }
-for seed in $(seq 1 "$n"); do
+for seed in $(seq "$from" "$to"); do
   if [ $((seed % 2)) = 1 ]; then order="change base"; else order="base change"; fi
   for side in $order; do
     echo "pair $seed/$n $side"
-    if [ "$side" = base ]; then run base "$tree" "$seed"; else run change "$root" "$seed"; fi
+    if [ "$side" = base ]; then
+      run base "$tree" "$seed" "$(git rev-parse --short "$rev")"
+    else
+      run change "$root" "$seed" "$(git rev-parse --short HEAD)"
+    fi
   done
 done
-timeout 300 bash benchmark/run.sh -compare "$out/base.jsonl" "$out/change.jsonl"
+if [ "$to" -ge "$n" ]; then
+  status=0
+  timeout 300 bash benchmark/run.sh -compare "$out/base.jsonl" "$out/change.jsonl" || status=$?
+  rm -rf "$tree"
+  exit "$status"
+fi
