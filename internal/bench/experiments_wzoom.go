@@ -17,14 +17,16 @@ func init() {
 		ID:    "fig14",
 		Title: "Figure 14: wZoom^T runtime vs. data size",
 		Description: "Fixed window size, growing temporal slices, nodes=exists, edges=exists; " +
-			"RG vs VE vs OG vs OGC. Expected: OGC best, then OG; RG worst.",
+			"RG vs VE vs OG vs OGC. Expected: OGC best, RG worst; OG and VE within noise of each other " +
+			"(the paper has OG ahead; VE here runs OG's per-entity kernel after one shuffle).",
 		Run: runFig14,
 	})
 	register(Experiment{
 		ID:    "fig15",
 		Title: "Figure 15: wZoom^T runtime vs. window size",
 		Description: "Fixed data size, varying tumbling-window size, nodes=all, edges=all. " +
-			"Expected: OGC/OG flat; VE slower for small windows (tuple copies per window); RG worst.",
+			"Expected: OGC best, RG worst; OG and VE within noise of each other and flat — the paper's VE " +
+			"slows for small windows (a tuple copy per window), but VE here groups by entity and runs OG's per-entity kernel.",
 		Run: runFig15,
 	})
 	register(Experiment{

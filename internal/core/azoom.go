@@ -61,9 +61,9 @@ func azoomVerticesDataflow(spec AZoomSpec, mapped *dataflow.Dataset[azVertexStat
 	return dataflow.FlatMap(groups, func(gr dataflow.Group[VertexID, azVertexState]) []VertexTuple {
 		// The group kernel is shared with incremental maintenance
 		// (internal/incr), which re-runs it per affected Skolem group.
-		states := make([]AZState, len(gr.Values))
+		states := make([]HistoryItem, len(gr.Values))
 		for i, s := range gr.Values {
-			states[i] = AZState{Interval: s.Interval, Props: s.Orig}
+			states[i] = HistoryItem{Interval: s.Interval, Props: s.Orig}
 		}
 		return AZoomGroup(spec, agg, gr.Key, states)
 	})
@@ -107,8 +107,8 @@ func (g *VE) azoom(spec AZoomSpec) (TGraph, error) {
 	e := dataflow.FilterMap(j2, func(p dataflow.Pair[dataflow.Pair[EdgeTuple, VertexTuple], VertexTuple]) (EdgeTuple, bool) {
 		et, v1, v2 := p.First.First, p.First.Second, p.Second
 		return redirectOne(spec, edgeSkolem, et,
-			AZState{Interval: v1.Interval, Props: v1.Props},
-			AZState{Interval: v2.Interval, Props: v2.Props})
+			HistoryItem{Interval: v1.Interval, Props: v1.Props},
+			HistoryItem{Interval: v2.Interval, Props: v2.Props})
 	})
 	rsp.End()
 	return veFromDatasets(g.ctx, v, e, false), nil
@@ -158,48 +158,37 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 		return nil, err
 	}
 
-	// Edge redirection via the routing table (recompute_history). The
-	// table holds the endpoint states in the kernel's exported form so
-	// each edge state runs through the same RedirectEdge kernel the
-	// incremental engine uses.
+	// Edge redirection via the routing table (recompute_history): the
+	// table shares every vertex's history array, and each edge runs
+	// through the same RedirectEdge kernel the incremental engine uses.
 	rsp := obs.StartSpan("edge-redirect")
-	table := make(map[VertexID][]AZState)
+	table := make(map[VertexID][]HistoryItem, g.graph.NumVertices())
 	for _, part := range g.graph.Vertices().Partitions() {
 		for _, v := range part {
-			states := make([]AZState, len(v.Attr))
-			for i, h := range v.Attr {
-				states[i] = AZState{Interval: h.Interval, Props: h.Props}
-			}
-			table[v.ID] = states
+			table[v.ID] = v.Attr
 		}
 	}
 	edgeSkolem := spec.edgeSkolem()
-	type newEdgeKey struct {
-		id       EdgeID
-		src, dst VertexID
-	}
-	redirected := dataflow.FlatMapAppend(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem], out []dataflow.Pair[newEdgeKey, HistoryItem]) []dataflow.Pair[newEdgeKey, HistoryItem] {
-		for _, eh := range e.Attr {
-			et := EdgeTuple{ID: e.ID, Src: e.Src, Dst: e.Dst, Interval: eh.Interval, Props: eh.Props}
-			for _, t := range RedirectEdge(spec, edgeSkolem, et, table[e.Src], table[e.Dst]) {
-				out = append(out, dataflow.Pair[newEdgeKey, HistoryItem]{
-					First:  newEdgeKey{id: t.ID, src: t.Src, dst: t.Dst},
-					Second: HistoryItem{Interval: t.Interval, Props: t.Props},
-				})
-			}
+	redirected := dataflow.FlatMapAppend(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem], out []dataflow.Pair[EdgeKey, HistoryItem]) []dataflow.Pair[EdgeKey, HistoryItem] {
+		k := EdgeKey{ID: e.ID, Src: e.Src, Dst: e.Dst}
+		for _, t := range RedirectEdge(spec, edgeSkolem, k, e.Attr, table[e.Src], table[e.Dst], nil) {
+			out = append(out, dataflow.Pair[EdgeKey, HistoryItem]{
+				First:  t.Key(),
+				Second: HistoryItem{Interval: t.Interval, Props: t.Props},
+			})
 		}
 		return out
 	})
-	egroups := dataflow.GroupByKey(redirected, func(p dataflow.Pair[newEdgeKey, HistoryItem]) newEdgeKey { return p.First })
-	newE := dataflow.Map(egroups, func(gr dataflow.Group[newEdgeKey, dataflow.Pair[newEdgeKey, HistoryItem]]) graphx.Edge[[]HistoryItem] {
+	egroups := dataflow.GroupByKey(redirected, func(p dataflow.Pair[EdgeKey, HistoryItem]) EdgeKey { return p.First })
+	newE := dataflow.Map(egroups, func(gr dataflow.Group[EdgeKey, dataflow.Pair[EdgeKey, HistoryItem]]) graphx.Edge[[]HistoryItem] {
 		h := make([]HistoryItem, len(gr.Values))
 		for i, p := range gr.Values {
 			h[i] = p.Second
 		}
 		return graphx.Edge[[]HistoryItem]{
-			ID:   gr.Key.id,
-			Src:  gr.Key.src,
-			Dst:  gr.Key.dst,
+			ID:   gr.Key.ID,
+			Src:  gr.Key.Src,
+			Dst:  gr.Key.Dst,
 			Attr: sortHistory(h),
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -65,19 +66,27 @@ func TestCoalesceLeavesItsInputAlone(t *testing.T) {
 		}
 	}
 
-	// NormalizeHistory is the in-place form: the result is a prefix of
-	// its (reordered) argument, which is why incr and shard pass copies.
+	// The per-entity partial shares the histories it holds: change
+	// points and windowing coalesce an unsorted history on a copy.
 	h := []HistoryItem{
 		{Interval: temporal.MustInterval(3, 5), Props: props.New("type", "a")},
 		{Interval: temporal.MustInterval(1, 3), Props: props.New("type", "a")},
 	}
 	kept := slices.Clone(h)
-	out := NormalizeHistory(h)
-	if len(out) != 1 || &out[0] != &h[0] || !out[0].Interval.Equal(temporal.MustInterval(1, 5)) {
-		t.Errorf("NormalizeHistory = %v, want [1,5) written over h[0]", out)
+	part := Histories{V: map[VertexID][]HistoryItem{cat: h}}
+	if cps := part.ChangePoints(); !reflect.DeepEqual(cps, []temporal.Time{1, 5}) {
+		t.Errorf("ChangePoints = %v, want [1 5] from the coalesced [1,5)", cps)
 	}
-	if reflect.DeepEqual(h, kept) {
-		t.Error("NormalizeHistory is documented to work in place, but left its argument untouched")
+	windows := temporal.MustEveryN(4).Windows(temporal.MustInterval(1, 5), nil)
+	out, err := part.WZoom(context.Background(), WZoomSpec{Window: temporal.MustEveryN(4), VQuant: temporal.All()}, windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.V[cat]; len(got) != 1 || !got[0].Interval.Equal(temporal.MustInterval(1, 5)) {
+		t.Errorf("WZoom = %v, want the whole window [1,5) under quantifier all", got)
+	}
+	if !reflect.DeepEqual(h, kept) {
+		t.Errorf("Histories changed a history it holds: %v, was %v", h, kept)
 	}
 }
 

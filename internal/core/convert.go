@@ -37,14 +37,10 @@ func ToOG(g TGraph) *OG {
 		}
 		vhist[v.ID] = append(vhist[v.ID], HistoryItem{Interval: v.Interval, Props: v.Props})
 	}
-	type ekey struct {
-		id       EdgeID
-		src, dst VertexID
-	}
-	ehist := make(map[ekey][]HistoryItem)
-	var eorder []ekey
+	ehist := make(map[EdgeKey][]HistoryItem)
+	var eorder []EdgeKey
 	for _, e := range estates {
-		k := ekey{id: e.ID, src: e.Src, dst: e.Dst}
+		k := e.Key()
 		if _, ok := ehist[k]; !ok {
 			eorder = append(eorder, k)
 		}
@@ -57,7 +53,7 @@ func ToOG(g TGraph) *OG {
 	}
 	es := make([]OGEdge, 0, len(eorder))
 	for _, k := range eorder {
-		es = append(es, OGEdge{ID: k.id, Src: k.src, Dst: k.dst, History: sortHistory(ehist[k])})
+		es = append(es, OGEdge{ID: k.ID, Src: k.Src, Dst: k.Dst, History: sortHistory(ehist[k])})
 	}
 	og := NewOG(g.Context(), vs, es)
 	og.coalesced = g.IsCoalesced()

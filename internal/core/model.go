@@ -86,6 +86,23 @@ type EdgeTuple struct {
 	Props    props.Props
 }
 
+// EdgeKey identifies an edge entity: its id and both endpoints. Edge
+// states merge only within one key (edgeEq compares the endpoints), so
+// every per-entity stage groups edge states by it, and an edge id seen
+// between two vertex pairs is two entities.
+type EdgeKey struct {
+	ID       EdgeID
+	Src, Dst VertexID
+}
+
+// Key returns the edge entity the state belongs to.
+func (t EdgeTuple) Key() EdgeKey { return EdgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst} }
+
+// state returns entity k's edge state over one history item.
+func (k EdgeKey) state(h HistoryItem) EdgeTuple {
+	return EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: h.Interval, Props: h.Props}
+}
+
 // TGraph is an evolving property graph in one of the four physical
 // representations. Implementations are immutable: operators return new
 // graphs.
@@ -130,6 +147,7 @@ type ErrUnsupported struct {
 	Op  string
 }
 
+// Error implements error.
 func (e ErrUnsupported) Error() string {
 	return fmt.Sprintf("core: representation %s does not support %s", e.Rep, e.Op)
 }

@@ -59,14 +59,10 @@ func newOGCWithIntervals(ctx *dataflow.Context, intervals []temporal.Interval, v
 		}
 		markCovered(ent.Bits, intervals, v.Interval)
 	}
-	type ekey struct {
-		id       EdgeID
-		src, dst VertexID
-	}
-	ebits := make(map[ekey]*OGCEntity)
-	var eorder []ekey
+	ebits := make(map[EdgeKey]*OGCEntity)
+	var eorder []EdgeKey
 	for _, e := range es {
-		k := ekey{id: e.ID, src: e.Src, dst: e.Dst}
+		k := e.Key()
 		ent, ok := ebits[k]
 		if !ok {
 			ent = &OGCEntity{Type: e.Props.Type(), Bits: bitset.New(len(intervals))}
@@ -81,7 +77,7 @@ func newOGCWithIntervals(ctx *dataflow.Context, intervals []temporal.Interval, v
 	}
 	ges := make([]graphx.Edge[OGCEntity], 0, len(eorder))
 	for _, k := range eorder {
-		ges = append(ges, graphx.Edge[OGCEntity]{ID: k.id, Src: k.src, Dst: k.dst, Attr: *ebits[k]})
+		ges = append(ges, graphx.Edge[OGCEntity]{ID: k.ID, Src: k.Src, Dst: k.Dst, Attr: *ebits[k]})
 	}
 	g := graphx.New(ctx, gvs, ges, graphx.EdgePartition2D{})
 	life := temporal.Empty

@@ -177,22 +177,17 @@ func setOp(a, b TGraph, kind setOpKind) (TGraph, error) {
 		edgeKeyed(a.EdgeStates()), edgeKeyed(b.EdgeStates()), kind)
 	var outE []EdgeTuple
 	for _, s := range es {
-		k := s.key.(edgeStateKey)
+		k := s.key.(EdgeKey)
 		// Keep the result valid: clip each edge state to the presence
 		// of both endpoints (difference can remove endpoints that edges
 		// of the left graph still reference).
-		for _, iv := range clipToPresence(s.iv, presence[k.src]) {
-			for _, iv2 := range clipToPresence(iv, presence[k.dst]) {
-				outE = append(outE, EdgeTuple{ID: k.id, Src: k.src, Dst: k.dst, Interval: iv2, Props: s.props})
+		for _, iv := range clipToPresence(s.iv, presence[k.Src]) {
+			for _, iv2 := range clipToPresence(iv, presence[k.Dst]) {
+				outE = append(outE, EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: iv2, Props: s.props})
 			}
 		}
 	}
 	return preserveRep(a, outV, outE)
-}
-
-type edgeStateKey struct {
-	id       EdgeID
-	src, dst VertexID
 }
 
 type keyedState struct {
@@ -212,7 +207,7 @@ func vertexKeyed(vs []VertexTuple) map[any][]temporal.Stated[sideState] {
 func edgeKeyed(es []EdgeTuple) map[any][]temporal.Stated[sideState] {
 	out := make(map[any][]temporal.Stated[sideState])
 	for _, e := range es {
-		k := any(edgeStateKey{id: e.ID, src: e.Src, dst: e.Dst})
+		k := any(e.Key())
 		out[k] = append(out[k], temporal.Stated[sideState]{Interval: e.Interval, Value: sideState{props: e.Props}})
 	}
 	return out

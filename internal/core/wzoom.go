@@ -25,8 +25,8 @@ import (
 // coalescing).
 
 // The per-entity kernel (clip, quantify, resolve) lives in zoomstage.go
-// as wzoomRun / WZoomEntity / WZoomReduce, shared by VE, OG, the
-// incremental maintenance engine and the shard workers.
+// as wzoomRun / WZoomEntity / WZoomReduce, shared by VE, OG and — through
+// Histories — the incremental maintenance engine and the shard workers.
 
 // wzoomWindows materialises the window relation for a graph. Only
 // change-based window specs read the change points, so only they pay
@@ -37,15 +37,6 @@ func wzoomWindows(g TGraph, spec WZoomSpec) []temporal.Window {
 		changePoints = changePointsOf(g.VertexStates(), g.EdgeStates())
 	}
 	return spec.Window.Windows(g.Lifetime(), changePoints)
-}
-
-// veEdgeKey is the entity an edge state belongs to. Edge states merge
-// only within one (id, src, dst) — edgeEq compares the endpoints — so
-// coalescing groups of this key makes every merge that coalescing
-// groups of the edge id makes.
-type veEdgeKey struct {
-	ID       EdgeID
-	Src, Dst VertexID
 }
 
 // WZoom over VE. Algorithm 5 as the paper states it: join the states
@@ -75,7 +66,7 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 	defer obs.StartSpan("wzoom.VE").End()
 	gsp := obs.StartSpan("group-by")
 	vg := dataflow.GroupByKey(g.v, func(t VertexTuple) VertexID { return t.ID })
-	eg := dataflow.GroupByKey(g.e, func(t EdgeTuple) veEdgeKey { return veEdgeKey{t.ID, t.Src, t.Dst} })
+	eg := dataflow.GroupByKey(g.e, EdgeTuple.Key)
 	gsp.End()
 	if !g.coalesced {
 		csp := obs.StartSpan("coalesce.VE")
@@ -107,7 +98,7 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 	}
 	esp := obs.StartSpan("edges")
 	e := wzoomGroups(eg, windows, spec.EQuant, spec.EResolve, edgeIv, edgeProps,
-		func(k veEdgeKey, iv temporal.Interval, p props.Props) EdgeTuple {
+		func(k EdgeKey, iv temporal.Interval, p props.Props) EdgeTuple {
 			return EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: iv, Props: p}
 		})
 	esp.End()
@@ -323,11 +314,7 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 		}
 		w := windows[wi]
 		vStates := make(map[VertexID][]WZState)
-		type ekey struct {
-			id       EdgeID
-			src, dst VertexID
-		}
-		eStates := make(map[ekey][]WZState)
+		eStates := make(map[EdgeKey][]WZState)
 		for _, ref := range byWin[wi] {
 			covered := ref.iv.Intersect(w.Interval).Duration()
 			for _, part := range ref.g.Vertices().Partitions() {
@@ -337,7 +324,7 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 			}
 			for _, part := range ref.g.Edges().Partitions() {
 				for _, e := range part {
-					k := ekey{id: e.ID, src: e.Src, dst: e.Dst}
+					k := EdgeKey{ID: e.ID, Src: e.Src, Dst: e.Dst}
 					eStates[k] = append(eStates[k], WZState{Win: wi, Start: ref.iv.Start, Covered: covered, Props: e.Attr})
 				}
 			}
@@ -356,11 +343,11 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 			}
 		}
 		var ses []graphx.Edge[props.Props]
-		eks := make([]ekey, 0, len(eStates))
+		eks := make([]EdgeKey, 0, len(eStates))
 		for k := range eStates {
 			eks = append(eks, k)
 		}
-		slices.SortFunc(eks, func(a, b ekey) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(eks, func(a, b EdgeKey) int { return cmp.Compare(a.ID, b.ID) })
 		dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
 		for _, k := range eks {
 			p, ok := WZoomReduce(eStates[k], w, spec.EQuant, eres)
@@ -368,14 +355,14 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 				continue
 			}
 			if dangling {
-				if _, ok := keptV[k.src]; !ok {
+				if _, ok := keptV[k.Src]; !ok {
 					continue
 				}
-				if _, ok := keptV[k.dst]; !ok {
+				if _, ok := keptV[k.Dst]; !ok {
 					continue
 				}
 			}
-			ses = append(ses, graphx.Edge[props.Props]{ID: k.id, Src: k.src, Dst: k.dst, Attr: p})
+			ses = append(ses, graphx.Edge[props.Props]{ID: k.ID, Src: k.Src, Dst: k.Dst, Attr: p})
 		}
 		if len(svs) == 0 && len(ses) == 0 {
 			continue

@@ -113,6 +113,31 @@ func TestAZoomSkolemDeclinesAll(t *testing.T) {
 	}
 }
 
+// TestOGAZoomRoutingTableSharesHistories: OG aZoom's routing table
+// holds every vertex's history array itself, not a copy of it. Every
+// state declines the Skolem function, so nothing but the table grows
+// with the vertex count, and the zoom allocates far fewer than one
+// object per vertex.
+func TestOGAZoomRoutingTableSharesHistories(t *testing.T) {
+	const n = 2000
+	ctx := testCtx()
+	defer ctx.Close()
+	vs := make([]VertexTuple, n)
+	for i := range vs {
+		vs[i] = VertexTuple{ID: VertexID(i + 1), Interval: temporal.MustInterval(0, 10), Props: props.New("type", "p")}
+	}
+	g := ToOG(NewVE(ctx, vs, nil))
+	spec := GroupByProperty("team", "team")
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := g.AZoom(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/4 {
+		t.Errorf("OG aZoom over %d vertices: %v allocs, want at most %d (no copy of a history per vertex)", n, allocs, n/4)
+	}
+}
+
 // TestAZoomComposes: zooming an already-zoomed graph (schools ->
 // school-count buckets).
 func TestAZoomComposes(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"repro/internal/props"
@@ -14,10 +15,11 @@ import (
 // per-entity coalescing — is factored here as a standalone kernel over
 // plain slices. The batch dataflow pipelines in azoom.go / wzoom.go
 // call these kernels from their FlatMap bodies, and the incremental
-// maintenance engine (internal/incr) calls the same kernels per
-// affected Skolem group or tumbling window, so the two paths cannot
-// drift apart: a materialized view patch replays exactly the batch
-// stage over the touched group.
+// maintenance engine (internal/incr) and the shard workers
+// (internal/shard) call the same kernels per affected Skolem group or
+// entity — for wZoom through the per-entity partial Histories — so the
+// paths cannot drift apart: a materialized view patch replays exactly
+// the batch stage over the touched group.
 //
 // Determinism contract: every kernel is a pure function of its input
 // slice, and all built-in aggregates (props.AggKind) are commutative
@@ -28,24 +30,14 @@ import (
 // the last ulp; the serving path sidesteps this because both the batch
 // rebuild and the view maintain states in append order.
 
-// AZState is one contributing input state of a Skolem group: the
-// original property set of the entity over one interval. It is the
-// exported form of the record azoomVerticesDataflow groups by new
-// identity.
-type AZState struct {
-	// Interval is the state's validity interval.
-	Interval temporal.Interval
-	// Props is the entity's original (pre-zoom) property set.
-	Props props.Props
-}
-
 // AZoomGroup reduces one Skolem group: given every input vertex state
-// mapped to the new identity newID, it aligns the states to the
-// group's elementary intervals and folds identity-equivalent states
-// per elementary interval with f_agg (Algorithm 2 lines 5-12). The
-// output states are sorted by interval and uncoalesced, matching the
-// batch pipeline's per-group output exactly.
-func AZoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []AZState) []VertexTuple {
+// mapped to the new identity newID, each with its original (pre-zoom)
+// property set, it aligns the states to the group's elementary
+// intervals and folds identity-equivalent states per elementary
+// interval with f_agg (Algorithm 2 lines 5-12). The output states are
+// sorted by interval and uncoalesced, matching the batch pipeline's
+// per-group output exactly.
+func AZoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []HistoryItem) []VertexTuple {
 	if len(states) == 0 {
 		return nil
 	}
@@ -87,9 +79,8 @@ func AZoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []AZS
 // endpoints are re-pointed at the Skolem identities, and the edge id
 // is re-derived through the edge Skolem function. ok=false when the
 // intersection is empty or either endpoint's Skolem function declines.
-// This scalar kernel is shared by the VE join pipeline, the OG routing
-// table, and RedirectEdge.
-func redirectOne(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, srcState, dstState AZState) (EdgeTuple, bool) {
+// This scalar kernel is shared by the VE join pipeline and RedirectEdge.
+func redirectOne(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, srcState, dstState HistoryItem) (EdgeTuple, bool) {
 	iv := et.Interval.Intersect(srcState.Interval).Intersect(dstState.Interval)
 	if iv.IsEmpty() {
 		return EdgeTuple{}, false
@@ -108,22 +99,25 @@ func redirectOne(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, srcState, dst
 	}, true
 }
 
-// RedirectEdge redirects one input edge state against the full state
-// lists of its two endpoints (Algorithm 3's recompute_history for a
-// single edge state): every (src state, dst state) pair with a
-// non-empty three-way intersection yields one output state re-pointed
-// at the Skolem identities. The incremental engine calls this per
-// affected input edge; the OG batch pipeline calls it per edge history
-// item.
-func RedirectEdge(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, src, dst []AZState) []EdgeTuple {
-	var out []EdgeTuple
-	for _, sh := range src {
-		if et.Interval.Intersect(sh.Interval).IsEmpty() {
-			continue
-		}
-		for _, dh := range dst {
-			if t, ok := redirectOne(spec, esk, et, sh, dh); ok {
-				out = append(out, t)
+// RedirectEdge redirects every state h holds of input edge k against
+// the full histories of its two endpoints (Algorithm 3's
+// recompute_history): every (edge state, src state, dst state) triple
+// with a non-empty three-way intersection yields one output state
+// re-pointed at the Skolem identities, appended to out. The OG batch
+// pipeline, the incremental aZoom view and the shard workers call it
+// per input edge, with the endpoint histories they hold — shared, not
+// copied.
+func RedirectEdge(spec AZoomSpec, esk EdgeSkolemFunc, k EdgeKey, h, src, dst []HistoryItem, out []EdgeTuple) []EdgeTuple {
+	for _, eh := range h {
+		et := k.state(eh)
+		for _, sh := range src {
+			if et.Interval.Intersect(sh.Interval).IsEmpty() {
+				continue
+			}
+			for _, dh := range dst {
+				if t, ok := redirectOne(spec, esk, et, sh, dh); ok {
+					out = append(out, t)
+				}
 			}
 		}
 	}
@@ -236,24 +230,17 @@ func wzoomRun[T, O any](
 
 // WZoomEntity recomputes one entity's full windowed history from its
 // coalesced input history. This is the per-entity unit of Algorithm 6
-// (OG's narrow map), the granule the incremental engine re-runs when a
-// delta touches an entity, and — over a grouped run of tuples — what VE
-// evaluates after its one shuffle (see wzoomRun).
+// (OG's narrow map); Histories.WZoom runs the same kernel over every
+// entity a view or shard holds, and VE over a grouped run of tuples
+// after its one shuffle (see wzoomRun).
 func WZoomEntity(h []HistoryItem, windows []temporal.Window, q temporal.Quantifier, r props.BoundResolve) []HistoryItem {
-	out, _ := wzoomRun(h, historyIv, historyProps, windows, q, r, nil, []HistoryItem(nil),
-		func(iv temporal.Interval, p props.Props) HistoryItem { return HistoryItem{Interval: iv, Props: p} })
+	out, _ := wzoomRun(h, historyIv, historyProps, windows, q, r, nil, []HistoryItem(nil), historyItem)
 	return out
 }
 
-// NormalizeHistory sorts a history array by interval and merges
-// adjacent value-equivalent items — the per-entity coalescing stage.
-// The incremental engine normalizes an entity's base states with it
-// before re-running WZoomEntity, matching the representation-level
-// Coalesce the batch path applies. It works in place (see
-// temporal.Coalesce): h is reordered and the result is a prefix of it,
-// so callers pass a copy of any history they retain.
-func NormalizeHistory(h []HistoryItem) []HistoryItem {
-	return temporal.Coalesce(h, historyIv, historyCmp, historyEq)
+// historyItem is wzoomRun's emit for history outputs.
+func historyItem(iv temporal.Interval, p props.Props) HistoryItem {
+	return HistoryItem{Interval: iv, Props: p}
 }
 
 // BoundEdgeSkolem returns the spec's edge Skolem function with the
@@ -263,11 +250,143 @@ func NormalizeHistory(h []HistoryItem) []HistoryItem {
 // directly.
 func (s AZoomSpec) BoundEdgeSkolem() EdgeSkolemFunc { return s.edgeSkolem() }
 
-// ZoomChangePoints returns the sorted interior interval boundaries of
-// the given states — the change points that feed change-based window
-// specs. Exported for the incremental engine, which must re-derive the
-// window relation after a delta batch to detect window-boundary
-// shifts.
-func ZoomChangePoints(vs []VertexTuple, es []EdgeTuple) []temporal.Time {
-	return changePointsOf(vs, es)
+// Histories is the map-based per-entity partial of the zoom operators:
+// every vertex's and every edge entity's states, in arrival order. The
+// incremental views keep their base states and their windowed outputs
+// in it, and a shard worker the masters and edges it owns; the methods
+// are the per-entity wZoom^T steps both evaluate — window every entity,
+// collect the change points, flatten the outputs through the
+// dangling-edge semijoin. Histories only grow by append and no method
+// writes to one: a history that must be coalesced first is folded on a
+// copy, so holders may share the slices.
+type Histories struct {
+	V map[VertexID][]HistoryItem
+	E map[EdgeKey][]HistoryItem
+}
+
+// NewHistories returns an empty partial.
+func NewHistories() Histories {
+	return Histories{V: make(map[VertexID][]HistoryItem), E: make(map[EdgeKey][]HistoryItem)}
+}
+
+// HistoriesOf groups flat states by entity, keeping their order.
+func HistoriesOf(vs []VertexTuple, es []EdgeTuple) Histories {
+	h := NewHistories()
+	for _, t := range vs {
+		h.V[t.ID] = append(h.V[t.ID], HistoryItem{Interval: t.Interval, Props: t.Props})
+	}
+	for _, t := range es {
+		k := t.Key()
+		h.E[k] = append(h.E[k], HistoryItem{Interval: t.Interval, Props: t.Props})
+	}
+	return h
+}
+
+// cancelStride is how many entities WZoom evaluates between checks of
+// its context; the kernels themselves are context-free.
+const cancelStride = 512
+
+// WZoom evaluates the window relation over every entity: each history
+// is coalesced, as the batch path coalesces its input, and windowed by
+// the kernel OG runs per entity (WZoomEntity). Entities no window
+// retains are left out. Dangling edges are kept — their semijoin needs
+// every vertex's output, which a partial may not hold; WZoomFinish
+// applies it once the outputs are merged. WZoom returns ctx's error if
+// ctx ends before it is done.
+func (h Histories) WZoom(ctx context.Context, spec WZoomSpec, windows []temporal.Window) (Histories, error) {
+	out := Histories{
+		V: make(map[VertexID][]HistoryItem, len(h.V)),
+		E: make(map[EdgeKey][]HistoryItem, len(h.E)),
+	}
+	if err := wzoomEntities(ctx, h.V, out.V, windows, spec.VQuant, spec.VResolve.Bind()); err != nil {
+		return Histories{}, err
+	}
+	if err := wzoomEntities(ctx, h.E, out.E, windows, spec.EQuant, spec.EResolve.Bind()); err != nil {
+		return Histories{}, err
+	}
+	return out, nil
+}
+
+// wzoomEntities windows every history of in into out, with one kernel
+// scratch for all of them.
+func wzoomEntities[K comparable](ctx context.Context, in, out map[K][]HistoryItem, windows []temporal.Window, q temporal.Quantifier, r props.BoundResolve) error {
+	var scratch []WZState
+	n := 0
+	for k, h := range in {
+		if n%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		n++
+		var o []HistoryItem
+		o, scratch = wzoomRun(coalesceHistory(h), historyIv, historyProps, windows, q, r, scratch, nil, historyItem)
+		if len(o) > 0 {
+			out[k] = o
+		}
+	}
+	return nil
+}
+
+// ChangePoints returns the sorted boundary points of every entity's
+// coalesced history: the change points a change-based window spec
+// derives its windows from, taken after coalescing as the batch path
+// takes them. Boundary sets union losslessly, so the change points of
+// several partials together are the union of theirs.
+func (h Histories) ChangePoints() []temporal.Time {
+	return temporal.Boundaries(coalescedIntervals(coalescedIntervals(nil, h.V), h.E))
+}
+
+// coalescedIntervals appends the intervals of every coalesced history
+// of m to ivs.
+func coalescedIntervals[K comparable](ivs []temporal.Interval, m map[K][]HistoryItem) []temporal.Interval {
+	for _, h := range m {
+		for _, it := range coalesceHistory(h) {
+			ivs = append(ivs, it.Interval)
+		}
+	}
+	return ivs
+}
+
+// WZoomFinish flattens windowed outputs — WZoom's result, or the union
+// of several partials' disjoint results — into the state tuples wZoom^T
+// emits. When the vertex quantifier is more restrictive than the edge
+// quantifier it removes dangling edges with the batch semijoin's
+// predicate: an edge state, always a whole window, survives only while
+// a state of each endpoint covers it.
+func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
+	vs := make([]VertexTuple, 0, statesIn(h.V))
+	for id, o := range h.V {
+		for _, it := range o {
+			vs = append(vs, VertexTuple{ID: id, Interval: it.Interval, Props: it.Props})
+		}
+	}
+	dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
+	covered := func(id VertexID, iv temporal.Interval) bool {
+		for _, it := range h.V[id] {
+			if it.Interval.Covers(iv) {
+				return true
+			}
+		}
+		return false
+	}
+	es := make([]EdgeTuple, 0, statesIn(h.E))
+	for k, o := range h.E {
+		for _, it := range o {
+			if dangling && (!covered(k.Src, it.Interval) || !covered(k.Dst, it.Interval)) {
+				continue
+			}
+			es = append(es, k.state(it))
+		}
+	}
+	return vs, es
+}
+
+// statesIn counts the states of every history of m.
+func statesIn[K comparable](m map[K][]HistoryItem) int {
+	n := 0
+	for _, h := range m {
+		n += len(h)
+	}
+	return n
 }

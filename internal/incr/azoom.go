@@ -1,9 +1,9 @@
 package incr
 
 import (
-	"time"
-
+	"maps"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/props"
@@ -35,15 +35,14 @@ type AZoomView struct {
 
 	// Base-state indexes (append order preserved: graph iteration
 	// order at build, then WAL order).
-	vStates  map[core.VertexID][]core.AZState // input vertex → its states
-	groups   map[core.VertexID][]core.AZState // Skolem group → contributing states
-	eStates  map[edgeKey][]core.EdgeTuple     // input edge → its states
-	incident map[core.VertexID][]edgeKey      // vertex → incident input edges
+	base     core.Histories                       // input entity → its states
+	groups   map[core.VertexID][]core.HistoryItem // Skolem group → contributing states
+	incident map[core.VertexID][]core.EdgeKey     // vertex → incident input edges
 
 	// Materialized outputs, uncoalesced (aZoom^T leaves its output
 	// uncoalesced; the serving layer coalesces on encode).
 	outV map[core.VertexID][]core.VertexTuple // per Skolem group
-	outE map[edgeKey][]core.EdgeTuple         // per input edge
+	outE map[core.EdgeKey][]core.EdgeTuple    // per input edge
 }
 
 // NewAZoomView builds the view from the graph's current states — one
@@ -59,59 +58,40 @@ func NewAZoomView(g core.TGraph, spec core.AZoomSpec, opts Options) (*AZoomView,
 			return nil, ErrUnsupported
 		}
 	}
+	vs := g.VertexStates()
 	v := &AZoomView{
 		spec:     spec,
 		agg:      spec.Agg.Bind(),
 		esk:      spec.BoundEdgeSkolem(),
 		opts:     opts,
-		vStates:  make(map[core.VertexID][]core.AZState),
-		groups:   make(map[core.VertexID][]core.AZState),
-		eStates:  make(map[edgeKey][]core.EdgeTuple),
-		incident: make(map[core.VertexID][]edgeKey),
+		base:     core.HistoriesOf(vs, g.EdgeStates()),
+		groups:   make(map[core.VertexID][]core.HistoryItem),
+		incident: make(map[core.VertexID][]core.EdgeKey),
 		outV:     make(map[core.VertexID][]core.VertexTuple),
-		outE:     make(map[edgeKey][]core.EdgeTuple),
+		outE:     make(map[core.EdgeKey][]core.EdgeTuple),
 	}
-	for _, t := range g.VertexStates() {
-		v.vStates[t.ID] = append(v.vStates[t.ID], core.AZState{Interval: t.Interval, Props: t.Props})
+	for _, t := range vs {
 		if nid, ok := spec.Skolem(t.ID, t.Props); ok {
-			v.groups[nid] = append(v.groups[nid], core.AZState{Interval: t.Interval, Props: t.Props})
+			v.groups[nid] = append(v.groups[nid], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 		}
-	}
-	for _, t := range g.EdgeStates() {
-		k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-		if _, seen := v.eStates[k]; !seen {
-			v.addIncident(k)
-		}
-		v.eStates[k] = append(v.eStates[k], t)
 	}
 	for nid, states := range v.groups {
 		v.outV[nid] = core.AZoomGroup(spec, v.agg, nid, states)
 	}
-	for k, states := range v.eStates {
-		v.outE[k] = v.redirect(k, states, v.vStates)
+	for k, h := range v.base.E {
+		v.addIncident(k)
+		v.outE[k] = core.RedirectEdge(spec, v.esk, k, h, v.base.V[k.Src], v.base.V[k.Dst], nil)
 	}
 	mViewBuild.Add(1)
 	return v, nil
 }
 
 // addIncident registers k in the incident index of both endpoints.
-func (v *AZoomView) addIncident(k edgeKey) {
+func (v *AZoomView) addIncident(k core.EdgeKey) {
 	v.incident[k.Src] = append(v.incident[k.Src], k)
 	if k.Dst != k.Src {
 		v.incident[k.Dst] = append(v.incident[k.Dst], k)
 	}
-}
-
-// redirect recomputes one input edge's redirected output states
-// against the given vertex-state index (the staged index during Apply,
-// the committed one at build).
-func (v *AZoomView) redirect(k edgeKey, states []core.EdgeTuple, vStates map[core.VertexID][]core.AZState) []core.EdgeTuple {
-	src, dst := vStates[k.Src], vStates[k.Dst]
-	var out []core.EdgeTuple
-	for _, et := range states {
-		out = append(out, core.RedirectEdge(v.spec, v.esk, et, src, dst)...)
-	}
-	return out
 }
 
 // Apply folds a batch of WAL deltas into the view. Staging happens
@@ -129,29 +109,19 @@ func (v *AZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 
 	// Stage base-state additions copy-on-write and collect the touched
 	// groups and edges.
-	stagedV := make(map[core.VertexID][]core.AZState)
-	stagedG := make(map[core.VertexID][]core.AZState)
-	stagedE := make(map[edgeKey][]core.EdgeTuple)
-	newEdges := make(map[edgeKey]bool)
+	staged := core.NewHistories()
+	stagedG := make(map[core.VertexID][]core.HistoryItem)
+	var newEdges []core.EdgeKey
 	touchedG := make(map[core.VertexID]bool)
-	touchedE := make(map[edgeKey]bool)
-	vOf := func(id core.VertexID) []core.AZState {
-		if s, ok := stagedV[id]; ok {
-			return s
-		}
-		return v.vStates[id]
-	}
+	touchedE := make(map[core.EdgeKey]bool)
 	for _, d := range deltas {
 		switch d.Kind {
 		case wal.KindVertex:
 			t, _ := d.VertexTuple()
-			st := core.AZState{Interval: t.Interval, Props: t.Props}
-			stagedV[t.ID] = appendCopy(vOf(t.ID), st)
+			it := core.HistoryItem{Interval: t.Interval, Props: t.Props}
+			stage(staged.V, v.base.V, t.ID, it)
 			if nid, ok := v.spec.Skolem(t.ID, t.Props); ok {
-				if _, ok := stagedG[nid]; !ok {
-					stagedG[nid] = appendCopy(v.groups[nid])
-				}
-				stagedG[nid] = append(stagedG[nid], st)
+				stage(stagedG, v.groups, nid, it)
 				touchedG[nid] = true
 			}
 			for _, k := range v.incident[t.ID] {
@@ -162,14 +132,11 @@ func (v *AZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 			// touches them because every staged edge is recomputed.
 		case wal.KindEdge:
 			t, _ := d.EdgeTuple()
-			k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-			if _, ok := stagedE[k]; !ok {
-				stagedE[k] = appendCopy(v.eStates[k])
-				if _, seen := v.eStates[k]; !seen {
-					newEdges[k] = true
-				}
+			k := t.Key()
+			if latest(staged.E, v.base.E, k) == nil {
+				newEdges = append(newEdges, k)
 			}
-			stagedE[k] = append(stagedE[k], t)
+			stage(staged.E, v.base.E, k, core.HistoryItem{Interval: t.Interval, Props: t.Props})
 			touchedE[k] = true
 		}
 	}
@@ -180,20 +147,12 @@ func (v *AZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 		newOutV[nid] = core.AZoomGroup(v.spec, v.agg, nid, stagedG[nid])
 		stats.GroupsPatched++
 	}
-	newOutE := make(map[edgeKey][]core.EdgeTuple, len(touchedE))
+	newOutE := make(map[core.EdgeKey][]core.EdgeTuple, len(touchedE))
 	for k := range touchedE {
-		states := v.eStates[k]
-		if s, ok := stagedE[k]; ok {
-			states = s
-		}
 		// The redirect reads endpoint states through the staged view so
 		// a vertex and an incident edge landing in one batch compose.
-		src, dst := vOf(k.Src), vOf(k.Dst)
-		var out []core.EdgeTuple
-		for _, et := range states {
-			out = append(out, core.RedirectEdge(v.spec, v.esk, et, src, dst)...)
-		}
-		newOutE[k] = out
+		newOutE[k] = core.RedirectEdge(v.spec, v.esk, k, latest(staged.E, v.base.E, k),
+			latest(staged.V, v.base.V, k.Src), latest(staged.V, v.base.V, k.Dst), nil)
 		stats.GroupsPatched++
 	}
 
@@ -202,24 +161,14 @@ func (v *AZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 	}
 	// Commit: plain map writes only — no fallible step past this
 	// point, so the view is never observable half-patched.
-	for id, s := range stagedV {
-		v.vStates[id] = s
-	}
-	for nid, s := range stagedG {
-		v.groups[nid] = s
-	}
-	for k, s := range stagedE {
-		v.eStates[k] = s
-	}
-	for k := range newEdges {
+	maps.Copy(v.base.V, staged.V)
+	maps.Copy(v.base.E, staged.E)
+	maps.Copy(v.groups, stagedG)
+	for _, k := range newEdges {
 		v.addIncident(k)
 	}
-	for nid, out := range newOutV {
-		v.outV[nid] = out
-	}
-	for k, out := range newOutE {
-		v.outE[k] = out
-	}
+	maps.Copy(v.outV, newOutV)
+	maps.Copy(v.outE, newOutE)
 	stats.record()
 	mLatency.Observe(time.Since(start))
 	return stats, nil

@@ -3,6 +3,7 @@ package incr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestChaosIncrMaintenance(t *testing.T) {
 			// Expected canonical result after each batch prefix, from a
 			// full from-scratch zoom — the only states a reader may see.
 			type expect struct{ az, wz string }
-			vs, es := appendCopy(c.baseV), appendCopy(c.baseE)
+			vs, es := slices.Clone(c.baseV), slices.Clone(c.baseE)
 			snap := func() expect {
 				g := core.NewVE(ctx, vs, es)
 				az, err := g.AZoom(azSpec)

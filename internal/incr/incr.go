@@ -3,7 +3,8 @@
 // each typed tuple delta (wal.Delta) to the Skolem groups (aZoom) or
 // tumbling windows (wZoom) it can affect and re-runs only the
 // corresponding stage kernel from internal/core — AZoomGroup,
-// RedirectEdge, WZoomEntity/WZoomReduce — over the touched groups,
+// RedirectEdge, and the per-entity wZoom of core.Histories, the partial
+// the shard workers evaluate too — over the touched groups,
 // re-coalescing just those entities. The batch pipelines call the same
 // kernels, so a patched view is byte-identical (after canonical
 // coalesce + sort + encode) to a from-scratch zoom over the appended
@@ -59,11 +60,11 @@ package incr
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage/wal"
-	"repro/internal/temporal"
 )
 
 // Stats reports what one Apply call did.
@@ -104,13 +105,6 @@ type View interface {
 // the view cannot verify to be commutative and associative).
 var ErrUnsupported = errors.New("incr: spec not incrementally maintainable")
 
-// edgeKey identifies one input edge (VE's edge identity: id plus both
-// endpoints, so parallel edges with distinct endpoints stay distinct).
-type edgeKey struct {
-	ID       core.EdgeID
-	Src, Dst core.VertexID
-}
-
 // hookErr runs the optional fault hook at site.
 func (o Options) hookErr(site string) error {
 	if o.Hook == nil {
@@ -141,24 +135,21 @@ func (s Stats) record() {
 	}
 }
 
-// appendCopy returns a fresh slice holding base followed by extra —
-// the copy-on-write append the staging phase uses so the committed
-// slices are never aliased by in-flight readers.
-func appendCopy[T any](base []T, extra ...T) []T {
-	out := make([]T, 0, len(base)+len(extra))
-	out = append(out, base...)
-	return append(out, extra...)
+// stage appends it to k's staged history. The first touch starts from
+// the committed history with its capacity clipped, so the append
+// copies it and the committed array is never written before commit.
+func stage[K comparable](staged, committed map[K][]core.HistoryItem, k K, it core.HistoryItem) {
+	h, ok := staged[k]
+	if !ok {
+		h = slices.Clip(committed[k])
+	}
+	staged[k] = append(h, it)
 }
 
-// windowsEqual reports whether two window relations are identical.
-func windowsEqual(a, b []temporal.Window) bool {
-	if len(a) != len(b) {
-		return false
+// latest returns k's staged history, or its committed one.
+func latest[K comparable](staged, committed map[K][]core.HistoryItem, k K) []core.HistoryItem {
+	if h, ok := staged[k]; ok {
+		return h
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return committed[k]
 }

@@ -54,14 +54,9 @@ func canonTopology(vs []core.VertexTuple, es []core.EdgeTuple) string {
 	for _, t := range vs {
 		vIvs[t.ID] = append(vIvs[t.ID], t.Interval)
 	}
-	type ek struct {
-		id       core.EdgeID
-		src, dst core.VertexID
-	}
-	eIvs := make(map[ek][]temporal.Interval)
+	eIvs := make(map[core.EdgeKey][]temporal.Interval)
 	for _, t := range es {
-		k := ek{t.ID, t.Src, t.Dst}
-		eIvs[k] = append(eIvs[k], t.Interval)
+		eIvs[t.Key()] = append(eIvs[t.Key()], t.Interval)
 	}
 	var lines []string
 	for id, ivs := range vIvs {
@@ -71,7 +66,7 @@ func canonTopology(vs []core.VertexTuple, es []core.EdgeTuple) string {
 	}
 	for k, ivs := range eIvs {
 		for _, iv := range temporal.CoalesceIntervals(ivs) {
-			lines = append(lines, fmt.Sprintf("e %d %d->%d [%d,%d)", k.id, k.src, k.dst, iv.Start, iv.End))
+			lines = append(lines, fmt.Sprintf("e %d %d->%d [%d,%d)", k.ID, k.Src, k.Dst, iv.Start, iv.End))
 		}
 	}
 	sort.Strings(lines)

@@ -1,11 +1,13 @@
 package incr
 
 import (
+	"context"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/props"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
@@ -36,8 +38,6 @@ import (
 type WZoomView struct {
 	mu   sync.RWMutex
 	spec core.WZoomSpec
-	vres props.BoundResolve
-	eres props.BoundResolve
 	opts Options
 
 	// changeSensitive marks window specs whose relation depends on the
@@ -48,14 +48,9 @@ type WZoomView struct {
 	lifetime temporal.Interval
 	windows  []temporal.Window
 
-	// Base states per entity, in append order (normalized per entity
-	// before reducing).
-	vBase map[core.VertexID][]core.HistoryItem
-	eBase map[edgeKey][]core.HistoryItem
-
-	// Windowed outputs per entity, before dangling-edge removal.
-	vOut map[core.VertexID][]core.HistoryItem
-	eOut map[edgeKey][]core.HistoryItem
+	// base holds every entity's states in append order; out its
+	// windowed outputs, before dangling-edge removal.
+	base, out core.Histories
 }
 
 // NewWZoomView builds the view from the graph's current states — one
@@ -66,23 +61,14 @@ func NewWZoomView(g core.TGraph, spec core.WZoomSpec, opts Options) (*WZoomView,
 		return nil, err
 	}
 	v := &WZoomView{
-		spec: spec,
-		vres: spec.VResolve.Bind(),
-		eres: spec.EResolve.Bind(),
-		opts: opts,
+		spec:            spec,
+		opts:            opts,
+		changeSensitive: temporal.UsesChangePoints(spec.Window),
+		lifetime:        g.Lifetime(),
+		base:            core.HistoriesOf(g.VertexStates(), g.EdgeStates()),
 	}
-	v.vBase = make(map[core.VertexID][]core.HistoryItem)
-	v.eBase = make(map[edgeKey][]core.HistoryItem)
-	for _, t := range g.VertexStates() {
-		v.vBase[t.ID] = append(v.vBase[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
-	}
-	for _, t := range g.EdgeStates() {
-		k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-		v.eBase[k] = append(v.eBase[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
-	}
-	v.lifetime = g.Lifetime()
-	v.changeSensitive = temporal.UsesChangePoints(spec.Window)
-	v.windows, v.vOut, v.eOut = v.rebuild(v.vBase, v.eBase, v.lifetime)
+	v.windows = v.windowsOf(v.base, v.lifetime)
+	v.out = v.wzoom(v.base, v.windows)
 	mViewBuild.Add(1)
 	return v, nil
 }
@@ -93,48 +79,20 @@ func NewWZoomView(g core.TGraph, spec core.WZoomSpec, opts Options) (*WZoomView,
 // invalidate path instead of registering a view.
 func (v *WZoomView) ChangeSensitive() bool { return v.changeSensitive }
 
-// normalizedStates flattens per-entity normalized histories back to
-// tuple slices — the coalesced relation the window derivation (change
-// points) must see, matching the batch path's coalesce-before-window
-// order.
-func normalizedStates(vBase map[core.VertexID][]core.HistoryItem, eBase map[edgeKey][]core.HistoryItem) ([]core.VertexTuple, []core.EdgeTuple) {
-	var vs []core.VertexTuple
-	for id, h := range vBase {
-		for _, it := range core.NormalizeHistory(appendCopy(h)) {
-			vs = append(vs, core.VertexTuple{ID: id, Interval: it.Interval, Props: it.Props})
-		}
-	}
-	var es []core.EdgeTuple
-	for k, h := range eBase {
-		for _, it := range core.NormalizeHistory(appendCopy(h)) {
-			es = append(es, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: it.Interval, Props: it.Props})
-		}
-	}
-	return vs, es
-}
-
-// rebuild recomputes the full materialized state from the given base
-// maps — the fallback path, and the build path.
-func (v *WZoomView) rebuild(vBase map[core.VertexID][]core.HistoryItem, eBase map[edgeKey][]core.HistoryItem, lifetime temporal.Interval) ([]temporal.Window, map[core.VertexID][]core.HistoryItem, map[edgeKey][]core.HistoryItem) {
+// windowsOf derives the window relation of base states over lifetime.
+func (v *WZoomView) windowsOf(base core.Histories, lifetime temporal.Interval) []temporal.Window {
 	var cps []temporal.Time
 	if v.changeSensitive {
-		vs, es := normalizedStates(vBase, eBase)
-		cps = core.ZoomChangePoints(vs, es)
+		cps = base.ChangePoints()
 	}
-	windows := v.spec.Window.Windows(lifetime, cps)
-	vOut := make(map[core.VertexID][]core.HistoryItem, len(vBase))
-	for id, h := range vBase {
-		if out := core.WZoomEntity(core.NormalizeHistory(appendCopy(h)), windows, v.spec.VQuant, v.vres); len(out) > 0 {
-			vOut[id] = out
-		}
-	}
-	eOut := make(map[edgeKey][]core.HistoryItem, len(eBase))
-	for k, h := range eBase {
-		if out := core.WZoomEntity(core.NormalizeHistory(appendCopy(h)), windows, v.spec.EQuant, v.eres); len(out) > 0 {
-			eOut[k] = out
-		}
-	}
-	return windows, vOut, eOut
+	return v.spec.Window.Windows(lifetime, cps)
+}
+
+// wzoom windows the given entities. View maintenance takes no context;
+// the error WZoom returns only for an ended one is dropped.
+func (v *WZoomView) wzoom(h core.Histories, windows []temporal.Window) core.Histories {
+	out, _ := h.WZoom(context.TODO(), v.spec, windows)
+	return out
 }
 
 // Apply folds a batch of WAL deltas into the view, choosing between
@@ -151,8 +109,7 @@ func (v *WZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 	}
 
 	// Stage base additions copy-on-write.
-	stagedV := make(map[core.VertexID][]core.HistoryItem)
-	stagedE := make(map[edgeKey][]core.HistoryItem)
+	staged := core.NewHistories()
 	newLifetime := v.lifetime
 	span := temporal.Empty
 	for _, d := range deltas {
@@ -161,161 +118,102 @@ func (v *WZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 		switch d.Kind {
 		case wal.KindVertex:
 			t, _ := d.VertexTuple()
-			it := core.HistoryItem{Interval: t.Interval, Props: t.Props}
-			if _, ok := stagedV[t.ID]; !ok {
-				stagedV[t.ID] = appendCopy(v.vBase[t.ID])
-			}
-			stagedV[t.ID] = append(stagedV[t.ID], it)
+			stage(staged.V, v.base.V, t.ID, core.HistoryItem{Interval: t.Interval, Props: t.Props})
 		case wal.KindEdge:
 			t, _ := d.EdgeTuple()
-			k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-			if _, ok := stagedE[k]; !ok {
-				stagedE[k] = appendCopy(v.eBase[k])
-			}
-			stagedE[k] = append(stagedE[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+			stage(staged.E, v.base.E, t.Key(), core.HistoryItem{Interval: t.Interval, Props: t.Props})
 		}
-	}
-	baseV := func(id core.VertexID) []core.HistoryItem {
-		if h, ok := stagedV[id]; ok {
-			return h
-		}
-		return v.vBase[id]
-	}
-	baseE := func(k edgeKey) []core.HistoryItem {
-		if h, ok := stagedE[k]; ok {
-			return h
-		}
-		return v.eBase[k]
 	}
 
+	// redo holds the entities to re-window: by default the delta
+	// entities alone.
+	redo := staged
 	var newWindows []temporal.Window
-	newOutV := make(map[core.VertexID][]core.HistoryItem)
-	newOutE := make(map[edgeKey][]core.HistoryItem)
-	var fullV map[core.VertexID][]core.HistoryItem
-	var fullE map[edgeKey][]core.HistoryItem
 	full := v.changeSensitive
-	scopeFrom := -1 // first window index whose bounds changed, -1 = none
 	if !full {
 		newWindows = v.spec.Window.Windows(newLifetime, nil)
 		switch {
-		case windowsEqual(newWindows, v.windows):
+		case slices.Equal(newWindows, v.windows):
 			// Decomposable: only the delta entities change.
+			stats.WindowsRecomputed += (len(staged.V) + len(staged.E)) * len(temporal.OverlappingWindows(newWindows, span))
 		case newLifetime.Start == v.lifetime.Start && len(newWindows) >= len(v.windows):
 			// The tail of the relation moved (clamped final window
 			// extended, windows appended): scoped recomputation of
-			// every entity overlapping the changed range.
-			scopeFrom = len(v.windows) - 1
+			// every entity overlapping the changed range, plus the
+			// delta entities.
+			scopeFrom := len(v.windows) - 1
 			for i := 0; i < len(v.windows)-1; i++ {
 				if newWindows[i] != v.windows[i] {
 					scopeFrom = i
 					break
 				}
 			}
+			changed := temporal.Interval{Start: newWindows[scopeFrom].Interval.Start, End: newLifetime.End}
+			stats.WindowsRecomputed += len(newWindows) - scopeFrom
+			redo = core.Histories{V: overlapping(v.base.V, staged.V, changed), E: overlapping(v.base.E, staged.E, changed)}
 		default:
 			// Window alignment shifted (lifetime start moved): nothing
 			// short of a rebuild is sound.
 			full = true
 		}
 	}
-
-	switch {
-	case full:
+	if full {
 		stats.FallbackFull = true
-		// Rebuild against merged base maps (committed + staged).
-		mergedV := make(map[core.VertexID][]core.HistoryItem, len(v.vBase)+len(stagedV))
-		for id, h := range v.vBase {
-			mergedV[id] = h
-		}
-		for id, h := range stagedV {
-			mergedV[id] = h
-		}
-		mergedE := make(map[edgeKey][]core.HistoryItem, len(v.eBase)+len(stagedE))
-		for k, h := range v.eBase {
-			mergedE[k] = h
-		}
-		for k, h := range stagedE {
-			mergedE[k] = h
-		}
-		newWindows, fullV, fullE = v.rebuild(mergedV, mergedE, newLifetime)
-	case scopeFrom >= 0:
-		// Scoped fallback: recompute every entity with states in the
-		// changed window range (plus the delta entities, handled by
-		// the same scan because their staged states overlap the range
-		// or fall in unchanged windows they also re-reduce over).
-		changed := temporal.Interval{Start: newWindows[scopeFrom].Interval.Start, End: newLifetime.End}
-		overlaps := func(h []core.HistoryItem) bool {
-			for _, it := range h {
-				if it.Interval.Overlaps(changed) {
-					return true
-				}
-			}
-			return false
-		}
-		stats.WindowsRecomputed += len(newWindows) - scopeFrom
-		for id := range v.vBase {
-			if overlaps(baseV(id)) {
-				newOutV[id] = core.WZoomEntity(core.NormalizeHistory(appendCopy(baseV(id))), newWindows, v.spec.VQuant, v.vres)
-			}
-		}
-		for id := range stagedV {
-			if _, done := newOutV[id]; !done {
-				newOutV[id] = core.WZoomEntity(core.NormalizeHistory(appendCopy(stagedV[id])), newWindows, v.spec.VQuant, v.vres)
-			}
-		}
-		for k := range v.eBase {
-			if overlaps(baseE(k)) {
-				newOutE[k] = core.WZoomEntity(core.NormalizeHistory(appendCopy(baseE(k))), newWindows, v.spec.EQuant, v.eres)
-			}
-		}
-		for k := range stagedE {
-			if _, done := newOutE[k]; !done {
-				newOutE[k] = core.WZoomEntity(core.NormalizeHistory(appendCopy(stagedE[k])), newWindows, v.spec.EQuant, v.eres)
-			}
-		}
-	default:
-		// Pure per-entity patch: re-reduce only the delta entities.
-		for id := range stagedV {
-			newOutV[id] = core.WZoomEntity(core.NormalizeHistory(appendCopy(stagedV[id])), newWindows, v.spec.VQuant, v.vres)
-		}
-		for k := range stagedE {
-			newOutE[k] = core.WZoomEntity(core.NormalizeHistory(appendCopy(stagedE[k])), newWindows, v.spec.EQuant, v.eres)
-		}
-		stats.WindowsRecomputed += (len(stagedV) + len(stagedE)) * len(temporal.OverlappingWindows(newWindows, span))
+		redo = core.Histories{V: merged(v.base.V, staged.V), E: merged(v.base.E, staged.E)}
+		newWindows = v.windowsOf(redo, newLifetime)
 	}
+	out := v.wzoom(redo, newWindows)
 
 	if err := v.opts.hookErr("incr.apply.commit"); err != nil {
 		return Stats{}, err
 	}
-	// Commit: plain writes only.
-	for id, h := range stagedV {
-		v.vBase[id] = h
-	}
-	for k, h := range stagedE {
-		v.eBase[k] = h
-	}
+	// Commit: plain writes only. Every entity the view holds outputs
+	// for is in a full rebuild's redo set, so patching the re-windowed
+	// entities covers all three paths.
+	maps.Copy(v.base.V, staged.V)
+	maps.Copy(v.base.E, staged.E)
 	v.lifetime = newLifetime
 	v.windows = newWindows
-	if full {
-		v.vOut, v.eOut = fullV, fullE
-	} else {
-		for id, out := range newOutV {
-			if len(out) == 0 {
-				delete(v.vOut, id)
-			} else {
-				v.vOut[id] = out
-			}
-		}
-		for k, out := range newOutE {
-			if len(out) == 0 {
-				delete(v.eOut, k)
-			} else {
-				v.eOut[k] = out
-			}
-		}
-	}
+	patch(v.out.V, redo.V, out.V)
+	patch(v.out.E, redo.E, out.E)
 	stats.record()
 	mLatency.Observe(time.Since(start))
 	return stats, nil
+}
+
+// merged returns the committed histories overlaid with the staged ones.
+func merged[K comparable](committed, staged map[K][]core.HistoryItem) map[K][]core.HistoryItem {
+	m := make(map[K][]core.HistoryItem, len(committed)+len(staged))
+	maps.Copy(m, committed)
+	maps.Copy(m, staged)
+	return m
+}
+
+// overlapping returns every staged history and every committed one with
+// a state overlapping iv.
+func overlapping[K comparable](committed, staged map[K][]core.HistoryItem, iv temporal.Interval) map[K][]core.HistoryItem {
+	m := maps.Clone(staged)
+	for k, h := range committed {
+		if _, ok := m[k]; ok {
+			continue
+		}
+		if slices.ContainsFunc(h, func(it core.HistoryItem) bool { return it.Interval.Overlaps(iv) }) {
+			m[k] = h
+		}
+	}
+	return m
+}
+
+// patch replaces the outputs of every re-windowed entity: its new
+// output where a window retained it, no entry where none did.
+func patch[K comparable](out, redo, windowed map[K][]core.HistoryItem) {
+	for k := range redo {
+		if o, ok := windowed[k]; ok {
+			out[k] = o
+		} else {
+			delete(out, k)
+		}
+	}
 }
 
 // Result snapshots the materialized output as uncoalesced windowed
@@ -325,29 +223,5 @@ func (v *WZoomView) Apply(deltas []wal.Delta) (Stats, error) {
 func (v *WZoomView) Result() ([]core.VertexTuple, []core.EdgeTuple) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	var vs []core.VertexTuple
-	for id, out := range v.vOut {
-		for _, it := range out {
-			vs = append(vs, core.VertexTuple{ID: id, Interval: it.Interval, Props: it.Props})
-		}
-	}
-	dangling := v.spec.VQuant.MoreRestrictiveThan(v.spec.EQuant)
-	covered := func(id core.VertexID, iv temporal.Interval) bool {
-		for _, it := range v.vOut[id] {
-			if it.Interval.Covers(iv) {
-				return true
-			}
-		}
-		return false
-	}
-	var es []core.EdgeTuple
-	for k, out := range v.eOut {
-		for _, it := range out {
-			if dangling && (!covered(k.Src, it.Interval) || !covered(k.Dst, it.Interval)) {
-				continue
-			}
-			es = append(es, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: it.Interval, Props: it.Props})
-		}
-	}
-	return vs, es
+	return v.out.WZoomFinish(v.spec)
 }

@@ -157,8 +157,9 @@ func CheckSource(fset *token.FileSet, filename string, src []byte) ([]Diagnostic
 // treated as part of that documentation. incr holds the materialized
 // zoom views whose patch-vs-fallback rules DESIGN.md specifies; its
 // godoc must state those contracts next to the code that enforces
-// them.
-var docDirs = []string{"internal/storage", "internal/serve", "internal/resil", "internal/incr", "internal/shard"}
+// them. core holds the model, the representations and the zoom kernels
+// and per-entity partial that incr and shard call.
+var docDirs = []string{"internal/core", "internal/storage", "internal/serve", "internal/resil", "internal/incr", "internal/shard"}
 
 // CheckDocs walks the docDirs under root and reports every exported
 // top-level symbol (func, method, type, const, var) that has no doc

@@ -153,6 +153,39 @@ func TestAppendSurgicalInvalidation(t *testing.T) {
 	}
 }
 
+// TestWZoomBeforeRangeIsNotStale: unit windows start at the graph's
+// lifetime start and the last one is clamped at its end, so a range
+// step after a wZoom does not bound what the chain depends on. An
+// append outside [7,9) moves the clamped last window over it and must
+// invalidate the cached body, which then equals a cold server's.
+func TestWZoomBeforeRangeIsNotStale(t *testing.T) {
+	s, dir := newTestServer(t, Config{})
+	req := PipelineRequest{Graph: "fig1", Steps: []StepRequest{
+		{Op: "wzoom", Window: "3 units", VQuant: "all"},
+		{Op: "range", Start: 7, End: 9},
+	}}
+	if w := doJSON(t, s, "POST", "/v1/pipeline", req); w.Code != http.StatusOK {
+		t.Fatalf("warm: %d %s", w.Code, w.Body)
+	}
+	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 42, Start: 9, End: 11, Props: map[string]string{"type": "person"}},
+	}}); code != http.StatusOK {
+		t.Fatalf("append: %d", code)
+	}
+	w := doJSON(t, s, "POST", "/v1/pipeline", req)
+	if got := w.Header().Get("X-TGraph-Cache"); got == "hit" {
+		t.Errorf("post-append X-TGraph-Cache = hit: the cached body predates the append")
+	}
+	cold, err := New(Config{Graphs: []GraphConfig{{Name: "fig1", Dir: dir}}, Parallelism: 2, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := doJSON(t, cold, "POST", "/v1/pipeline", req)
+	if w.Body.String() != want.Body.String() {
+		t.Errorf("post-append body\n%s\nwant the cold server's\n%s", w.Body, want.Body)
+	}
+}
+
 func TestAppendValidation(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	cases := []AppendRequest{

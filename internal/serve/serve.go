@@ -875,7 +875,6 @@ func New(cfg Config) (*Server, error) {
 			h.shardStrategy = shardStrategy
 			h.shardOpts = shard.Options{
 				Parallelism: cfg.Parallelism,
-				CacheBytes:  cfg.CacheBytes,
 				Partial:     cfg.ShardPartial,
 				FaultHook:   cfg.FaultHook,
 			}
@@ -1400,7 +1399,7 @@ func (e *partialError) Error() string {
 // pruned, and everything else runs as tail steps over the merged graph.
 func shardQuery(rep core.Representation, steps []step) shard.Query {
 	first := steps[0]
-	q := shard.Query{Rep: rep, Canon: first.canon}
+	q := shard.Query{Rep: rep}
 	rest := steps[1:]
 	switch {
 	case first.azSpec != nil:

@@ -328,11 +328,18 @@ func canonical(steps []step) string {
 }
 
 // chainDepends is the time interval a chain's result can depend on:
-// the intersection of its range steps' windows, or the zero interval
-// (meaning "everything") when the chain has none.
+// the intersection of the windows of its range steps before the first
+// wZoom, or the zero interval (meaning "everything") when there are
+// none. aZoom, switch and range are pointwise in time, so a range after
+// them still bounds the chain; a wZoom is not — its unit windows start
+// at the lifetime start and the last one is clamped at the lifetime
+// end — so a range after it bounds nothing.
 func chainDepends(steps []step) temporal.Interval {
 	var dep temporal.Interval
 	for _, s := range steps {
+		if s.wzSpec != nil {
+			break
+		}
 		if s.depends.IsEmpty() {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -36,8 +37,6 @@ const legBudgetFraction = 0.9
 type Options struct {
 	// Parallelism sizes each worker's dataflow context.
 	Parallelism int
-	// CacheBytes bounds each worker's partial-result cache.
-	CacheBytes int64
 	// Partial enables degraded partial-result merges when a subset of
 	// shards fails; when false the first leg failure cancels siblings
 	// and the scatter reports a typed *dataflow.JobError.
@@ -95,8 +94,8 @@ func (c *Coordinator) Close() {
 // and Tail holds the remaining steps, always applied at the coordinator
 // after the merge.
 type Query struct {
-	// Canon is the canonical form of the first step, used in per-shard
-	// partial-result cache keys.
+	// Canon is the canonical form of the first step. The coordinator
+	// does not read it.
 	Canon string
 	// Rep is the graph's serving representation — the representation
 	// the merged states are converted to before First/Tail run.
@@ -192,7 +191,8 @@ func legContext(ctx context.Context) (context.Context, context.CancelFunc) {
 
 // scatter fans leg out to every included worker concurrently, one
 // span-instrumented goroutine per shard. Excluded (pruned) workers
-// yield a nil result and count as succeeded. Without Partial mode the
+// yield a nil result and count as succeeded; failed legs yield a nil
+// result too, never a partly built one. Without Partial mode the
 // first failure cancels the sibling legs; legs that die of that
 // sibling cancellation are reported as skipped, not failed. The ok
 // count is the number of workers whose contribution the caller may
@@ -231,7 +231,11 @@ func (c *Coordinator) scatter(ctx context.Context, include func(int, *Worker) bo
 					return
 				}
 			}
-			results[i], errs[i] = leg(ictx, w)
+			if r, err := leg(ictx, w); err != nil {
+				errs[i] = err
+			} else {
+				results[i] = r
+			}
 		}(i, w)
 	}
 	wg.Wait()
@@ -290,12 +294,12 @@ func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 	spec := *q.AZ
 	esk := spec.BoundEdgeSkolem()
 	res, ok, serr := c.scatter(ctx, nil, func(ctx context.Context, w *Worker) (any, error) {
-		return w.azoomPartial(ctx, &spec, esk, q.Canon)
+		return w.azoomPartial(ctx, &spec, esk)
 	})
 	if err := c.degrade(st, ok, serr); err != nil {
 		return nil, err
 	}
-	groups := make(map[core.VertexID][]core.AZState)
+	groups := make(map[core.VertexID][]core.HistoryItem)
 	var es []core.EdgeTuple
 	for _, r := range res {
 		if r == nil {
@@ -347,9 +351,8 @@ func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 	bounds = slices.Compact(bounds)
 	windows := spec.Window.Windows(lifetime, bounds)
 
-	vres, eres := spec.VResolve.Bind(), spec.EResolve.Bind()
 	parts, _, serr := c.scatter(ctx, func(i int, _ *Worker) bool { return alive(i) }, func(ctx context.Context, w *Worker) (any, error) {
-		return w.wzoomPartial(ctx, &spec, vres, eres, windows, q.Canon)
+		return w.wzoomPartial(ctx, &spec, windows)
 	})
 	ok := 0
 	for i := range parts {
@@ -364,44 +367,16 @@ func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 		return nil, err
 	}
 
-	vOut := make(map[core.VertexID][]core.HistoryItem)
-	eOut := make(map[edgeKey][]core.HistoryItem)
+	// Masters are disjoint across shards, and so are edge owners.
+	out := core.NewHistories()
 	for i := range parts {
-		if !alive(i) || parts[i] == nil {
-			continue
-		}
-		p := parts[i].(*wzPartial)
-		for id, h := range p.V { // masters are disjoint across shards
-			vOut[id] = h
-		}
-		for k, h := range p.E { // so are edge owners
-			eOut[k] = h
+		if alive(i) && parts[i] != nil {
+			p := parts[i].(core.Histories)
+			maps.Copy(out.V, p.V)
+			maps.Copy(out.E, p.E)
 		}
 	}
-	var vs []core.VertexTuple
-	for id, out := range vOut {
-		for _, it := range out {
-			vs = append(vs, core.VertexTuple{ID: id, Interval: it.Interval, Props: it.Props})
-		}
-	}
-	dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
-	covered := func(id core.VertexID, iv temporal.Interval) bool {
-		for _, it := range vOut[id] {
-			if it.Interval.Covers(iv) {
-				return true
-			}
-		}
-		return false
-	}
-	var es []core.EdgeTuple
-	for k, out := range eOut {
-		for _, it := range out {
-			if dangling && (!covered(k.Src, it.Interval) || !covered(k.Dst, it.Interval)) {
-				continue
-			}
-			es = append(es, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: it.Interval, Props: it.Props})
-		}
-	}
+	vs, es := out.WZoomFinish(spec)
 	return c.finish(dctx, q, vs, es)
 }
 

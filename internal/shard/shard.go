@@ -1,8 +1,10 @@
 // Package shard partitions a loaded temporal graph into N in-memory
 // shards and serves zoom queries over them with an in-process
 // scatter-gather coordinator. Each shard owns its own dataflow context
-// and partial-result cache (durability is the caller's: the serving
-// layer logs every append to the flat directory's WAL first); the
+// and keeps its states per entity in a core.Histories partial
+// (durability is the caller's: the serving layer logs every append to
+// the flat directory's WAL first). Shards retain no results: the
+// serving layer caches the merged body under its own byte budget. The
 // coordinator fans a request out to every (non-pruned) shard worker
 // concurrently, gathers the per-shard partial results and re-reduces
 // them across shard boundaries with the zoomstage kernels from
@@ -40,9 +42,11 @@
 // gathers per-shard lifetimes (plus state boundary points when the
 // window spec is change-based), the coordinator derives the global
 // window relation once, and the second phase has each worker window its
-// own entities with WZoomEntity; the dangling-edge semijoin is applied
-// at the coordinator against the merged vertex outputs, exactly as the
-// batch path evaluates it globally. Every other chain — TimeRange
+// own entities (core.Histories.WZoom); the coordinator merges the
+// disjoint outputs and applies the dangling-edge semijoin against the
+// merged vertex outputs (core.Histories.WZoomFinish, the finish the
+// incremental views call too), exactly as the batch path evaluates it
+// globally. Every other chain — TimeRange
 // layouts, representation switches first, leading range steps, custom
 // aggregates — falls back to gathering the shards' raw states (clipped
 // and pruned by the leading range, when present) and running the

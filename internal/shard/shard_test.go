@@ -185,6 +185,34 @@ func TestAZoomByteIdentity(t *testing.T) {
 	}
 }
 
+// TestAZoomPartialSharesEndpointHistories: a worker redirects each
+// local edge against the endpoint histories it holds, not copies of
+// them. With every vertex in one Skolem group, the partial's
+// allocations grow with the slices it appends to, not with the edges.
+func TestAZoomPartialSharesEndpointHistories(t *testing.T) {
+	const n = 1000
+	iv := temporal.MustInterval(0, 10)
+	var vs []core.VertexTuple
+	var es []core.EdgeTuple
+	for i := 1; i <= n; i++ {
+		vs = append(vs, core.VertexTuple{ID: core.VertexID(i), Interval: iv, Props: props.New("dept", "d", "score", "1")})
+		es = append(es, core.EdgeTuple{ID: core.EdgeID(i), Src: core.VertexID(i), Dst: core.VertexID(i%n + 1), Interval: iv, Props: props.New("w", "1")})
+	}
+	w := newMemWorker(0, Part{Masters: vs, Edges: es}, Options{Parallelism: 1})
+	defer w.close()
+	spec := azSpec()
+	esk := spec.BoundEdgeSkolem()
+	allocs := testing.AllocsPerRun(5, func() {
+		p, err := w.azoomPartial(context.Background(), &spec, esk)
+		if err != nil || len(p.Edges) != n {
+			t.Fatalf("partial: %d edges, %v; want %d", len(p.Edges), err, n)
+		}
+	})
+	if allocs > n/4 {
+		t.Errorf("aZoom partial over %d edges: %v allocs, want at most %d (no endpoint copies per edge)", n, allocs, n/4)
+	}
+}
+
 // TestAZoomCustomAggFallsBack asserts custom aggregates skip the
 // shard-side reduce but still merge byte-identically via gather.
 func TestAZoomCustomAggFallsBack(t *testing.T) {
@@ -339,6 +367,72 @@ func TestAppendRouting(t *testing.T) {
 	}
 	if g, w := canon(t, got2), canon(t, core.NewVE(dctx, vs, es)); g != w {
 		t.Errorf("post-append gather differs\n--- got ---\n%s--- want ---\n%s", g, w)
+	}
+}
+
+// TestRunsDuringAppends scatters aZoom and wZoom queries while appends
+// grow the histories the legs share (masters, mirrors seeded from
+// another shard's masters, owned edges); under -race this is the check
+// that the sharing is read-only. Once the appends are in, the sharded
+// answers equal the unsharded ones over the grown graph.
+func TestRunsDuringAppends(t *testing.T) {
+	vs, es := genGraph(40, 80)
+	c := NewFromStates(vs, es, VertexCut{}, 3, Options{Parallelism: 2})
+	defer c.Close()
+	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
+	defer dctx.Close()
+	az, wz := azSpec(), wzSpec(temporal.MustEveryN(10), true)
+	queries := []Query{{Rep: core.RepVE, AZ: &az}, {Rep: core.RepVE, WZ: &wz}}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, q := range queries {
+		wg.Add(1)
+		go func(q Query) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, _, err := c.Run(context.Background(), dctx, q); err != nil {
+					t.Errorf("Run during appends: %v", err)
+					return
+				}
+			}
+		}(q)
+	}
+	for i := int64(0); i < 20; i++ {
+		d := []wal.Delta{
+			{Kind: wal.KindVertex, ID: 1 + i%40, Interval: temporal.Interval{Start: 100 + temporal.Time(i), End: 101 + temporal.Time(i)}, Props: props.New("dept", "d1", "score", "5")},
+			{Kind: wal.KindEdge, ID: 5000 + i, Src: 1 + i%40, Dst: 40 - i%40, Interval: temporal.Interval{Start: 95, End: 105}, Props: props.New("w", "2")},
+		}
+		if err := c.Append(d); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		vt, _ := d[0].VertexTuple()
+		et, _ := d[1].EdgeTuple()
+		vs, es = append(vs, vt), append(es, et)
+	}
+	close(done)
+	wg.Wait()
+
+	for i, direct := range []func(core.TGraph) (core.TGraph, error){
+		func(g core.TGraph) (core.TGraph, error) { return g.AZoom(az) },
+		func(g core.TGraph) (core.TGraph, error) { return g.WZoom(wz) },
+	} {
+		got, _, err := c.Run(context.Background(), dctx, queries[i])
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		want, err := direct(core.NewVE(dctx, vs, es))
+		if err != nil {
+			t.Fatalf("direct: %v", err)
+		}
+		if g, w := canon(t, got), canon(t, want); g != w {
+			t.Errorf("query %d after appends differs\n--- got ---\n%s--- want ---\n%s", i, g, w)
+		}
 	}
 }
 

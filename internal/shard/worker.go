@@ -7,41 +7,30 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/props"
-	"repro/internal/qcache"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
-
-// edgeKey identifies one input edge (id plus both endpoints, so
-// parallel edges with distinct endpoints stay distinct — VE's edge
-// identity, the same key the incremental views use).
-type edgeKey struct {
-	ID       core.EdgeID
-	Src, Dst core.VertexID
-}
 
 // cancelStride is how many entities a worker processes between
 // cancellation checks; the kernels themselves are context-free.
 const cancelStride = 512
 
 // Worker is one in-process shard: the shard's state maps (masters,
-// mirrors, owned edges), its own dataflow context, and a small cache of
-// partial results keyed by the shard's state version.
+// mirrors, owned edges) and its own dataflow context.
 //
 // All query methods take the scatter leg's context and abort between
 // entities when it ends. Appends are serialised by the coordinator;
 // queries run concurrently under the read lock.
 type Worker struct {
-	idx   int
-	dctx  *dataflow.Context
-	cache *qcache.Cache
+	idx  int
+	dctx *dataflow.Context
 
-	mu      sync.RWMutex
-	version uint64 // bumped on every state mutation; part of cache keys
-	masters map[core.VertexID][]core.HistoryItem
+	mu sync.RWMutex
+	// base holds the states the shard owns: its master vertices and
+	// its edges. Histories only grow by append, so a slice read under
+	// the lock stays valid after it.
+	base    core.Histories
 	mirrors map[core.VertexID][]core.HistoryItem
-	edges   map[edgeKey][]core.HistoryItem
 	// endpoints is the set of vertex ids referenced by local edges —
 	// the vertices whose future states must replicate to this shard.
 	endpoints map[core.VertexID]struct{}
@@ -53,24 +42,18 @@ func newMemWorker(idx int, p Part, opts Options) *Worker {
 	w := &Worker{
 		idx:       idx,
 		dctx:      dataflow.NewContext(dataflow.WithParallelism(opts.Parallelism)),
-		cache:     qcache.New(opts.CacheBytes),
-		version:   1,
-		masters:   make(map[core.VertexID][]core.HistoryItem),
+		base:      core.HistoriesOf(p.Masters, p.Edges),
 		mirrors:   make(map[core.VertexID][]core.HistoryItem),
-		edges:     make(map[edgeKey][]core.HistoryItem),
 		endpoints: make(map[core.VertexID]struct{}),
 		span:      temporal.Empty,
 	}
 	for _, t := range p.Masters {
-		w.masters[t.ID] = append(w.masters[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 		w.span = temporal.Span(w.span, t.Interval)
 	}
 	for _, t := range p.Mirrors {
 		w.mirrors[t.ID] = append(w.mirrors[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 	}
 	for _, t := range p.Edges {
-		k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-		w.edges[k] = append(w.edges[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 		w.span = temporal.Span(w.span, t.Interval)
 		w.endpoints[t.Src] = struct{}{}
 		w.endpoints[t.Dst] = struct{}{}
@@ -89,27 +72,13 @@ func (w *Worker) Span() temporal.Interval {
 	return w.span
 }
 
-// cacheKey builds a partial-result cache key bound to the shard's
-// current state version, so any append invalidates by construction.
-func (w *Worker) cacheKey(phase string, parts ...string) string {
-	w.mu.RLock()
-	version := w.version
-	w.mu.RUnlock()
-	return qcache.Key(append([]string{phase, fmt.Sprint(version)}, parts...)...)
-}
-
-// vstatesLocked returns the full AZState list of a vertex the shard
-// knows (master or mirror). Caller holds w.mu (read).
-func (w *Worker) vstatesLocked(id core.VertexID) []core.AZState {
-	h := w.masters[id]
-	if h == nil {
-		h = w.mirrors[id]
+// vstatesLocked returns the full history of a vertex the shard knows
+// (master or mirror), shared with the worker. Caller holds w.mu (read).
+func (w *Worker) vstatesLocked(id core.VertexID) []core.HistoryItem {
+	if h, ok := w.base.V[id]; ok {
+		return h
 	}
-	out := make([]core.AZState, len(h))
-	for i, it := range h {
-		out[i] = core.AZState{Interval: it.Interval, Props: it.Props}
-	}
-	return out
+	return w.mirrors[id]
 }
 
 // azPartial is one shard's contribution to a scattered aZoom: the
@@ -119,58 +88,41 @@ func (w *Worker) vstatesLocked(id core.VertexID) []core.AZState {
 // local edge sees the complete state lists of both endpoints via the
 // mirrors, so redirection is exact shard-side).
 type azPartial struct {
-	Groups map[core.VertexID][]core.AZState
+	Groups map[core.VertexID][]core.HistoryItem
 	Edges  []core.EdgeTuple
 }
 
-// azoomPartial computes (or returns the cached) aZoom partial.
-func (w *Worker) azoomPartial(ctx context.Context, spec *core.AZoomSpec, esk core.EdgeSkolemFunc, canon string) (*azPartial, error) {
-	val, _, err := w.cache.DoCtx(ctx, w.cacheKey("az", canon), func() (any, int64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		w.mu.RLock()
-		defer w.mu.RUnlock()
-		p := &azPartial{Groups: make(map[core.VertexID][]core.AZState)}
-		n := 0
-		size := int64(0)
-		for id, h := range w.masters {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			for _, it := range h {
-				if nid, ok := spec.Skolem(id, it.Props); ok {
-					p.Groups[nid] = append(p.Groups[nid], core.AZState{Interval: it.Interval, Props: it.Props})
-					size += tupleCost
-				}
-			}
-		}
-		for k, h := range w.edges {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			src, dst := w.vstatesLocked(k.Src), w.vstatesLocked(k.Dst)
-			for _, it := range h {
-				et := core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: it.Interval, Props: it.Props}
-				out := core.RedirectEdge(*spec, esk, et, src, dst)
-				p.Edges = append(p.Edges, out...)
-				size += int64(len(out)) * tupleCost
-			}
-		}
-		return p, size + 1, nil
-	})
-	if err != nil {
+// azoomPartial computes the shard's aZoom partial.
+func (w *Worker) azoomPartial(ctx context.Context, spec *core.AZoomSpec, esk core.EdgeSkolemFunc) (*azPartial, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return val.(*azPartial), nil
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	p := &azPartial{Groups: make(map[core.VertexID][]core.HistoryItem)}
+	n := 0
+	for id, h := range w.base.V {
+		if n++; n%cancelStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		for _, it := range h {
+			if nid, ok := spec.Skolem(id, it.Props); ok {
+				p.Groups[nid] = append(p.Groups[nid], it)
+			}
+		}
+	}
+	for k, h := range w.base.E {
+		if n++; n%cancelStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		p.Edges = core.RedirectEdge(*spec, esk, k, h, w.vstatesLocked(k.Src), w.vstatesLocked(k.Dst), p.Edges)
+	}
+	return p, nil
 }
 
-// tupleCost is the rough cache-accounting cost of one state tuple.
-const tupleCost = 96
-
 // wzProbe is the first wZoom phase's answer: the shard's data span and
-// — for change-based window specs — the boundary points of its
-// normalized states. The coordinator merges the probes into the global
+// — for change-based window specs — the change points of its
+// coalesced states. The coordinator merges the probes into the global
 // lifetime and change-point set before deriving the window relation
 // (the change-window spec filters the merged bounds to the lifetime
 // interior itself, so the per-shard union is exact).
@@ -179,81 +131,25 @@ type wzProbe struct {
 	Bounds   []temporal.Time
 }
 
-// wzoomProbe computes the shard's probe. Cheap (no redirect, no
-// windowing), so it is not cached.
+// wzoomProbe computes the shard's probe.
 func (w *Worker) wzoomProbe(changeSensitive bool) wzProbe {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	p := wzProbe{Lifetime: w.span}
-	if !changeSensitive {
-		return p
+	if changeSensitive {
+		p.Bounds = w.base.ChangePoints()
 	}
-	var ivs []temporal.Interval
-	collect := func(h []core.HistoryItem) {
-		for _, it := range core.NormalizeHistory(copyHistory(h)) {
-			ivs = append(ivs, it.Interval)
-		}
-	}
-	for _, h := range w.masters {
-		collect(h)
-	}
-	for _, h := range w.edges {
-		collect(h)
-	}
-	p.Bounds = temporal.Boundaries(ivs)
 	return p
 }
 
-// wzPartial is one shard's contribution to a scattered wZoom: its
-// master vertices' and local edges' windowed histories, reduced with
-// the globally derived window relation. Dangling-edge removal is NOT
-// applied here — it is a semijoin against the global vertex outputs,
-// which only the coordinator holds.
-type wzPartial struct {
-	V map[core.VertexID][]core.HistoryItem
-	E map[edgeKey][]core.HistoryItem
-}
-
-// wzoomPartial computes (or returns the cached) wZoom partial under the
-// given global window relation.
-func (w *Worker) wzoomPartial(ctx context.Context, spec *core.WZoomSpec, vres, eres props.BoundResolve, windows []temporal.Window, canon string) (*wzPartial, error) {
-	key := w.cacheKey("wz", canon, fmt.Sprint(windows))
-	val, _, err := w.cache.DoCtx(ctx, key, func() (any, int64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		w.mu.RLock()
-		defer w.mu.RUnlock()
-		p := &wzPartial{
-			V: make(map[core.VertexID][]core.HistoryItem),
-			E: make(map[edgeKey][]core.HistoryItem),
-		}
-		n := 0
-		size := int64(0)
-		for id, h := range w.masters {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			if out := core.WZoomEntity(core.NormalizeHistory(copyHistory(h)), windows, spec.VQuant, vres); len(out) > 0 {
-				p.V[id] = out
-				size += int64(len(out)) * tupleCost
-			}
-		}
-		for k, h := range w.edges {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			if out := core.WZoomEntity(core.NormalizeHistory(copyHistory(h)), windows, spec.EQuant, eres); len(out) > 0 {
-				p.E[k] = out
-				size += int64(len(out)) * tupleCost
-			}
-		}
-		return p, size + 1, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return val.(*wzPartial), nil
+// wzoomPartial windows the shard's master vertices and local edges
+// under the globally derived window relation. Dangling-edge removal is
+// NOT applied here — it is a semijoin against the global vertex
+// outputs, which only the coordinator holds.
+func (w *Worker) wzoomPartial(ctx context.Context, spec *core.WZoomSpec, windows []temporal.Window) (core.Histories, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	return w.base.WZoom(ctx, *spec, windows)
 }
 
 // statesPartial is one shard's raw base states (masters and owned
@@ -264,54 +160,47 @@ type statesPartial struct {
 	E []core.EdgeTuple
 }
 
-// states gathers (or returns the cached) raw shard states, clipped to
-// clip when non-empty — exactly the serving layer's range-step clip.
+// states gathers the raw shard states, clipped to clip when non-empty —
+// exactly the serving layer's range-step clip.
 func (w *Worker) states(ctx context.Context, clip temporal.Interval) (*statesPartial, error) {
-	key := w.cacheKey("st", fmt.Sprintf("%d:%d", clip.Start, clip.End))
-	val, _, err := w.cache.DoCtx(ctx, key, func() (any, int64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		w.mu.RLock()
-		defer w.mu.RUnlock()
-		p := &statesPartial{}
-		n := 0
-		for id, h := range w.masters {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			for _, it := range h {
-				iv := it.Interval
-				if !clip.IsEmpty() {
-					if !iv.Overlaps(clip) {
-						continue
-					}
-					iv = iv.Intersect(clip)
-				}
-				p.V = append(p.V, core.VertexTuple{ID: id, Interval: iv, Props: it.Props})
-			}
-		}
-		for k, h := range w.edges {
-			if n++; n%cancelStride == 0 && ctx.Err() != nil {
-				return nil, 0, ctx.Err()
-			}
-			for _, it := range h {
-				iv := it.Interval
-				if !clip.IsEmpty() {
-					if !iv.Overlaps(clip) {
-						continue
-					}
-					iv = iv.Intersect(clip)
-				}
-				p.E = append(p.E, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: iv, Props: it.Props})
-			}
-		}
-		return p, int64(len(p.V)+len(p.E))*tupleCost + 1, nil
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return val.(*statesPartial), nil
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	p := &statesPartial{}
+	n := 0
+	for id, h := range w.base.V {
+		if n++; n%cancelStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		for _, it := range h {
+			iv := it.Interval
+			if !clip.IsEmpty() {
+				if !iv.Overlaps(clip) {
+					continue
+				}
+				iv = iv.Intersect(clip)
+			}
+			p.V = append(p.V, core.VertexTuple{ID: id, Interval: iv, Props: it.Props})
+		}
+	}
+	for k, h := range w.base.E {
+		if n++; n%cancelStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		for _, it := range h {
+			iv := it.Interval
+			if !clip.IsEmpty() {
+				if !iv.Overlaps(clip) {
+					continue
+				}
+				iv = iv.Intersect(clip)
+			}
+			p.E = append(p.E, core.EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: iv, Props: it.Props})
+		}
+	}
+	return p, nil
 }
 
 // hasVertex reports whether the shard knows the vertex (as master or
@@ -319,7 +208,7 @@ func (w *Worker) states(ctx context.Context, clip temporal.Interval) (*statesPar
 func (w *Worker) hasVertex(id core.VertexID) bool {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	_, m := w.masters[id]
+	_, m := w.base.V[id]
 	_, r := w.mirrors[id]
 	return m || r
 }
@@ -342,12 +231,13 @@ func (w *Worker) noteEndpoint(id core.VertexID) {
 	w.endpoints[id] = struct{}{}
 }
 
-// masterStates returns a copy of the vertex's mastered history, for
-// seeding another shard's mirror.
+// masterStates returns the vertex's mastered history, for seeding
+// another shard's mirror. The slice is shared: appends never write
+// within its length.
 func (w *Worker) masterStates(id core.VertexID) []core.HistoryItem {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return copyHistory(w.masters[id])
+	return w.base.V[id]
 }
 
 // appendMaster applies one vertex delta to the shard's mastered states.
@@ -358,9 +248,8 @@ func (w *Worker) appendMaster(d wal.Delta) error {
 	if !ok {
 		return fmt.Errorf("shard %d: appendMaster: not a vertex delta", w.idx)
 	}
-	w.masters[t.ID] = append(w.masters[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+	w.base.V[t.ID] = append(w.base.V[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 	w.span = temporal.Span(w.span, t.Interval)
-	w.version++
 	return nil
 }
 
@@ -377,7 +266,6 @@ func (w *Worker) appendMirror(ds ...wal.Delta) error {
 		}
 		w.mirrors[t.ID] = append(w.mirrors[t.ID], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 	}
-	w.version++
 	return nil
 }
 
@@ -390,19 +278,10 @@ func (w *Worker) appendEdge(d wal.Delta) error {
 	if !ok {
 		return fmt.Errorf("shard %d: appendEdge: not an edge delta", w.idx)
 	}
-	k := edgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst}
-	w.edges[k] = append(w.edges[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
+	k := t.Key()
+	w.base.E[k] = append(w.base.E[k], core.HistoryItem{Interval: t.Interval, Props: t.Props})
 	w.endpoints[t.Src] = struct{}{}
 	w.endpoints[t.Dst] = struct{}{}
 	w.span = temporal.Span(w.span, t.Interval)
-	w.version++
 	return nil
-}
-
-// copyHistory returns a fresh copy of h (NormalizeHistory sorts in
-// place, and callers must not mutate the committed slices).
-func copyHistory(h []core.HistoryItem) []core.HistoryItem {
-	out := make([]core.HistoryItem, len(h))
-	copy(out, h)
-	return out
 }

@@ -131,22 +131,30 @@ func writeManifest(dir string, entries []ManifestEntry, walSeq uint64, hook Writ
 			walSeq = prev.WALSeq
 		}
 	}
-	m := Manifest{Epoch: FormatEpoch, SaveEpoch: prevSave + 1, WALSeq: walSeq, Entries: entries}
-	crc, err := entriesCRC(entries)
+	data, err := encodeManifest(Manifest{Epoch: FormatEpoch, SaveEpoch: prevSave + 1, WALSeq: walSeq, Entries: entries})
 	if err != nil {
 		return fmt.Errorf("storage: encode manifest: %w", err)
 	}
-	m.CRC = crc
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("storage: encode manifest: %w", err)
-	}
-	data = append(data, '\n')
 	_, err = atomicWriteFile(filepath.Join(dir, ManifestFile), hook, func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr
 	})
 	return err
+}
+
+// encodeManifest returns the MANIFEST bytes of m, with the CRC of its
+// entries in place of m.CRC — the bytes ParseManifest reads back to m.
+func encodeManifest(m Manifest) ([]byte, error) {
+	crc, err := entriesCRC(m.Entries)
+	if err != nil {
+		return nil, err
+	}
+	m.CRC = crc
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // ReadManifest reads and validates dir's MANIFEST. A missing manifest
