@@ -307,13 +307,7 @@ func printKeyStats(g tgraph.Graph) {
 }
 
 func dumpStates(g tgraph.Graph, n int) {
-	vs := g.VertexStates()
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].ID != vs[j].ID {
-			return vs[i].ID < vs[j].ID
-		}
-		return vs[i].Interval.Before(vs[j].Interval)
-	})
+	_, _, vs, es := core.CoalescedStates(g)
 	fmt.Println("vertices:")
 	for i, v := range vs {
 		if i >= n {
@@ -322,13 +316,6 @@ func dumpStates(g tgraph.Graph, n int) {
 		}
 		fmt.Printf("  %d %v {%v}\n", v.ID, v.Interval, v.Props)
 	}
-	es := g.EdgeStates()
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].ID != es[j].ID {
-			return es[i].ID < es[j].ID
-		}
-		return es[i].Interval.Before(es[j].Interval)
-	})
 	fmt.Println("edges:")
 	for i, e := range es {
 		if i >= n {

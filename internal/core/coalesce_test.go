@@ -118,3 +118,49 @@ func TestCoalesceEdgeOrderIsTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalescedStates: the response-boundary fold reports what Coalesce
+// does — representation, lifetime and states, in listing order — on a
+// VE whose partitions hold empty states and value-equal runs, on the
+// same VE flagged coalesced (only sorted, not folded), and on an RG,
+// whose coalesced form is VE.
+func TestCoalescedStates(t *testing.T) {
+	ctx := dataflow.NewContext(dataflow.WithParallelism(2), dataflow.WithDefaultPartitions(3))
+	defer ctx.Close()
+	a, b := props.New("type", "a"), props.New("type", "b")
+	vs := []VertexTuple{
+		{ID: 2, Interval: temporal.MustInterval(3, 6), Props: a},
+		{ID: 1, Interval: temporal.MustInterval(0, 2), Props: a},
+		{ID: 2, Interval: temporal.MustInterval(0, 3), Props: a},
+		{ID: 1, Interval: temporal.MustInterval(2, 2), Props: b},
+		{ID: 1, Interval: temporal.MustInterval(2, 5), Props: b},
+	}
+	es := []EdgeTuple{
+		{ID: 7, Src: 1, Dst: 2, Interval: temporal.MustInterval(1, 3), Props: a},
+		{ID: 7, Src: 1, Dst: 2, Interval: temporal.MustInterval(0, 1), Props: a},
+		{ID: 5, Src: 2, Dst: 1, Interval: temporal.MustInterval(4, 4), Props: a},
+	}
+	viaCoalesce := func(g TGraph) (Representation, temporal.Interval, []VertexTuple, []EdgeTuple) {
+		c := g.Coalesce()
+		cv, ce := c.VertexStates(), c.EdgeStates()
+		slices.SortStableFunc(cv, vertexKeyCmp)
+		slices.SortStableFunc(ce, edgeKeyCmp)
+		return c.Rep(), c.Lifetime(), cv, ce
+	}
+	dv, de := dataflow.Parallelize(ctx, vs, 0), dataflow.Parallelize(ctx, es, 0)
+	for _, g := range []TGraph{
+		veFromDatasets(ctx, dv, de, false),
+		veFromDatasets(ctx, dv, de, true),
+		ToRG(NewVE(ctx, vs, es)),
+	} {
+		rep, life, gv, ge := CoalescedStates(g)
+		wrep, wlife, wv, we := viaCoalesce(g)
+		if rep != wrep || life != wlife || !reflect.DeepEqual(gv, wv) || !reflect.DeepEqual(ge, we) {
+			t.Errorf("%v coalesced=%v: CoalescedStates = %v %v %v %v\nCoalesce = %v %v %v %v",
+				g.Rep(), g.IsCoalesced(), rep, life, gv, ge, wrep, wlife, wv, we)
+		}
+	}
+	if _, _, gv, ge := CoalescedStates(veFromDatasets(ctx, dv, de, false)); len(gv) != 3 || len(ge) != 1 {
+		t.Errorf("folded to %v and %v, want vertex 2's runs and edge 7's runs merged, the empty states dropped", gv, ge)
+	}
+}

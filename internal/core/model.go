@@ -98,6 +98,17 @@ type EdgeKey struct {
 // Key returns the edge entity the state belongs to.
 func (t EdgeTuple) Key() EdgeKey { return EdgeKey{ID: t.ID, Src: t.Src, Dst: t.Dst} }
 
+// compare orders edge entities by id, then source, then destination.
+func (k EdgeKey) compare(o EdgeKey) int {
+	switch {
+	case k.ID != o.ID:
+		return cmp.Compare(k.ID, o.ID)
+	case k.Src != o.Src:
+		return cmp.Compare(k.Src, o.Src)
+	}
+	return cmp.Compare(k.Dst, o.Dst)
+}
+
 // state returns entity k's edge state over one history item.
 func (k EdgeKey) state(h HistoryItem) EdgeTuple {
 	return EdgeTuple{ID: k.ID, Src: k.Src, Dst: k.Dst, Interval: h.Interval, Props: h.Props}
@@ -307,6 +318,27 @@ func vertexCmp(a, b VertexTuple) int  { return a.Interval.Compare(b.Interval) }
 func historyCmp(a, b HistoryItem) int { return a.Interval.Compare(b.Interval) }
 func edgeCmp(a, b EdgeTuple) int {
 	return cmp.Or(a.Interval.Compare(b.Interval), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// The listing order across entities (SortedCoalesced): entity key
+// first, then interval. They return at the first field that differs —
+// a response sorts every state it lists with them.
+func vertexKeyCmp(a, b VertexTuple) int {
+	if a.ID != b.ID {
+		return cmp.Compare(a.ID, b.ID)
+	}
+	return a.Interval.Compare(b.Interval)
+}
+func edgeKeyCmp(a, b EdgeTuple) int {
+	switch {
+	case a.ID != b.ID:
+		return cmp.Compare(a.ID, b.ID)
+	case a.Src != b.Src:
+		return cmp.Compare(a.Src, b.Src)
+	case a.Dst != b.Dst:
+		return cmp.Compare(a.Dst, b.Dst)
+	}
+	return a.Interval.Compare(b.Interval)
 }
 
 func vertexEq(a, b VertexTuple) bool {

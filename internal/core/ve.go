@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/temporal"
@@ -115,4 +117,38 @@ func coalesceEdgeDataset(e *dataflow.Dataset[EdgeTuple]) *dataflow.Dataset[EdgeT
 	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[EdgeID, EdgeTuple], out []EdgeTuple) []EdgeTuple {
 		return append(out, temporal.Coalesce(gr.Values, edgeIv, edgeCmp, edgeEq)...)
 	})
+}
+
+// SortedCoalesced coalesces flat states in place and returns them in
+// listing order — vertex states by (id, interval), edge states by (id,
+// src, dst, interval), ties in input order — with the lifetime they
+// span. Coalesce uses the paper's partitioning method (Section 4
+// "Coalescing"): group by entity (on VE a shuffle), sort each group by
+// time, fold value-equivalent neighbours. A result that is listed sorted
+// anyway gets its groups from that one sort, so it is folded there
+// instead; on a valid TGraph, where an edge id keeps its endpoints, the
+// states are the ones Coalesce reports. Empty states are dropped; the
+// results are prefixes of vs and es.
+func SortedCoalesced(vs []VertexTuple, es []EdgeTuple) ([]VertexTuple, []EdgeTuple, temporal.Interval) {
+	vs = temporal.Coalesce(vs, vertexIv, vertexKeyCmp, vertexEq)
+	es = temporal.Coalesce(es, edgeIv, edgeKeyCmp, edgeEq)
+	return vs, es, lifetimeOf(vs, es)
+}
+
+// CoalescedStates returns what g.Coalesce() reports — representation,
+// lifetime, vertex and edge states — with the states in SortedCoalesced
+// order, and runs no dataflow job: a coalesced graph's states are only
+// sorted, any other graph's are SortedCoalesced (an RG's always, as
+// RG.Coalesce converts to VE).
+func CoalescedStates(g TGraph) (Representation, temporal.Interval, []VertexTuple, []EdgeTuple) {
+	rep, vs, es := g.Rep(), g.VertexStates(), g.EdgeStates()
+	if rep == RepRG {
+		rep = RepVE
+	} else if g.IsCoalesced() {
+		slices.SortStableFunc(vs, vertexKeyCmp)
+		slices.SortStableFunc(es, edgeKeyCmp)
+		return rep, g.Lifetime(), vs, es
+	}
+	vs, es, life := SortedCoalesced(vs, es)
+	return rep, life, vs, es
 }

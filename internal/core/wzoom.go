@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -331,25 +330,15 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 		}
 		keptV := make(map[VertexID]struct{})
 		var svs []graphx.Vertex[props.Props]
-		vids := make([]VertexID, 0, len(vStates))
-		for id := range vStates {
-			vids = append(vids, id)
-		}
-		slices.Sort(vids)
-		for _, id := range vids {
+		for _, id := range sortedKeys(vStates, cmp.Compare[VertexID]) {
 			if p, ok := WZoomReduce(vStates[id], w, spec.VQuant, vres); ok {
 				keptV[id] = struct{}{}
 				svs = append(svs, graphx.Vertex[props.Props]{ID: id, Attr: p})
 			}
 		}
 		var ses []graphx.Edge[props.Props]
-		eks := make([]EdgeKey, 0, len(eStates))
-		for k := range eStates {
-			eks = append(eks, k)
-		}
-		slices.SortFunc(eks, func(a, b EdgeKey) int { return cmp.Compare(a.ID, b.ID) })
 		dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
-		for _, k := range eks {
+		for _, k := range sortedKeys(eStates, EdgeKey.compare) {
 			p, ok := WZoomReduce(eStates[k], w, spec.EQuant, eres)
 			if !ok {
 				continue

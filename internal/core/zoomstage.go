@@ -353,11 +353,12 @@ func coalescedIntervals[K comparable](ivs []temporal.Interval, m map[K][]History
 // emits. When the vertex quantifier is more restrictive than the edge
 // quantifier it removes dangling edges with the batch semijoin's
 // predicate: an edge state, always a whole window, survives only while
-// a state of each endpoint covers it.
+// a state of each endpoint covers it. Entities come out in key order,
+// so a response's sort (SortedCoalesced) finds them sorted.
 func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 	vs := make([]VertexTuple, 0, statesIn(h.V))
-	for id, o := range h.V {
-		for _, it := range o {
+	for _, id := range sortedKeys(h.V, cmp.Compare[VertexID]) {
+		for _, it := range h.V[id] {
 			vs = append(vs, VertexTuple{ID: id, Interval: it.Interval, Props: it.Props})
 		}
 	}
@@ -371,8 +372,8 @@ func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 		return false
 	}
 	es := make([]EdgeTuple, 0, statesIn(h.E))
-	for k, o := range h.E {
-		for _, it := range o {
+	for _, k := range sortedKeys(h.E, EdgeKey.compare) {
+		for _, it := range h.E[k] {
 			if dangling && (!covered(k.Src, it.Interval) || !covered(k.Dst, it.Interval)) {
 				continue
 			}
@@ -380,6 +381,16 @@ func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 		}
 	}
 	return vs, es
+}
+
+// sortedKeys returns the keys of m in cmp order.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
 }
 
 // statesIn counts the states of every history of m.

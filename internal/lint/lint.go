@@ -208,8 +208,9 @@ func checkSources(root string, dirs []string, check func(*token.FileSet, string,
 
 // sortDirs are the packages between keyed records and response bytes
 // (and the storage writers beside them), where a sort runs per entity,
-// per group or per request. The walk is recursive.
-var sortDirs = []string{"internal/core", "internal/temporal", "internal/dataflow", "internal/props", "internal/serve", "internal/storage"}
+// per group or per request — incremental views and scatter merges
+// included. The walk is recursive.
+var sortDirs = []string{"internal/core", "internal/temporal", "internal/dataflow", "internal/props", "internal/serve", "internal/storage", "internal/incr", "internal/shard"}
 
 // CheckSorts walks the sortDirs under root and reports every call of
 // sort.Slice or sort.SliceStable. Test files are exempt.

@@ -122,3 +122,36 @@ func TestHitAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphsTakesNoHandleLock holds the handle lock, as an append or an
+// inline compaction does, and polls /v1/graphs: the listing answers
+// from the published state — WAL sequence and appended count included —
+// without waiting.
+func TestGraphsTakesNoHandleLock(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 7, Start: 1, End: 3, Props: map[string]string{"type": "person"}},
+		{Kind: "vertex", ID: 8, Start: 2, End: 4, Props: map[string]string{"type": "person"}},
+	}}); code != http.StatusOK {
+		t.Fatalf("append: %d", code)
+	}
+	h := s.graphs["fig1"]
+	h.mu.Lock()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- doJSON(t, s, "GET", "/v1/graphs", nil) }()
+	select {
+	case w := <-done:
+		h.mu.Unlock()
+		var infos []GraphInfo
+		if err := json.Unmarshal(w.Body.Bytes(), &infos); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("graphs under a held handle lock: %d %v %s", w.Code, err, w.Body)
+		}
+		if len(infos) != 1 || !infos[0].Loaded || infos[0].WALSeq != 2 || infos[0].Appended != 2 {
+			t.Errorf("graphs = %+v, want fig1 loaded at walSeq 2 with 2 appended", infos)
+		}
+	case <-time.After(5 * time.Second):
+		h.mu.Unlock()
+		<-done
+		t.Fatal("a /v1/graphs poll waited for the handle lock")
+	}
+}

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"repro/internal/qcache"
 )
 
 // TestAppendPatchesViews exercises the incremental-maintenance patch
@@ -93,5 +97,53 @@ func TestChangeWindowStaysOnInvalidatePath(t *testing.T) {
 	}
 	if w := doJSON(t, s, "POST", "/v1/wzoom", req); w.Header().Get("X-TGraph-Cache") != "miss" {
 		t.Errorf("requery outcome %q, want miss", w.Header().Get("X-TGraph-Cache"))
+	}
+}
+
+// TestViewPatchKeyIsTheReadKey: the key each view patch writes is the
+// key run reads for the chain — the documented
+// "<graph>|<tag>|v<version>|" + qcache.Key(stamp, canon), built from
+// the state the append publishes — and the requery answers from it.
+func TestViewPatchKeyIsTheReadKey(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	queries := []struct {
+		ep   *endpoint
+		path string
+		body any
+	}{
+		{&endpoint{name: "azoom", parse: parseAZoomBody}, "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school", Count: "n"}},
+		{&endpoint{name: "wzoom", parse: parseWZoomBody}, "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units", VResolve: "last"}},
+	}
+	for _, q := range queries {
+		if w := doJSON(t, s, "POST", q.path, q.body); w.Code != http.StatusOK {
+			t.Fatalf("warm %s: %d %s", q.path, w.Code, w.Body)
+		}
+	}
+	resp, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 4, Start: 3, End: 8, Props: map[string]string{"type": "person", "school": "MIT"}},
+	}})
+	if code != http.StatusOK || resp.Patched != len(queries) {
+		t.Fatalf("append: %d, patched %d, want %d", code, resp.Patched, len(queries))
+	}
+	st := s.graphs["fig1"].state.Load()
+	for _, q := range queries {
+		body, err := json.Marshal(q.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, steps, err := q.ep.parse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := rangeTag(chainDepends(steps))
+		key := fmt.Sprintf("%s|%s|v%d|%s", "fig1", tag, st.tags[tag].version, qcache.Key(st.stamp, canonical(steps)))
+		patched, ok := s.Cache().Get(key)
+		if !ok {
+			t.Fatalf("%s: no entry under %q", q.path, key)
+		}
+		w := doJSON(t, s, "POST", q.path, q.body)
+		if got := w.Header().Get("X-TGraph-Cache"); got != "patched" || w.Body.String() != string(patched.([]byte)) {
+			t.Errorf("%s: requery answered %q, want the patched entry under %q", q.path, got, key)
+		}
 	}
 }

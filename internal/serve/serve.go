@@ -241,7 +241,7 @@ type graphHandle struct {
 
 	// mu serialises the writers — reload, append, compaction and the
 	// registration of a new range tag — and guards the fields below. A
-	// cache hit never takes it.
+	// cache hit or a /v1/graphs listing never takes it.
 	mu  sync.Mutex
 	log *wal.Log
 	// views maps a canonical chain to its incrementally maintained zoom
@@ -250,8 +250,6 @@ type graphHandle struct {
 	// built lazily at the next append, and used to patch the chain's
 	// cache entry in place instead of leaving it to cold recomputation.
 	views map[string]*viewSlot
-	// appended counts records logged since the last compaction.
-	appended int
 }
 
 // servedState is one published version of a served graph: everything a
@@ -277,6 +275,11 @@ type servedState struct {
 	// tag) and its current key version. An append bumps exactly the
 	// overlapping tags.
 	tags map[string]depEntry
+	// walSeq is the highest durable log sequence; appended counts the
+	// records logged since the last compaction, which triggers at
+	// Config.CompactAfter.
+	walSeq   uint64
+	appended int
 }
 
 // viewSlot is one registered chain the handle maintains a materialized
@@ -307,6 +310,21 @@ type viewSlot struct {
 type depEntry struct {
 	iv      temporal.Interval
 	version uint64
+}
+
+// appendKeyPrefix appends "<graph>|<tag>|v<version>|" to dst: the prefix
+// of every cache key under one tag version, which an append retiring
+// the version sweeps.
+func appendKeyPrefix(dst []byte, graph, tag string, version uint64) []byte {
+	dst = append(append(append(dst, graph...), '|'), tag...)
+	return append(strconv.AppendUint(append(dst, "|v"...), version, 10), '|')
+}
+
+// appendCacheKey appends the key a chain's result is cached under — the
+// tag version's prefix, then qcache.Key(stamp, canon) — to dst. A query
+// reads and a view patch writes the key it builds.
+func appendCacheKey(dst []byte, graph, tag string, version uint64, stamp, canon string) []byte {
+	return qcache.AppendKey(appendKeyPrefix(dst, graph, tag, version), stamp, canon)
 }
 
 // manifestBufs pools the buffers the epoch check reads MANIFEST into.
@@ -444,11 +462,14 @@ func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, 
 		}
 		h.log = l
 	}
-	ns := &servedState{graph: g, stamp: stamp, manifest: manifest}
-	if cur != nil && cur.stamp == stamp {
-		// Reloading after a failed apply: the epoch did not move, so the
-		// versions must not restart (the failure already bumped them all).
-		ns.tags = cur.tags
+	ns := &servedState{graph: g, stamp: stamp, manifest: manifest, walSeq: h.log.LastSeq()}
+	if cur != nil {
+		ns.appended = cur.appended
+		if cur.stamp == stamp {
+			// Reloading after a failed apply: the epoch did not move, so the
+			// versions must not restart (the failure already bumped them all).
+			ns.tags = cur.tags
+		}
 	}
 	// Materialized views were built over the replaced graph; drop them
 	// and let the next append rebuild from the fresh load.
@@ -520,6 +541,7 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	}
 	first := last - uint64(len(ds)) + 1
 	ns := *cur
+	ns.walSeq = last
 	g, aerr := applyDeltas(cur.graph, ds)
 	if aerr != nil {
 		// The records are durable in the log but the in-memory view could
@@ -558,16 +580,16 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	// first query that loads the new state hits a fresh body
 	// (X-TGraph-Cache: patched) instead of paying a cold recompute.
 	patched := h.maintainViewsLocked(cache, &ns, ds)
+	ns.appended += len(ds)
 	h.state.Store(&ns)
 	invalidated := 0
 	for _, prefix := range retired {
 		invalidated += cache.InvalidatePrefix(prefix)
 	}
-	h.appended += len(ds)
 	resp = AppendResponse{FirstSeq: first, LastSeq: last, Invalidated: invalidated, Patched: patched}
-	if h.compactAfter > 0 && h.appended >= h.compactAfter {
+	if h.compactAfter > 0 && ns.appended >= h.compactAfter {
 		if cerr := h.compactLocked(cache, parallelism); cerr != nil {
-			// Leave h.appended as is so the next append retries.
+			// Leave the appended count as is so the next append retries.
 			return resp, false, cerr, nil
 		}
 		return resp, true, nil, nil
@@ -586,7 +608,7 @@ func (h *graphHandle) bumpTags(tags map[string]depEntry, span temporal.Interval)
 	var retired []string
 	for tag, e := range tags {
 		if span.IsEmpty() || tag == "full" || e.iv.IsEmpty() || e.iv.Overlaps(span) {
-			retired = append(retired, fmt.Sprintf("%s|%s|v%d|", h.name, tag, e.version))
+			retired = append(retired, string(appendKeyPrefix(nil, h.name, tag, e.version)))
 			e.version++
 		}
 		out[tag] = e
@@ -686,7 +708,7 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 			sl.view = nil
 			continue
 		}
-		key := fmt.Sprintf("%s|%s|v%d|%s", h.name, "full", st.tags["full"].version, qcache.Key(st.stamp, sl.canon))
+		key := string(appendCacheKey(nil, h.name, "full", st.tags["full"].version, st.stamp, sl.canon))
 		if cache.Patch(key, body, int64(len(body))) {
 			patched++
 		}
@@ -715,20 +737,25 @@ func (h *graphHandle) buildView(sl *viewSlot, g core.TGraph) (incr.View, error) 
 }
 
 // encodeView renders a view's result exactly as the cold path renders
-// the chain's: converted to the handle's representation and
-// deterministically encoded, so a patched body is byte-identical to the
-// recompute it replaces. g supplies the dataflow context.
+// the chain's, so a patched body is byte-identical to the recompute it
+// replaces. On VE and OG the view's flat states are sorted and folded
+// straight into the encoder: building a VE or OG from them and
+// coalescing it folds the same states per entity, under the same
+// lifetime. An RG handle converts them to snapshots first, as the cold
+// path's result is; two values an entity holds at one time (an append
+// can write them) would not fold back from the fragments the same way.
+// Views never serve OGC (registerView). g supplies the dataflow context.
 func (h *graphHandle) encodeView(v incr.View, g core.TGraph) ([]byte, error) {
 	vs, es := v.Result()
-	var out core.TGraph = core.NewVE(g.Context(), vs, es)
-	if h.rep != core.RepVE {
-		cg, err := core.Convert(out, h.rep)
+	if h.rep == core.RepRG {
+		rg, err := core.Convert(core.NewVE(g.Context(), vs, es), core.RepRG)
 		if err != nil {
 			return nil, err
 		}
-		out = cg
+		return encodeGraph(rg), nil
 	}
-	return encodeGraph(out), nil
+	vs, es, life := core.SortedCoalesced(vs, es)
+	return encodeStates(h.rep.String(), life, vs, es), nil
 }
 
 // compactLocked folds the WAL tail into a fresh columnar epoch and
@@ -759,10 +786,9 @@ func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error 
 	// epoch; entries keyed under the old stamp can never hit again, and
 	// the sweep reclaims their bytes eagerly.
 	ns := *h.state.Load()
-	ns.stamp, ns.manifest, ns.tags = m.BaseStamp(), data, nil
+	ns.stamp, ns.manifest, ns.tags, ns.appended = m.BaseStamp(), data, nil, 0
 	h.state.Store(&ns)
 	cache.InvalidatePrefix(h.name + "|")
-	h.appended = 0
 	return nil
 }
 
@@ -1317,9 +1343,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 		return
 	}
 	var kb [256]byte
-	k := append(append(append(kb[:0], h.name...), '|'), q.spec.tag...)
-	k = append(strconv.AppendUint(append(k, "|v"...), version, 10), '|')
-	key := string(qcache.AppendKey(k, st.stamp, q.spec.canon))
+	key := string(appendCacheKey(kb[:0], h.name, q.spec.tag, version, st.stamp, q.spec.canon))
 	if st.coord != nil {
 		s.runSharded(w, r, st.coord, h.rep, q, key)
 		return
@@ -1584,19 +1608,14 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			Name: h.name, Dir: h.dir, Rep: h.rep.String(),
 			Breaker: h.breaker.State().String(),
 		}
-		h.mu.Lock()
 		if st := h.state.Load(); st != nil {
 			info.Loaded, info.Stamp = st.graph != nil, st.stamp
+			info.WALSeq, info.Appended = st.walSeq, st.appended
 			if st.coord != nil {
 				info.Shards = st.coord.N()
 				info.ShardStrategy = st.coord.Strategy().Name()
 			}
 		}
-		if h.log != nil {
-			info.WALSeq = h.log.LastSeq()
-			info.Appended = h.appended
-		}
-		h.mu.Unlock()
 		out = append(out, info)
 	}
 	w.Header().Set("Content-Type", "application/json")

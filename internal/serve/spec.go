@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -472,13 +471,14 @@ type GraphJSON struct {
 	Edges    []StateJSON `json:"edges"`
 }
 
-// encodeGraph renders a result graph as deterministic JSON bytes: the
-// graph is coalesced and its states are written by encodeStates — so
-// recomputing the same query yields identical bytes. It is the one
-// encoder behind the cold path, the sharded path and patched views.
+// encodeGraph renders a result graph as deterministic JSON bytes: what
+// g.Coalesce() would report, sorted and folded by core.CoalescedStates
+// without a dataflow job, written by encodeStates — so recomputing the
+// same query yields identical bytes. It is the one encoder behind the
+// cold path, the sharded path and patched views.
 func encodeGraph(g core.TGraph) []byte {
-	c := g.Coalesce()
-	return encodeStates(c.Rep().String(), c.Lifetime(), c.VertexStates(), c.EdgeStates())
+	rep, life, vs, es := core.CoalescedStates(g)
+	return encodeStates(rep.String(), life, vs, es)
 }
 
 // encoder is the reusable scratch of one encodeStates call: the output
@@ -496,20 +496,15 @@ type propField struct {
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // encodeStates writes the wire form of a result — byte for byte what
-// json.Marshal(GraphJSON{...}) produces — straight from the tuples:
-// states ordered by (id, src, dst, start, end) (vs and es are sorted in
-// place), fields in StateJSON's order with src, dst and props omitted
+// json.Marshal(GraphJSON{...}) produces — straight from the tuples, in
+// the order they arrive: by (id, src, dst, start, end), the one sort of
+// a response, which core.CoalescedStates and core.SortedCoalesced run.
+// Fields in StateJSON's order with src, dst and props omitted
 // when zero or empty, property keys ordered by name, every property
 // value as a JSON string, strings escaped as encoding/json escapes
 // them. The body is sized exactly (cap == len), so a cache holding it
 // retains no slack.
 func encodeStates(rep string, life temporal.Interval, vs []core.VertexTuple, es []core.EdgeTuple) []byte {
-	slices.SortStableFunc(vs, func(a, b core.VertexTuple) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), a.Interval.Compare(b.Interval))
-	})
-	slices.SortStableFunc(es, func(a, b core.EdgeTuple) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), a.Interval.Compare(b.Interval))
-	})
 	e := encoders.Get().(*encoder)
 	// A state with a few properties takes about 128 bytes; a buffer
 	// fresh from the pool then grows once, not by doubling.

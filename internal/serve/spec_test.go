@@ -2,17 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/incr"
 	"repro/internal/obs"
 	"repro/internal/props"
 	"repro/internal/temporal"
@@ -79,12 +82,36 @@ func referenceEncode(rep string, life temporal.Interval, vs []core.VertexTuple, 
 	return b
 }
 
-// checkEncode compares the two encoders on one result; encodeStates
-// sorts its arguments, so each side gets its own copy.
+// sortStates is the sort encodeStates ran on its arguments before the
+// one sort per response moved into core: states by (id, src, dst,
+// interval), stably, in place.
+func sortStates(vs []core.VertexTuple, es []core.EdgeTuple) {
+	slices.SortStableFunc(vs, func(a, b core.VertexTuple) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), a.Interval.Compare(b.Interval))
+	})
+	slices.SortStableFunc(es, func(a, b core.EdgeTuple) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), a.Interval.Compare(b.Interval))
+	})
+}
+
+// coalesceEncode is the path encodeGraph replaced, kept as its
+// reference: coalesce through the graph's own Coalesce (a grouping job
+// on VE), collect both relations, sort them, encode.
+func coalesceEncode(g core.TGraph) []byte {
+	c := g.Coalesce()
+	vs, es := c.VertexStates(), c.EdgeStates()
+	sortStates(vs, es)
+	return encodeStates(c.Rep().String(), c.Lifetime(), vs, es)
+}
+
+// checkEncode compares the two encoders on one result, each side on its
+// own copy of the states; encodeStates gets them sorted.
 func checkEncode(t *testing.T, rep string, life temporal.Interval, vs []core.VertexTuple, es []core.EdgeTuple) bool {
 	t.Helper()
 	want := referenceEncode(rep, life, vs, es)
-	got := encodeStates(rep, life, append([]core.VertexTuple(nil), vs...), append([]core.EdgeTuple(nil), es...))
+	vs, es = slices.Clone(vs), slices.Clone(es)
+	sortStates(vs, es)
+	got := encodeStates(rep, life, vs, es)
 	if !bytes.Equal(got, want) {
 		t.Errorf("encodeStates differs from json.Marshal(GraphJSON):\n got %s\nwant %s", got, want)
 		return false
@@ -172,9 +199,25 @@ func TestEncodeStatesMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
+// checkFold compares the response-boundary fold with VE's Coalesce on
+// one set of states, each side on its own copy, by the bytes they
+// encode to.
+func checkFold(t *testing.T, ctx *dataflow.Context, vs []core.VertexTuple, es []core.EdgeTuple) {
+	t.Helper()
+	want := coalesceEncode(core.NewVE(ctx, vs, es))
+	fv, fe, life := core.SortedCoalesced(slices.Clone(vs), slices.Clone(es))
+	if got := encodeStates("VE", life, fv, fe); !bytes.Equal(got, want) {
+		t.Errorf("SortedCoalesced differs from Coalesce:\n got %s\nwant %s", got, want)
+	}
+}
+
 // FuzzEncodeStates drives the same comparison from fuzzed keys, values
-// and numbers; testdata/fuzz/FuzzEncodeStates holds the seed corpus.
+// and numbers, and feeds the states — a value-equal run meeting or
+// overlapping the first state of a vertex and an edge — through the
+// fold; testdata/fuzz/FuzzEncodeStates holds the seed corpus.
 func FuzzEncodeStates(f *testing.F) {
+	ctx := dataflow.NewContext(dataflow.WithParallelism(2))
+	f.Cleanup(ctx.Close)
 	f.Add("type", "person", "school", "MIT", int64(1), int64(0), int64(2), int64(1), int64(7), 2.5, uint8(0))
 	f.Add("", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0), math.Copysign(0, -1), uint8(1))
 	f.Add("<k>", "a&b\u2028", "\xff\"", "\\\x00\x1f", int64(-1), int64(3), int64(0), int64(-9), int64(9), 1e21, uint8(2))
@@ -187,8 +230,15 @@ func FuzzEncodeStates(f *testing.F) {
 			p = props.Props{}
 		}
 		iv := temporal.Interval{Start: temporal.Time(start), End: temporal.Time(end)}
-		vs := []core.VertexTuple{{ID: core.VertexID(id), Interval: iv, Props: p}, {ID: core.VertexID(src), Interval: temporal.Interval{Start: iv.Start + 1, End: iv.End}}}
-		es := []core.EdgeTuple{{ID: core.EdgeID(id), Src: core.VertexID(src), Dst: core.VertexID(dst), Interval: iv, Props: p}}
+		vs := []core.VertexTuple{
+			{ID: core.VertexID(id), Interval: iv, Props: p},
+			{ID: core.VertexID(src), Interval: temporal.Interval{Start: iv.Start + 1, End: iv.End}},
+			{ID: core.VertexID(id), Interval: temporal.Interval{Start: iv.End, End: iv.End + 3}, Props: p},
+		}
+		es := []core.EdgeTuple{
+			{ID: core.EdgeID(id), Src: core.VertexID(src), Dst: core.VertexID(dst), Interval: iv, Props: p},
+			{ID: core.EdgeID(id), Src: core.VertexID(src), Dst: core.VertexID(dst), Interval: temporal.Interval{Start: iv.End - 1, End: iv.End + 1}, Props: p},
+		}
 		switch {
 		case shape&0x40 != 0:
 			vs, es = vs[:1], nil // vertex-only
@@ -196,13 +246,16 @@ func FuzzEncodeStates(f *testing.F) {
 			vs, es = nil, nil // the empty graph
 		}
 		checkEncode(t, s1, iv, vs, es)
+		checkFold(t, ctx, vs, es)
 	})
 }
 
 // TestEncodeGraphAllocations: the encoder allocates the two state
 // slices the graph hands it and the exactly-sized body — nothing per
-// state, per property or per byte of growth. (Up to 4 leaves room for
-// a sync.Pool refill after a collection.)
+// state, per property or per byte of growth, and it runs no dataflow
+// job, also when it folds an uncoalesced result (a wZoom whose windows
+// repeat each state). (Up to 4 leaves room for a sync.Pool refill after
+// a collection.)
 func TestEncodeGraphAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the encoder scratch at random")
@@ -219,12 +272,127 @@ func TestEncodeGraphAllocations(t *testing.T) {
 		}
 		return core.NewVE(ctx, vs, es).Coalesce()
 	}
+	window, err := temporal.EveryN(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{10, 1000} {
-		g := build(n)
-		encodeGraph(g) // grow the pooled buffer
-		if allocs := testing.AllocsPerRun(20, func() { encodeGraph(g) }); allocs > 4 {
-			t.Errorf("encodeGraph over %d states: %v allocs, want at most 4", 2*n, allocs)
+		coalesced := build(n)
+		windowed, err := coalesced.WZoom(core.WZoomSpec{Window: window})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if windowed.IsCoalesced() {
+			t.Fatal("the wZoom result is flagged coalesced; the fold goes untested")
+		}
+		for _, g := range []core.TGraph{coalesced, windowed} {
+			encodeGraph(g) // grow the pooled buffer
+			ctx.ResetMetrics()
+			if allocs := testing.AllocsPerRun(20, func() { encodeGraph(g) }); allocs > 4 {
+				t.Errorf("encodeGraph over %d coalesced=%v states: %v allocs, want at most 4", 2*n, g.IsCoalesced(), allocs)
+			}
+			if jobs := ctx.Metrics().Jobs; jobs != 0 {
+				t.Errorf("encodeGraph over %d coalesced=%v states ran %d dataflow jobs, want 0", 2*n, g.IsCoalesced(), jobs)
+			}
+		}
+	}
+}
+
+// randGraphStates draws the flat states of a random graph for the
+// encoder properties: every entity's states are runs over a dozen time
+// points with values from a small pool, so value-equal runs meet often;
+// some states repeat an interval, with the same value or another (two
+// values at one time point, which a valid TGraph does not hold but an
+// append can write, and whose input order the sort must keep); some are
+// empty; an edge id keeps its endpoints.
+func randGraphStates(r *rand.Rand) ([]core.VertexTuple, []core.EdgeTuple) {
+	pool := []props.Props{
+		{},
+		props.New("type", "person"),
+		props.New("type", "person", "school", "MIT"),
+		props.New("type", "person", "school", "CMU"),
+	}
+	runs := func(emit func(temporal.Interval, props.Props)) {
+		t := temporal.Time(r.Intn(4))
+		for end := t + temporal.Time(r.Intn(10)); t < end; {
+			iv := temporal.Interval{Start: t, End: t + 1 + temporal.Time(r.Intn(3))}
+			p := pool[r.Intn(len(pool))]
+			emit(iv, p)
+			switch r.Intn(8) {
+			case 0:
+				emit(iv, p) // a duplicate: folds into the state
+			case 1:
+				emit(iv, pool[r.Intn(len(pool))]) // a tie on the interval
+			case 2:
+				emit(temporal.Interval{Start: iv.End, End: iv.End}, p) // empty
+			}
+			t = iv.End
+		}
+	}
+	var vs []core.VertexTuple
+	for id, n := core.VertexID(1), core.VertexID(1+r.Intn(5)); id <= n; id++ {
+		runs(func(iv temporal.Interval, p props.Props) {
+			vs = append(vs, core.VertexTuple{ID: id, Interval: iv, Props: p})
+		})
+	}
+	var es []core.EdgeTuple
+	for id, n := core.EdgeID(1), core.EdgeID(r.Intn(5)); id <= n; id++ {
+		src, dst := core.VertexID(1+r.Intn(5)), core.VertexID(1+r.Intn(5))
+		runs(func(iv temporal.Interval, p props.Props) {
+			es = append(es, core.EdgeTuple{ID: id, Src: src, Dst: dst, Interval: iv, Props: p})
+		})
+	}
+	r.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+	r.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	return vs, es
+}
+
+// TestEncodeGraphMatchesCoalesceQuick: encodeGraph's sort-and-fold
+// writes the bytes the Coalesce path wrote, on random graphs in every
+// representation, on their wZoom and aZoom results (uncoalesced) and on
+// their coalesced forms (OGC is always coalesced).
+func TestEncodeGraphMatchesCoalesceQuick(t *testing.T) {
+	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
+	defer ctx.Close()
+	window, err := temporal.EveryN(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	az := core.GroupByProperty("school", "school", props.Count("n"))
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		vs, es := randGraphStates(r)
+		ve := core.NewVE(ctx, vs, es)
+		for _, rep := range []core.Representation{core.RepVE, core.RepOG, core.RepRG, core.RepOGC} {
+			g, err := core.Convert(ve, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := []core.TGraph{g, g.Coalesce()}
+			wz, err := g.WZoom(core.WZoomSpec{Window: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, wz)
+			if rep != core.RepOGC {
+				azOut, err := g.AZoom(az)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, azOut)
+			}
+			for i, out := range outs {
+				want := coalesceEncode(out)
+				if got := encodeGraph(out); !bytes.Equal(got, want) {
+					t.Errorf("seed %d, %v result %d (%v, coalesced=%v):\n got %s\nwant %s", seed, rep, i, out.Rep(), out.IsCoalesced(), got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -311,4 +479,54 @@ func FuzzSpecRequest(f *testing.F) {
 			t.Fatalf("print → parse changed the chain:\n%s\n%s", canonical(steps), canonical(steps2))
 		}
 	})
+}
+
+// TestEncodeViewMatchesConvertQuick: a view's result encoded by
+// encodeView is byte-identical to building the handle's representation
+// from it and coalescing that, on VE, OG and RG (views never serve
+// OGC), for random wZoom and aZoom views — also over states that give
+// an entity two values at once, which only RG's conversion would fold
+// differently.
+func TestEncodeViewMatchesConvertQuick(t *testing.T) {
+	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
+	defer ctx.Close()
+	window, err := temporal.EveryN(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		vs, es := randGraphStates(r)
+		g := core.NewVE(ctx, vs, es)
+		wz, err := incr.NewWZoomView(g, core.WZoomSpec{Window: window, VResolve: props.LastWins}, incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		az, err := incr.NewAZoomView(g, core.GroupByProperty("school", "school", props.Count("n")), incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range []core.Representation{core.RepVE, core.RepOG, core.RepRG} {
+			h := &graphHandle{rep: rep}
+			for _, v := range []incr.View{wz, az} {
+				rv, re := v.Result()
+				converted, err := core.Convert(core.NewVE(ctx, rv, re), rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := h.encodeView(v, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := coalesceEncode(converted); !bytes.Equal(got, want) {
+					t.Errorf("seed %d, %v view %T:\n got %s\nwant %s", seed, rep, v, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
 }

@@ -92,13 +92,21 @@ func collectLabels(n int, at func(int) props.Props) []string {
 	return labels
 }
 
+// appendPropCells appends one cell per label. A float whose text would
+// read back as an int ("1", "-0") gets a ".0", so ReadVerticesCSV and
+// ReadEdgesCSV read back the kind that was written.
 func appendPropCells(row []string, p props.Props, labels []string) []string {
 	for _, k := range labels {
-		if v, ok := p.Get(k); ok {
-			row = append(row, v.String())
-		} else {
+		v, ok := p.Get(k)
+		if !ok {
 			row = append(row, "")
+			continue
 		}
+		s := v.String()
+		if v.Kind() == props.KindFloat && ParseValue(s).Kind() != props.KindFloat {
+			s += ".0"
+		}
+		row = append(row, s)
 	}
 	return row
 }

@@ -111,14 +111,17 @@ func Align[T any](states []Stated[T]) []Stated[T] {
 // input must pass a copy. A run that IsCoalesced — in particular a
 // single state — is returned untouched and without allocating.
 //
-// cmp must order states by interval (Interval.Compare) first and may
-// break ties on the caller's remaining identity fields (an edge's
-// endpoints); the sort is stable, so the order is total and states
-// with identical intervals and different values fold the same way on
-// every run.
+// Within one entity, cmp must order states by interval
+// (Interval.Compare) first and may break ties on the caller's remaining
+// identity fields (an edge's endpoints); the sort is stable, so the
+// order is total and states with identical intervals and different
+// values fold the same way on every run.
 //
 // The caller is responsible for grouping by entity first: Coalesce
-// treats every input state as belonging to the same entity.
+// treats every input state as belonging to the same entity — unless cmp
+// orders by entity before interval and eq compares the entity too; then
+// the sort brings each entity's states together and one call coalesces
+// a whole relation (core.SortedCoalesced).
 func Coalesce[T any](states []T, iv func(*T) *Interval, cmp func(a, b T) int, eq func(a, b T) bool) []T {
 	if IsCoalesced(states, iv, cmp, eq) {
 		return states

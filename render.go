@@ -1,9 +1,10 @@
 package tgraph
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -24,19 +25,17 @@ func WriteDOT(w io.Writer, g Graph, t Time) error {
 	fmt.Fprintf(&b, "digraph tgraph_at_%d {\n", t)
 	fmt.Fprintf(&b, "  label=\"t=%d, interval %v\";\n", t, snap.Interval)
 
-	var vs []struct {
+	type vertex struct {
 		id    VertexID
 		attrs Props
 	}
+	var vs []vertex
 	for _, part := range snap.Graph.Vertices().Partitions() {
 		for _, v := range part {
-			vs = append(vs, struct {
-				id    VertexID
-				attrs Props
-			}{v.ID, v.Attr})
+			vs = append(vs, vertex{v.ID, v.Attr})
 		}
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].id < vs[j].id })
+	slices.SortFunc(vs, func(a, b vertex) int { return cmp.Compare(a.id, b.id) })
 	for _, v := range vs {
 		fmt.Fprintf(&b, "  n%d [label=%q];\n", v.id, fmt.Sprintf("%d\n%v", v.id, v.attrs))
 	}
@@ -52,7 +51,7 @@ func WriteDOT(w io.Writer, g Graph, t Time) error {
 			es = append(es, edge{e.ID, e.Src, e.Dst, e.Attr.Type()})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i].id < es[j].id })
+	slices.SortFunc(es, func(a, b edge) int { return cmp.Compare(a.id, b.id) })
 	for _, e := range es {
 		fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", e.src, e.dst, e.typ)
 	}
@@ -65,26 +64,12 @@ func WriteDOT(w io.Writer, g Graph, t Time) error {
 // state, sorted by entity then time — the textual analogue of the
 // paper's Figure 1 drawing.
 func WriteTimeline(w io.Writer, g Graph) error {
-	c := g.Coalesce()
+	_, _, vs, es := core.CoalescedStates(g)
 	var b strings.Builder
-	vs := c.VertexStates()
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].ID != vs[j].ID {
-			return vs[i].ID < vs[j].ID
-		}
-		return vs[i].Interval.Before(vs[j].Interval)
-	})
 	b.WriteString("vertices:\n")
 	for _, v := range vs {
 		fmt.Fprintf(&b, "  %-12d T=%-10v {%v}\n", v.ID, v.Interval, v.Props)
 	}
-	es := c.EdgeStates()
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].ID != es[j].ID {
-			return es[i].ID < es[j].ID
-		}
-		return es[i].Interval.Before(es[j].Interval)
-	})
 	b.WriteString("edges:\n")
 	for _, e := range es {
 		fmt.Fprintf(&b, "  %-6d %d -> %-8d T=%-10v {%v}\n", e.ID, e.Src, e.Dst, e.Interval, e.Props)
