@@ -107,12 +107,12 @@ func TestChangeWindowStaysOnInvalidatePath(t *testing.T) {
 func TestViewPatchKeyIsTheReadKey(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	queries := []struct {
-		ep   *endpoint
+		ep   string
 		path string
 		body any
 	}{
-		{&endpoint{name: "azoom", parse: parseAZoomBody}, "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school", Count: "n"}},
-		{&endpoint{name: "wzoom", parse: parseWZoomBody}, "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units", VResolve: "last"}},
+		{"azoom", "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school", Count: "n"}},
+		{"wzoom", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units", VResolve: "last"}},
 	}
 	for _, q := range queries {
 		if w := doJSON(t, s, "POST", q.path, q.body); w.Code != http.StatusOK {
@@ -131,12 +131,12 @@ func TestViewPatchKeyIsTheReadKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, steps, err := q.ep.parse(body)
+		_, steps, err := parseBody(q.ep, body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tag := rangeTag(chainDepends(steps))
-		key := fmt.Sprintf("%s|%s|v%d|%s", "fig1", tag, st.tags[tag].version, qcache.Key(st.stamp, canonical(steps)))
+		tag := steps.rangeTag()
+		key := fmt.Sprintf("%s|%s|v%d|%s", "fig1", tag, st.tags[tag].version, qcache.Key(st.stamp, steps.canonical()))
 		patched, ok := s.Cache().Get(key)
 		if !ok {
 			t.Fatalf("%s: no entry under %q", q.path, key)

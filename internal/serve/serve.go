@@ -234,6 +234,8 @@ type graphHandle struct {
 	shards        int
 	shardStrategy shard.Strategy
 	shardOpts     shard.Options
+	// shardsHeader is the X-TGraph-Shards value of a full merge, "n/n".
+	shardsHeader string
 
 	// state is what requests answer from. It is replaced whole, never
 	// modified, and only under mu.
@@ -245,10 +247,10 @@ type graphHandle struct {
 	mu  sync.Mutex
 	log *wal.Log
 	// views maps a canonical chain to its incrementally maintained zoom
-	// view slot. Slots are registered when an eligible chain (a single
-	// azoom/wzoom step with no range restriction) is first computed,
-	// built lazily at the next append, and used to patch the chain's
-	// cache entry in place instead of leaving it to cold recomputation.
+	// view slot. Slots are registered when a viewable chain (see
+	// chain.viewable) is first computed on a flat handle, built lazily
+	// at the next append, and used to patch the chain's cache entry in
+	// place instead of leaving it to cold recomputation.
 	views map[string]*viewSlot
 }
 
@@ -282,18 +284,17 @@ type servedState struct {
 	appended int
 }
 
-// viewSlot is one registered chain the handle maintains a materialized
-// view for. view is nil until the first append after registration (the
-// view is built from the post-append graph, so no Apply is needed that
-// round) and reset to nil when an Apply or encode fails — the view
-// falls behind the graph, and dropping it is always safe because the
-// version bump already invalidated the stale cache entry. disabled
-// marks chains incremental maintenance refuses (incr.ErrUnsupported,
-// change-sensitive windows); they stay on the invalidate path for good.
+// viewSlot is one registered chain — its one zoom step — the handle
+// maintains a materialized view for. view is nil until the first
+// append after registration (the view is built from the post-append
+// graph, so no Apply is needed that round) and reset to nil when an
+// Apply or encode fails — the view falls behind the graph, and dropping
+// it is always safe because the version bump already invalidated the
+// stale cache entry. disabled marks chains incremental maintenance
+// refuses (incr.ErrUnsupported, change-sensitive windows); they stay on
+// the invalidate path for good.
 type viewSlot struct {
-	canon    string
-	az       *core.AZoomSpec
-	wz       *core.WZoomSpec
+	step     step
 	view     incr.View
 	disabled bool
 }
@@ -635,34 +636,27 @@ func applyDeltas(g core.TGraph, ds []wal.Delta) (core.TGraph, error) {
 	return core.Convert(ve, g.Rep())
 }
 
-// registerView registers a materialized-view slot for an eligible
-// chain: a single azoom or wzoom step with no range restriction (the
-// "full" tag — range-restricted chains already enjoy surgical
-// invalidation, and multi-step chains are not single-view
-// maintainable). OGC graphs are excluded: the topology-only
+// registerView registers a materialized-view slot for a viewable chain
+// (chain.viewable). OGC graphs are excluded: the topology-only
 // representation drops the properties a patched body would need to
 // reproduce byte-identically. Sharded handles are excluded too: their
-// responses come out of the coordinator merge (which carries shard
-// metadata no flat view reproduces), and the shard workers already
-// cache partials per version. It runs on the miss path only: a chain
+// misses are computed by the coordinator from the shard workers'
+// states, and a view would be a second, flat copy of the zoom state
+// every append had to maintain. It runs on the miss path only: a chain
 // gets its slot when it is first computed, and slots are never removed.
-func (h *graphHandle) registerView(steps []step) {
-	if h.rep == core.RepOGC || len(steps) != 1 || h.shards > 1 {
-		return
-	}
-	st := steps[0]
-	if st.azSpec == nil && st.wzSpec == nil {
+func (h *graphHandle) registerView(c chain, canon string) {
+	if h.rep == core.RepOGC || h.shards > 1 || !c.viewable() {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.views[st.canon]; ok {
+	if _, ok := h.views[canon]; ok {
 		return
 	}
 	if h.views == nil {
 		h.views = make(map[string]*viewSlot)
 	}
-	h.views[st.canon] = &viewSlot{canon: st.canon, az: st.azSpec, wz: st.wzSpec}
+	h.views[canon] = &viewSlot{step: c[0]}
 }
 
 // dropViewsLocked discards every built view (keeping registrations and
@@ -688,7 +682,7 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 		return 0
 	}
 	patched := 0
-	for _, sl := range h.views {
+	for canon, sl := range h.views {
 		if sl.disabled {
 			continue
 		}
@@ -708,7 +702,7 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 			sl.view = nil
 			continue
 		}
-		key := string(appendCacheKey(nil, h.name, "full", st.tags["full"].version, st.stamp, sl.canon))
+		key := string(appendCacheKey(nil, h.name, "full", st.tags["full"].version, st.stamp, canon))
 		if cache.Patch(key, body, int64(len(body))) {
 			patched++
 		}
@@ -723,10 +717,10 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 // stay on the invalidate path.
 func (h *graphHandle) buildView(sl *viewSlot, g core.TGraph) (incr.View, error) {
 	opts := incr.Options{Hook: h.hook}
-	if sl.az != nil {
-		return incr.NewAZoomView(g, *sl.az, opts)
+	if sl.step.az != nil {
+		return incr.NewAZoomView(g, *sl.step.az, opts)
 	}
-	v, err := incr.NewWZoomView(g, *sl.wz, opts)
+	v, err := incr.NewWZoomView(g, *sl.step.wz, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -904,6 +898,7 @@ func New(cfg Config) (*Server, error) {
 				Partial:     cfg.ShardPartial,
 				FaultHook:   cfg.FaultHook,
 			}
+			h.shardsHeader = fmt.Sprintf("%d/%d", cfg.Shards, cfg.Shards)
 		}
 		s.graphs[gc.Name] = h
 		s.names = append(s.names, gc.Name)
@@ -912,14 +907,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes > 0 {
 		s.specs = &specIndex{m: make(map[[sha256.Size]byte]specEntry)}
 	}
-	ep := func(name string, parse func([]byte) (string, []step, error)) *endpoint {
-		return &endpoint{name: name, span: "serve." + name, hist: r.Histogram("serve.latency." + name), parse: parse}
+	ep := func(name string) *endpoint {
+		return &endpoint{name: name, span: "serve." + name, hist: r.Histogram("serve.latency." + name)}
 	}
-	s.appendEP, s.graphsEP = ep("append", nil), ep("graphs", nil)
+	s.appendEP, s.graphsEP = ep("append"), ep("graphs")
 
-	s.mux.HandleFunc("POST /v1/azoom", s.handleQuery(ep("azoom", parseAZoomBody)))
-	s.mux.HandleFunc("POST /v1/wzoom", s.handleQuery(ep("wzoom", parseWZoomBody)))
-	s.mux.HandleFunc("POST /v1/pipeline", s.handleQuery(ep("pipeline", parsePipelineBody)))
+	s.mux.HandleFunc("POST /v1/azoom", s.handleQuery(ep("azoom")))
+	s.mux.HandleFunc("POST /v1/wzoom", s.handleQuery(ep("wzoom")))
+	s.mux.HandleFunc("POST /v1/pipeline", s.handleQuery(ep("pipeline")))
 	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
@@ -1111,13 +1106,12 @@ func statusForRunError(err error) int {
 var errDraining = errors.New("serve: server draining")
 
 // endpoint is one route's request bookkeeping, resolved once in New:
-// its span name, its latency histogram and, on the query endpoints, the
-// parser of its request body.
+// its name (which, on the query endpoints, selects parseBody's request
+// shape), its span name and its latency histogram.
 type endpoint struct {
-	name  string
-	span  string
-	hist  *obs.Histogram
-	parse func(body []byte) (graph string, steps []step, err error)
+	name string
+	span string
+	hist *obs.Histogram
 }
 
 // admit performs the shared request bookkeeping: drain refusal,
@@ -1179,9 +1173,9 @@ const specIndexCap = 4096
 // — and nothing it would cost memory to keep: no parsed steps, no body.
 type specEntry struct {
 	h     *graphHandle
-	canon string            // canonical(steps)
-	tag   string            // rangeTag(dep)
-	dep   temporal.Interval // chainDepends(steps)
+	canon string            // chain.canonical
+	tag   string            // chain.rangeTag
+	dep   temporal.Interval // chain.depends
 }
 
 // specIndex maps SHA-256(endpoint, NUL, body) to the body's specEntry,
@@ -1217,21 +1211,18 @@ type query struct {
 	ep    *endpoint
 	spec  specEntry
 	body  []byte
-	steps []step
+	steps chain
 }
 
 // chain returns the parsed operator chain, re-parsing the body when
 // the spec index answered the lookup (it indexes only bodies that
 // parsed, so this parse succeeds too).
-func (q *query) chain() ([]step, error) {
+func (q *query) chain() (chain, error) {
+	var err error
 	if q.steps == nil {
-		_, steps, err := q.ep.parse(q.body)
-		if err != nil {
-			return nil, err
-		}
-		q.steps = steps
+		_, q.steps, err = parseBody(q.ep.name, q.body)
 	}
-	return q.steps, nil
+	return q.steps, err
 }
 
 // handleQuery serves one query endpoint: admit, read the body, resolve
@@ -1279,7 +1270,7 @@ func (s *Server) resolve(q *query, keyed []byte) (int, error) {
 			return 0, nil
 		}
 	}
-	graph, steps, err := q.ep.parse(q.body)
+	graph, steps, err := parseBody(q.ep.name, q.body)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -1287,8 +1278,7 @@ func (s *Server) resolve(q *query, keyed []byte) (int, error) {
 	if !ok {
 		return http.StatusNotFound, fmt.Errorf("unknown graph %q", graph)
 	}
-	dep := chainDepends(steps)
-	q.spec = specEntry{h: h, canon: canonical(steps), tag: rangeTag(dep), dep: dep}
+	q.spec = specEntry{h: h, canon: steps.canonical(), tag: steps.rangeTag(), dep: steps.depends()}
 	q.steps = steps
 	if s.specs != nil {
 		s.specs.put(&sum, q.spec)
@@ -1344,19 +1334,15 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 	}
 	var kb [256]byte
 	key := string(appendCacheKey(kb[:0], h.name, q.spec.tag, version, st.stamp, q.spec.canon))
-	if st.coord != nil {
-		s.runSharded(w, r, st.coord, h.rep, q, key)
-		return
-	}
 	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
 		steps, err := q.chain()
 		if err != nil {
 			return nil, 0, err
 		}
-		// Eligible chains register a materialized-view slot on their
-		// first computation, so the next append can patch this chain's
-		// entry instead of leaving it invalidated.
-		h.registerView(steps)
+		// Viewable chains register a materialized-view slot on their first
+		// computation, so the next append can patch this chain's entry
+		// instead of leaving it invalidated.
+		h.registerView(steps, q.spec.canon)
 		defer obs.StartSpan("serve.compute").End()
 		s.computations.Add(1)
 		reqCtx := dataflow.NewContext(
@@ -1364,18 +1350,27 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 			dataflow.WithTimeout(s.timeout),
 		)
 		defer reqCtx.Close()
-		rb, err := core.Rebind(st.graph, reqCtx)
-		if err != nil {
-			return nil, 0, err
+		// The scatter derives per-shard deadlines from runCtx; mirror the
+		// dataflow timeout onto it so shard legs observe the same budget
+		// the merge runs under.
+		runCtx := r.Context()
+		if s.timeout > 0 && st.coord != nil {
+			var cancel context.CancelFunc
+			runCtx, cancel = context.WithTimeout(runCtx, s.timeout)
+			defer cancel()
 		}
 		var body []byte
+		var stats shard.Stats
 		err = reqCtx.Run(func() error {
-			out := rb
-			for _, st := range steps {
-				var e error
-				if out, e = st.apply(out); e != nil {
-					return e
-				}
+			var out core.TGraph
+			var err error
+			if st.coord != nil {
+				out, stats, err = st.coord.Run(runCtx, reqCtx, shardQuery(h.rep, steps))
+			} else if out, err = core.Rebind(st.graph, reqCtx); err == nil {
+				out, err = steps.apply(out)
+			}
+			if err != nil {
+				return err
 			}
 			body = encodeGraph(out)
 			return nil
@@ -1383,23 +1378,30 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 		if err != nil {
 			return nil, 0, err
 		}
+		if stats.Partial {
+			return nil, 0, &partialError{body: body, stats: stats}
+		}
 		return body, int64(len(body)), nil
 	})
+	shards := ""
 	if err != nil {
-		s.fail(w, statusForRunError(err), err)
-		return
+		var pe *partialError
+		if !errors.As(err, &pe) {
+			s.fail(w, statusForRunError(err), err)
+			return
+		}
+		s.degraded.Add(1)
+		w.Header().Set("X-TGraph-Degraded", "partial-shards")
+		val, shards = pe.body, pe.stats.Header()
+	} else if st.coord != nil {
+		shards = h.shardsHeader
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-TGraph-Cache", outcome.String())
+	if shards != "" {
+		w.Header().Set("X-TGraph-Shards", shards)
+	}
 	w.Write(val.([]byte))
-}
-
-// shardedBody is the cached value of a sharded computation: the encoded
-// response plus the shard coverage header it was merged from (always
-// "n/n" — partial merges are never cached).
-type shardedBody struct {
-	body   []byte
-	shards string
 }
 
 // partialError carries a degraded partial merge out of the cache's
@@ -1416,101 +1418,28 @@ func (e *partialError) Error() string {
 	return fmt.Sprintf("serve: partial shard result %s", e.stats.Header())
 }
 
-// shardQuery translates a parsed operator chain into the coordinator's
-// query form: a leading azoom/wzoom step ships its spec for shard-side
-// evaluation (keeping its apply func as the gather fallback), a leading
+// shardQuery translates a parsed chain into the coordinator's query
+// form: a leading azoom/wzoom step ships its spec for shard-side
+// evaluation (keeping its apply as the gather fallback), a leading
 // range step becomes the shard-side clip with non-overlapping shards
 // pruned, and everything else runs as tail steps over the merged graph.
-func shardQuery(rep core.Representation, steps []step) shard.Query {
-	first := steps[0]
+func shardQuery(rep core.Representation, c chain) shard.Query {
 	q := shard.Query{Rep: rep}
-	rest := steps[1:]
-	switch {
-	case first.azSpec != nil:
-		q.AZ = first.azSpec
-		q.First = first.apply
-	case first.wzSpec != nil:
-		q.WZ = first.wzSpec
-		q.First = first.apply
-	case !first.depends.IsEmpty():
-		q.Clip = first.depends
+	rest := c[1:]
+	switch first := c[0]; first.norm.Op {
+	case "azoom":
+		q.AZ, q.First = first.az, first.apply
+	case "wzoom":
+		q.WZ, q.First = first.wz, first.apply
+	case "range":
+		q.Clip = first.iv
 	default:
-		rest = steps
+		rest = c
 	}
 	for _, st := range rest {
 		q.Tail = append(q.Tail, st.apply)
 	}
 	return q
-}
-
-// runSharded is run's compute path for sharded handles: the chain is
-// scattered across the shard workers through the coordinator and the
-// merged body — byte-identical to the unsharded computation — is cached
-// under the same key the flat path would use. Full merges answer with
-// X-TGraph-Shards: n/n; partial merges (ShardPartial mode, some shards
-// failed) answer 200 with k/n, are counted as degraded, and are never
-// cached.
-func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard.Coordinator, rep core.Representation, q *query, key string) {
-	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
-		steps, err := q.chain()
-		if err != nil {
-			return nil, 0, err
-		}
-		sq := shardQuery(rep, steps)
-		defer obs.StartSpan("serve.compute").End()
-		s.computations.Add(1)
-		reqCtx := dataflow.NewContext(
-			dataflow.WithParallelism(s.parallelism),
-			dataflow.WithTimeout(s.timeout),
-		)
-		defer reqCtx.Close()
-		// The scatter derives per-shard deadlines from this context; mirror
-		// the dataflow timeout onto it so shard legs observe the same
-		// budget the merge runs under.
-		runCtx := r.Context()
-		if s.timeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, s.timeout)
-			defer cancel()
-		}
-		var body []byte
-		var stats shard.Stats
-		err = reqCtx.Run(func() error {
-			out, st, err := coord.Run(runCtx, reqCtx, sq)
-			stats = st
-			if err != nil {
-				return err
-			}
-			body = encodeGraph(out)
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if stats.Partial {
-			return nil, 0, &partialError{body: body, stats: stats}
-		}
-		return shardedBody{body: body, shards: stats.Header()}, int64(len(body)), nil
-	})
-	if err != nil {
-		var pe *partialError
-		if errors.As(err, &pe) {
-			s.degraded.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-TGraph-Cache", outcome.String())
-			w.Header().Set("X-TGraph-Degraded", "partial-shards")
-			w.Header().Set("X-TGraph-Shards", pe.stats.Header())
-			w.Write(pe.body)
-			return
-		}
-		s.fail(w, statusForRunError(err), err)
-		return
-	}
-	sb := val.(shardedBody)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-TGraph-Cache", outcome.String())
-	w.Header().Set("X-TGraph-Shards", sb.shards)
-	w.Write(sb.body)
 }
 
 // handleAppend is the live-ingestion endpoint: it logs the request's

@@ -383,11 +383,11 @@ func TestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := parseWZoomStep("5 units", "", "", "", "")
+	st, err := parseStep(StepRequest{Op: "wzoom", Window: "5 units"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "fig1|full|v0|" + qcache.Key(stamp, canonical([]step{st}))
+	key := "fig1|full|v0|" + qcache.Key(stamp, chain{st}.canonical())
 
 	// Park a flight on the key the request will use.
 	started := make(chan struct{})

@@ -320,3 +320,38 @@ func TestShardedPartialDegraded(t *testing.T) {
 		}
 	})
 }
+
+// A sharded handle whose coordinator is dropped — as a failed
+// coord.Append or closeLogs drops it — answers from the flat graph,
+// and an entry the coordinator computed is an ordinary body to it: the
+// requery is a 200 hit with the same bytes.
+func TestDroppedCoordinatorServesShardedEntry(t *testing.T) {
+	dir := t.TempDir()
+	saveShardFixture(t, dir)
+	s := newServerOn(t, dir, "ve", Config{Shards: 2})
+	defer s.Drain()
+	req := PipelineRequest{Graph: "g", Steps: []StepRequest{
+		{Op: "range", Start: 10, End: 40},
+		{Op: "azoom", GroupBy: "dept"},
+	}}
+	w1 := doJSON(t, s, "POST", "/v1/pipeline", req)
+	if w1.Code != http.StatusOK || w1.Header().Get("X-TGraph-Shards") != "2/2" {
+		t.Fatalf("sharded: %d %q %s", w1.Code, w1.Header().Get("X-TGraph-Shards"), w1.Body)
+	}
+	h := s.graphs["g"]
+	h.mu.Lock()
+	st := h.state.Load()
+	st.coord.Close()
+	ns := *st
+	ns.coord = nil
+	h.state.Store(&ns)
+	h.mu.Unlock()
+
+	w2 := doJSON(t, s, "POST", "/v1/pipeline", req)
+	if w2.Code != http.StatusOK || w2.Header().Get("X-TGraph-Cache") != "hit" {
+		t.Fatalf("after dropping the coordinator: %d %q %s", w2.Code, w2.Header().Get("X-TGraph-Cache"), w2.Body)
+	}
+	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+		t.Errorf("body changed:\n got %s\nwant %s", w2.Body, w1.Body)
+	}
+}

@@ -81,137 +81,123 @@ type WZoomRequest struct {
 	EResolve string `json:"eresolve,omitempty"`
 }
 
-// step is a parsed, executable operator plus its canonical fingerprint
-// fragment. norm is the step in normal form — every field as its parsed
-// value prints it, defaults filled in — and canon renders norm, so
-// parsing a printed norm gives the same canon. depends is the time
-// interval the step's output can depend on (zero = everything); only
-// range steps constrain it. Zoom steps also retain their parsed spec
-// (azSpec/wzSpec) so the serving layer can register an incrementally
-// maintained view for the chain.
+// step is one parsed operator as plain data: norm, the request in
+// normal form — every field as its parsed value prints it, defaults
+// filled in, so parsing a printed norm gives the same step — and what
+// parsing produced for its op: the aZoom spec (az), the wZoom spec
+// (wz), the switch's target representation (rep) or the range (iv).
 type step struct {
-	canon   string
-	norm    StepRequest
-	depends temporal.Interval
-	apply   func(core.TGraph) (core.TGraph, error)
-	azSpec  *core.AZoomSpec
-	wzSpec  *core.WZoomSpec
+	norm StepRequest
+	az   *core.AZoomSpec
+	wz   *core.WZoomSpec
+	rep  core.Representation
+	iv   temporal.Interval
 }
 
-// canonStep renders a normal-form step as its cache-key fragment.
-// aZoom's free-text fields are quoted: unquoted, groupBy "a,type=b"
-// with newType "c" and groupBy "a" with newType "b,type=c" rendered
-// alike and shared one cache entry.
-func canonStep(n StepRequest) string {
+// apply runs the step on g. A range clips states to [start, end)
+// exactly like a storage-level range load, so its output provably
+// depends only on that window.
+func (s step) apply(g core.TGraph) (core.TGraph, error) {
+	switch s.norm.Op {
+	case "azoom":
+		return g.AZoom(*s.az)
+	case "wzoom":
+		return g.WZoom(*s.wz)
+	case "switch":
+		return core.Convert(g, s.rep)
+	default:
+		return core.Trim(g, s.iv)
+	}
+}
+
+// appendCanon appends the step's cache-key fragment, rendered from
+// norm. aZoom's free-text fields are quoted: unquoted, groupBy
+// "a,type=b" with newType "c" and groupBy "a" with newType "b,type=c"
+// rendered alike and shared one cache entry.
+func (s step) appendCanon(dst []byte) []byte {
+	n := s.norm
 	switch n.Op {
 	case "azoom":
-		return fmt.Sprintf("azoom(by=%q,type=%q,count=%q)", n.GroupBy, n.NewType, n.Count)
+		return fmt.Appendf(dst, "azoom(by=%q,type=%q,count=%q)", n.GroupBy, n.NewType, n.Count)
 	case "wzoom":
-		return fmt.Sprintf("wzoom(w=%s,vq=%s,eq=%s,vr=%s,er=%s)", n.Window, n.VQuant, n.EQuant, n.VResolve, n.EResolve)
+		return fmt.Appendf(dst, "wzoom(w=%s,vq=%s,eq=%s,vr=%s,er=%s)", n.Window, n.VQuant, n.EQuant, n.VResolve, n.EResolve)
 	case "switch":
-		return "switch(" + n.Rep + ")"
+		return append(append(append(dst, "switch("...), n.Rep...), ')')
 	default:
-		return fmt.Sprintf("range(%d,%d)", n.Start, n.End)
+		return fmt.Appendf(dst, "range(%d,%d)", n.Start, n.End)
 	}
 }
 
-// parseAZoomStep validates an aZoom step and canonicalises it.
-func parseAZoomStep(groupBy, newType, count string) (step, error) {
-	if groupBy == "" {
-		return step{}, fmt.Errorf("azoom: groupBy is required")
-	}
-	if newType == "" {
-		newType = groupBy + "-group"
-	}
-	var aggs []props.AggField
-	if count != "" {
-		aggs = append(aggs, props.Count(count))
-	}
-	spec := core.GroupByProperty(groupBy, newType, aggs...)
-	norm := StepRequest{Op: "azoom", GroupBy: groupBy, NewType: newType, Count: count}
-	return step{
-		canon:  canonStep(norm),
-		norm:   norm,
-		apply:  func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) },
-		azSpec: &spec,
-	}, nil
-}
-
-// parseWZoomStep validates a wZoom step and canonicalises it from the
-// parsed spec objects.
-func parseWZoomStep(window, vquant, equant, vresolve, eresolve string) (step, error) {
-	if window == "" {
-		return step{}, fmt.Errorf("wzoom: window is required")
-	}
-	w, err := temporal.ParseWindowSpec(window)
-	if err != nil {
-		return step{}, err
-	}
-	parseQ := func(s string) (temporal.Quantifier, error) {
-		if s == "" {
-			return temporal.Exists(), nil
+// parseStep validates one operator request and parses it into a step;
+// a step's normal form prints its parsed values (WindowSpec.String,
+// Quantifier.String, …).
+func parseStep(r StepRequest) (step, error) {
+	switch strings.ToLower(r.Op) {
+	case "azoom":
+		if r.GroupBy == "" {
+			return step{}, fmt.Errorf("azoom: groupBy is required")
 		}
-		return temporal.ParseQuantifier(s)
+		if r.NewType == "" {
+			r.NewType = r.GroupBy + "-group"
+		}
+		var aggs []props.AggField
+		if r.Count != "" {
+			aggs = append(aggs, props.Count(r.Count))
+		}
+		spec := core.GroupByProperty(r.GroupBy, r.NewType, aggs...)
+		return step{norm: StepRequest{Op: "azoom", GroupBy: r.GroupBy, NewType: r.NewType, Count: r.Count}, az: &spec}, nil
+	case "wzoom":
+		if r.Window == "" {
+			return step{}, fmt.Errorf("wzoom: window is required")
+		}
+		w, err := temporal.ParseWindowSpec(r.Window)
+		if err != nil {
+			return step{}, err
+		}
+		parseQ := func(s string) (temporal.Quantifier, error) {
+			if s == "" {
+				return temporal.Exists(), nil
+			}
+			return temporal.ParseQuantifier(s)
+		}
+		vq, err := parseQ(r.VQuant)
+		if err != nil {
+			return step{}, err
+		}
+		eq, err := parseQ(r.EQuant)
+		if err != nil {
+			return step{}, err
+		}
+		vr, err := props.ParseResolver(r.VResolve)
+		if err != nil {
+			return step{}, err
+		}
+		er, err := props.ParseResolver(r.EResolve)
+		if err != nil {
+			return step{}, err
+		}
+		spec := core.WZoomSpec{
+			Window: w, VQuant: vq, EQuant: eq,
+			VResolve: props.ResolveSpec{Default: vr},
+			EResolve: props.ResolveSpec{Default: er},
+		}
+		norm := StepRequest{Op: "wzoom", Window: w.String(), VQuant: vq.String(), EQuant: eq.String(), VResolve: vr.String(), EResolve: er.String()}
+		return step{norm: norm, wz: &spec}, nil
+	case "switch":
+		rep, err := parseRep(r.Rep)
+		if err != nil {
+			return step{}, err
+		}
+		return step{norm: StepRequest{Op: "switch", Rep: rep.String()}, rep: rep}, nil
+	case "range":
+		if r.End <= r.Start {
+			return step{}, fmt.Errorf("range: want start < end, got [%d, %d)", r.Start, r.End)
+		}
+		iv := temporal.MustInterval(temporal.Time(r.Start), temporal.Time(r.End))
+		return step{norm: StepRequest{Op: "range", Start: r.Start, End: r.End}, iv: iv}, nil
+	default:
+		return step{}, fmt.Errorf("unknown op %q (want azoom|wzoom|switch|range)", r.Op)
 	}
-	vq, err := parseQ(vquant)
-	if err != nil {
-		return step{}, err
-	}
-	eq, err := parseQ(equant)
-	if err != nil {
-		return step{}, err
-	}
-	vr, err := props.ParseResolver(vresolve)
-	if err != nil {
-		return step{}, err
-	}
-	er, err := props.ParseResolver(eresolve)
-	if err != nil {
-		return step{}, err
-	}
-	spec := core.WZoomSpec{
-		Window: w, VQuant: vq, EQuant: eq,
-		VResolve: props.ResolveSpec{Default: vr},
-		EResolve: props.ResolveSpec{Default: er},
-	}
-	norm := StepRequest{Op: "wzoom", Window: w.String(), VQuant: vq.String(), EQuant: eq.String(), VResolve: vr.String(), EResolve: er.String()}
-	return step{
-		canon:  canonStep(norm),
-		norm:   norm,
-		apply:  func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) },
-		wzSpec: &spec,
-	}, nil
-}
-
-// parseSwitchStep validates a representation switch.
-func parseSwitchStep(rep string) (step, error) {
-	r, err := parseRep(rep)
-	if err != nil {
-		return step{}, err
-	}
-	norm := StepRequest{Op: "switch", Rep: r.String()}
-	return step{
-		canon: canonStep(norm),
-		norm:  norm,
-		apply: func(g core.TGraph) (core.TGraph, error) { return core.Convert(g, r) },
-	}, nil
-}
-
-// parseRangeStep validates a time-range restriction step: states are
-// clipped to [start, end) exactly like a storage-level range load, so
-// the step's output provably depends only on that window.
-func parseRangeStep(start, end int64) (step, error) {
-	if end <= start {
-		return step{}, fmt.Errorf("range: want start < end, got [%d, %d)", start, end)
-	}
-	iv := temporal.MustInterval(temporal.Time(start), temporal.Time(end))
-	norm := StepRequest{Op: "range", Start: start, End: end}
-	return step{
-		canon:   canonStep(norm),
-		norm:    norm,
-		depends: iv,
-		apply:   func(g core.TGraph) (core.TGraph, error) { return core.Trim(g, iv) },
-	}, nil
 }
 
 // parseRep maps the wire names to representations.
@@ -231,26 +217,13 @@ func parseRep(s string) (core.Representation, error) {
 }
 
 // parseSteps validates a pipeline's steps.
-func parseSteps(reqs []StepRequest) ([]step, error) {
+func parseSteps(reqs []StepRequest) (chain, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("pipeline: at least one step is required")
 	}
-	out := make([]step, 0, len(reqs))
+	out := make(chain, 0, len(reqs))
 	for i, r := range reqs {
-		var st step
-		var err error
-		switch strings.ToLower(r.Op) {
-		case "azoom":
-			st, err = parseAZoomStep(r.GroupBy, r.NewType, r.Count)
-		case "wzoom":
-			st, err = parseWZoomStep(r.Window, r.VQuant, r.EQuant, r.VResolve, r.EResolve)
-		case "switch":
-			st, err = parseSwitchStep(r.Rep)
-		case "range":
-			st, err = parseRangeStep(r.Start, r.End)
-		default:
-			err = fmt.Errorf("unknown op %q (want azoom|wzoom|switch|range)", r.Op)
-		}
+		st, err := parseStep(r)
 		if err != nil {
 			return nil, fmt.Errorf("step %d: %w", i, err)
 		}
@@ -277,89 +250,107 @@ func decodeJSON(rd io.Reader, v any) error {
 	return nil
 }
 
-// The query endpoints' body parsers: each decodes its request shape and
-// parses it into the graph name and the operator chain.
-
-func parseAZoomBody(body []byte) (string, []step, error) {
-	var req AZoomRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
-		return "", nil, err
-	}
-	st, err := parseAZoomStep(req.GroupBy, req.NewType, req.Count)
-	if err != nil {
-		return "", nil, err
-	}
-	return req.Graph, []step{st}, nil
-}
-
-func parseWZoomBody(body []byte) (string, []step, error) {
-	var req WZoomRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
-		return "", nil, err
-	}
-	st, err := parseWZoomStep(req.Window, req.VQuant, req.EQuant, req.VResolve, req.EResolve)
-	if err != nil {
-		return "", nil, err
-	}
-	return req.Graph, []step{st}, nil
-}
-
-func parsePipelineBody(body []byte) (string, []step, error) {
+// parseBody decodes the body of the named query endpoint into its graph
+// and step requests and parses those: an /v1/azoom or /v1/wzoom body is
+// a one-step chain, reported without a step number.
+func parseBody(endpoint string, body []byte) (string, chain, error) {
 	var req PipelineRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+	var err error
+	switch endpoint {
+	case "azoom":
+		var r AZoomRequest
+		err = decodeJSON(bytes.NewReader(body), &r)
+		req = PipelineRequest{Graph: r.Graph, Steps: []StepRequest{{Op: "azoom", GroupBy: r.GroupBy, NewType: r.NewType, Count: r.Count}}}
+	case "wzoom":
+		var r WZoomRequest
+		err = decodeJSON(bytes.NewReader(body), &r)
+		req = PipelineRequest{Graph: r.Graph, Steps: []StepRequest{{Op: "wzoom", Window: r.Window, VQuant: r.VQuant, EQuant: r.EQuant, VResolve: r.VResolve, EResolve: r.EResolve}}}
+	default:
+		err = decodeJSON(bytes.NewReader(body), &req)
+	}
+	if err != nil {
 		return "", nil, err
 	}
 	steps, err := parseSteps(req.Steps)
 	if err != nil {
+		if endpoint != "pipeline" {
+			err = errors.Unwrap(err)
+		}
 		return "", nil, err
 	}
 	return req.Graph, steps, nil
 }
 
-// canonical joins step fingerprints into the operator-chain part of the
-// cache key.
-func canonical(steps []step) string {
-	parts := make([]string, len(steps))
-	for i, s := range steps {
-		parts[i] = s.canon
+// chain is a parsed operator chain, applied in order.
+type chain []step
+
+// apply runs the chain on g.
+func (c chain) apply(g core.TGraph) (core.TGraph, error) {
+	for _, s := range c {
+		var err error
+		if g, err = s.apply(g); err != nil {
+			return nil, err
+		}
 	}
-	return strings.Join(parts, ";")
+	return g, nil
 }
 
-// chainDepends is the time interval a chain's result can depend on:
-// the intersection of the windows of its range steps before the first
+// canonical joins the step fingerprints into the operator-chain part of
+// the cache key.
+func (c chain) canonical() string {
+	var b []byte
+	for i, s := range c {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = s.appendCanon(b)
+	}
+	return string(b)
+}
+
+// depends is the time interval the chain's result can depend on: the
+// intersection of the windows of its range steps before the first
 // wZoom, or the zero interval (meaning "everything") when there are
 // none. aZoom, switch and range are pointwise in time, so a range after
 // them still bounds the chain; a wZoom is not — its unit windows start
 // at the lifetime start and the last one is clamped at the lifetime
 // end — so a range after it bounds nothing.
-func chainDepends(steps []step) temporal.Interval {
+func (c chain) depends() temporal.Interval {
 	var dep temporal.Interval
-	for _, s := range steps {
-		if s.wzSpec != nil {
+	for _, s := range c {
+		if s.wz != nil {
 			break
 		}
-		if s.depends.IsEmpty() {
+		if s.iv.IsEmpty() {
 			continue
 		}
 		if dep.IsEmpty() {
-			dep = s.depends
+			dep = s.iv
 		} else {
-			dep = dep.Intersect(s.depends)
+			dep = dep.Intersect(s.iv)
 		}
 	}
 	return dep
 }
 
-// rangeTag names a chain's dependency interval as a cache-key segment,
-// so an append can invalidate exactly the tags its deltas overlap via
-// prefix invalidation. Chains without a range step share the "full"
-// tag, which every append invalidates.
-func rangeTag(dep temporal.Interval) string {
+// rangeTag names the chain's dependency interval as a cache-key
+// segment, so an append can invalidate exactly the tags its deltas
+// overlap via prefix invalidation. Chains without a range step share
+// the "full" tag, which every append invalidates.
+func (c chain) rangeTag() string {
+	dep := c.depends()
 	if dep.IsEmpty() {
 		return "full"
 	}
 	return fmt.Sprintf("r%d:%d", dep.Start, dep.End)
+}
+
+// viewable reports whether an incrementally maintained view can serve
+// the chain: a single azoom or wzoom step, so no range restriction (the
+// "full" tag — range-restricted chains already enjoy surgical
+// invalidation) and nothing a single view could not maintain.
+func (c chain) viewable() bool {
+	return len(c) == 1 && (c[0].az != nil || c[0].wz != nil)
 }
 
 // The ingestion wire model.

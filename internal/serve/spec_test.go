@@ -398,7 +398,7 @@ func TestEncodeGraphMatchesCoalesceQuick(t *testing.T) {
 
 // printSteps is the test-only printer: parsed steps back to a pipeline
 // request, each step in its normal form.
-func printSteps(graph string, steps []step) PipelineRequest {
+func printSteps(graph string, steps chain) PipelineRequest {
 	req := PipelineRequest{Graph: graph}
 	for _, st := range steps {
 		req.Steps = append(req.Steps, st.norm)
@@ -414,11 +414,7 @@ func printSteps(graph string, steps []step) PipelineRequest {
 func FuzzSpecRequest(f *testing.F) {
 	s, _ := newTestServer(f, Config{})
 	handler := s.Handler()
-	eps := []*endpoint{
-		{name: "azoom", parse: parseAZoomBody},
-		{name: "wzoom", parse: parseWZoomBody},
-		{name: "pipeline", parse: parsePipelineBody},
-	}
+	eps := []*endpoint{{name: "azoom"}, {name: "wzoom"}, {name: "pipeline"}}
 	panics := obs.Default().Counter("serve.panics_recovered")
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		ep := eps[int(which)%len(eps)]
@@ -435,7 +431,7 @@ func FuzzSpecRequest(f *testing.F) {
 			return
 		}
 
-		graph, steps, perr := ep.parse(body)
+		graph, steps, perr := parseBody(ep.name, body)
 		keyed := append([]byte(ep.name+"\x00"), body...)
 		for pass := 0; pass < 2; pass++ { // the second pass reads the index
 			q := query{ep: ep, body: body}
@@ -450,8 +446,7 @@ func FuzzSpecRequest(f *testing.F) {
 					t.Fatalf("pass %d: unknown graph %q answered %d %v", pass, graph, code, err)
 				}
 			default:
-				dep := chainDepends(steps)
-				want := specEntry{h: s.graphs["fig1"], canon: canonical(steps), tag: rangeTag(dep), dep: dep}
+				want := specEntry{h: s.graphs["fig1"], canon: steps.canonical(), tag: steps.rangeTag(), dep: steps.depends()}
 				if err != nil || q.spec != want {
 					t.Fatalf("pass %d: resolve = %+v %v, want %+v", pass, q.spec, err, want)
 				}
@@ -471,12 +466,12 @@ func FuzzSpecRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, steps2, err := parsePipelineBody(printed)
+		g2, steps2, err := parseBody("pipeline", printed)
 		if err != nil {
 			t.Fatalf("printed steps do not parse: %v\n%s", err, printed)
 		}
-		if g2 != graph || canonical(steps2) != canonical(steps) || rangeTag(chainDepends(steps2)) != rangeTag(chainDepends(steps)) {
-			t.Fatalf("print → parse changed the chain:\n%s\n%s", canonical(steps), canonical(steps2))
+		if g2 != graph || steps2.canonical() != steps.canonical() || steps2.rangeTag() != steps.rangeTag() {
+			t.Fatalf("print → parse changed the chain:\n%s\n%s", steps.canonical(), steps2.canonical())
 		}
 	})
 }

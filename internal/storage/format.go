@@ -104,8 +104,19 @@ func (r *byteReader) varint() (int64, error) {
 	return x, nil
 }
 
+// count reads an element count: a uvarint no larger than the bytes
+// left, since every element takes at least one — so a corrupt count
+// cannot make the caller allocate past the input's size.
+func (r *byteReader) count() (uint64, error) {
+	n, err := r.uvarint()
+	if err == nil && n > uint64(len(r.buf)-r.pos) {
+		err = fmt.Errorf("storage: count %d exceeds the %d bytes left at offset %d", n, len(r.buf)-r.pos, r.pos)
+	}
+	return n, err
+}
+
 func (r *byteReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.pos {
 		return nil, fmt.Errorf("storage: truncated read of %d bytes at offset %d", n, r.pos)
 	}
 	b := r.buf[r.pos : r.pos+n]
@@ -195,7 +206,7 @@ func encodeKeyTable(d chunkKeyDict) []byte {
 // per chunk so row decoding is pure index work.
 func decodeKeyTable(data []byte) ([]props.Key, error) {
 	r := &byteReader{buf: data}
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +259,7 @@ func encodeProps(p props.Props, d chunkKeyDict) []byte {
 // table.
 func decodeProps(data []byte, keys []props.Key) (props.Props, error) {
 	r := &byteReader{buf: data}
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return props.Props{}, err
 	}
@@ -328,7 +339,7 @@ func encodeDictColumn(rows [][]byte) []byte {
 // decodeDictColumn deserialises n rows of a dictionary-encoded column.
 func decodeDictColumn(data []byte, n int) ([][]byte, error) {
 	r := &byteReader{buf: data}
-	dn, err := r.uvarint()
+	dn, err := r.count()
 	if err != nil {
 		return nil, err
 	}

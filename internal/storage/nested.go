@@ -77,7 +77,7 @@ func encodeHistory(h []core.HistoryItem, d chunkKeyDict) []byte {
 // table.
 func decodeHistory(data []byte, keys []props.Key) ([]core.HistoryItem, error) {
 	r := &byteReader{buf: data}
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
@@ -274,10 +274,10 @@ func openNested(path string) (*nestedReader, error) {
 		return nil, fmt.Errorf("storage: %s has a corrupt trailer", path)
 	}
 	flen := binary.LittleEndian.Uint64(trailer[:8])
-	fstart := len(data) - 16 - int(flen)
-	if fstart < len(nestedMagic) {
+	if flen > uint64(len(data)-16-len(nestedMagic)) {
 		return nil, fmt.Errorf("storage: %s footer length out of bounds", path)
 	}
+	fstart := len(data) - 16 - int(flen)
 	fb := data[fstart : len(data)-16]
 	if crc32.ChecksumIEEE(fb) != binary.LittleEndian.Uint32(trailer[8:12]) {
 		return nil, fmt.Errorf("storage: %s footer fails CRC check", path)
@@ -350,7 +350,7 @@ func decodeNestedChunk(chunk []byte, cm nestedChunkMeta, sc *decodeScratch) ([]n
 	var cols [7][]byte
 	pos := 0
 	for i, l := range cm.ColLens {
-		if pos+l > len(chunk) {
+		if l < 0 || l > len(chunk)-pos {
 			return nil, fmt.Errorf("storage: nested column %d overruns chunk", i)
 		}
 		cols[i] = chunk[pos : pos+l]
@@ -360,7 +360,11 @@ func decodeNestedChunk(chunk []byte, cm nestedChunkMeta, sc *decodeScratch) ([]n
 	if err != nil {
 		return nil, err
 	}
+	// Every row takes at least one byte of the id column.
 	n := cm.Rows
+	if n < 0 || n > len(cols[0]) {
+		return nil, fmt.Errorf("storage: nested chunk claims %d rows in a %d-byte id column", n, len(cols[0]))
+	}
 	ids, err := decodeDeltaIntsInto(sc.int64s(0, n), cols[0])
 	if err != nil {
 		return nil, err

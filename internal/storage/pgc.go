@@ -343,10 +343,10 @@ func openPGC(path string) (*reader, error) {
 		return nil, fmt.Errorf("storage: %s has a corrupt trailer", path)
 	}
 	flen := binary.LittleEndian.Uint64(trailer[:8])
-	fstart := len(data) - 16 - int(flen)
-	if fstart < len(magic) {
+	if flen > uint64(len(data)-16-len(magic)) {
 		return nil, fmt.Errorf("storage: %s footer length %d out of bounds", path, flen)
 	}
+	fstart := len(data) - 16 - int(flen)
 	fb := data[fstart : len(data)-16]
 	if crc32.ChecksumIEEE(fb) != binary.LittleEndian.Uint32(trailer[8:12]) {
 		return nil, fmt.Errorf("storage: %s footer fails CRC check", path)
@@ -361,7 +361,7 @@ func openPGC(path string) (*reader, error) {
 // chunkBytes bounds-checks one chunk's extent and returns its raw
 // bytes, routed through the fault-injection hook when installed.
 func chunkBytes(data []byte, offset int64, length int, site string, hook func(string, []byte) []byte) ([]byte, error) {
-	if offset < 0 || offset+int64(length) > int64(len(data)) {
+	if offset < 0 || length < 0 || offset > int64(len(data))-int64(length) {
 		return nil, fmt.Errorf("storage: chunk out of bounds")
 	}
 	chunk := data[offset : offset+int64(length)]
@@ -436,7 +436,7 @@ func decodeChunk(chunk []byte, cm chunkMeta, sc *decodeScratch) ([]row, error) {
 	var cols [7][]byte
 	pos := 0
 	for i, l := range cm.ColLens {
-		if pos+l > len(chunk) {
+		if l < 0 || l > len(chunk)-pos {
 			return nil, fmt.Errorf("storage: column %d overruns chunk", i)
 		}
 		cols[i] = chunk[pos : pos+l]
@@ -446,7 +446,11 @@ func decodeChunk(chunk []byte, cm chunkMeta, sc *decodeScratch) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every row takes at least one byte of the id column.
 	n := cm.Rows
+	if n < 0 || n > len(cols[0]) {
+		return nil, fmt.Errorf("storage: chunk claims %d rows in a %d-byte id column", n, len(cols[0]))
+	}
 	ids, err := decodeDeltaIntsInto(sc.int64s(0, n), cols[0])
 	if err != nil {
 		return nil, err
