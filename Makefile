@@ -43,16 +43,17 @@ bench:
 	$(GO) run ./cmd/tgraph-bench -exp all
 
 # Alternating base/change pairs of one benchmark workload, judged by
-# the benchmark's -compare, in chunks one foreground shell call can
-# finish (see tools/pairs.sh). FROM=1 starts afresh; the chunk whose TO
-# reaches N prints -compare:
-#   make pairs W=serve-hot BASE=HEAD~1 FROM=1 TO=4
-#   make pairs W=serve-hot BASE=HEAD~1 FROM=5 TO=8
-#   make pairs W=serve-hot BASE=HEAD~1 FROM=9 TO=10
+# the benchmark's -compare, in chunks of at most four pairs, which one
+# foreground shell call can finish (see tools/pairs.sh). FROM=1 starts
+# afresh; TO defaults to FROM+3; the chunk whose TO reaches N prints
+# -compare:
+#   make pairs W=serve-hot BASE=HEAD~1 FROM=1
+#   make pairs W=serve-hot BASE=HEAD~1 FROM=5
+#   make pairs W=serve-hot BASE=HEAD~1 FROM=9
 BASE ?= HEAD~1
 N ?= 10
 FROM ?= 1
-TO ?= $(N)
+TO ?= $(shell t=$$(( $(FROM) + 3 )); [ $$t -gt $(N) ] && t=$(N); echo $$t)
 pairs:
 	bash tools/pairs.sh $(W) $(BASE) $(FROM) $(TO) $(N)
 

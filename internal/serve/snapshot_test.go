@@ -12,8 +12,9 @@ import (
 	"repro/internal/storage"
 )
 
-// snapshotSpecs covers the three invalidation paths: a view-patched
-// whole-graph wZoom, a whole-graph aZoom and a range-tagged pipeline.
+// snapshotSpecs covers the invalidation paths: a view-patched
+// whole-graph wZoom, a whole-graph aZoom and range-tagged pipelines, one
+// of them answered by clipping that aZoom's whole-graph body.
 var snapshotSpecs = []struct {
 	path string
 	body any
@@ -23,6 +24,10 @@ var snapshotSpecs = []struct {
 	{"/v1/pipeline", PipelineRequest{Graph: "fig1", Steps: []StepRequest{
 		{Op: "range", Start: 1, End: 6},
 		{Op: "wzoom", Window: "2 units", VQuant: "all"},
+	}}},
+	{"/v1/pipeline", PipelineRequest{Graph: "fig1", Steps: []StepRequest{
+		{Op: "range", Start: 2, End: 6},
+		{Op: "azoom", GroupBy: "school", Count: "n"},
 	}}},
 }
 

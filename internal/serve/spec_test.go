@@ -301,10 +301,11 @@ func TestEncodeGraphAllocations(t *testing.T) {
 // randGraphStates draws the flat states of a random graph for the
 // encoder properties: every entity's states are runs over a dozen time
 // points with values from a small pool, so value-equal runs meet often;
-// some states repeat an interval, with the same value or another (two
-// values at one time point, which a valid TGraph does not hold but an
-// append can write, and whose input order the sort must keep); some are
-// empty; an edge id keeps its endpoints.
+// some states repeat an interval, with the same value or another, and
+// some reach into the next state (two values at one time point, which a
+// valid TGraph does not hold but an append can write, and whose input
+// order the sort must keep); some are empty; an edge id keeps its
+// endpoints.
 func randGraphStates(r *rand.Rand) ([]core.VertexTuple, []core.EdgeTuple) {
 	pool := []props.Props{
 		{},
@@ -325,6 +326,8 @@ func randGraphStates(r *rand.Rand) ([]core.VertexTuple, []core.EdgeTuple) {
 				emit(iv, pool[r.Intn(len(pool))]) // a tie on the interval
 			case 2:
 				emit(temporal.Interval{Start: iv.End, End: iv.End}, p) // empty
+			case 3:
+				emit(temporal.Interval{Start: iv.Start + 1, End: iv.End + 2}, pool[r.Intn(len(pool))]) // an overlap into the next state
 			}
 			t = iv.End
 		}

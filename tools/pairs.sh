@@ -15,10 +15,19 @@
 # TO reaches the pair count is the last: it prints -compare over all
 # the records, removes the export and exits with -compare's status.
 #
-# A 20 s run takes 21-22 s of wall time, so ten pairs plus the two cold
-# builds come to about ten minutes, the ceiling of one shell call; a
-# chunk of four pairs takes under five. Every child runs under
-# `timeout` and nothing is backgrounded, so no process outlives a call.
+# A 20 s run takes 21-22 s of wall time, and the first run on a side
+# builds it from a cold cache (about 20 s more on two cores), so ten
+# pairs come to about ten minutes, the ceiling of one shell call. A call
+# therefore runs at most four pairs: eight runs of at most $limit s each
+# and the -compare fit in the 590 s of `timeout 590 make pairs ...`.
+#
+# Every child runs under `timeout --foreground` and nothing is
+# backgrounded. Without --foreground, timeout would move its child into
+# a process group of its own, which the group kill of an outer timeout
+# does not reach; in the foreground mode every child stays in the
+# caller's group, so killing the call kills all of it. A run that hits
+# its own limit loses only its direct child: the benchmark binary, which
+# run.sh execs once it is built.
 set -euo pipefail
 usage="usage: tools/pairs.sh <workload> <base-rev> <from> <to> [pairs]"
 w="${1:?$usage}"
@@ -26,6 +35,11 @@ base="${2:?$usage}"
 from="${3:?$usage}"
 to="${4:?$usage}"
 n="${5:-10}"
+limit=65
+if [ "$to" -lt "$from" ] || [ $((to - from)) -ge 4 ]; then
+  echo "tools/pairs.sh: pairs $from..$to: a call runs 1 to 4 pairs; split the rest into further calls" >&2
+  exit 2
+fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 tree="$root/.bench_build/pairs-base"
@@ -44,9 +58,9 @@ if [ "$from" = 1 ]; then
 fi
 
 # run <side> <checkout> <seed> <commit>: one recorded run; the first on
-# a side also builds it (a cold cache, hence the long limit).
+# a side also builds it.
 run() {
-  (cd "$2" && TGRAPH_BENCH_COMMIT="$4" timeout 900 bash benchmark/run.sh --workload "$w" --seed "$3" --seconds 20 --trace 0 --record "$out/$1.jsonl" | tail -n 1 | cut -c1-120)
+  (cd "$2" && TGRAPH_BENCH_COMMIT="$4" timeout --foreground -k 5 "$limit" bash benchmark/run.sh --workload "$w" --seed "$3" --seconds 20 --trace 0 --record "$out/$1.jsonl" | tail -n 1 | cut -c1-120)
 }
 for seed in $(seq "$from" "$to"); do
   if [ $((seed % 2)) = 1 ]; then order="change base"; else order="base change"; fi
@@ -61,7 +75,7 @@ for seed in $(seq "$from" "$to"); do
 done
 if [ "$to" -ge "$n" ]; then
   status=0
-  timeout 300 bash benchmark/run.sh -compare "$out/base.jsonl" "$out/change.jsonl" || status=$?
+  timeout --foreground -k 5 30 bash benchmark/run.sh -compare "$out/base.jsonl" "$out/change.jsonl" || status=$?
   rm -rf "$tree"
   exit "$status"
 fi
