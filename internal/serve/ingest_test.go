@@ -278,6 +278,33 @@ func TestAppendWALCrash(t *testing.T) {
 	}
 }
 
+// TestCompactionDefersBlockFrees: an inline compaction hands the files
+// it replaces or deletes — the four data files, the MANIFEST and the
+// retired log segment — to the graph's reclaimer instead of freeing
+// them inside the append, and the directory keeps only live names.
+func TestCompactionDefersBlockFrees(t *testing.T) {
+	s, dir := newTestServer(t, Config{CompactAfter: 2})
+	defer s.Drain()
+	held := obs.Default().Counter("storage.reclaim_held")
+	before := held.Value()
+	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 50, Start: 10, End: 20},
+		{Kind: "vertex", ID: 51, Start: 20, End: 30},
+	}}); code != http.StatusOK {
+		t.Fatalf("append: %d", code)
+	}
+	if got := held.Value() - before; got != 6 {
+		t.Errorf("storage.reclaim_held advanced by %d, want 6", got)
+	}
+	rep, err := storage.VerifyDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean {
+		t.Errorf("directory after a compaction: %+v", rep)
+	}
+}
+
 // TestAppendTriggersCompaction: after CompactAfter records the server
 // folds the WAL into a new epoch inline — the base stamp advances, the
 // WAL tail is subsumed, and queries keep answering the same data.

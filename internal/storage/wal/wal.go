@@ -146,6 +146,11 @@ type Options struct {
 	// storage.wal.append/sync/rotate sites; nil in production. Wire it
 	// to faults.Injector.WriteHook in chaos tests.
 	Hook func(site string) error
+	// BeforeRetire, when set, is called with the path of each segment
+	// RetireThrough is about to delete. A serving writer passes
+	// storage.Reclaimer.Hold, so the delete leaves the freeing of the
+	// segment's blocks to the reclaimer.
+	BeforeRetire func(path string)
 }
 
 func (o Options) segmentBytes() int64 {
@@ -819,7 +824,11 @@ func (l *Log) RetireThrough(seq uint64) (int, error) {
 	for i, s := range l.segs {
 		active := i == len(l.segs)-1 && l.f != nil
 		if !active && s.effLast() <= seq {
-			if err := os.Remove(filepath.Join(l.dir, s.name)); err != nil {
+			path := filepath.Join(l.dir, s.name)
+			if l.opts.BeforeRetire != nil {
+				l.opts.BeforeRetire(path)
+			}
+			if err := os.Remove(path); err != nil {
 				return removed, fmt.Errorf("wal: retire %s: %w", s.name, err)
 			}
 			removed++

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -254,6 +255,48 @@ func TestRotationAndRetire(t *testing.T) {
 	defer l2.Close()
 	if rec.LastSeq != 21 || rec.Records != 1 {
 		t.Fatalf("recovery after retire: %+v", rec)
+	}
+}
+
+// TestBeforeRetireSeesEachSegment: RetireThrough calls BeforeRetire
+// with every segment it deletes, while the segment is still there, and
+// with no other path.
+func TestBeforeRetireSeesEachSegment(t *testing.T) {
+	dir := t.TempDir()
+	var seen []string
+	l, _ := mustOpen(t, dir, Options{SegmentBytes: 64, BeforeRetire: func(path string) {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("BeforeRetire(%s): segment already gone: %v", path, err)
+		}
+		seen = append(seen, path)
+	}})
+	defer l.Close()
+	for i := 1; i <= 20; i++ {
+		if _, err := l.Append(vd(int64(i), 0, temporal.Time(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := l.RetireThrough(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed == 0 || len(seen) != removed {
+		t.Fatalf("retired %d segments, BeforeRetire saw %d", removed, len(seen))
+	}
+	for _, path := range seen {
+		if !slices.Contains(before, path) {
+			t.Errorf("BeforeRetire(%s): not a segment of the log", path)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived its retirement: %v", path, err)
+		}
 	}
 }
 
