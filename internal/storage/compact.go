@@ -48,7 +48,12 @@ type CompactResult struct {
 // RepairDir. Either way no acked record is lost and none is applied
 // twice. The fault site storage.wal.compact fires at entry;
 // SaveGraph's storage.write.* sites cover the commit window.
+//
+// With opts.Reclaim set, the replaced files and retired segments are
+// held rather than freed, and Compact settles the Reclaimer when it
+// returns, so the caller does not wait for the frees.
 func Compact(ctx *dataflow.Context, dir string, l *wal.Log, opts SaveOptions) (CompactResult, error) {
+	defer opts.Reclaim.Settle()
 	if err := opts.FaultHook.fire("storage.wal.compact"); err != nil {
 		return CompactResult{}, err
 	}
