@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race bench fmt pairs chaos
+.PHONY: check build vet lint test test-race bench fmt pairs chaos idle
 
 check: build vet lint test-race chaos
 
@@ -59,3 +59,9 @@ pairs:
 
 fmt:
 	gofmt -l -w .
+
+# Hand-over check: prints every live tgraph-*, pairs.sh or run.sh
+# process and fails if it finds one. Run it as a command of its own: a
+# shell whose own command line names run.sh matches the pattern too.
+idle:
+	@if ps -eo pid,args | grep -E '[t]graph-|[p]airs\.sh|[r]un\.sh'; then exit 1; fi

@@ -7,13 +7,14 @@
 //
 // Usage:
 //
-//	tgraph-serve -graph snb=/data/snb -graph fig1=/data/fig1@og \
+//	tgraph-serve -graph snb=/data/snb -graph fig1=/data/fig1 \
 //	    -addr :8080 -cache-mb 64 -timeout 30s \
 //	    -max-inflight 64 -queue-depth 128 -breaker-threshold 3 \
 //	    -drain-timeout 30s
 //
-// Each -graph names one served directory as name=dir or name=dir@rep
-// (rep one of ve|rg|og|ogc, default ve). POST /v1/append ingests live
+// Each -graph names one served directory as name=dir; the directory is
+// everything after the first "=". Every graph is served as a VE value.
+// POST /v1/append ingests live
 // deltas through each directory's write-ahead log (-wal-sync picks the
 // fsync policy; acks are sent only after durability) and invalidates
 // cached results surgically by declared time range; -compact-after
@@ -40,7 +41,7 @@ import (
 	"repro/internal/serve"
 )
 
-// graphFlags collects repeated -graph name=dir[@rep] values.
+// graphFlags collects repeated -graph name=dir values.
 type graphFlags []serve.GraphConfig
 
 func (g *graphFlags) String() string {
@@ -52,15 +53,11 @@ func (g *graphFlags) String() string {
 }
 
 func (g *graphFlags) Set(v string) error {
-	name, rest, ok := strings.Cut(v, "=")
-	if !ok || name == "" || rest == "" {
-		return fmt.Errorf("want name=dir[@rep], got %q", v)
+	name, dir, ok := strings.Cut(v, "=")
+	if !ok || name == "" || dir == "" {
+		return fmt.Errorf("want name=dir, got %q", v)
 	}
-	dir, rep, _ := strings.Cut(rest, "@")
-	if dir == "" {
-		return fmt.Errorf("want name=dir[@rep], got %q", v)
-	}
-	*g = append(*g, serve.GraphConfig{Name: name, Dir: dir, Rep: rep})
+	*g = append(*g, serve.GraphConfig{Name: name, Dir: dir})
 	return nil
 }
 
@@ -94,7 +91,7 @@ func main() {
 	shards := flag.Int("shards", 0, "split each graph into this many in-process shards at load time and serve scatter-gather (<= 1 serves unsharded)")
 	shardStrategy := flag.String("shard-strategy", "", "vertex-cut placement for -shards: EdgePartition2D (default) | EdgePartition1D | RandomVertexCut | TimeRange")
 	shardPartial := flag.Bool("shard-partial", false, "answer 200 with the surviving shards' merge (X-TGraph-Shards: k/n) when some shards fail, instead of failing the request")
-	flag.Var(&graphs, "graph", "graph to serve as name=dir[@rep]; repeatable")
+	flag.Var(&graphs, "graph", "graph to serve as name=dir; repeatable")
 	flag.Parse()
 
 	if len(graphs) == 0 {

@@ -21,10 +21,10 @@ func TestGraphFlagParsing(t *testing.T) {
 	if err := g.Set("snb=/data/snb"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Set("fig1=/data/fig1@og"); err != nil {
+	if err := g.Set("snap=/srv/snap@2024=x"); err != nil {
 		t.Fatal(err)
 	}
-	if len(g) != 2 || g[1].Rep != "og" || g[0].Dir != "/data/snb" {
+	if len(g) != 2 || g[0].Dir != "/data/snb" || g[1].Name != "snap" || g[1].Dir != "/srv/snap@2024=x" {
 		t.Errorf("parsed flags = %+v", g)
 	}
 	for _, bad := range []string{"", "noeq", "=dir", "name="} {

@@ -255,8 +255,8 @@ func FuzzClipBody(f *testing.F) {
 }
 
 // TestRangeAZoomPullUp: a caching server answers every [range, azoom]
-// chain as a server without a cache, which zooms the trimmed graph — on
-// every representation and sharded, before and after an append (the
+// chain as a server without a cache, which zooms the trimmed graph —
+// flat and sharded, before and after an append (the
 // reference after it replays the log). A narrow range zooms itself while
 // the whole-graph body is not resident; a range over the whole lifetime
 // computes that body once, and eight more ranges are clipped from it. A
@@ -270,11 +270,8 @@ func TestRangeAZoomPullUp(t *testing.T) {
 	}
 	asked := append([]temporal.Interval{narrow, all}, ranges...)
 	pullups := obs.Default().Counter("serve.range_pullups")
-	for _, tc := range []struct {
-		rep    string
-		shards int
-	}{{"ve", 0}, {"og", 0}, {"rg", 0}, {"ogc", 0}, {"ve", 2}} {
-		name := fmt.Sprintf("%s/shards=%d", tc.rep, tc.shards)
+	for _, shards := range []int{0, 2} {
+		name := fmt.Sprintf("shards=%d", shards)
 		dir := t.TempDir()
 		saveShardFixture(t, dir)
 		// answers sends every asked range to s and counts what each one
@@ -293,7 +290,7 @@ func TestRangeAZoomPullUp(t *testing.T) {
 		// cold answers from a server without a cache (no residency: no
 		// pull-up), which replays any appended record from the log.
 		cold := func() []*httptest.ResponseRecorder {
-			s := newServerOn(t, dir, tc.rep, Config{Shards: tc.shards, CacheBytes: -1})
+			s := newServerOn(t, dir, Config{Shards: shards, CacheBytes: -1})
 			defer s.Drain()
 			out, _, _ := answers(s)
 			return out
@@ -307,27 +304,25 @@ func TestRangeAZoomPullUp(t *testing.T) {
 			}
 		}
 		before := cold()
-		cached := newServerOn(t, dir, tc.rep, Config{Shards: tc.shards})
+		cached := newServerOn(t, dir, Config{Shards: shards})
 		got, computed, clipped := answers(cached)
 		compare("before the append", got, before)
-		if tc.rep != "ogc" { // OGC has no aZoom: every answer is the same error
-			if computed[0] != 1 || clipped[0] != 0 {
-				t.Errorf("%s: a narrow range with no whole-graph body computed %d and clipped %d, want 1 and 0", name, computed[0], clipped[0])
-			}
-			if computed[1] != 1 || clipped[1] != 1 {
-				t.Errorf("%s: the covering range computed %d and clipped %d, want 1 and 1", name, computed[1], clipped[1])
-			}
-			for i := 2; i < len(asked); i++ {
-				if computed[i] != 0 || clipped[i] != 1 {
-					t.Errorf("%s: range %v computed %d and clipped %d after the whole graph, want 0 and 1", name, asked[i], computed[i], clipped[i])
-				}
+		if computed[0] != 1 || clipped[0] != 0 {
+			t.Errorf("%s: a narrow range with no whole-graph body computed %d and clipped %d, want 1 and 0", name, computed[0], clipped[0])
+		}
+		if computed[1] != 1 || clipped[1] != 1 {
+			t.Errorf("%s: the covering range computed %d and clipped %d, want 1 and 1", name, computed[1], clipped[1])
+		}
+		for i := 2; i < len(asked); i++ {
+			if computed[i] != 0 || clipped[i] != 1 {
+				t.Errorf("%s: range %v computed %d and clipped %d after the whole graph, want 0 and 1", name, asked[i], computed[i], clipped[i])
 			}
 		}
 		if _, code := appendJSON(t, cached, AppendRequest{Graph: "g", Deltas: shardAppendDeltas()}); code != http.StatusOK { // spans [90, 120)
 			t.Fatalf("%s: append answered %d", name, code)
 		}
 		got, _, _ = answers(cached)
-		if w := got[2]; tc.rep != "ogc" && w.Header().Get("X-TGraph-Cache") != "hit" {
+		if w := got[2]; w.Header().Get("X-TGraph-Cache") != "hit" {
 			t.Errorf("%s: range %v, which the append missed, answered %q, want hit", name, asked[2], w.Header().Get("X-TGraph-Cache"))
 		}
 		cached.Drain()
@@ -346,7 +341,7 @@ func TestPullUpSharesTheBudget(t *testing.T) {
 	var slow atomic.Bool
 	dir := t.TempDir()
 	saveShardFixture(t, dir)
-	s := newServerOn(t, dir, "ve", Config{Shards: 2, Timeout: timeout, FaultHook: func(site string) error {
+	s := newServerOn(t, dir, Config{Shards: 2, Timeout: timeout, FaultHook: func(site string) error {
 		if site == "shard.leg" && slow.Load() {
 			time.Sleep(2 * timeout)
 		}

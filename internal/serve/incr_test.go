@@ -10,9 +10,9 @@ import (
 )
 
 // TestAppendPatchesViews exercises the incremental-maintenance patch
-// path end to end on every view-eligible representation: warm an
-// eligible chain, append, and check the requery serves a patched body
-// that is byte-identical to a cold recompute of the post-append graph.
+// path end to end: warm an eligible chain, append, and check the
+// requery serves a patched body that is byte-identical to a cold
+// recompute of the post-append graph.
 func TestAppendPatchesViews(t *testing.T) {
 	queries := []struct {
 		name string
@@ -22,57 +22,55 @@ func TestAppendPatchesViews(t *testing.T) {
 		{"azoom", "/v1/azoom", AZoomRequest{Graph: "fig1", GroupBy: "school", Count: "n"}},
 		{"wzoom", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units", VQuant: "most", EQuant: "exists", VResolve: "last", EResolve: "last"}},
 	}
-	for _, rep := range []string{"ve", "rg", "og"} {
-		for _, q := range queries {
-			t.Run(rep+"/"+q.name, func(t *testing.T) {
-				dir := t.TempDir()
-				saveFigure1(t, dir)
-				s, err := New(Config{
-					Graphs:      []GraphConfig{{Name: "fig1", Dir: dir, Rep: rep}},
-					Parallelism: 2,
-					CacheBytes:  1 << 20,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Warm (registers the view slot), then append.
-				if w := doJSON(t, s, "POST", q.path, q.body); w.Code != http.StatusOK {
-					t.Fatalf("warm: %d %s", w.Code, w.Body.String())
-				}
-				resp, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
-					{Kind: "vertex", ID: 4, Start: 3, End: 8, Props: map[string]string{"type": "person", "school": "MIT"}},
-					{Kind: "edge", ID: 3, Src: 4, Dst: 1, Start: 4, End: 6, Props: map[string]string{"type": "co-author"}},
-				}})
-				if code != http.StatusOK {
-					t.Fatalf("append: %d", code)
-				}
-				if resp.Patched != 1 {
-					t.Fatalf("patched = %d, want 1", resp.Patched)
-				}
-				w := doJSON(t, s, "POST", q.path, q.body)
-				if w.Code != http.StatusOK {
-					t.Fatalf("requery: %d %s", w.Code, w.Body.String())
-				}
-				if got := w.Header().Get("X-TGraph-Cache"); got != "patched" {
-					t.Fatalf("requery outcome %q, want patched", got)
-				}
-				patched := w.Body.String()
-
-				// Flush everything and recompute cold; the bodies must be
-				// byte-identical.
-				s.Cache().InvalidatePrefix("fig1|")
-				w = doJSON(t, s, "POST", q.path, q.body)
-				if w.Code != http.StatusOK {
-					t.Fatalf("cold requery: %d %s", w.Code, w.Body.String())
-				}
-				if got := w.Header().Get("X-TGraph-Cache"); got != "miss" {
-					t.Fatalf("cold requery outcome %q, want miss", got)
-				}
-				if cold := w.Body.String(); cold != patched {
-					t.Errorf("patched body diverges from cold recompute:\npatched: %s\ncold:    %s", patched, cold)
-				}
+	for _, q := range queries {
+		t.Run("ve/"+q.name, func(t *testing.T) {
+			dir := t.TempDir()
+			saveFigure1(t, dir)
+			s, err := New(Config{
+				Graphs:      []GraphConfig{{Name: "fig1", Dir: dir}},
+				Parallelism: 2,
+				CacheBytes:  1 << 20,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm (registers the view slot), then append.
+			if w := doJSON(t, s, "POST", q.path, q.body); w.Code != http.StatusOK {
+				t.Fatalf("warm: %d %s", w.Code, w.Body.String())
+			}
+			resp, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+				{Kind: "vertex", ID: 4, Start: 3, End: 8, Props: map[string]string{"type": "person", "school": "MIT"}},
+				{Kind: "edge", ID: 3, Src: 4, Dst: 1, Start: 4, End: 6, Props: map[string]string{"type": "co-author"}},
+			}})
+			if code != http.StatusOK {
+				t.Fatalf("append: %d", code)
+			}
+			if resp.Patched != 1 {
+				t.Fatalf("patched = %d, want 1", resp.Patched)
+			}
+			w := doJSON(t, s, "POST", q.path, q.body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("requery: %d %s", w.Code, w.Body.String())
+			}
+			if got := w.Header().Get("X-TGraph-Cache"); got != "patched" {
+				t.Fatalf("requery outcome %q, want patched", got)
+			}
+			patched := w.Body.String()
+
+			// Flush everything and recompute cold; the bodies must be
+			// byte-identical.
+			s.Cache().InvalidatePrefix("fig1|")
+			w = doJSON(t, s, "POST", q.path, q.body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("cold requery: %d %s", w.Code, w.Body.String())
+			}
+			if got := w.Header().Get("X-TGraph-Cache"); got != "miss" {
+				t.Fatalf("cold requery outcome %q, want miss", got)
+			}
+			if cold := w.Body.String(); cold != patched {
+				t.Errorf("patched body diverges from cold recompute:\npatched: %s\ncold:    %s", patched, cold)
+			}
+		})
 	}
 }
 

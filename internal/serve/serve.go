@@ -40,11 +40,14 @@
 // result is cached. Handler panics are converted to typed 500s by a
 // recovery middleware instead of killing the process.
 //
-// Live ingestion: POST /v1/append appends vertex/edge deltas to the
-// graph directory's write-ahead log (internal/storage/wal) and acks
-// only after they are durable under the configured fsync policy — a
-// 200 means the records survive kill -9. The in-memory graph view is
-// advanced in place (no reload from disk), and invalidation is
+// Every graph is served as a VE value (the representations stay in
+// core for the batch pipelines and the "switch" step). Live ingestion:
+// POST /v1/append appends vertex/edge deltas to the graph directory's
+// write-ahead log (internal/storage/wal) and acks only after they are
+// durable under the configured fsync policy — a 200 means the records
+// survive kill -9. The append publishes a new VE with the deltas folded
+// in (no reload from disk) and, on a sharded handle, a coordinator
+// split from it; nothing a reader holds changes. Invalidation is
 // surgical: the cache key's <rangeTag> segment names the time range
 // the result declared (via "range" pipeline steps; "full" when it
 // declared none), the server keeps a tag → interval index per graph,
@@ -58,7 +61,7 @@
 // entry in place under the bumped version key (qcache.Patch) — the next
 // query answers X-TGraph-Cache: patched with a body byte-identical to a
 // cold recompute. Chains incremental maintenance cannot patch soundly
-// (change-based windows, custom aggregates, OGC graphs) stay on the
+// (change-based windows, custom aggregates) stay on the
 // invalidate path, and any view failure degrades its chain back to
 // invalidation — patching only ever improves hit rate, never
 // correctness. The server owns the directory's WAL exclusively while
@@ -131,9 +134,6 @@ type GraphConfig struct {
 	Name string
 	// Dir is the storage directory (as written by storage.Save).
 	Dir string
-	// Rep is the representation to load and query ("ve", "rg", "og",
-	// "ogc"); empty selects VE.
-	Rep string
 }
 
 // Config configures a Server.
@@ -220,7 +220,6 @@ type graphHandle struct {
 	name         string
 	dir          string
 	manifestPath string
-	rep          core.Representation
 
 	breaker *resil.Breaker
 	budget  *resil.RetryBudget
@@ -235,8 +234,8 @@ type graphHandle struct {
 
 	// Sharded serving (shards > 1): the graph and WAL work exactly as
 	// unsharded (durability, compaction, one atomic log append per
-	// batch), and each (re)load additionally splits the loaded states
-	// into a fresh coordinator that answers the queries.
+	// batch), and each load and append additionally splits the graph
+	// into a fresh coordinator that answers the queries (split).
 	shards        int
 	shardStrategy shard.Strategy
 	shardOpts     shard.Options
@@ -264,19 +263,19 @@ type graphHandle struct {
 // request reads, in one immutable value, so the graph it computes from,
 // the stamp and tag version it keys the result under and the
 // coordinator that scatters it always belong together. Writers copy
-// the current value, change the copy and publish it with one Store.
+// the current value, change the copy and publish it with one Store;
+// neither the graph nor the coordinator is modified after it.
 type servedState struct {
-	// graph is the loaded graph with every acked append applied; nil
-	// after an append failed to apply in memory, which makes the next
-	// epoch check reload (replaying the append from the log).
-	graph core.TGraph
+	// graph is the loaded graph with every acked append applied.
+	graph *core.VE
 	// stamp is storage.BaseStamp at load or compaction time.
 	stamp string
 	// manifest holds the MANIFEST bytes stamp was computed from (nil
 	// when the directory had none): the epoch check compares the file
 	// with them instead of parsing it.
 	manifest []byte
-	// coord answers the queries when serving sharded; nil otherwise.
+	// coord answers the queries when serving sharded, split from graph;
+	// nil otherwise.
 	coord *shard.Coordinator
 	// tags maps each served rangeTag to the time interval results under
 	// it depend on (the zero interval means "everything": the "full"
@@ -337,11 +336,6 @@ func appendCacheKey(dst []byte, graph, tag string, version uint64, stamp, canon 
 // manifestBufs pools the buffers the epoch check reads MANIFEST into.
 var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// errReloading answers a request that registered a new range tag just
-// after an append failed to apply in memory: there is no graph to key
-// a result against until the next check reloads one.
-var errReloading = errors.New("serve: graph is reloading after a failed append apply")
-
 // ensure returns the state to answer from, reloading the graph first if
 // the directory's epoch moved (and flushing the graph's cache entries,
 // since results keyed under the old stamp are stale — prefix
@@ -356,7 +350,7 @@ var errReloading = errors.New("serve: graph is reloading after a failed append a
 // returns the last published state with degraded set, so responses
 // stay byte-identical to the last committed stamp's. Transient reload
 // failures get one immediate retry when the shared retry budget allows
-// it. On success the returned state always holds a graph.
+// it.
 func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (st *servedState, degraded bool, err error) {
 	err = h.breaker.Do(func() error {
 		var err error
@@ -371,7 +365,7 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 		return err
 	})
 	if err != nil {
-		if last := h.state.Load(); last != nil && last.graph != nil {
+		if last := h.state.Load(); last != nil {
 			// Degraded mode: the directory is unreadable (or the breaker
 			// refuses to check), but the last committed load still answers.
 			return last, true, nil
@@ -401,7 +395,7 @@ func (h *graphHandle) check(reqCtx context.Context, cache *qcache.Cache, paralle
 	if err != nil {
 		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
 	}
-	if st := h.state.Load(); found && st != nil && st.graph != nil && bytes.Equal(data, st.manifest) {
+	if st := h.state.Load(); found && st != nil && bytes.Equal(data, st.manifest) {
 		return st, nil
 	}
 	h.mu.Lock()
@@ -414,7 +408,7 @@ func (h *graphHandle) check(reqCtx context.Context, cache *qcache.Cache, paralle
 // it since the unlocked read, and then nothing is reloaded — parses it
 // through storage.ParseManifest (a directory without one gets
 // storage.BaseStamp's layout-file stamp), and reloads when the stamp
-// moved or no graph is published. Caller holds h.mu; bp is the check's
+// moved or nothing is published yet. Caller holds h.mu; bp is the check's
 // pooled buffer.
 func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, bp *[]byte) (*servedState, error) {
 	data, found, err := storage.ReadManifestBytes(h.manifestPath, (*bp)[:0])
@@ -423,7 +417,7 @@ func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache,
 		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
 	}
 	cur := h.state.Load()
-	if found && cur != nil && cur.graph != nil && bytes.Equal(data, cur.manifest) {
+	if found && cur != nil && bytes.Equal(data, cur.manifest) {
 		return cur, nil
 	}
 	var stamp string
@@ -437,7 +431,7 @@ func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache,
 	} else if stamp, err = storage.BaseStamp(h.dir); err != nil {
 		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
 	}
-	if cur != nil && cur.graph != nil && cur.stamp == stamp {
+	if cur != nil && cur.stamp == stamp {
 		return cur, nil
 	}
 	return h.reloadLocked(reqCtx, cache, parallelism, scanParallelism, cur, stamp, manifest)
@@ -447,19 +441,20 @@ func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache,
 // Caller holds h.mu; cur is the state it replaces (nil before the first
 // load).
 func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, cur *servedState, stamp string, manifest []byte) (*servedState, error) {
-	if cur != nil && cur.graph != nil {
+	if cur != nil {
 		cache.InvalidatePrefix(h.name + "|")
 	}
 	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
 	// Load replays any WAL records the manifest does not subsume, so the
 	// view includes every previously acked append.
-	g, _, err := storage.Load(ctx, h.dir, storage.LoadOptions{
-		Rep:  h.rep,
+	loaded, _, err := storage.Load(ctx, h.dir, storage.LoadOptions{
+		Rep:  core.RepVE,
 		Scan: storage.ScanOptions{Parallelism: scanParallelism, Ctx: reqCtx},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: load %s: %w", h.name, err)
 	}
+	g := loaded.(*core.VE) // what Load builds for RepVE
 	if h.log == nil {
 		// Take the directory's single-writer role: recovery (torn-tail
 		// truncation) already ran if needed, and appends go here.
@@ -469,28 +464,27 @@ func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, 
 		}
 		h.log = l
 	}
-	ns := &servedState{graph: g, stamp: stamp, manifest: manifest, walSeq: h.log.LastSeq(), tags: map[string]depEntry{"full": {}}}
+	ns := &servedState{graph: g, coord: h.split(g), stamp: stamp, manifest: manifest, walSeq: h.log.LastSeq(), tags: map[string]depEntry{"full": {}}}
 	if cur != nil {
 		ns.appended = cur.appended
-		if cur.stamp == stamp {
-			// Reloading after a failed apply: the epoch did not move, so the
-			// versions must not restart (the failure already bumped them all).
-			ns.tags = cur.tags
-		}
 	}
 	// Materialized views were built over the replaced graph; drop them
 	// and let the next append rebuild from the fresh load.
 	h.dropViewsLocked()
-	if h.shards > 1 {
-		// Sharding: split the freshly loaded states into a new coordinator.
-		// The old one (if any) was built over the replaced graph.
-		if cur != nil && cur.coord != nil {
-			cur.coord.Close()
-		}
-		ns.coord = shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
-	}
 	h.state.Store(ns)
 	return ns, nil
+}
+
+// split returns the coordinator a sharded handle serves g through: a
+// fresh split of g's states, never one modified in place, so a reader
+// still holding the replaced state scatters over the shards of its own
+// graph. The replaced coordinator is not closed: it holds nothing but
+// memory, and such a reader may still use it. nil when unsharded.
+func (h *graphHandle) split(g *core.VE) *shard.Coordinator {
+	if h.shards <= 1 {
+		return nil
+	}
+	return shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
 }
 
 // version returns the key version of tag to answer st's request under.
@@ -498,32 +492,29 @@ func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, 
 // under h.mu; the state returned is then the newly published one, so
 // the graph, stamp and version a request keys its result under still
 // come from one value.
-func (h *graphHandle) version(st *servedState, tag string, dep temporal.Interval) (*servedState, uint64, error) {
+func (h *graphHandle) version(st *servedState, tag string, dep temporal.Interval) (*servedState, uint64) {
 	if e, ok := st.tags[tag]; ok {
-		return st, e.version, nil
+		return st, e.version
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.state.Load()
-	if cur.graph == nil {
-		return nil, 0, errReloading
-	}
 	if e, ok := cur.tags[tag]; ok {
-		return cur, e.version, nil
+		return cur, e.version
 	}
 	ns := *cur
 	ns.tags = make(map[string]depEntry, len(cur.tags)+1)
 	maps.Copy(ns.tags, cur.tags)
 	ns.tags[tag] = depEntry{iv: dep}
 	h.state.Store(&ns)
-	return &ns, 0, nil
+	return &ns, 0
 }
 
-// append logs the deltas durably, applies them to the in-memory graph,
+// append logs the deltas durably, builds the graph with them folded in,
 // and surgically invalidates the overlapping cache tags. It runs under
 // h.mu so appends serialise with reloads and with each other. The
 // order is what keeps readers consistent without the lock: WAL append
-// → new graph (and shard routing) → bumped versions → views patched
+// → new graph (and its split) → bumped versions → views patched
 // under the new versions' keys, which no reader uses yet → one Store
 // publishing graph and versions together → sweep of the retired
 // versions' keys. A reader holding the previous state computes from
@@ -539,7 +530,7 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.state.Load()
-	if h.log == nil || cur == nil || cur.graph == nil {
+	if h.log == nil || cur == nil {
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
 	}
 	last, err := h.log.Append(ds...)
@@ -549,31 +540,8 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	first := last - uint64(len(ds)) + 1
 	ns := *cur
 	ns.walSeq = last
-	g, aerr := applyDeltas(cur.graph, ds)
-	if aerr != nil {
-		// The records are durable in the log but the in-memory view could
-		// not follow: publish no graph, so the next check reloads from
-		// storage, which replays them.
-		ns.graph = nil
-		ns.tags, _ = h.bumpTags(cur.tags, temporal.Interval{})
-		h.state.Store(&ns)
-		h.dropViewsLocked()
-		cache.InvalidatePrefix(h.name + "|")
-		return AppendResponse{}, false, nil, fmt.Errorf("serve: apply %s: %w", h.name, aerr)
-	}
-	ns.graph = g
-	if cur.coord != nil {
-		// Route the acked deltas into the shard workers so the sharded view
-		// tracks the flat one — before the Store, so no reader pairs the
-		// new versions with pre-append shards. Worker appends are pure
-		// in-memory mutations (durability is the WAL above); a failure
-		// means the split diverged — drop the coordinator and fall back to
-		// unsharded serving until the next reload re-splits.
-		if serr := cur.coord.Append(ds); serr != nil {
-			cur.coord.Close()
-			ns.coord = nil
-		}
-	}
+	ns.graph = applyDeltas(cur.graph, ds)
+	ns.coord = h.split(ns.graph)
 	var retired []string
 	ns.tags, retired = h.bumpTags(cur.tags, deltaSpan(ds))
 	// Incremental view maintenance: patch the registered chains' cache
@@ -600,15 +568,15 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 
 // bumpTags returns a copy of tags in which every tag the append span
 // overlaps — plus "full" and whole-graph entries, which depend on
-// everything; every tag when span is the zero interval — has moved to
-// its next version, and the key prefixes of the versions it retired.
+// everything — has moved to its next version, and the key prefixes of
+// the versions it retired.
 // The version bump is the correctness mechanism; sweeping the retired
 // prefixes only reclaims the dead entries' bytes. Caller holds h.mu.
 func (h *graphHandle) bumpTags(tags map[string]depEntry, span temporal.Interval) (map[string]depEntry, []string) {
 	out := make(map[string]depEntry, len(tags)+1)
 	var retired []string
 	for tag, e := range tags {
-		if span.IsEmpty() || tag == "full" || e.iv.IsEmpty() || e.iv.Overlaps(span) {
+		if tag == "full" || e.iv.IsEmpty() || e.iv.Overlaps(span) {
 			retired = append(retired, string(appendKeyPrefix(nil, h.name, tag, e.version)))
 			e.version++
 		}
@@ -617,11 +585,12 @@ func (h *graphHandle) bumpTags(tags map[string]depEntry, span temporal.Interval)
 	return out, retired
 }
 
-// applyDeltas returns g with the deltas folded in, mirroring what a
-// storage.Load replay would produce.
-func applyDeltas(g core.TGraph, ds []wal.Delta) (core.TGraph, error) {
-	vs := append([]core.VertexTuple(nil), g.VertexStates()...)
-	es := append([]core.EdgeTuple(nil), g.EdgeStates()...)
+// applyDeltas returns a new VE with the deltas folded into g's states,
+// mirroring what a storage.Load replay would produce; g is not changed.
+// Each relation is copied once, into a slice with room for the deltas.
+func applyDeltas(g *core.VE, ds []wal.Delta) *core.VE {
+	vs := appendParts(make([]core.VertexTuple, 0, g.Vertices().Count()+len(ds)), g.Vertices().Partitions())
+	es := appendParts(make([]core.EdgeTuple, 0, g.Edges().Count()+len(ds)), g.Edges().Partitions())
 	for _, d := range ds {
 		if vt, ok := d.VertexTuple(); ok {
 			vs = append(vs, vt)
@@ -629,23 +598,25 @@ func applyDeltas(g core.TGraph, ds []wal.Delta) (core.TGraph, error) {
 			es = append(es, et)
 		}
 	}
-	ve := core.NewVE(g.Context(), vs, es)
-	if g.Rep() == core.RepVE {
-		return ve, nil
+	return core.NewVE(g.Context(), vs, es)
+}
+
+// appendParts appends every partition's records to dst.
+func appendParts[T any](dst []T, parts [][]T) []T {
+	for _, p := range parts {
+		dst = append(dst, p...)
 	}
-	return core.Convert(ve, g.Rep())
+	return dst
 }
 
 // registerView registers a materialized-view slot for a viewable chain
-// (chain.viewable). OGC graphs are excluded: the topology-only
-// representation drops the properties a patched body would need to
-// reproduce byte-identically. Sharded handles are excluded too: their
-// misses are computed by the coordinator from the shard workers'
-// states, and a view would be a second, flat copy of the zoom state
-// every append had to maintain. It runs on the miss path only: a chain
-// gets its slot when it is first computed, and slots are never removed.
+// (chain.viewable). Sharded handles are excluded: their misses are
+// computed by the coordinator from the shard workers' states, and a
+// view would be a second, flat copy of the zoom state every append had
+// to maintain. It runs on the miss path only: a chain gets its slot
+// when it is first computed, and slots are never removed.
 func (h *graphHandle) registerView(c chain, canon string) {
-	if h.rep == core.RepOGC || h.shards > 1 || !c.viewable() {
+	if h.shards > 1 || !c.viewable() {
 		return
 	}
 	h.mu.Lock()
@@ -660,8 +631,8 @@ func (h *graphHandle) registerView(c chain, canon string) {
 }
 
 // dropViewsLocked discards every built view (keeping registrations and
-// disabled marks) — called when the in-memory graph is replaced or
-// dropped, which the views were built over. Caller holds h.mu.
+// disabled marks) — called when a reload replaces the graph the views
+// were built over. Caller holds h.mu.
 func (h *graphHandle) dropViewsLocked() {
 	for _, sl := range h.views {
 		sl.view = nil
@@ -672,7 +643,7 @@ func (h *graphHandle) dropViewsLocked() {
 // patches the corresponding cache entries under st's (just bumped)
 // "full"-tag version. A slot without a view yet is built from st's
 // graph — which already includes ds, so no Apply is needed this round.
-// Any failure (unsupported spec, Apply error, encode error) degrades
+// Any failure (unsupported spec, Apply error) degrades
 // that slot to the invalidate path: correctness never depends on a
 // patch landing, only hit-rate does. Caller holds h.mu; st is the state
 // it is about to publish, so no reader uses the patched keys yet.
@@ -697,11 +668,7 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 			sl.view = nil
 			continue
 		}
-		body, err := h.encodeView(sl.view, st.graph)
-		if err != nil {
-			sl.view = nil
-			continue
-		}
+		body := encodeView(sl.view)
 		key := string(appendCacheKey(nil, h.name, "full", st.tags["full"].version, st.stamp, canon))
 		if cache.Patch(key, body, int64(len(body))) {
 			patched++
@@ -711,10 +678,8 @@ func (h *graphHandle) maintainViewsLocked(cache *qcache.Cache, st *servedState, 
 }
 
 // buildView constructs the slot's view over g. Change-sensitive window
-// specs are refused: their window relation can restructure on any delta
-// (and the RG batch path windows over uncoalesced states, so even a
-// full rebuild is not byte-safe across representations) — those chains
-// stay on the invalidate path.
+// specs are refused: their window relation can restructure on any
+// delta — those chains stay on the invalidate path.
 func (h *graphHandle) buildView(sl *viewSlot, g core.TGraph) (incr.View, error) {
 	opts := incr.Options{Hook: h.hook}
 	if sl.step.az != nil {
@@ -732,24 +697,13 @@ func (h *graphHandle) buildView(sl *viewSlot, g core.TGraph) (incr.View, error) 
 
 // encodeView renders a view's result exactly as the cold path renders
 // the chain's, so a patched body is byte-identical to the recompute it
-// replaces. On VE and OG the view's flat states are sorted and folded
-// straight into the encoder: building a VE or OG from them and
-// coalescing it folds the same states per entity, under the same
-// lifetime. An RG handle converts them to snapshots first, as the cold
-// path's result is; two values an entity holds at one time (an append
-// can write them) would not fold back from the fragments the same way.
-// Views never serve OGC (registerView). g supplies the dataflow context.
-func (h *graphHandle) encodeView(v incr.View, g core.TGraph) ([]byte, error) {
+// replaces: the view's flat states are sorted and folded straight into
+// the encoder, as building a VE from them and coalescing it would fold
+// them per entity, under the same lifetime.
+func encodeView(v incr.View) []byte {
 	vs, es := v.Result()
-	if h.rep == core.RepRG {
-		rg, err := core.Convert(core.NewVE(g.Context(), vs, es), core.RepRG)
-		if err != nil {
-			return nil, err
-		}
-		return encodeGraph(rg), nil
-	}
 	vs, es, life := core.SortedCoalesced(vs, es)
-	return encodeStates(h.rep.String(), life, vs, es), nil
+	return encodeStates(core.RepVE.String(), life, vs, es)
 }
 
 // compactLocked folds the WAL tail into a fresh columnar epoch and
@@ -873,16 +827,8 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := s.graphs[gc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate graph name %q", gc.Name)
 		}
-		repName := gc.Rep
-		if repName == "" {
-			repName = "ve"
-		}
-		rep, err := parseRep(repName)
-		if err != nil {
-			return nil, fmt.Errorf("serve: graph %q: %w", gc.Name, err)
-		}
 		h := &graphHandle{
-			name: gc.Name, dir: gc.Dir, manifestPath: storage.ManifestPath(gc.Dir), rep: rep,
+			name: gc.Name, dir: gc.Dir, manifestPath: storage.ManifestPath(gc.Dir),
 			breaker: resil.NewBreaker(resil.BreakerConfig{
 				Name:      gc.Name,
 				Threshold: cfg.BreakerThreshold,
@@ -1298,7 +1244,7 @@ func (s *Server) resolve(q *query, keyed []byte) (int, error) {
 // loaded and has no published graph to degrade to.
 func (s *Server) failEnsure(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) || errors.Is(err, errReloading) {
+	if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
 		// A save is in progress (or was torn, or the breaker refuses to
 		// look) and no last-good graph exists yet; the graph may become
 		// loadable momentarily.
@@ -1336,11 +1282,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 	// The chain's range tag and its current version are baked into the
 	// key as their own segments: an append bumps the versions of (only)
 	// the overlapping tags and sweeps their prefixes.
-	st, version, err := h.version(st, q.spec.tag, q.spec.dep)
-	if err != nil {
-		s.failEnsure(w, err)
-		return
-	}
+	st, version := h.version(st, q.spec.tag, q.spec.dep)
 	var kb [256]byte
 	key := string(appendCacheKey(kb[:0], h.name, q.spec.tag, version, st.stamp, q.spec.canon))
 	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
@@ -1421,7 +1363,7 @@ func (s *Server) compute(ctx, budget context.Context, h *graphHandle, st *served
 		var out core.TGraph
 		var err error
 		if st.coord != nil {
-			out, stats, err = st.coord.Run(runCtx, reqCtx, shardQuery(h.rep, steps))
+			out, stats, err = st.coord.Run(runCtx, reqCtx, shardQuery(steps))
 		} else if out, err = core.Rebind(st.graph, reqCtx); err == nil {
 			out, err = steps.apply(out)
 		}
@@ -1509,8 +1451,8 @@ func (e *partialError) Error() string {
 // evaluation (keeping its apply as the gather fallback), a leading
 // range step becomes the shard-side clip with non-overlapping shards
 // pruned, and everything else runs as tail steps over the merged graph.
-func shardQuery(rep core.Representation, c chain) shard.Query {
-	q := shard.Query{Rep: rep}
+func shardQuery(c chain) shard.Query {
+	q := shard.Query{Rep: core.RepVE}
 	rest := c[1:]
 	switch first := c[0]; first.norm.Op {
 	case "azoom":
@@ -1596,7 +1538,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 type GraphInfo struct {
 	Name    string `json:"name"`
 	Dir     string `json:"dir"`
-	Rep     string `json:"rep"`
 	Loaded  bool   `json:"loaded"`
 	Stamp   string `json:"stamp,omitempty"`
 	Breaker string `json:"breaker"`
@@ -1620,11 +1561,11 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		h := s.graphs[name]
 		info := GraphInfo{
-			Name: h.name, Dir: h.dir, Rep: h.rep.String(),
+			Name: h.name, Dir: h.dir,
 			Breaker: h.breaker.State().String(),
 		}
 		if st := h.state.Load(); st != nil {
-			info.Loaded, info.Stamp = st.graph != nil, st.stamp
+			info.Loaded, info.Stamp = true, st.stamp
 			info.WALSeq, info.Appended = st.walSeq, st.appended
 			if st.coord != nil {
 				info.Shards = st.coord.N()

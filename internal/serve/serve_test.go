@@ -480,7 +480,7 @@ func TestGraphsHealthMetricsEndpoints(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &infos); err != nil {
 		t.Fatal(err)
 	}
-	if !infos[0].Loaded || infos[0].Stamp == "" || infos[0].Rep != "VE" {
+	if !infos[0].Loaded || infos[0].Stamp == "" {
 		t.Errorf("graphs after query = %+v", infos)
 	}
 
@@ -506,9 +506,6 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x"}, {Name: "a", Dir: "y"}}}); err == nil {
 		t.Error("duplicate name: want error")
-	}
-	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x", Rep: "vhs"}}}); err == nil {
-		t.Error("bad rep: want error")
 	}
 }
 

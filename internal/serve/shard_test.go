@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,10 +71,10 @@ func saveShardFixture(t *testing.T, dir string) {
 	}
 }
 
-// newServerOn serves dir as "g" with the given config and representation.
-func newServerOn(t *testing.T, dir, rep string, cfg Config) *Server {
+// newServerOn serves dir as "g" with the given config.
+func newServerOn(t *testing.T, dir string, cfg Config) *Server {
 	t.Helper()
-	cfg.Graphs = []GraphConfig{{Name: "g", Dir: dir, Rep: rep}}
+	cfg.Graphs = []GraphConfig{{Name: "g", Dir: dir}}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = 2
 	}
@@ -117,33 +118,31 @@ func shardQueries(t *testing.T, s *Server) map[string]*bytes.Buffer {
 }
 
 // Sharded responses are byte-identical to the unsharded server's, for
-// every shard count, strategy and representation under test, and carry
-// the full-coverage X-TGraph-Shards header.
+// every shard count and strategy under test, and carry the
+// full-coverage X-TGraph-Shards header.
 func TestShardedByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	saveShardFixture(t, dir)
-	for _, rep := range []string{"ve", "og"} {
-		// Servers run sequentially (Drain releases the WAL), so they can
-		// all serve the same directory.
-		flat := newServerOn(t, dir, rep, Config{})
-		want := shardQueries(t, flat)
-		flat.Drain()
-		for _, n := range []int{2, 4} {
-			for _, strategy := range []string{"", "TimeRange"} {
-				name := fmt.Sprintf("rep=%s/n=%d/strategy=%q", rep, n, strategy)
-				sharded := newServerOn(t, dir, rep, Config{Shards: n, ShardStrategy: strategy})
-				got := shardQueries(t, sharded)
-				for q, body := range want {
-					if !bytes.Equal(body.Bytes(), got[q].Bytes()) {
-						t.Errorf("%s: query %s: sharded body differs from unsharded", name, q)
-					}
+	// Servers run sequentially (Drain releases the WAL), so they can all
+	// serve the same directory.
+	flat := newServerOn(t, dir, Config{})
+	want := shardQueries(t, flat)
+	flat.Drain()
+	for _, n := range []int{2, 4} {
+		for _, strategy := range []string{"", "TimeRange"} {
+			name := fmt.Sprintf("n=%d/strategy=%q", n, strategy)
+			sharded := newServerOn(t, dir, Config{Shards: n, ShardStrategy: strategy})
+			got := shardQueries(t, sharded)
+			for q, body := range want {
+				if !bytes.Equal(body.Bytes(), got[q].Bytes()) {
+					t.Errorf("%s: query %s: sharded body differs from unsharded", name, q)
 				}
-				w := doJSON(t, sharded, "POST", "/v1/azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"})
-				if h := w.Header().Get("X-TGraph-Shards"); h != fmt.Sprintf("%d/%d", n, n) {
-					t.Errorf("%s: X-TGraph-Shards = %q, want %d/%d", name, h, n, n)
-				}
-				sharded.Drain()
 			}
+			w := doJSON(t, sharded, "POST", "/v1/azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"})
+			if h := w.Header().Get("X-TGraph-Shards"); h != fmt.Sprintf("%d/%d", n, n) {
+				t.Errorf("%s: X-TGraph-Shards = %q, want %d/%d", name, h, n, n)
+			}
+			sharded.Drain()
 		}
 	}
 }
@@ -167,9 +166,9 @@ func TestShardedAppendParity(t *testing.T) {
 	flatDir, shardDir := t.TempDir(), t.TempDir()
 	saveShardFixture(t, flatDir)
 	saveShardFixture(t, shardDir)
-	flat := newServerOn(t, flatDir, "ve", Config{})
+	flat := newServerOn(t, flatDir, Config{})
 	defer flat.Drain()
-	sharded := newServerOn(t, shardDir, "ve", Config{Shards: 3})
+	sharded := newServerOn(t, shardDir, Config{Shards: 3})
 	defer sharded.Drain()
 
 	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
@@ -206,6 +205,57 @@ func TestShardedAppendParity(t *testing.T) {
 	}
 }
 
+// A published sharded state never changes: after an append, the
+// coordinator a reader captured before it still answers every query
+// byte-identically to a cold compute over the captured graph, not with
+// the appended records.
+func TestPublishedShardStateIsImmutable(t *testing.T) {
+	dir := t.TempDir()
+	saveShardFixture(t, dir)
+	s := newServerOn(t, dir, Config{Shards: 3})
+	defer s.Drain()
+	// Load the graph, then capture the state a reader would hold.
+	if w := doJSON(t, s, "POST", "/v1/azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}); w.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", w.Code, w.Body)
+	}
+	h := s.graphs["g"]
+	captured := h.state.Load()
+	if w := doJSON(t, s, "POST", "/v1/append", AppendRequest{Graph: "g", Deltas: shardAppendDeltas()}); w.Code != http.StatusOK {
+		t.Fatalf("append: %d %s", w.Code, w.Body)
+	}
+	flat := *captured
+	flat.coord = nil
+	for _, q := range []struct {
+		ep   string
+		body any
+	}{
+		{"azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}},
+		{"wzoom", WZoomRequest{Graph: "g", Window: "4 units", VQuant: "exists"}},
+		{"pipeline", PipelineRequest{Graph: "g", Steps: []StepRequest{{Op: "range", Start: 80, End: 130}, {Op: "azoom", GroupBy: "dept"}}}},
+	} {
+		body, err := json.Marshal(q.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, steps, err := parseBody(q.ep, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		got, _, err := s.compute(ctx, ctx, h, captured, steps, steps.canonical())
+		if err != nil {
+			t.Fatalf("%s: captured coordinator: %v", body, err)
+		}
+		want, _, err := s.compute(ctx, ctx, h, &flat, steps, steps.canonical())
+		if err != nil {
+			t.Fatalf("%s: captured graph: %v", body, err)
+		}
+		if !bytes.Equal(got.([]byte), want.([]byte)) {
+			t.Errorf("%s: the captured coordinator answers with the append:\n got %s\nwant %s", body, got, want)
+		}
+	}
+}
+
 // Appends against a sharded server are durable in the directory's WAL
 // and survive a restart: a new sharded server over the same directory
 // replays them, re-splits, and answers byte-identically.
@@ -214,7 +264,7 @@ func TestShardedAppendDurability(t *testing.T) {
 	saveShardFixture(t, dir)
 	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
 
-	s1 := newServerOn(t, dir, "ve", Config{Shards: 3})
+	s1 := newServerOn(t, dir, Config{Shards: 3})
 	w0 := doJSON(t, s1, "POST", "/v1/azoom", azoom)
 	if w := doJSON(t, s1, "POST", "/v1/append",
 		AppendRequest{Graph: "g", Deltas: shardAppendDeltas()}); w.Code != http.StatusOK {
@@ -229,7 +279,7 @@ func TestShardedAppendDurability(t *testing.T) {
 	}
 	s1.Drain()
 
-	s2 := newServerOn(t, dir, "ve", Config{Shards: 3})
+	s2 := newServerOn(t, dir, Config{Shards: 3})
 	defer s2.Drain()
 	w2 := doJSON(t, s2, "POST", "/v1/azoom", azoom)
 	if w2.Code != http.StatusOK {
@@ -272,7 +322,7 @@ func TestShardedPartialDegraded(t *testing.T) {
 	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
 
 	t.Run("partial", func(t *testing.T) {
-		s := newServerOn(t, dir, "ve", Config{Shards: 4, ShardPartial: true, FaultHook: legFaultOnce(boom)})
+		s := newServerOn(t, dir, Config{Shards: 4, ShardPartial: true, FaultHook: legFaultOnce(boom)})
 		defer s.Drain()
 		w := doJSON(t, s, "POST", "/v1/azoom", azoom)
 		if w.Code != http.StatusOK {
@@ -301,7 +351,7 @@ func TestShardedPartialDegraded(t *testing.T) {
 	})
 
 	t.Run("fail-fast", func(t *testing.T) {
-		s := newServerOn(t, dir, "ve", Config{Shards: 4, FaultHook: legFaultOnce(boom)})
+		s := newServerOn(t, dir, Config{Shards: 4, FaultHook: legFaultOnce(boom)})
 		defer s.Drain()
 		w := doJSON(t, s, "POST", "/v1/azoom", azoom)
 		if w.Code != http.StatusInternalServerError {
@@ -321,14 +371,14 @@ func TestShardedPartialDegraded(t *testing.T) {
 	})
 }
 
-// A sharded handle whose coordinator is dropped — as a failed
-// coord.Append or closeLogs drops it — answers from the flat graph,
-// and an entry the coordinator computed is an ordinary body to it: the
-// requery is a 200 hit with the same bytes.
+// A sharded handle whose coordinator is dropped — as closeLogs drops
+// it on Drain — answers from the flat graph, and an entry the
+// coordinator computed is an ordinary body to it: the requery is a 200
+// hit with the same bytes.
 func TestDroppedCoordinatorServesShardedEntry(t *testing.T) {
 	dir := t.TempDir()
 	saveShardFixture(t, dir)
-	s := newServerOn(t, dir, "ve", Config{Shards: 2})
+	s := newServerOn(t, dir, Config{Shards: 2})
 	defer s.Drain()
 	req := PipelineRequest{Graph: "g", Steps: []StepRequest{
 		{Op: "range", Start: 10, End: 40},

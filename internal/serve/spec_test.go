@@ -480,11 +480,9 @@ func FuzzSpecRequest(f *testing.F) {
 }
 
 // TestEncodeViewMatchesConvertQuick: a view's result encoded by
-// encodeView is byte-identical to building the handle's representation
-// from it and coalescing that, on VE, OG and RG (views never serve
-// OGC), for random wZoom and aZoom views — also over states that give
-// an entity two values at once, which only RG's conversion would fold
-// differently.
+// encodeView is byte-identical to building a VE from it and coalescing
+// that, for random wZoom and aZoom views — also over states that give
+// an entity two values at once.
 func TestEncodeViewMatchesConvertQuick(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
 	defer ctx.Close()
@@ -504,22 +502,12 @@ func TestEncodeViewMatchesConvertQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rep := range []core.Representation{core.RepVE, core.RepOG, core.RepRG} {
-			h := &graphHandle{rep: rep}
-			for _, v := range []incr.View{wz, az} {
-				rv, re := v.Result()
-				converted, err := core.Convert(core.NewVE(ctx, rv, re), rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := h.encodeView(v, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := coalesceEncode(converted); !bytes.Equal(got, want) {
-					t.Errorf("seed %d, %v view %T:\n got %s\nwant %s", seed, rep, v, got, want)
-					return false
-				}
+		for _, v := range []incr.View{wz, az} {
+			rv, re := v.Result()
+			got := encodeView(v)
+			if want := coalesceEncode(core.NewVE(ctx, rv, re)); !bytes.Equal(got, want) {
+				t.Errorf("seed %d, view %T:\n got %s\nwant %s", seed, v, got, want)
+				return false
 			}
 		}
 		return true

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/props"
-	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
 
@@ -48,15 +47,15 @@ type Options struct {
 }
 
 // Coordinator owns N in-process shard workers and serves scatter-gather
-// queries over them. Appends are serialised; queries run concurrently.
+// queries over them, concurrently. It is immutable once built: a grown
+// graph is served by a new coordinator split from it, so a query sees
+// every shard at one version.
 type Coordinator struct {
 	n       int
 	st      Strategy
 	partial bool
 	hook    func(site string) error
 	workers []*Worker
-
-	mu sync.Mutex // serialises Append and Close
 }
 
 // NewFromStates splits the given states in memory and builds a loaded
@@ -65,8 +64,8 @@ type Coordinator struct {
 func NewFromStates(vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n int, opts Options) *Coordinator {
 	parts, bound := Split(vs, es, st, n)
 	c := &Coordinator{n: len(parts), st: bound, partial: opts.Partial, hook: opts.FaultHook}
-	for i, p := range parts {
-		c.workers = append(c.workers, newMemWorker(i, p, opts))
+	for _, p := range parts {
+		c.workers = append(c.workers, newMemWorker(p, opts))
 	}
 	return c
 }
@@ -79,8 +78,6 @@ func (c *Coordinator) Strategy() Strategy { return c.st }
 
 // Close releases every worker's dataflow context.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, w := range c.workers {
 		w.close()
 	}
@@ -445,72 +442,4 @@ func (c *Coordinator) tail(q Query, g core.TGraph) (core.TGraph, error) {
 		}
 	}
 	return g, nil
-}
-
-// Append routes WAL deltas — already durable in the caller's log — to
-// their owning shards. Vertex deltas go to the vertex's master shard
-// and are replicated to every shard holding an edge that references the
-// vertex; edge deltas go to the edge's owner, after seeding mirrors for
-// any foreign endpoint the owner has not seen yet (so the redirect
-// kernel keeps joining against full endpoint state lists).
-func (c *Coordinator) Append(deltas []wal.Delta) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range deltas {
-		switch d.Kind {
-		case wal.KindVertex:
-			t, _ := d.VertexTuple()
-			owner := c.st.VertexShard(t, c.n)
-			if err := c.workers[owner].appendMaster(d); err != nil {
-				return err
-			}
-			if !c.st.EntityLocal() {
-				continue
-			}
-			for i, w := range c.workers {
-				if i == owner || !w.wantsMirror(t.ID) {
-					continue
-				}
-				if err := w.appendMirror(d); err != nil {
-					return err
-				}
-			}
-		case wal.KindEdge:
-			t, _ := d.EdgeTuple()
-			owner := c.st.EdgeShard(t, c.n)
-			if c.st.EntityLocal() {
-				for _, id := range [2]core.VertexID{t.Src, t.Dst} {
-					master := c.st.VertexShard(core.VertexTuple{ID: id}, c.n)
-					if master == owner || c.workers[owner].hasVertex(id) {
-						continue
-					}
-					h := c.workers[master].masterStates(id)
-					seeds := make([]wal.Delta, 0, len(h))
-					for _, it := range h {
-						seeds = append(seeds, wal.Delta{
-							Kind:     wal.KindVertex,
-							ID:       int64(id),
-							Interval: it.Interval,
-							Props:    it.Props,
-						})
-					}
-					if len(seeds) > 0 {
-						if err := c.workers[owner].appendMirror(seeds...); err != nil {
-							return err
-						}
-					} else {
-						// Nothing to seed yet, but remember the endpoint so a
-						// later vertex append replicates here.
-						c.workers[owner].noteEndpoint(id)
-					}
-				}
-			}
-			if err := c.workers[owner].appendEdge(d); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("shard: append: unknown delta kind %v", d.Kind)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,10 @@
 // Package shard partitions a loaded temporal graph into N in-memory
 // shards and serves zoom queries over them with an in-process
 // scatter-gather coordinator. Each shard owns its own dataflow context
-// and keeps its states per entity in a core.Histories partial
-// (durability is the caller's: the serving layer logs every append to
-// the flat directory's WAL first). Shards retain no results: the
+// and keeps its states per entity in a core.Histories partial. A
+// coordinator never changes after NewFromStates: the serving layer
+// answers a grown graph with a new coordinator split from it, so a
+// query sees every shard at one version. Shards retain no results: the
 // serving layer caches the merged body under its own byte budget. The
 // coordinator fans a request out to every (non-pruned) shard worker
 // concurrently, gathers the per-shard partial results and re-reduces

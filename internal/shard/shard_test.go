@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/graphx"
 	"repro/internal/props"
-	"repro/internal/storage/wal"
 	"repro/internal/temporal"
 )
 
@@ -198,7 +197,7 @@ func TestAZoomPartialSharesEndpointHistories(t *testing.T) {
 		vs = append(vs, core.VertexTuple{ID: core.VertexID(i), Interval: iv, Props: props.New("dept", "d", "score", "1")})
 		es = append(es, core.EdgeTuple{ID: core.EdgeID(i), Src: core.VertexID(i), Dst: core.VertexID(i%n + 1), Interval: iv, Props: props.New("w", "1")})
 	}
-	w := newMemWorker(0, Part{Masters: vs, Edges: es}, Options{Parallelism: 1})
+	w := newMemWorker(Part{Masters: vs, Edges: es}, Options{Parallelism: 1})
 	defer w.close()
 	spec := azSpec()
 	esk := spec.BoundEdgeSkolem()
@@ -309,37 +308,26 @@ func TestRangeGatherPrunes(t *testing.T) {
 	runBoth(t, "range+azoom", vs, es, TimeRange{}, 4, q, clipStates)
 }
 
-// TestAppendRouting appends vertex and edge deltas (including an edge
-// whose foreign endpoint must be mirror-seeded, and a vertex created
-// after an edge referencing it) and asserts the sharded result still
-// matches the unsharded graph grown by the same deltas.
+// TestAppendRouting: a coordinator split from a graph grown by appended
+// states answers as the unsharded grown graph. The appended states are
+// a new state of an existing vertex, an edge between far-apart
+// vertices, and an edge naming a vertex whose only state comes after it
+// in the appended list; the split mirrors that vertex to the edge's
+// owner all the same.
 func TestAppendRouting(t *testing.T) {
 	vs, es := genGraph(30, 50)
+	vs = append(vs, core.VertexTuple{ID: 3, Interval: temporal.Interval{Start: 95, End: 99}, Props: props.New("dept", "d1", "score", "7")})
+	es = append(es,
+		core.EdgeTuple{ID: 9001, Src: 1, Dst: 29, Interval: temporal.Interval{Start: 50, End: 60}, Props: props.New("w", "3")},
+		core.EdgeTuple{ID: 9002, Src: 2, Dst: 2000, Interval: temporal.Interval{Start: 10, End: 20}, Props: props.New("w", "1")},
+	)
+	vs = append(vs, core.VertexTuple{ID: 2000, Interval: temporal.Interval{Start: 5, End: 25}, Props: props.New("dept", "d9", "score", "50")})
 	c := NewFromStates(vs, es, VertexCut{}, 4, Options{Parallelism: 2})
 	defer c.Close()
 
-	deltas := []wal.Delta{
-		// New state of an existing vertex.
-		{Kind: wal.KindVertex, ID: 3, Interval: temporal.Interval{Start: 95, End: 99}, Props: props.New("dept", "d1", "score", "7")},
-		// New edge between far-apart vertices (forces mirror seeding).
-		{Kind: wal.KindEdge, ID: 9001, Src: 1, Dst: 29, Interval: temporal.Interval{Start: 50, End: 60}, Props: props.New("w", "3")},
-		// Edge referencing a vertex that does not exist yet...
-		{Kind: wal.KindEdge, ID: 9002, Src: 2, Dst: 2000, Interval: temporal.Interval{Start: 10, End: 20}, Props: props.New("w", "1")},
-		// ...and the vertex arriving afterwards.
-		{Kind: wal.KindVertex, ID: 2000, Interval: temporal.Interval{Start: 5, End: 25}, Props: props.New("dept", "d9", "score", "50")},
-	}
-	if err := c.Append(deltas); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	for _, d := range deltas {
-		switch d.Kind {
-		case wal.KindVertex:
-			tp, _ := d.VertexTuple()
-			vs = append(vs, tp)
-		case wal.KindEdge:
-			tp, _ := d.EdgeTuple()
-			es = append(es, tp)
-		}
+	owner := VertexCut{}.EdgeShard(es[len(es)-1], 4)
+	if len(c.workers[owner].vstates(2000)) != 1 {
+		t.Fatalf("shard %d owns edge 9002 but does not hold vertex 2000's state", owner)
 	}
 	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
 	defer dctx.Close()
@@ -370,25 +358,35 @@ func TestAppendRouting(t *testing.T) {
 	}
 }
 
-// TestRunsDuringAppends scatters aZoom and wZoom queries while appends
-// grow the histories the legs share (masters, mirrors seeded from
-// another shard's masters, owned edges); under -race this is the check
-// that the sharing is read-only. Once the appends are in, the sharded
-// answers equal the unsharded ones over the grown graph.
+// TestRunsDuringAppends scatters aZoom and wZoom queries over one
+// coordinator while successors are split from ever larger graphs that
+// share its input states; under -race this is the check that building
+// a successor writes nothing the legs read. Every answer of the old
+// coordinator equals its first, and the last successor answers as the
+// unsharded grown graph.
 func TestRunsDuringAppends(t *testing.T) {
 	vs, es := genGraph(40, 80)
-	c := NewFromStates(vs, es, VertexCut{}, 3, Options{Parallelism: 2})
+	opts := Options{Parallelism: 2}
+	c := NewFromStates(vs, es, VertexCut{}, 3, opts)
 	defer c.Close()
 	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
 	defer dctx.Close()
 	az, wz := azSpec(), wzSpec(temporal.MustEveryN(10), true)
 	queries := []Query{{Rep: core.RepVE, AZ: &az}, {Rep: core.RepVE, WZ: &wz}}
+	first := make([]string, len(queries))
+	for i, q := range queries {
+		g, _, err := c.Run(context.Background(), dctx, q)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		first[i] = canon(t, g)
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, q := range queries {
+	for i, q := range queries {
 		wg.Add(1)
-		go func(q Query) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -396,24 +394,23 @@ func TestRunsDuringAppends(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := c.Run(context.Background(), dctx, q); err != nil {
+				g, _, err := c.Run(context.Background(), dctx, q)
+				if err != nil {
 					t.Errorf("Run during appends: %v", err)
 					return
 				}
+				if canon(t, g) != first[i] {
+					t.Errorf("query %d: the old coordinator's answer changed while a successor was built", i)
+					return
+				}
 			}
-		}(q)
+		}()
 	}
+	next := c
 	for i := int64(0); i < 20; i++ {
-		d := []wal.Delta{
-			{Kind: wal.KindVertex, ID: 1 + i%40, Interval: temporal.Interval{Start: 100 + temporal.Time(i), End: 101 + temporal.Time(i)}, Props: props.New("dept", "d1", "score", "5")},
-			{Kind: wal.KindEdge, ID: 5000 + i, Src: 1 + i%40, Dst: 40 - i%40, Interval: temporal.Interval{Start: 95, End: 105}, Props: props.New("w", "2")},
-		}
-		if err := c.Append(d); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-		vt, _ := d[0].VertexTuple()
-		et, _ := d[1].EdgeTuple()
-		vs, es = append(vs, vt), append(es, et)
+		vs = append(vs, core.VertexTuple{ID: core.VertexID(1 + i%40), Interval: temporal.Interval{Start: 100 + temporal.Time(i), End: 101 + temporal.Time(i)}, Props: props.New("dept", "d1", "score", "5")})
+		es = append(es, core.EdgeTuple{ID: core.EdgeID(5000 + i), Src: core.VertexID(1 + i%40), Dst: core.VertexID(40 - i%40), Interval: temporal.Interval{Start: 95, End: 105}, Props: props.New("w", "2")})
+		next = NewFromStates(vs, es, VertexCut{}, 3, opts)
 	}
 	close(done)
 	wg.Wait()
@@ -422,7 +419,7 @@ func TestRunsDuringAppends(t *testing.T) {
 		func(g core.TGraph) (core.TGraph, error) { return g.AZoom(az) },
 		func(g core.TGraph) (core.TGraph, error) { return g.WZoom(wz) },
 	} {
-		got, _, err := c.Run(context.Background(), dctx, queries[i])
+		got, _, err := next.Run(context.Background(), dctx, queries[i])
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
