@@ -61,7 +61,10 @@ fmt:
 	gofmt -l -w .
 
 # Hand-over check: prints every live tgraph-*, pairs.sh or run.sh
-# process and fails if it finds one. Run it as a command of its own: a
-# shell whose own command line names run.sh matches the pattern too.
+# process, test binary (*.test) and `go test`/`go run` command, and
+# fails if it finds one. The bracketed first characters keep the
+# pattern from matching the recipe's own command line. Run it as a
+# command of its own: a shell whose own command line names run.sh or
+# `go test` matches the pattern too.
 idle:
-	@if ps -eo pid,args | grep -E '[t]graph-|[p]airs\.sh|[r]un\.sh'; then exit 1; fi
+	@if ps -eo pid,args | grep -E '[t]graph-|[p]airs\.sh|[r]un\.sh|[.]test( |$$)|[g]o (test|run)( |$$)'; then exit 1; fi

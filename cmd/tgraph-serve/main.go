@@ -14,7 +14,9 @@
 //
 // Each -graph names one served directory as name=dir; the directory is
 // everything after the first "=". Every graph is served as a VE value.
-// POST /v1/append ingests live
+// The server is the directory's only writer and reads it only at the
+// first load: after an offline re-save, POST /v1/graphs/{name}/reload
+// adopts the new epoch. POST /v1/append ingests live
 // deltas through each directory's write-ahead log (-wal-sync picks the
 // fsync policy; acks are sent only after durability) and invalidates
 // cached results surgically by declared time range; -compact-after

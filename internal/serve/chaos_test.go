@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,11 +97,13 @@ func TestChaosServeOverload(t *testing.T) {
 // TestChaosReloadBreaker corrupts a re-save with the seeded injector —
 // the crash tears the MANIFEST mid-write, exactly the state a power cut
 // during the manifest commit leaves — and proves graceful degradation:
-// the server keeps answering byte-identically from the last-good graph
-// (degraded header set, zero 5xx), the reload breaker trips open after
-// the configured consecutive failures and stops touching the disk, and
-// after repair plus the cooldown a single half-open probe reloads the
-// new graph and closes the breaker.
+// queries never notice the torn directory, the reloads that read it
+// fail and mark the graph stale while it keeps answering
+// byte-identically from the last-good graph (zero 5xx on queries), the
+// reload breaker trips open after the configured consecutive failures
+// and then refuses reloads without touching the disk, and after repair
+// plus the cooldown a single reload probes, loads the new graph and
+// closes the breaker.
 func TestChaosReloadBreaker(t *testing.T) {
 	dir := t.TempDir()
 	saveFigure1(t, dir)
@@ -117,6 +122,9 @@ func TestChaosReloadBreaker(t *testing.T) {
 		mu.Unlock()
 	}
 
+	// attempts counts the reload attempts that got past the breaker: the
+	// serve.reload site fires once per attempt, before the disk is read.
+	var attempts atomic.Int64
 	cfg := Config{
 		Graphs:           []GraphConfig{{Name: "fig1", Dir: dir}},
 		CacheBytes:       1 << 20,
@@ -124,6 +132,12 @@ func TestChaosReloadBreaker(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 		breakerNow:       clock,
+		FaultHook: func(site string) error {
+			if site == "serve.reload" {
+				attempts.Add(1)
+			}
+			return nil
+		},
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -133,6 +147,9 @@ func TestChaosReloadBreaker(t *testing.T) {
 	post := func() (int, []byte, string) {
 		w := doJSON(t, s, "POST", "/v1/wzoom", req)
 		return w.Code, w.Body.Bytes(), w.Header().Get("X-TGraph-Degraded")
+	}
+	reload := func() *httptest.ResponseRecorder {
+		return doJSON(t, s, "POST", "/v1/graphs/fig1/reload", nil)
 	}
 
 	code, good, degr := post()
@@ -165,10 +182,19 @@ func TestChaosReloadBreaker(t *testing.T) {
 		t.Fatal("stamp of torn directory succeeded; the corruption did not take")
 	}
 
-	// Failures 1 and 2 (threshold): each answers degraded from the
-	// last-good graph, byte-identical, then the breaker trips open.
+	// Queries do not look at the directory: still clean.
+	if code, body, degr := post(); code != http.StatusOK || degr != "" || !bytes.Equal(body, good) {
+		t.Fatalf("request before any reload: %d degraded=%q identical=%v, want the clean old answer", code, degr, bytes.Equal(body, good))
+	}
+
+	// Reloads 1 and 2 (threshold) read the torn MANIFEST and fail; each
+	// leaves the graph stale, answering byte-identically from the
+	// last-good graph; then the breaker trips open.
 	degradedBefore := obs.Default().Counter("serve.degraded_requests").Value()
 	for i := 0; i < 2; i++ {
+		if w := reload(); w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("reload %d of a torn directory: %d %s, want 503", i, w.Code, w.Body)
+		}
 		code, body, degr := post()
 		if code != http.StatusOK {
 			t.Fatalf("degraded request %d: %d %s, want 200", i, code, body)
@@ -185,8 +211,15 @@ func TestChaosReloadBreaker(t *testing.T) {
 		t.Fatalf("breaker after %d consecutive failures = %v, want open", 2, st)
 	}
 
-	// With the breaker open the reload path is rejected before touching
-	// the disk; the request still answers degraded.
+	// With the breaker open a reload is refused before it touches the
+	// disk; queries still answer degraded.
+	tried := attempts.Load()
+	if w := reload(); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "breaker-open") {
+		t.Fatalf("open-breaker reload: %d %s, want 503 breaker-open", w.Code, w.Body)
+	}
+	if n := attempts.Load() - tried; n != 0 {
+		t.Errorf("the open breaker let %d reload attempts through", n)
+	}
 	code, body, degr := post()
 	if code != http.StatusOK || degr != "stale-graph" || !bytes.Equal(body, good) {
 		t.Fatalf("open-breaker request: %d degraded=%q identical=%v, want degraded 200", code, degr, bytes.Equal(body, good))
@@ -209,16 +242,29 @@ func TestChaosReloadBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Repaired but inside the cooldown: still degraded (stale while
-	// revalidating — the breaker hasn't probed yet).
+	// Repaired but inside the cooldown: the breaker still refuses, and
+	// queries still answer from the stale graph.
+	if w := reload(); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cooldown reload: %d, want 503 from the open breaker", w.Code)
+	}
 	code, body, degr = post()
 	if code != http.StatusOK || degr != "stale-graph" || !bytes.Equal(body, good) {
 		t.Fatalf("cooldown request: %d degraded=%q, want degraded 200 from stale graph", code, degr)
 	}
 
-	// Past the cooldown the half-open probe reloads the repaired
-	// directory and the breaker closes; the response is the new graph's.
+	// Past the cooldown one reload probes, loads the repaired directory
+	// and closes the breaker; the response is the new graph's.
 	advance(2 * time.Minute)
+	tried = attempts.Load()
+	if w := reload(); w.Code != http.StatusOK {
+		t.Fatalf("post-cooldown reload: %d %s, want 200", w.Code, w.Body)
+	}
+	if n := attempts.Load() - tried; n != 1 {
+		t.Errorf("the half-open probe made %d reload attempts, want 1", n)
+	}
+	if st := h.breaker.State(); st.String() != "closed" {
+		t.Errorf("breaker after successful probe = %v, want closed", st)
+	}
 	code, body, degr = post()
 	if code != http.StatusOK || degr != "" {
 		t.Fatalf("post-repair request: %d degraded=%q, want clean 200", code, degr)
@@ -226,11 +272,11 @@ func TestChaosReloadBreaker(t *testing.T) {
 	if bytes.Equal(body, good) {
 		t.Error("post-repair response identical to the old graph's; reload did not happen")
 	}
-	if st := h.breaker.State(); st.String() != "closed" {
-		t.Errorf("breaker after successful probe = %v, want closed", st)
-	}
 	var g GraphJSON
 	if err := json.Unmarshal(body, &g); err != nil || len(g.Vertices) != 1 {
 		t.Errorf("post-repair response = %s (err %v), want the 1-vertex repaired graph", body, err)
+	}
+	if w := doJSON(t, s, "GET", "/readyz", nil); w.Code != http.StatusOK {
+		t.Errorf("readyz after the repair = %d, want 200", w.Code)
 	}
 }

@@ -6,6 +6,7 @@ package serve
 // semantics (degraded graphs, dead WAL), and inline compaction.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -206,8 +207,8 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestAppendRefusedWhileDegraded: a graph serving a stale view (reload
-// path failing) must not accept writes.
+// TestAppendRefusedWhileDegraded: a graph serving a stale view (its
+// last reload failed) must not accept writes until a reload succeeds.
 func TestAppendRefusedWhileDegraded(t *testing.T) {
 	failing := false
 	s, _ := newTestServer(t, Config{
@@ -223,13 +224,23 @@ func TestAppendRefusedWhileDegraded(t *testing.T) {
 		t.Fatalf("healthy append: %d", code)
 	}
 	failing = true
+	if err := s.Reload(context.Background(), "fig1"); err == nil {
+		t.Fatal("reload under an injected failure succeeded")
+	}
 	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: delta}); code != http.StatusServiceUnavailable {
 		t.Errorf("degraded append: %d, want 503", code)
 	}
 	// Queries still answer (degraded) — only writes are refused.
 	w := doJSON(t, s, "POST", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units"})
-	if w.Code != http.StatusOK {
-		t.Errorf("degraded query: %d, want 200", w.Code)
+	if w.Code != http.StatusOK || w.Header().Get("X-TGraph-Degraded") != "stale-graph" {
+		t.Errorf("degraded query: %d %q, want 200 stale-graph", w.Code, w.Header().Get("X-TGraph-Degraded"))
+	}
+	failing = false
+	if err := s.Reload(context.Background(), "fig1"); err != nil {
+		t.Fatalf("reload after the failure cleared: %v", err)
+	}
+	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: delta}); code != http.StatusOK {
+		t.Errorf("append after a successful reload: %d, want 200", code)
 	}
 }
 

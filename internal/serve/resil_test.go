@@ -196,8 +196,9 @@ func TestDrainWithinDeadline(t *testing.T) {
 }
 
 // Transient faults injected at serve.reload consume the retry budget
-// (one immediate retry) and, while they persist, flip the server into
-// degraded mode serving the last-good graph.
+// (one immediate retry) and fail the reload, which flips the graph into
+// degraded mode serving the last-good graph; the next reload that
+// succeeds clears it.
 func TestReloadInjectionDegradesAndRetries(t *testing.T) {
 	inj := faults.New(11, faults.Rule{Site: "serve.reload", Kind: faults.Transient, Every: 1})
 	var faulty atomic.Bool
@@ -216,6 +217,12 @@ func TestReloadInjectionDegradesAndRetries(t *testing.T) {
 	retriesBefore := obs.Default().Counter("serve.reload_retries").Value()
 	degradedBefore := obs.Default().Counter("serve.degraded_requests").Value()
 	faulty.Store(true)
+	if w := doJSON(t, s, "POST", "/v1/graphs/fig1/reload", nil); w.Code == http.StatusOK {
+		t.Fatalf("reload under injected faults answered 200: %s", w.Body)
+	}
+	if d := obs.Default().Counter("serve.reload_retries").Value() - retriesBefore; d != 1 {
+		t.Errorf("serve.reload_retries advanced by %d, want 1 (transient fault, budget full)", d)
+	}
 	w1 := doJSON(t, s, "POST", "/v1/wzoom", req)
 	if w1.Code != http.StatusOK {
 		t.Fatalf("degraded request: %d %s, want 200 from last-good graph", w1.Code, w1.Body)
@@ -226,14 +233,14 @@ func TestReloadInjectionDegradesAndRetries(t *testing.T) {
 	if w1.Body.String() != w0.Body.String() {
 		t.Error("degraded response differs from the last committed stamp's response")
 	}
-	if d := obs.Default().Counter("serve.reload_retries").Value() - retriesBefore; d != 1 {
-		t.Errorf("serve.reload_retries advanced by %d, want 1 (transient fault, budget full)", d)
-	}
 	if d := obs.Default().Counter("serve.degraded_requests").Value() - degradedBefore; d != 1 {
 		t.Errorf("serve.degraded_requests advanced by %d, want 1", d)
 	}
 
 	faulty.Store(false)
+	if w := doJSON(t, s, "POST", "/v1/graphs/fig1/reload", nil); w.Code != http.StatusOK {
+		t.Fatalf("recovered reload: %d %s", w.Code, w.Body)
+	}
 	w2 := doJSON(t, s, "POST", "/v1/wzoom", req)
 	if w2.Code != http.StatusOK || w2.Header().Get("X-TGraph-Degraded") != "" {
 		t.Errorf("recovered request: %d degraded=%q, want clean 200", w2.Code, w2.Header().Get("X-TGraph-Degraded"))

@@ -14,20 +14,16 @@
 // decoded (unknown fields and anything after the JSON value are 400s),
 // parsed, canonicalised and indexed.
 //
-// Each served graph publishes its state — graph, base stamp, the
-// MANIFEST bytes the stamp came from, shard coordinator, tag versions —
-// as one immutable value that reload, append and compaction replace
-// whole; a request loads it once and takes no lock on the way to a
-// cache hit. Before answering, the request re-checks the graph's
-// on-disk epoch: it reads MANIFEST and compares the bytes with the
-// published copy. Equal bytes mean an equal stamp; different ones are
-// parsed under the handle lock, and a changed epoch reloads the graph
-// and flushes its cache entries. That check-and-reload path runs
-// behind a per-graph circuit breaker, and while the breaker is open —
-// or any reload attempt fails with a loaded graph in hand — the
-// service degrades instead of erroring: it answers from the last
-// published graph, marks the response X-TGraph-Degraded: stale-graph,
-// and counts it in serve.degraded_requests. The cache key is
+// Each served graph publishes its state — graph, base stamp, shard
+// coordinator, tag versions, stale mark — as one immutable value that
+// load, reload, append and compaction replace whole; a hit loads it
+// once and takes no lock, reads no file and consults no breaker. The
+// server is its directories' only writer: the first request loads a
+// graph, and only POST /v1/graphs/{name}/reload adopts a change made
+// from outside, behind a per-graph circuit breaker. A failed reload
+// marks the graph stale until one succeeds: it keeps answering
+// byte-identically, with X-TGraph-Degraded: stale-graph (counted in
+// serve.degraded_requests), and refuses appends. The cache key is
 // "<graph>|<rangeTag>|v<tagVersion>|" + qcache.Key(baseStamp, chain),
 // and the cache's singleflight DoCtx either returns resident response
 // bytes (byte-identical to the cold run, outcome in the X-TGraph-Cache
@@ -174,8 +170,8 @@ type Config struct {
 	// only meaningful when MaxInflight > 0. <= 0 means no queue: the
 	// request after the MaxInflight-th is shed immediately.
 	QueueDepth int
-	// BreakerThreshold is the number of consecutive stamp-check/reload
-	// failures that trips a graph's breaker open; < 1 selects 3.
+	// BreakerThreshold is the number of consecutive load/reload failures
+	// that trips a graph's breaker open; < 1 selects 3.
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped reload breaker stays open
 	// before admitting a half-open probe; <= 0 selects 2s.
@@ -194,8 +190,8 @@ type Config struct {
 	// automatic compaction (compact offline with tgraph-cli -compact).
 	CompactAfter int
 	// FaultHook, when non-nil, is called at the serve.* fault-injection
-	// sites ("serve.reload" before every stamp-check/reload attempt,
-	// "serve.handler" at the start of every query execution). A
+	// sites ("serve.reload" once per load or reload attempt, retries
+	// included; "serve.handler" at the start of every query execution). A
 	// returned error fails the guarded operation; the hook may panic to
 	// simulate a handler crash. Wire it to faults.Injector.ServeHook in
 	// chaos tests; leave nil in production.
@@ -217,9 +213,8 @@ type Config struct {
 // registry of incrementally maintained views, and the resilience state
 // guarding its reload path.
 type graphHandle struct {
-	name         string
-	dir          string
-	manifestPath string
+	name string
+	dir  string
 
 	breaker *resil.Breaker
 	budget  *resil.RetryBudget
@@ -240,7 +235,7 @@ type graphHandle struct {
 	shardStrategy shard.Strategy
 	shardOpts     shard.Options
 	// shardsHeader is the X-TGraph-Shards value of a full merge, "n/n".
-	shardsHeader string
+	shardsHeader []string
 
 	// state is what requests answer from. It is replaced whole, never
 	// modified, and only under mu.
@@ -270,10 +265,8 @@ type servedState struct {
 	graph *core.VE
 	// stamp is storage.BaseStamp at load or compaction time.
 	stamp string
-	// manifest holds the MANIFEST bytes stamp was computed from (nil
-	// when the directory had none): the epoch check compares the file
-	// with them instead of parsing it.
-	manifest []byte
+	// stale marks a state the last reload failed to refresh (see reload).
+	stale bool
 	// coord answers the queries when serving sharded, split from graph;
 	// nil otherwise.
 	coord *shard.Coordinator
@@ -333,26 +326,24 @@ func appendCacheKey(dst []byte, graph, tag string, version uint64, stamp, canon 
 	return qcache.AppendKey(appendKeyPrefix(dst, graph, tag, version), stamp, canon)
 }
 
-// manifestBufs pools the buffers the epoch check reads MANIFEST into.
-var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
+// ensure returns the state to answer from: the published one, read
+// with one atomic load — no file, no breaker, no lock. Only a request
+// that finds nothing published yet loads the graph, through reload.
+func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (*servedState, error) {
+	if st := h.state.Load(); st != nil {
+		return st, nil
+	}
+	return h.reload(reqCtx, cache, parallelism, scanParallelism)
+}
 
-// ensure returns the state to answer from, reloading the graph first if
-// the directory's epoch moved (and flushing the graph's cache entries,
-// since results keyed under the old stamp are stale — prefix
-// invalidation reclaims their bytes eagerly). A reload runs through the
-// parallel scan engine with the triggering request's context, so a
-// client that disconnects (or times out) mid-reload aborts the
-// in-flight chunk decodes.
-//
-// The whole check-and-reload path runs behind the graph's circuit
-// breaker. When it fails — or the breaker is open and refuses to try —
-// and a graph is published, ensure degrades instead of erroring: it
-// returns the last published state with degraded set, so responses
-// stay byte-identical to the last committed stamp's. Transient reload
-// failures get one immediate retry when the shared retry budget allows
-// it.
-func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (st *servedState, degraded bool, err error) {
-	err = h.breaker.Do(func() error {
+// reload runs check behind the graph's circuit breaker, with one
+// immediate retry of a transient failure when the shared retry budget
+// allows it; reqCtx scopes the load's chunk decodes. When it fails, or
+// the open breaker refuses to try, the published state is republished
+// marked stale: it keeps answering until a reload succeeds.
+func (h *graphHandle) reload(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (*servedState, error) {
+	var st *servedState
+	err := h.breaker.Do(func() error {
 		var err error
 		st, err = h.check(reqCtx, cache, parallelism, scanParallelism)
 		if err != nil && dataflow.IsTransient(err) && h.budget.Allow() {
@@ -365,85 +356,50 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 		return err
 	})
 	if err != nil {
-		if last := h.state.Load(); last != nil {
-			// Degraded mode: the directory is unreadable (or the breaker
-			// refuses to check), but the last committed load still answers.
-			return last, true, nil
+		h.mu.Lock()
+		if cur := h.state.Load(); cur != nil {
+			h.state.Store(cur.marked(true))
 		}
-		return nil, false, err
+		h.mu.Unlock()
 	}
-	return st, false, nil
+	return st, err
 }
 
-// check is one epoch check. It reads MANIFEST into a pooled buffer and,
-// when the bytes equal the ones the published stamp was computed from,
-// returns the published state: no parse, no lock. Equal bytes imply an
-// equal stamp — the stamp is a function of the manifest, and every
-// commit advances its save epoch — which a (size, mtime, inode) proxy
-// could not promise: rename commits recycle inodes and file times tick
-// in jiffies. Anything else re-checks under h.mu.
+// check is one load or reload attempt. It reads and parses MANIFEST
+// (storage.BaseStamp; a directory without one gets a layout-file stamp)
+// and reloads when the stamp moved or nothing is published yet; an
+// unchanged stamp keeps the published graph and clears its stale mark.
 func (h *graphHandle) check(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int) (*servedState, error) {
 	if h.hook != nil {
 		if err := h.hook("serve.reload"); err != nil {
 			return nil, err
 		}
 	}
-	bp := manifestBufs.Get().(*[]byte)
-	defer manifestBufs.Put(bp)
-	data, found, err := storage.ReadManifestBytes(h.manifestPath, (*bp)[:0])
-	*bp = data
-	if err != nil {
-		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
-	}
-	if st := h.state.Load(); found && st != nil && bytes.Equal(data, st.manifest) {
-		return st, nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.refreshLocked(reqCtx, cache, parallelism, scanParallelism, bp)
-}
-
-// refreshLocked is the epoch check's slow path. It reads MANIFEST again
-// — one of this handle's compactions may have committed and published
-// it since the unlocked read, and then nothing is reloaded — parses it
-// through storage.ParseManifest (a directory without one gets
-// storage.BaseStamp's layout-file stamp), and reloads when the stamp
-// moved or nothing is published yet. Caller holds h.mu; bp is the check's
-// pooled buffer.
-func (h *graphHandle) refreshLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, bp *[]byte) (*servedState, error) {
-	data, found, err := storage.ReadManifestBytes(h.manifestPath, (*bp)[:0])
-	*bp = data
+	stamp, err := storage.BaseStamp(h.dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
 	}
-	cur := h.state.Load()
-	if found && cur != nil && bytes.Equal(data, cur.manifest) {
-		return cur, nil
+	if cur := h.state.Load(); cur != nil && cur.stamp == stamp {
+		st := cur.marked(false)
+		h.state.Store(st)
+		return st, nil
 	}
-	var stamp string
-	var manifest []byte
-	if found {
-		m, err := storage.ParseManifest(h.dir, data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
-		}
-		stamp, manifest = m.BaseStamp(), bytes.Clone(data)
-	} else if stamp, err = storage.BaseStamp(h.dir); err != nil {
-		return nil, fmt.Errorf("serve: stamp %s: %w", h.name, err)
-	}
-	if cur != nil && cur.stamp == stamp {
-		return cur, nil
-	}
-	return h.reloadLocked(reqCtx, cache, parallelism, scanParallelism, cur, stamp, manifest)
+	return h.reloadLocked(reqCtx, cache, parallelism, scanParallelism, stamp)
 }
 
-// reloadLocked loads the directory and publishes it as the new state.
-// Caller holds h.mu; cur is the state it replaces (nil before the first
-// load).
-func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, cur *servedState, stamp string, manifest []byte) (*servedState, error) {
-	if cur != nil {
-		cache.InvalidatePrefix(h.name + "|")
-	}
+// marked returns a copy of st with its stale mark set to stale.
+func (st servedState) marked(stale bool) *servedState {
+	st.stale = stale
+	return &st
+}
+
+// reloadLocked loads the directory and publishes it as the new state,
+// then sweeps the graph's cache entries, keyed under the old stamp: the
+// sweep reclaims their bytes. A failed load leaves the published state
+// and its entries as they are. Caller holds h.mu.
+func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, parallelism, scanParallelism int, stamp string) (*servedState, error) {
 	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
 	// Load replays any WAL records the manifest does not subsume, so the
 	// view includes every previously acked append.
@@ -464,14 +420,15 @@ func (h *graphHandle) reloadLocked(reqCtx context.Context, cache *qcache.Cache, 
 		}
 		h.log = l
 	}
-	ns := &servedState{graph: g, coord: h.split(g), stamp: stamp, manifest: manifest, walSeq: h.log.LastSeq(), tags: map[string]depEntry{"full": {}}}
-	if cur != nil {
+	ns := &servedState{graph: g, coord: h.split(g), stamp: stamp, walSeq: h.log.LastSeq(), tags: map[string]depEntry{"full": {}}}
+	if cur := h.state.Load(); cur != nil {
 		ns.appended = cur.appended
 	}
 	// Materialized views were built over the replaced graph; drop them
 	// and let the next append rebuild from the fresh load.
 	h.dropViewsLocked()
 	h.state.Store(ns)
+	cache.InvalidatePrefix(h.name + "|")
 	return ns, nil
 }
 
@@ -707,27 +664,15 @@ func encodeView(v incr.View) []byte {
 }
 
 // compactLocked folds the WAL tail into a fresh columnar epoch and
-// publishes the stamp and MANIFEST bytes it committed, without
-// reloading: the in-memory graph already includes every folded record,
-// and a request that reads the new manifest finds its bytes published.
-// Caller holds h.mu.
+// publishes the stamp it committed, without reloading: the in-memory
+// graph already includes every folded record. Caller holds h.mu.
 func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error {
 	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
 	defer ctx.Close()
-	if _, err := storage.Compact(ctx, h.dir, h.log, storage.SaveOptions{
+	res, err := storage.Compact(ctx, h.dir, h.log, storage.SaveOptions{
 		FaultHook: storage.WriteHook(h.walOpts.Hook),
 		Reclaim:   h.reclaim,
-	}); err != nil {
-		return err
-	}
-	data, found, err := storage.ReadManifestBytes(h.manifestPath, nil)
-	if err == nil && !found {
-		err = fmt.Errorf("serve: compact %s: %w", h.name, storage.ErrIncompleteSave)
-	}
-	if err != nil {
-		return err
-	}
-	m, err := storage.ParseManifest(h.dir, data)
+	})
 	if err != nil {
 		return err
 	}
@@ -735,7 +680,7 @@ func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error 
 	// epoch; entries keyed under the old stamp can never hit again, and
 	// the sweep reclaims their bytes eagerly.
 	ns := *h.state.Load()
-	ns.stamp, ns.manifest, ns.tags, ns.appended = m.BaseStamp(), data, map[string]depEntry{"full": {}}, 0
+	ns.stamp, ns.tags, ns.appended = res.Stamp, map[string]depEntry{"full": {}}, 0
 	h.state.Store(&ns)
 	cache.InvalidatePrefix(h.name + "|")
 	return nil
@@ -757,7 +702,7 @@ type Server struct {
 	specs           *specIndex // nil when CacheBytes <= 0: nothing could hit
 
 	// The non-query endpoints (query endpoints live in their handlers).
-	appendEP, graphsEP *endpoint
+	appendEP, graphsEP, reloadEP *endpoint
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -828,7 +773,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: duplicate graph name %q", gc.Name)
 		}
 		h := &graphHandle{
-			name: gc.Name, dir: gc.Dir, manifestPath: storage.ManifestPath(gc.Dir),
+			name: gc.Name, dir: gc.Dir,
 			breaker: resil.NewBreaker(resil.BreakerConfig{
 				Name:      gc.Name,
 				Threshold: cfg.BreakerThreshold,
@@ -851,7 +796,7 @@ func New(cfg Config) (*Server, error) {
 				Partial:     cfg.ShardPartial,
 				FaultHook:   cfg.FaultHook,
 			}
-			h.shardsHeader = fmt.Sprintf("%d/%d", cfg.Shards, cfg.Shards)
+			h.shardsHeader = []string{fmt.Sprintf("%d/%d", cfg.Shards, cfg.Shards)}
 		}
 		s.graphs[gc.Name] = h
 		s.names = append(s.names, gc.Name)
@@ -863,13 +808,14 @@ func New(cfg Config) (*Server, error) {
 	ep := func(name string) *endpoint {
 		return &endpoint{name: name, span: "serve." + name, hist: r.Histogram("serve.latency." + name)}
 	}
-	s.appendEP, s.graphsEP = ep("append"), ep("graphs")
+	s.appendEP, s.graphsEP, s.reloadEP = ep("append"), ep("graphs"), ep("reload")
 
 	s.mux.HandleFunc("POST /v1/azoom", s.handleQuery(ep("azoom")))
 	s.mux.HandleFunc("POST /v1/wzoom", s.handleQuery(ep("wzoom")))
 	s.mux.HandleFunc("POST /v1/pipeline", s.handleQuery(ep("pipeline")))
 	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
+	s.mux.HandleFunc("POST /v1/graphs/{name}/reload", s.handleReload)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
@@ -1068,12 +1014,31 @@ type endpoint struct {
 	hist *obs.Histogram
 }
 
+// admission is one admitted request's bookkeeping, which done closes.
+type admission struct {
+	s       *Server
+	ep      *endpoint
+	span    *obs.Span
+	start   time.Time
+	release func() // the limiter's slot, if one was taken
+}
+
+// done records the request's latency, ends its span and releases what
+// admit took.
+func (a admission) done() {
+	a.ep.hist.Observe(time.Since(a.start))
+	a.span.End()
+	a.s.inflight.Add(-1)
+	a.release()
+	a.s.wg.Done()
+}
+
 // admit performs the shared request bookkeeping: drain refusal,
 // admission control (when limited), counters, span and latency
 // histogram. It returns false if the request was already answered
-// (drained or shed); otherwise the caller must call the returned done
-// func when finished.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, limited bool) (done func(), ok bool) {
+// (drained or shed); otherwise the caller must call the admission's
+// done when finished.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, limited bool) (admission, bool) {
 	// Register before re-checking the flag: Drain sets the flag and then
 	// waits the group, so a request seeing draining==false here is
 	// either already registered or answered 503.
@@ -1081,9 +1046,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, lim
 	if s.draining.Load() {
 		s.wg.Done()
 		s.fail(w, http.StatusServiceUnavailable, errDraining)
-		return nil, false
+		return admission{}, false
 	}
-	release := func() {}
+	a := admission{s: s, ep: ep, release: func() {}}
 	if limited && s.limiter != nil {
 		rel, err := s.limiter.Acquire(r.Context())
 		if err != nil {
@@ -1094,21 +1059,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, lim
 			// admitted, so answer with shed semantics: back off and retry.
 			w.Header().Set("Retry-After", s.retryAfter())
 			s.fail(w, http.StatusTooManyRequests, fmt.Errorf("serve: overloaded: %w", err))
-			return nil, false
+			return admission{}, false
 		}
-		release = rel
+		a.release = rel
 	}
 	s.requests.Add(1)
 	s.inflight.Add(1)
-	span := obs.StartSpan(ep.span)
-	start := time.Now()
-	return func() {
-		ep.hist.Observe(time.Since(start))
-		span.End()
-		s.inflight.Add(-1)
-		release()
-		s.wg.Done()
-	}, true
+	a.span, a.start = obs.StartSpan(ep.span), time.Now()
+	return a, true
 }
 
 // maxQueryBody bounds a query request's body; specs are well under
@@ -1183,11 +1141,11 @@ func (q *query) chain() (chain, error) {
 // it to a spec, run it.
 func (s *Server) handleQuery(ep *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		done, ok := s.admit(w, r, ep, true)
+		a, ok := s.admit(w, r, ep, true)
 		if !ok {
 			return
 		}
-		defer done()
+		defer a.done()
 		buf := bodyBufs.Get().(*bytes.Buffer)
 		defer bodyBufs.Put(buf)
 		buf.Reset()
@@ -1240,27 +1198,36 @@ func (s *Server) resolve(q *query, keyed []byte) (int, error) {
 	return 0, nil
 }
 
-// failEnsure answers a request whose graph could not be checked or
-// loaded and has no published graph to degrade to.
+// failEnsure answers a request whose graph could not be loaded or
+// reloaded.
 func (s *Server) failEnsure(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
 		// A save is in progress (or was torn, or the breaker refuses to
-		// look) and no last-good graph exists yet; the graph may become
-		// loadable momentarily.
+		// look); the graph may become loadable momentarily.
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", s.retryAfter())
 	}
 	s.fail(w, code, err)
 }
 
+// Response header values, assigned under their canonical keys so that
+// setting one allocates nothing. Every response shares them: never
+// modify one.
+var (
+	jsonContent   = []string{"application/json"}
+	staleGraph    = []string{"stale-graph"}
+	partialShards = []string{"partial-shards"}
+	outcomeValues = [...][]string{qcache.Miss: {"miss"}, qcache.Hit: {"hit"}, qcache.Shared: {"shared"}, qcache.Patched: {"patched"}}
+)
+
 // run executes a resolved query against its graph through the cache
-// and writes the response. r's context scopes any graph reload the
-// request triggers and bounds this caller's wait on a shared in-flight
-// computation. A hit takes no lock of the handle's: the graph, stamp,
-// coordinator and tag version all come from the one published state
-// ensure (or version, for a tag seen for the first time) returns. A
-// miss runs pullUp, then compute.
+// and writes the response. r's context scopes the graph's first load
+// if this request triggers it, and bounds this caller's wait on a
+// shared in-flight computation. A hit takes no lock of the handle's and
+// reads no file: the graph, stamp, coordinator and tag version all come
+// from the one published state ensure (or version, for a tag seen for
+// the first time) returns. A miss runs pullUp, then compute.
 func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 	if s.hook != nil {
 		if err := s.hook("serve.handler"); err != nil {
@@ -1270,14 +1237,15 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 		}
 	}
 	h := q.spec.h
-	st, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+	st, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
 		s.failEnsure(w, err)
 		return
 	}
-	if degraded {
+	hdr := w.Header()
+	if st.stale {
 		s.degraded.Add(1)
-		w.Header().Set("X-TGraph-Degraded", "stale-graph")
+		hdr["X-Tgraph-Degraded"] = staleGraph
 	}
 	// The chain's range tag and its current version are baked into the
 	// key as their own segments: an append bumps the versions of (only)
@@ -1301,7 +1269,6 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 		}
 		return s.compute(r.Context(), budget, h, st, steps, q.spec.canon)
 	})
-	shards := ""
 	if err != nil {
 		var pe *partialError
 		if !errors.As(err, &pe) {
@@ -1309,16 +1276,14 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 			return
 		}
 		s.degraded.Add(1)
-		w.Header().Set("X-TGraph-Degraded", "partial-shards")
-		val, shards = pe.body, pe.stats.Header()
+		hdr["X-Tgraph-Degraded"] = partialShards
+		hdr["X-Tgraph-Shards"] = []string{pe.stats.Header()}
+		val = pe.body
 	} else if st.coord != nil {
-		shards = h.shardsHeader
+		hdr["X-Tgraph-Shards"] = h.shardsHeader
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-TGraph-Cache", outcome.String())
-	if shards != "" {
-		w.Header().Set("X-TGraph-Shards", shards)
-	}
+	hdr["Content-Type"] = jsonContent
+	hdr["X-Tgraph-Cache"] = outcomeValues[outcome]
 	w.Write(val.([]byte))
 }
 
@@ -1473,15 +1438,15 @@ func shardQuery(c chain) shard.Query {
 // handleAppend is the live-ingestion endpoint: it logs the request's
 // deltas to the graph's write-ahead log and answers 200 only after
 // they are durable under the configured fsync policy — an acked append
-// survives kill -9. A degraded graph (unreadable directory, open
-// breaker) refuses appends with 503: accepting writes against a view
-// the server cannot reconcile with disk risks divergence.
+// survives kill -9. A stale graph (its last reload failed) refuses
+// appends with 503: accepting writes against a view the server cannot
+// reconcile with disk risks divergence.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, s.appendEP, true)
+	a, ok := s.admit(w, r, s.appendEP, true)
 	if !ok {
 		return
 	}
-	defer done()
+	defer a.done()
 	var req AppendRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -1497,12 +1462,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", req.Graph))
 		return
 	}
-	_, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+	st, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
 		s.failEnsure(w, err)
 		return
 	}
-	if degraded {
+	if st.stale {
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.fail(w, http.StatusServiceUnavailable,
 			fmt.Errorf("serve: graph %q is degraded (stale view); refusing append", req.Graph))
@@ -1551,31 +1516,67 @@ type GraphInfo struct {
 	ShardStrategy string `json:"shardStrategy,omitempty"`
 }
 
+// info returns h's entry of the /v1/graphs listing.
+func (h *graphHandle) info() GraphInfo {
+	info := GraphInfo{Name: h.name, Dir: h.dir, Breaker: h.breaker.State().String()}
+	if st := h.state.Load(); st != nil {
+		info.Loaded, info.Stamp = true, st.stamp
+		info.WALSeq, info.Appended = st.walSeq, st.appended
+		if st.coord != nil {
+			info.Shards = st.coord.N()
+			info.ShardStrategy = st.coord.Strategy().Name()
+		}
+	}
+	return info
+}
+
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admit(w, r, s.graphsEP, false)
+	a, ok := s.admit(w, r, s.graphsEP, false)
 	if !ok {
 		return
 	}
-	defer done()
+	defer a.done()
 	out := make([]GraphInfo, 0, len(s.names))
 	for _, name := range s.names {
-		h := s.graphs[name]
-		info := GraphInfo{
-			Name: h.name, Dir: h.dir,
-			Breaker: h.breaker.State().String(),
-		}
-		if st := h.state.Load(); st != nil {
-			info.Loaded, info.Stamp = true, st.stamp
-			info.WALSeq, info.Appended = st.walSeq, st.appended
-			if st.coord != nil {
-				info.Shards = st.coord.N()
-				info.ShardStrategy = st.coord.Strategy().Name()
-			}
-		}
-		out = append(out, info)
+		out = append(out, s.graphs[name].info())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
+}
+
+// Reload adopts a change made to graph name's directory from outside
+// the server, such as an offline re-save: it reads MANIFEST and, when
+// the stamp moved, reloads the graph and flushes its cache entries. It
+// runs behind the graph's breaker and retry budget. A failure marks the
+// graph stale — queries carry X-TGraph-Degraded: stale-graph, /readyz
+// answers 503 and appends are refused — until a reload succeeds.
+func (s *Server) Reload(ctx context.Context, name string) error {
+	h, ok := s.graphs[name]
+	if !ok {
+		return fmt.Errorf("serve: unknown graph %q", name)
+	}
+	_, err := h.reload(ctx, s.cache, s.parallelism, s.scanParallelism)
+	return err
+}
+
+// handleReload is POST /v1/graphs/{name}/reload: Server.Reload, answered
+// with the graph's /v1/graphs entry.
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	a, ok := s.admit(w, r, s.reloadEP, false)
+	if !ok {
+		return
+	}
+	defer a.done()
+	err := s.Reload(r.Context(), r.PathValue("name"))
+	switch h := s.graphs[r.PathValue("name")]; {
+	case h == nil:
+		s.fail(w, http.StatusNotFound, err)
+	case err != nil:
+		s.failEnsure(w, err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(h.info())
+	}
 }
 
 // handleLive is the liveness probe: the process is up and the handler
@@ -1595,12 +1596,11 @@ type ReadyStatus struct {
 }
 
 // handleReady is the readiness probe: 200 only when the server is not
-// draining, every configured graph is loaded (loading it now if
-// needed), and no reload breaker is open. During drain it answers 503
-// immediately so load balancers stop routing before http.Server
-// Shutdown races in-flight requests; a graph serving degraded (breaker
-// open, stale view) also reports 503 — the instance still answers, but
-// new traffic is better sent to a healthy replica.
+// draining and every configured graph is loaded (loading it now if
+// needed) and not stale. A draining server answers 503 at once, so load
+// balancers stop routing before http.Server Shutdown races in-flight
+// requests; a stale graph's instance still answers, but new traffic is
+// better sent to a healthy replica.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	st := ReadyStatus{Ready: true, Graphs: make(map[string]string, len(s.names))}
 	if s.draining.Load() {
@@ -1608,12 +1608,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	} else {
 		for _, name := range s.names {
 			h := s.graphs[name]
-			_, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
+			cur, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 			switch {
 			case err != nil:
 				st.Ready = false
 				st.Graphs[name] = err.Error()
-			case degraded:
+			case cur.stale:
 				st.Ready = false
 				st.Graphs[name] = "degraded: serving stale graph, breaker " + h.breaker.State().String()
 			default:

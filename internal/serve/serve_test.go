@@ -320,8 +320,10 @@ func TestCanonicalFieldsAreQuoted(t *testing.T) {
 	}
 }
 
-// Re-saving the graph directory advances its stamp: the next request
-// reloads the graph, flushes its cache entries, and recomputes.
+// Re-saving the graph directory from outside advances its stamp, which
+// a resident hit never looks at: the request after the re-save still
+// hits the old state. POST …/reload adopts the new stamp and flushes the
+// graph's cache entries, and the next request recomputes.
 func TestStampChangeInvalidates(t *testing.T) {
 	s, dir := newTestServer(t, Config{})
 	req := WZoomRequest{Graph: "fig1", Window: "3 units"}
@@ -337,13 +339,24 @@ func TestStampChangeInvalidates(t *testing.T) {
 
 	// Identical content, but the manifest's save epoch advances.
 	saveFigure1(t, dir)
+	if w := doJSON(t, s, "POST", "/v1/wzoom", req); w.Code != http.StatusOK || w.Header().Get("X-TGraph-Cache") != "hit" {
+		t.Fatalf("post-resave, before the reload: %d %q, want a hit on the old state", w.Code, w.Header().Get("X-TGraph-Cache"))
+	}
 
+	rl := doJSON(t, s, "POST", "/v1/graphs/fig1/reload", nil)
+	var info GraphInfo
+	if err := json.Unmarshal(rl.Body.Bytes(), &info); rl.Code != http.StatusOK || err != nil {
+		t.Fatalf("reload: %d %v %s", rl.Code, err, rl.Body)
+	}
+	if stamp, err := storage.BaseStamp(dir); err != nil || info.Stamp != stamp {
+		t.Errorf("reload answered stamp %q, want the re-saved directory's %q (%v)", info.Stamp, stamp, err)
+	}
 	w2 := doJSON(t, s, "POST", "/v1/wzoom", req)
 	if w2.Code != http.StatusOK {
-		t.Fatalf("post-resave: %d %s", w2.Code, w2.Body)
+		t.Fatalf("post-reload: %d %s", w2.Code, w2.Body)
 	}
 	if got := w2.Header().Get("X-TGraph-Cache"); got != "miss" {
-		t.Errorf("post-resave X-TGraph-Cache = %q, want miss (stamp changed)", got)
+		t.Errorf("post-reload X-TGraph-Cache = %q, want miss (stamp changed)", got)
 	}
 	if d := computations() - before; d != 2 {
 		t.Errorf("zoom executed %d times, want 2", d)
@@ -354,6 +367,9 @@ func TestStampChangeInvalidates(t *testing.T) {
 	}
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Error("identical content re-saved: responses should still match")
+	}
+	if w := doJSON(t, s, "POST", "/v1/graphs/nope/reload", nil); w.Code != http.StatusNotFound {
+		t.Errorf("reload of an unknown graph: %d, want 404", w.Code)
 	}
 }
 

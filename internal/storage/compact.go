@@ -24,6 +24,10 @@ type CompactResult struct {
 	WALSeq uint64
 	// SegmentsRetired is the number of fully-subsumed WAL segments removed.
 	SegmentsRetired int
+	// Stamp is the BaseStamp of the directory's MANIFEST after the call:
+	// the one the compaction committed, or the one it found when there
+	// was nothing to fold ("" if the directory has none).
+	Stamp string
 }
 
 // Compact folds a directory's write-ahead-log tail into a fresh
@@ -71,8 +75,9 @@ func Compact(ctx *dataflow.Context, dir string, l *wal.Log, opts SaveOptions) (C
 	walSeq := l.LastSeq()
 
 	var subsumed uint64
+	var stamp string
 	if man, err := ReadManifest(dir); err == nil && man != nil {
-		subsumed = man.WALSeq
+		subsumed, stamp = man.WALSeq, man.BaseStamp()
 	}
 	if walSeq <= subsumed {
 		// Nothing new to fold; just retire leftover subsumed segments
@@ -80,9 +85,9 @@ func Compact(ctx *dataflow.Context, dir string, l *wal.Log, opts SaveOptions) (C
 		// its retirement step).
 		retired, err := l.RetireThrough(subsumed)
 		if err != nil {
-			return CompactResult{WALSeq: subsumed}, fmt.Errorf("storage: compact %s: %w", dir, err)
+			return CompactResult{WALSeq: subsumed, Stamp: stamp}, fmt.Errorf("storage: compact %s: %w", dir, err)
 		}
-		return CompactResult{WALSeq: subsumed, SegmentsRetired: retired}, nil
+		return CompactResult{WALSeq: subsumed, SegmentsRetired: retired, Stamp: stamp}, nil
 	}
 
 	g, stats, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
@@ -90,15 +95,15 @@ func Compact(ctx *dataflow.Context, dir string, l *wal.Log, opts SaveOptions) (C
 		return CompactResult{}, fmt.Errorf("storage: compact %s: %w", dir, err)
 	}
 	opts.WALSeq = walSeq
-	if err := SaveGraph(dir, g, opts); err != nil {
+	if stamp, err = saveGraph(dir, g, opts); err != nil {
 		return CompactResult{}, err
 	}
 	retired, err := l.RetireThrough(walSeq)
 	if err != nil {
-		return CompactResult{Folded: stats.WALReplayed, WALSeq: walSeq},
+		return CompactResult{Folded: stats.WALReplayed, WALSeq: walSeq, Stamp: stamp},
 			fmt.Errorf("storage: compact %s: %w", dir, err)
 	}
 	obsCompactions.Add(1)
 	obsCompactedRecords.Add(int64(stats.WALReplayed))
-	return CompactResult{Folded: stats.WALReplayed, WALSeq: walSeq, SegmentsRetired: retired}, nil
+	return CompactResult{Folded: stats.WALReplayed, WALSeq: walSeq, SegmentsRetired: retired, Stamp: stamp}, nil
 }

@@ -58,9 +58,16 @@ type SaveOptions struct {
 // committed directory (crash while staging) or a detectably
 // inconsistent one (crash inside the commit window), never silently
 // torn data. A failed save cleans up its staged temp files.
-func SaveGraph(dir string, g core.TGraph, opts SaveOptions) (err error) {
+func SaveGraph(dir string, g core.TGraph, opts SaveOptions) error {
+	_, err := saveGraph(dir, g, opts)
+	return err
+}
+
+// saveGraph is SaveGraph; it also returns the BaseStamp of the MANIFEST
+// it committed.
+func saveGraph(dir string, g core.TGraph, opts SaveOptions) (stamp string, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("storage: mkdir %s: %w", dir, err)
+		return "", fmt.Errorf("storage: mkdir %s: %w", dir, err)
 	}
 	var staged []stagedFile
 	var entries []ManifestEntry
@@ -77,12 +84,12 @@ func SaveGraph(dir string, g core.TGraph, opts SaveOptions) (err error) {
 	w := WriteOptions{Order: opts.FlatOrder, ChunkRows: opts.ChunkRows, FaultHook: opts.FaultHook}
 	sf, ent, err := stagePGC(filepath.Join(dir, FlatVerticesFile), "vertices", vertexRows(g.VertexStates()), w)
 	if err != nil {
-		return err
+		return "", err
 	}
 	staged, entries = append(staged, sf), append(entries, ent)
 	sf, ent, err = stagePGC(filepath.Join(dir, FlatEdgesFile), "edges", edgeRows(g.EdgeStates()), w)
 	if err != nil {
-		return err
+		return "", err
 	}
 	staged, entries = append(staged, sf), append(entries, ent)
 
@@ -103,12 +110,12 @@ func SaveGraph(dir string, g core.TGraph, opts SaveOptions) (err error) {
 		nw := WriteOptions{ChunkRows: opts.ChunkRows, FaultHook: opts.FaultHook}
 		nsf, nent, err := stageNested(filepath.Join(dir, NestedVerticesFile), "vertices", nestedVertexRows(ogvs), nw)
 		if err != nil {
-			return err
+			return "", err
 		}
 		staged, entries = append(staged, nsf), append(entries, nent)
 		nsf, nent, err = stageNested(filepath.Join(dir, NestedEdgesFile), "edges", nestedEdgeRows(oges), nw)
 		if err != nil {
-			return err
+			return "", err
 		}
 		staged, entries = append(staged, nsf), append(entries, nent)
 	}
@@ -119,7 +126,7 @@ func SaveGraph(dir string, g core.TGraph, opts SaveOptions) (err error) {
 	if walSeq == 0 && wal.Exists(dir) {
 		tail, ok, terr := wal.TailSeq(dir)
 		if terr != nil {
-			return fmt.Errorf("storage: save %s: %w", dir, terr)
+			return "", fmt.Errorf("storage: save %s: %w", dir, terr)
 		}
 		if ok {
 			walSeq = tail
@@ -129,7 +136,7 @@ func SaveGraph(dir string, g core.TGraph, opts SaveOptions) (err error) {
 		opts.Reclaim.Hold(staged[0].final)
 		if err := staged[0].commit(opts.FaultHook); err != nil {
 			staged = staged[1:] // already consumed (renamed or removed)
-			return err
+			return "", err
 		}
 		staged = staged[1:]
 	}

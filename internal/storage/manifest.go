@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
@@ -121,8 +120,9 @@ func entriesCRC(entries []ManifestEntry) (uint32, error) {
 
 // writeManifest atomically writes the MANIFEST commit record,
 // advancing the directory's SaveEpoch past the previous manifest's and
-// recording the WAL sequence the committed files subsume.
-func writeManifest(dir string, entries []ManifestEntry, walSeq uint64, hook WriteHook) error {
+// recording the WAL sequence the committed files subsume. It returns
+// the BaseStamp of the manifest it wrote.
+func writeManifest(dir string, entries []ManifestEntry, walSeq uint64, hook WriteHook) (string, error) {
 	var prevSave int64
 	if prev, err := ReadManifest(dir); err == nil && prev != nil {
 		prevSave = prev.SaveEpoch
@@ -131,20 +131,21 @@ func writeManifest(dir string, entries []ManifestEntry, walSeq uint64, hook Writ
 			walSeq = prev.WALSeq
 		}
 	}
-	data, err := encodeManifest(Manifest{Epoch: FormatEpoch, SaveEpoch: prevSave + 1, WALSeq: walSeq, Entries: entries})
+	m := Manifest{Epoch: FormatEpoch, SaveEpoch: prevSave + 1, WALSeq: walSeq, Entries: entries}
+	data, err := encodeManifest(&m)
 	if err != nil {
-		return fmt.Errorf("storage: encode manifest: %w", err)
+		return "", fmt.Errorf("storage: encode manifest: %w", err)
 	}
 	_, err = atomicWriteFile(filepath.Join(dir, ManifestFile), hook, func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr
 	})
-	return err
+	return m.BaseStamp(), err
 }
 
-// encodeManifest returns the MANIFEST bytes of m, with the CRC of its
-// entries in place of m.CRC — the bytes ParseManifest reads back to m.
-func encodeManifest(m Manifest) ([]byte, error) {
+// encodeManifest sets m.CRC to the CRC of m's entries and returns the
+// MANIFEST bytes of m — the bytes ParseManifest reads back to m.
+func encodeManifest(m *Manifest) ([]byte, error) {
 	crc, err := entriesCRC(m.Entries)
 	if err != nil {
 		return nil, err
@@ -162,43 +163,14 @@ func encodeManifest(m Manifest) ([]byte, error) {
 // ErrIncompleteSave; a torn or unparseable one returns an error wrapping
 // ErrIncompleteSave; an unsupported epoch wraps ErrManifestMismatch.
 func ReadManifest(dir string) (*Manifest, error) {
-	data, found, err := ReadManifestBytes(ManifestPath(dir), nil)
-	if err != nil || !found {
-		return nil, err
-	}
-	return ParseManifest(dir, data)
-}
-
-// ManifestPath is the path of dir's MANIFEST file.
-func ManifestPath(dir string) string { return filepath.Join(dir, ManifestFile) }
-
-// ReadManifestBytes appends the raw bytes of the MANIFEST file at path
-// to buf and returns the extended slice, reusing buf's capacity, so a
-// caller that only compares the bytes with an earlier read allocates
-// no buffer. found is false, with buf returned as is, when the file
-// does not exist.
-func ReadManifestBytes(path string, buf []byte) (data []byte, found bool, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if os.IsNotExist(err) {
-		return buf, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return buf, false, fmt.Errorf("storage: read manifest: %w", err)
+		return nil, fmt.Errorf("storage: read manifest: %w", err)
 	}
-	defer f.Close()
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, 512)
-		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, true, nil
-		}
-		if err != nil {
-			return buf, true, fmt.Errorf("storage: read manifest: %w", err)
-		}
-	}
+	return ParseManifest(dir, data)
 }
 
 // ParseManifest decodes and validates the bytes of dir's MANIFEST with

@@ -23,7 +23,8 @@ func FuzzParseManifest(f *testing.F) {
 			}
 			return
 		}
-		enc, err := encodeManifest(*m)
+		c := *m
+		enc, err := encodeManifest(&c)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", m, err)
 		}

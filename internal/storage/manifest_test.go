@@ -107,40 +107,6 @@ func TestSaveEpochAdvancesAndStampTracksIt(t *testing.T) {
 	}
 }
 
-// ReadManifestBytes + ParseManifest are ReadManifest split in two: the
-// bytes are the file's, appended to the caller's buffer, their parse
-// stamps the directory exactly as BaseStamp does, and a missing file is
-// reported, not an error. Serving compares the bytes between epoch
-// checks, so every save must change them.
-func TestReadManifestBytes(t *testing.T) {
-	dir := t.TempDir()
-	if data, found, err := ReadManifestBytes(ManifestPath(dir), []byte("x")); found || err != nil || string(data) != "x" {
-		t.Fatalf("missing manifest: %q %v %v, want the buffer back, not found, no error", data, found, err)
-	}
-	saveSample(t, dir, 50)
-	onDisk, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, found, err := ReadManifestBytes(ManifestPath(dir), []byte("pre"))
-	if !found || err != nil || string(data) != "pre"+string(onDisk) {
-		t.Fatalf("ReadManifestBytes = %d bytes, %v, %v; want the file appended to the buffer", len(data), found, err)
-	}
-	m, err := ParseManifest(dir, data[len("pre"):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamp, err := BaseStamp(dir)
-	if err != nil || m.BaseStamp() != stamp {
-		t.Errorf("parsed stamp %q, BaseStamp %q (%v)", m.BaseStamp(), stamp, err)
-	}
-	saveSample(t, dir, 50) // identical content, new save
-	again, _, err := ReadManifestBytes(ManifestPath(dir), nil)
-	if err != nil || string(again) == string(onDisk) {
-		t.Errorf("a re-save left the manifest bytes unchanged (err %v)", err)
-	}
-}
-
 // Stamp still yields an identity for manifest-less legacy directories,
 // and propagates the error for torn manifests instead of handing the
 // cache a stale identity.
