@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the full gate CI should run:
 # it builds every package, vets, lints, runs the whole test suite
 # (crash-consistency, WAL crash matrix, serving, sharding and
-# incremental-view suites included) under the race detector, and
-# repeats the fault-injection chaos suite.
+# incremental-view suites included) under the race detector, repeats
+# the fault-injection chaos suite, and ends with `idle`, failing if any
+# test binary or benchmark process outlived its run.
 
 GO ?= go
 
 .PHONY: check build vet lint test test-race bench fmt pairs chaos idle
 
-check: build vet lint test-race chaos
+check: build vet lint test-race chaos idle
 
 build:
 	$(GO) build ./...

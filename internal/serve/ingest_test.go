@@ -6,15 +6,19 @@ package serve
 // semantics (degraded graphs, dead WAL), and inline compaction.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 )
 
 func appendJSON(t *testing.T, s *Server, req AppendRequest) (AppendResponse, int) {
@@ -290,29 +294,83 @@ func TestAppendWALCrash(t *testing.T) {
 }
 
 // TestCompactionDefersBlockFrees: an inline compaction hands the files
-// it replaces or deletes — the four data files, the MANIFEST and the
-// retired log segment — to the graph's reclaimer instead of freeing
-// them inside the append, and the directory keeps only live names.
+// it replaces or deletes to the graph's reclaimer instead of freeing
+// them inside the append, and the directory keeps only live names. The
+// first compaction holds six: the two flat files, the MANIFEST, the two
+// nested files it removes and the retired log segment; later ones have
+// no nested files left to remove and hold four.
 func TestCompactionDefersBlockFrees(t *testing.T) {
 	s, dir := newTestServer(t, Config{CompactAfter: 2})
 	defer s.Drain()
 	held := obs.Default().Counter("storage.reclaim_held")
-	before := held.Value()
+	for i, want := range []int64{6, 4} {
+		before := held.Value()
+		id := int64(50 + 2*i)
+		if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+			{Kind: "vertex", ID: id, Start: 10, End: 20},
+			{Kind: "vertex", ID: id + 1, Start: 20, End: 30},
+		}}); code != http.StatusOK {
+			t.Fatalf("append: %d", code)
+		}
+		if got := held.Value() - before; got != want {
+			t.Errorf("compaction %d: storage.reclaim_held advanced by %d, want %d", i+1, got, want)
+		}
+		rep, err := storage.VerifyDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean {
+			t.Errorf("directory after compaction %d: %+v", i+1, rep)
+		}
+	}
+}
+
+// TestInlineCompactionStoresFlatOnly: an inline compaction writes only
+// the flat layout the server loads. The directory then holds the
+// MANIFEST, the two flat files and WAL segments, and the MANIFEST lists
+// two files. An offline compaction with default options writes the
+// nested layout again, and an OG load of it equals the served graph.
+func TestInlineCompactionStoresFlatOnly(t *testing.T) {
+	s, dir := newTestServer(t, Config{CompactAfter: 2})
+	defer s.Drain()
 	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
 		{Kind: "vertex", ID: 50, Start: 10, End: 20},
 		{Kind: "vertex", ID: 51, Start: 20, End: 30},
 	}}); code != http.StatusOK {
 		t.Fatalf("append: %d", code)
 	}
-	if got := held.Value() - before; got != 6 {
-		t.Errorf("storage.reclaim_held advanced by %d, want 6", got)
-	}
-	rep, err := storage.VerifyDir(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean {
-		t.Errorf("directory after a compaction: %+v", rep)
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case name == storage.ManifestFile, name == storage.FlatVerticesFile, name == storage.FlatEdgesFile, wal.IsSegmentName(name):
+		default:
+			t.Errorf("%s left in the directory after an inline compaction", name)
+		}
+	}
+	man, err := storage.ReadManifest(dir)
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	if len(man.Entries) != 2 {
+		t.Errorf("manifest lists %d files, want the 2 flat ones", len(man.Entries))
+	}
+
+	served := s.graphs["fig1"].state.Load().graph
+	s.Drain() // releases the log the offline compaction opens
+	ctx := dataflow.NewContext(dataflow.WithParallelism(2))
+	defer ctx.Close()
+	if _, err := storage.Compact(ctx, dir, nil, storage.SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	og, _, err := storage.Load(ctx, dir, storage.LoadOptions{Rep: core.RepOG})
+	if err != nil {
+		t.Fatalf("OG load after an offline compaction: %v", err)
+	}
+	if got, want := coalesceEncode(og), coalesceEncode(core.ToOG(served)); !bytes.Equal(got, want) {
+		t.Errorf("OG load after an offline compaction:\n%s\nwant ToOG of the served graph:\n%s", got, want)
 	}
 }
 

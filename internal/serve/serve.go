@@ -65,7 +65,9 @@
 // must not run against a live server. After Config.CompactAfter
 // appended records, the server folds the WAL tail into a fresh
 // columnar epoch (storage.Compact) inline, which resets the graph's
-// base stamp without reloading.
+// base stamp without reloading. The epoch holds only the flat layout
+// the server loads; an offline tgraph-cli -compact writes the nested
+// one again.
 //
 // The server reports to the process-wide obs registry:
 //
@@ -670,8 +672,9 @@ func (h *graphHandle) compactLocked(cache *qcache.Cache, parallelism int) error 
 	ctx := dataflow.NewContext(dataflow.WithParallelism(parallelism))
 	defer ctx.Close()
 	res, err := storage.Compact(ctx, h.dir, h.log, storage.SaveOptions{
-		FaultHook: storage.WriteHook(h.walOpts.Hook),
-		Reclaim:   h.reclaim,
+		SkipNested: true,
+		FaultHook:  storage.WriteHook(h.walOpts.Hook),
+		Reclaim:    h.reclaim,
 	})
 	if err != nil {
 		return err

@@ -38,6 +38,8 @@ var (
 //	storage.write.sync   — before fsync (temp file complete but unsynced)
 //	storage.write.rename — before the rename into place (temp file
 //	                       durable, final name still the old version)
+//	storage.write.remove — after a SkipNested save's MANIFEST commit,
+//	                       before it removes each old-epoch layout file
 type WriteHook func(site string) error
 
 // crashError marks an error injected by a WriteHook: the write path

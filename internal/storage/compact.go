@@ -53,6 +53,9 @@ type CompactResult struct {
 // twice. The fault site storage.wal.compact fires at entry;
 // SaveGraph's storage.write.* sites cover the commit window.
 //
+// With nothing to fold it still saves when the MANIFEST lacks a layout
+// opts writes: tgraph-cli -compact restores the nested layout.
+//
 // With opts.Reclaim set, the replaced files and retired segments are
 // held rather than freed, and Compact settles the Reclaimer when it
 // returns, so the caller does not wait for the frees.
@@ -76,13 +79,15 @@ func Compact(ctx *dataflow.Context, dir string, l *wal.Log, opts SaveOptions) (C
 
 	var subsumed uint64
 	var stamp string
+	stored := true // the directory holds every layout this save writes
 	if man, err := ReadManifest(dir); err == nil && man != nil {
 		subsumed, stamp = man.WALSeq, man.BaseStamp()
+		stored = opts.SkipNested || man.Entry(NestedVerticesFile) != nil
 	}
-	if walSeq <= subsumed {
-		// Nothing new to fold; just retire leftover subsumed segments
-		// (e.g. after a crash between a previous compaction's commit and
-		// its retirement step).
+	if walSeq <= subsumed && stored {
+		// Nothing new to fold and no layout to restore; just retire
+		// leftover subsumed segments (e.g. after a crash between a
+		// previous compaction's commit and its retirement step).
 		retired, err := l.RetireThrough(subsumed)
 		if err != nil {
 			return CompactResult{WALSeq: subsumed, Stamp: stamp}, fmt.Errorf("storage: compact %s: %w", dir, err)

@@ -32,6 +32,7 @@
 package storage
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -63,20 +64,6 @@ func (s SortOrder) String() string {
 		return "structural"
 	}
 	return "temporal"
-}
-
-// putUvarint appends x as an unsigned varint.
-func putUvarint(buf []byte, x uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	return append(buf, tmp[:n]...)
-}
-
-// putVarint appends x as a zig-zag signed varint.
-func putVarint(buf []byte, x int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], x)
-	return append(buf, tmp[:n]...)
 }
 
 // byteReader consumes varints and length-prefixed byte runs from a
@@ -124,27 +111,22 @@ func (r *byteReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// encodeDeltaInts encodes ints as zig-zag deltas (first value absolute).
-func encodeDeltaInts(vals []int64) []byte {
-	buf := make([]byte, 0, len(vals))
+// appendDeltaInts appends field of every row to buf as zig-zag delta
+// varints (first value absolute).
+func appendDeltaInts[R any](buf []byte, rows []R, field func(*R) int64) []byte {
 	prev := int64(0)
-	for _, v := range vals {
-		buf = putVarint(buf, v-prev)
+	for i := range rows {
+		v := field(&rows[i])
+		buf = binary.AppendVarint(buf, v-prev)
 		prev = v
 	}
 	return buf
 }
 
-// decodeDeltaInts decodes n zig-zag delta varints into a fresh slice.
-func decodeDeltaInts(data []byte, n int) ([]int64, error) {
-	return decodeDeltaIntsInto(make([]int64, n), data)
-}
-
-// decodeDeltaIntsInto decodes len(out) zig-zag delta varints into out,
-// the allocation-free primitive behind decodeDeltaInts: the scan
-// engine's pooled scratch buffers (scan.go) pass reused columns here so
-// steady-state chunk decoding allocates nothing for its integer
-// columns.
+// decodeDeltaIntsInto decodes len(out) zig-zag delta varints into out:
+// the scan engine's pooled scratch buffers (scan.go) pass reused
+// columns here so steady-state chunk decoding allocates nothing for its
+// integer columns.
 func decodeDeltaIntsInto(out []int64, data []byte) ([]int64, error) {
 	r := &byteReader{buf: data}
 	prev := int64(0)
@@ -162,9 +144,20 @@ func decodeDeltaIntsInto(out []int64, data []byte) ([]int64, error) {
 // chunkKeyDict is the per-chunk key dictionary built while encoding a
 // chunk: the sorted distinct property labels of the chunk's rows, plus
 // the interned-Key -> dictionary-index mapping used to encode blobs.
+// fields and blob are scratch appendProps and appendHistory reuse
+// across the chunk's rows.
 type chunkKeyDict struct {
-	names []string
-	idx   map[props.Key]int
+	names  []string
+	idx    map[props.Key]int
+	fields []encField
+	blob   []byte
+}
+
+// encField is one property of the blob appendProps is encoding.
+type encField struct {
+	idx     int
+	kind    props.Kind
+	payload string
 }
 
 // buildKeyDict collects the distinct property labels of a batch of
@@ -191,18 +184,18 @@ func buildKeyDict(sets func(func(props.Props))) chunkKeyDict {
 	return d
 }
 
-// encodeKeyTable serialises the dictionary as a chunk column: count,
+// appendKeyTable appends the dictionary as a chunk column: count,
 // then per label (len, bytes).
-func encodeKeyTable(d chunkKeyDict) []byte {
-	buf := putUvarint(nil, uint64(len(d.names)))
+func appendKeyTable(buf []byte, d *chunkKeyDict) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(d.names)))
 	for _, name := range d.names {
-		buf = putUvarint(buf, uint64(len(name)))
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
 	}
 	return buf
 }
 
-// decodeKeyTable reverses encodeKeyTable, interning every label once
+// decodeKeyTable reverses appendKeyTable, interning every label once
 // per chunk so row decoding is pure index work.
 func decodeKeyTable(data []byte) ([]props.Key, error) {
 	r := &byteReader{buf: data}
@@ -225,21 +218,14 @@ func decodeKeyTable(data []byte) ([]props.Key, error) {
 	return keys, nil
 }
 
-// encodeProps serialises a property set against a chunk key dictionary:
-// count, then per field (key dictionary index, kind, len, payload) in
-// index order. With the dictionary name-sorted, the encoding is
-// deterministic across processes.
-func encodeProps(p props.Props, d chunkKeyDict) []byte {
-	buf := putUvarint(nil, uint64(p.Len()))
-	if p.Len() == 0 {
-		return buf
-	}
-	type encField struct {
-		idx     int
-		kind    props.Kind
-		payload string
-	}
-	fields := make([]encField, 0, p.Len())
+// appendProps appends p's blob, encoded against the chunk key
+// dictionary d, to buf: count, then per field (key dictionary index,
+// kind, len, payload) in index order. With the dictionary name-sorted,
+// the encoding is deterministic across processes. The fields are
+// sorted in d's scratch, which every row of the chunk reuses.
+func appendProps(buf []byte, p props.Props, d *chunkKeyDict) []byte {
+	buf = binary.AppendUvarint(buf, uint64(p.Len()))
+	fields := d.fields[:0]
 	p.Range(func(k props.Key, v props.Value) bool {
 		kind, payload := v.Encode()
 		fields = append(fields, encField{idx: d.idx[k], kind: kind, payload: payload})
@@ -247,11 +233,12 @@ func encodeProps(p props.Props, d chunkKeyDict) []byte {
 	})
 	slices.SortFunc(fields, func(a, b encField) int { return cmp.Compare(a.idx, b.idx) })
 	for _, f := range fields {
-		buf = putUvarint(buf, uint64(f.idx))
-		buf = putUvarint(buf, uint64(f.kind))
-		buf = putUvarint(buf, uint64(len(f.payload)))
+		buf = binary.AppendUvarint(buf, uint64(f.idx))
+		buf = binary.AppendUvarint(buf, uint64(f.kind))
+		buf = binary.AppendUvarint(buf, uint64(len(f.payload)))
 		buf = append(buf, f.payload...)
 	}
+	d.fields = fields
 	return buf
 }
 
@@ -297,41 +284,34 @@ func decodeProps(data []byte, keys []props.Key) (props.Props, error) {
 	return b.Build(), nil
 }
 
-// dictEncode dictionary-encodes byte strings: returns the dictionary
-// (unique values, first-seen order... sorted for determinism) and the
-// per-row indexes.
-func dictEncode(rows [][]byte) (dict [][]byte, idx []uint64) {
-	seen := make(map[string]int)
-	var uniq []string
-	for _, r := range rows {
-		s := string(r)
-		if _, ok := seen[s]; !ok {
-			seen[s] = 0
-			uniq = append(uniq, s)
+// appendDictColumn appends vals as a dictionary-encoded column: the
+// count and the distinct values in byte order (length-prefixed), then
+// each row's index into them. It sorts row numbers by value rather than
+// hashing copies of the values, so vals may be slices of one shared
+// buffer.
+func appendDictColumn(buf []byte, vals [][]byte) []byte {
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(vals[a], vals[b]) })
+	rank := make([]uint64, len(vals))
+	distinct := 0
+	for k, i := range order {
+		if k == 0 || !bytes.Equal(vals[order[k-1]], vals[i]) {
+			distinct++
+		}
+		rank[i] = uint64(distinct - 1)
+	}
+	buf = binary.AppendUvarint(buf, uint64(distinct))
+	for k, i := range order {
+		if k == 0 || rank[i] != rank[order[k-1]] {
+			buf = binary.AppendUvarint(buf, uint64(len(vals[i])))
+			buf = append(buf, vals[i]...)
 		}
 	}
-	sort.Strings(uniq)
-	for i, s := range uniq {
-		seen[s] = i
-		dict = append(dict, []byte(s))
-	}
-	idx = make([]uint64, len(rows))
-	for i, r := range rows {
-		idx[i] = uint64(seen[string(r)])
-	}
-	return dict, idx
-}
-
-// encodeDictColumn serialises a dictionary-encoded column.
-func encodeDictColumn(rows [][]byte) []byte {
-	dict, idx := dictEncode(rows)
-	buf := putUvarint(nil, uint64(len(dict)))
-	for _, d := range dict {
-		buf = putUvarint(buf, uint64(len(d)))
-		buf = append(buf, d...)
-	}
-	for _, i := range idx {
-		buf = putUvarint(buf, i)
+	for _, r := range rank {
+		buf = binary.AppendUvarint(buf, r)
 	}
 	return buf
 }

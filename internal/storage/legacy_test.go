@@ -25,14 +25,14 @@ import (
 // layout: count, then per field (key len, key, kind, payload len,
 // payload), label-sorted.
 func legacyEncodeProps(p props.Props) []byte {
-	buf := putUvarint(nil, uint64(p.Len()))
+	buf := binary.AppendUvarint(nil, uint64(p.Len()))
 	for _, k := range p.Keys() {
 		v, _ := p.Get(k)
 		kind, payload := v.Encode()
-		buf = putUvarint(buf, uint64(len(k)))
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
-		buf = putUvarint(buf, uint64(kind))
-		buf = putUvarint(buf, uint64(len(payload)))
+		buf = binary.AppendUvarint(buf, uint64(kind))
+		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
 	return buf
@@ -66,12 +66,12 @@ func legacyEncodeChunk(rows []row) ([]byte, chunkMeta) {
 		}
 	}
 	cols := [][]byte{
-		encodeDeltaInts(ids),
-		encodeDeltaInts(srcs),
-		encodeDeltaInts(dsts),
-		encodeDeltaInts(starts),
-		encodeDeltaInts(ends),
-		encodeDictColumn(pb),
+		appendDeltaInts(nil, ids, deref),
+		appendDeltaInts(nil, srcs, deref),
+		appendDeltaInts(nil, dsts, deref),
+		appendDeltaInts(nil, starts, deref),
+		appendDeltaInts(nil, ends, deref),
+		appendDictColumn(nil, pb),
 	}
 	var data []byte
 	for _, c := range cols {
@@ -104,12 +104,12 @@ func legacyWritePGC(t *testing.T, path, kind string, rows []row, order SortOrder
 // legacyEncodeHistory serialises a history array with inline-key
 // property blobs.
 func legacyEncodeHistory(h []core.HistoryItem) []byte {
-	buf := putUvarint(nil, uint64(len(h)))
+	buf := binary.AppendUvarint(nil, uint64(len(h)))
 	for _, it := range h {
-		buf = putVarint(buf, int64(it.Interval.Start))
-		buf = putVarint(buf, int64(it.Interval.End))
+		buf = binary.AppendVarint(buf, int64(it.Interval.Start))
+		buf = binary.AppendVarint(buf, int64(it.Interval.End))
 		pb := legacyEncodeProps(it.Props)
-		buf = putUvarint(buf, uint64(len(pb)))
+		buf = binary.AppendUvarint(buf, uint64(len(pb)))
 		buf = append(buf, pb...)
 	}
 	return buf
@@ -129,7 +129,7 @@ func legacyEncodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
 	for i, r := range rows {
 		ids[i], srcs[i], dsts[i], firsts[i], lasts[i] = r.id, r.src, r.dst, r.firstStart, r.lastEnd
 		h := legacyEncodeHistory(r.hist)
-		hcol = putUvarint(hcol, uint64(len(h)))
+		hcol = binary.AppendUvarint(hcol, uint64(len(h)))
 		hcol = append(hcol, h...)
 		if i == 0 {
 			meta.MinFirstStart, meta.MaxFirstStart = r.firstStart, r.firstStart
@@ -142,8 +142,8 @@ func legacyEncodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
 		}
 	}
 	cols := [][]byte{
-		encodeDeltaInts(ids), encodeDeltaInts(srcs), encodeDeltaInts(dsts),
-		encodeDeltaInts(firsts), encodeDeltaInts(lasts), hcol,
+		appendDeltaInts(nil, ids, deref), appendDeltaInts(nil, srcs, deref), appendDeltaInts(nil, dsts, deref),
+		appendDeltaInts(nil, firsts, deref), appendDeltaInts(nil, lasts, deref), hcol,
 	}
 	var data []byte
 	for _, c := range cols {

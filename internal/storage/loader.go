@@ -14,8 +14,9 @@ import (
 // File names inside a graph directory. The flat layout serves VE and
 // RG; the nested layout serves OG and OGC (the paper found converting
 // nested files at load time significantly faster than re-grouping flat
-// ones). The MANIFEST commit record (manifest.go) makes the directory
-// crash-consistent as a whole.
+// ones). A server's inline compaction stores only the flat layout
+// (SkipNested). The MANIFEST commit record (manifest.go) lists the
+// stored files and makes the directory crash-consistent as a whole.
 const (
 	FlatVerticesFile   = "vertices.pgc"
 	FlatEdgesFile      = "edges.pgc"
@@ -32,7 +33,10 @@ type SaveOptions struct {
 	FlatOrder SortOrder
 	// ChunkRows overrides the zone-map granularity.
 	ChunkRows int
-	// SkipNested omits the nested files.
+	// SkipNested writes the flat layout only: once the MANIFEST commits,
+	// the save removes the nested files an earlier save left, and Load
+	// of OG or OGC returns ErrLayoutNotStored until a save without it
+	// (tgraph-cli -compact) writes them again.
 	SkipNested bool
 	// FaultHook is the write-path crash-injection point (see WriteHook);
 	// nil in production.
@@ -141,7 +145,10 @@ func saveGraph(dir string, g core.TGraph, opts SaveOptions) (stamp string, err e
 		staged = staged[1:]
 	}
 	opts.Reclaim.Hold(filepath.Join(dir, ManifestFile))
-	return writeManifest(dir, entries, walSeq, opts.FaultHook)
+	if stamp, err = writeManifest(dir, entries, walSeq, opts.FaultHook); err == nil {
+		_, err = removeUnlisted(dir, &Manifest{Entries: entries}, opts.FaultHook, opts.Reclaim)
+	}
+	return stamp, err
 }
 
 // LoadOptions configures the GraphLoader.
@@ -179,15 +186,16 @@ func (o LoadOptions) readOptions() ReadOptions {
 	return ReadOptions{Range: o.Range, Permissive: o.Permissive, ChunkHook: o.ChunkHook, Scan: o.Scan}
 }
 
-// repFiles returns the directory files a representation loads from.
-func repFiles(rep core.Representation) ([]string, error) {
+// repFiles returns the layout a representation loads from and its
+// files.
+func repFiles(rep core.Representation) (string, []string, error) {
 	switch rep {
 	case core.RepVE, core.RepRG:
-		return []string{FlatVerticesFile, FlatEdgesFile}, nil
+		return "flat", []string{FlatVerticesFile, FlatEdgesFile}, nil
 	case core.RepOG, core.RepOGC:
-		return []string{NestedVerticesFile, NestedEdgesFile}, nil
+		return "nested", []string{NestedVerticesFile, NestedEdgesFile}, nil
 	default:
-		return nil, fmt.Errorf("storage: cannot load representation %v", rep)
+		return "", nil, fmt.Errorf("storage: cannot load representation %v", rep)
 	}
 }
 
@@ -198,8 +206,8 @@ func repFiles(rep core.Representation) ([]string, error) {
 // a torn or mismatched manifest (counted in storage.manifest_mismatches
 // and, on success, storage.recovered_saves). A missing manifest is
 // ErrIncompleteSave under strict loads and a silent legacy fallback
-// under Permissive ones.
-func checkManifest(dir string, need []string, permissive bool) (man *Manifest, degraded bool, err error) {
+// under Permissive ones. An unlisted layout is ErrLayoutNotStored.
+func checkManifest(dir, layout string, need []string, permissive bool) (man *Manifest, degraded bool, err error) {
 	man, manErr := ReadManifest(dir)
 	if manErr != nil {
 		obsManifestMismatches.Add(1)
@@ -218,11 +226,10 @@ func checkManifest(dir string, need []string, permissive bool) (man *Manifest, d
 	for _, name := range need {
 		ent := man.Entry(name)
 		if ent == nil {
-			err = fmt.Errorf("storage: %s/%s not committed by the manifest: %w", dir, name, ErrManifestMismatch)
-		} else {
-			err = checkEntry(dir, *ent)
+			return man, false, fmt.Errorf("storage: %s stores no %s layout (its %s does not list %s; tgraph-cli -compact writes every layout): %w",
+				dir, layout, ManifestFile, name, ErrLayoutNotStored)
 		}
-		if err != nil {
+		if err = checkEntry(dir, *ent); err != nil {
 			obsManifestMismatches.Add(1)
 			if !permissive {
 				return man, false, err
@@ -271,11 +278,11 @@ func replayWAL(dir string, afterSeq uint64, opts LoadOptions) (deltas []wal.Delt
 // the committed files, so a load always observes every acked append —
 // and replaying the same directory twice observes them exactly once.
 func Load(ctx *dataflow.Context, dir string, opts LoadOptions) (core.TGraph, ScanStats, error) {
-	need, err := repFiles(opts.Rep)
+	layout, need, err := repFiles(opts.Rep)
 	if err != nil {
 		return nil, ScanStats{}, err
 	}
-	man, degraded, err := checkManifest(dir, need, opts.Permissive)
+	man, degraded, err := checkManifest(dir, layout, need, opts.Permissive)
 	if err != nil {
 		return nil, ScanStats{}, err
 	}

@@ -60,6 +60,10 @@ var (
 	// data files and committing the manifest, or the files were damaged
 	// after commit.
 	ErrManifestMismatch = errors.New("storage: manifest mismatch")
+	// ErrLayoutNotStored marks a load, strict or Permissive, of a layout
+	// a valid manifest does not list (a SaveOptions.SkipNested save): any
+	// such files on disk miss the WAL records the manifest folded.
+	ErrLayoutNotStored = errors.New("storage: layout not stored")
 )
 
 // ManifestEntry describes one committed file.
@@ -481,6 +485,32 @@ func VerifyDir(dir string) (VerifyReport, error) {
 	return rep, nil
 }
 
+// removeUnlisted removes, after handing each to r, the layout files in
+// dir that m does not list (a SkipNested save's old nested files, an
+// aborted save's orphans), fsyncs dir if it removed any, and returns
+// their names.
+func removeUnlisted(dir string, m *Manifest, hook WriteHook, r *Reclaimer) ([]string, error) {
+	var removed []string
+	for _, name := range layoutFiles {
+		path := filepath.Join(dir, name)
+		if _, err := os.Stat(path); err != nil || m.Entry(name) != nil {
+			continue
+		}
+		if err := hook.fire("storage.write.remove"); err != nil {
+			return removed, err
+		}
+		r.Hold(path)
+		if err := os.Remove(path); err != nil {
+			return removed, fmt.Errorf("storage: remove %s: %w", path, err)
+		}
+		removed = append(removed, name)
+	}
+	if len(removed) == 0 {
+		return nil, nil
+	}
+	return removed, syncDir(dir)
+}
+
 // RepairDir makes a damaged graph directory loadable again without
 // destroying committed data or evidence:
 //
@@ -510,17 +540,10 @@ func RepairDir(dir string) ([]string, error) {
 	}
 	man, manErr := ReadManifest(dir)
 	if manErr == nil && man != nil {
-		for _, name := range layoutFiles {
-			if man.Entry(name) != nil {
-				continue
-			}
-			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-				continue
-			}
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return removed, fmt.Errorf("storage: repair %s: %w", dir, err)
-			}
-			removed = append(removed, name)
+		orphans, err := removeUnlisted(dir, man, nil, nil)
+		removed = append(removed, orphans...)
+		if err != nil {
+			return removed, fmt.Errorf("storage: repair %s: %w", dir, err)
 		}
 	}
 

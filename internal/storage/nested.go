@@ -58,22 +58,22 @@ type nestedFooter struct {
 	Chunks    []nestedChunkMeta `json:"chunks"`
 }
 
-// encodeHistory serialises a history array: count, then per item
+// appendHistory appends a history array to buf: count, then per item
 // (start, end, propsLen, props). Property blobs reference the chunk key
-// dictionary d.
-func encodeHistory(h []core.HistoryItem, d chunkKeyDict) []byte {
-	buf := putUvarint(nil, uint64(len(h)))
+// dictionary d and are staged in its scratch.
+func appendHistory(buf []byte, h []core.HistoryItem, d *chunkKeyDict) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(h)))
 	for _, it := range h {
-		buf = putVarint(buf, int64(it.Interval.Start))
-		buf = putVarint(buf, int64(it.Interval.End))
-		pb := encodeProps(it.Props, d)
-		buf = putUvarint(buf, uint64(len(pb)))
-		buf = append(buf, pb...)
+		buf = binary.AppendVarint(buf, int64(it.Interval.Start))
+		buf = binary.AppendVarint(buf, int64(it.Interval.End))
+		d.blob = appendProps(d.blob[:0], it.Props, d)
+		buf = binary.AppendUvarint(buf, uint64(len(d.blob)))
+		buf = append(buf, d.blob...)
 	}
 	return buf
 }
 
-// decodeHistory reverses encodeHistory. keys is the chunk's decoded key
+// decodeHistory reverses appendHistory. keys is the chunk's decoded key
 // table.
 func decodeHistory(data []byte, keys []props.Key) ([]core.HistoryItem, error) {
 	r := &byteReader{buf: data}
@@ -180,9 +180,11 @@ func encodeNested(w io.Writer, kind string, rows []nestedRow, opts WriteOptions)
 	}
 	offset := int64(len(nestedMagic))
 	footer := nestedFooter{Version: 2, Kind: kind, RowCount: len(rows), ChunkRows: opts.chunkRows()}
+	var data []byte
 	for lo := 0; lo < len(rows); lo += footer.ChunkRows {
 		hi := min(lo+footer.ChunkRows, len(rows))
-		data, meta := encodeNestedChunk(rows[lo:hi])
+		var meta nestedChunkMeta
+		data, meta = encodeNestedChunk(data, rows[lo:hi])
 		meta.Offset = offset
 		if _, err := w.Write(data); err != nil {
 			return err
@@ -205,8 +207,9 @@ func encodeNested(w io.Writer, kind string, rows []nestedRow, opts WriteOptions)
 	return err
 }
 
-func encodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
-	n := len(rows)
+// encodeNestedChunk lays out a nested chunk column by column in
+// buf[:0], as encodeChunk does a flat one.
+func encodeNestedChunk(buf []byte, rows []nestedRow) ([]byte, nestedChunkMeta) {
 	dict := buildKeyDict(func(yield func(props.Props)) {
 		for _, r := range rows {
 			for _, it := range r.hist {
@@ -214,16 +217,8 @@ func encodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
 			}
 		}
 	})
-	ids := make([]int64, n)
-	srcs := make([]int64, n)
-	dsts := make([]int64, n)
-	firsts := make([]int64, n)
-	lasts := make([]int64, n)
-	hists := make([][]byte, n)
-	meta := nestedChunkMeta{Rows: n}
+	meta := nestedChunkMeta{Rows: len(rows), ColLens: make([]int, 0, 7)}
 	for i, r := range rows {
-		ids[i], srcs[i], dsts[i], firsts[i], lasts[i] = r.id, r.src, r.dst, r.firstStart, r.lastEnd
-		hists[i] = encodeHistory(r.hist, dict)
 		if i == 0 {
 			meta.MinFirstStart, meta.MaxFirstStart = r.firstStart, r.firstStart
 			meta.MinLastEnd, meta.MaxLastEnd = r.lastEnd, r.lastEnd
@@ -234,23 +229,27 @@ func encodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
 			meta.MaxLastEnd = max(meta.MaxLastEnd, r.lastEnd)
 		}
 	}
+	at := 0
+	col := func(data []byte) []byte {
+		meta.ColLens = append(meta.ColLens, len(data)-at)
+		at = len(data)
+		return data
+	}
+	data := col(appendDeltaInts(buf[:0], rows, func(r *nestedRow) int64 { return r.id }))
+	data = col(appendDeltaInts(data, rows, func(r *nestedRow) int64 { return r.src }))
+	data = col(appendDeltaInts(data, rows, func(r *nestedRow) int64 { return r.dst }))
+	data = col(appendDeltaInts(data, rows, func(r *nestedRow) int64 { return r.firstStart }))
+	data = col(appendDeltaInts(data, rows, func(r *nestedRow) int64 { return r.lastEnd }))
 	// History is stored plain length-prefixed (histories are unique per
 	// entity; dictionary encoding would not pay off).
-	var hcol []byte
-	for _, h := range hists {
-		hcol = putUvarint(hcol, uint64(len(h)))
-		hcol = append(hcol, h...)
+	var hist []byte
+	for _, r := range rows {
+		hist = appendHistory(hist[:0], r.hist, &dict)
+		data = binary.AppendUvarint(data, uint64(len(hist)))
+		data = append(data, hist...)
 	}
-	cols := [][]byte{
-		encodeDeltaInts(ids), encodeDeltaInts(srcs), encodeDeltaInts(dsts),
-		encodeDeltaInts(firsts), encodeDeltaInts(lasts), hcol,
-		encodeKeyTable(dict),
-	}
-	var data []byte
-	for _, c := range cols {
-		meta.ColLens = append(meta.ColLens, len(c))
-		data = append(data, c...)
-	}
+	data = col(data)
+	data = col(appendKeyTable(data, &dict))
 	meta.Length = len(data)
 	meta.CRC = crc32.ChecksumIEEE(data)
 	return data, meta

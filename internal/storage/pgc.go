@@ -215,10 +215,11 @@ func encodePGC(w io.Writer, kind string, rows []row, opts WriteOptions) error {
 		ChunkRows: opts.chunkRows(),
 		SortOrder: opts.Order.String(),
 	}
+	var data []byte
 	for lo := 0; lo < len(rows); lo += footer.ChunkRows {
 		hi := min(lo+footer.ChunkRows, len(rows))
-		chunk := rows[lo:hi]
-		data, meta := encodeChunk(chunk)
+		var meta chunkMeta
+		data, meta = encodeChunk(data, rows[lo:hi])
 		meta.Offset = offset
 		if _, err := w.Write(data); err != nil {
 			return err
@@ -244,26 +245,25 @@ func encodePGC(w io.Writer, kind string, rows []row, opts WriteOptions) error {
 	return err
 }
 
-// encodeChunk lays out a chunk column-by-column and computes its zone
-// map. Property blobs reference the chunk's key dictionary, appended as
-// the seventh column.
-func encodeChunk(rows []row) ([]byte, chunkMeta) {
-	n := len(rows)
+// encodeChunk lays out a chunk column-by-column in buf[:0] and computes
+// its zone map. Property blobs reference the chunk's key dictionary,
+// appended as the seventh column; they share one buffer, so a chunk's
+// allocations do not grow with its rows.
+func encodeChunk(buf []byte, rows []row) ([]byte, chunkMeta) {
 	dict := buildKeyDict(func(yield func(props.Props)) {
 		for _, r := range rows {
 			yield(r.p)
 		}
 	})
-	ids := make([]int64, n)
-	srcs := make([]int64, n)
-	dsts := make([]int64, n)
-	starts := make([]int64, n)
-	ends := make([]int64, n)
-	pb := make([][]byte, n)
-	meta := chunkMeta{Rows: n}
+	meta := chunkMeta{Rows: len(rows), ColLens: make([]int, 0, 7)}
+	var blobs []byte
+	vals := make([][]byte, len(rows))
 	for i, r := range rows {
-		ids[i], srcs[i], dsts[i], starts[i], ends[i] = r.id, r.src, r.dst, r.start, r.end
-		pb[i] = encodeProps(r.p, dict)
+		// A later append may move blobs, but it never rewrites the bytes
+		// an earlier row's slice points at.
+		at := len(blobs)
+		blobs = appendProps(blobs, r.p, &dict)
+		vals[i] = blobs[at:]
 		if i == 0 {
 			meta.MinStart, meta.MaxStart = r.start, r.start
 			meta.MinEnd, meta.MaxEnd = r.end, r.end
@@ -277,20 +277,19 @@ func encodeChunk(rows []row) ([]byte, chunkMeta) {
 			meta.MaxID = max(meta.MaxID, r.id)
 		}
 	}
-	cols := [][]byte{
-		encodeDeltaInts(ids),
-		encodeDeltaInts(srcs),
-		encodeDeltaInts(dsts),
-		encodeDeltaInts(starts),
-		encodeDeltaInts(ends),
-		encodeDictColumn(pb),
-		encodeKeyTable(dict),
+	at := 0
+	col := func(data []byte) []byte {
+		meta.ColLens = append(meta.ColLens, len(data)-at)
+		at = len(data)
+		return data
 	}
-	var data []byte
-	for _, c := range cols {
-		meta.ColLens = append(meta.ColLens, len(c))
-		data = append(data, c...)
-	}
+	data := col(appendDeltaInts(buf[:0], rows, func(r *row) int64 { return r.id }))
+	data = col(appendDeltaInts(data, rows, func(r *row) int64 { return r.src }))
+	data = col(appendDeltaInts(data, rows, func(r *row) int64 { return r.dst }))
+	data = col(appendDeltaInts(data, rows, func(r *row) int64 { return r.start }))
+	data = col(appendDeltaInts(data, rows, func(r *row) int64 { return r.end }))
+	data = col(appendDictColumn(data, vals))
+	data = col(appendKeyTable(data, &dict))
 	meta.Length = len(data)
 	meta.CRC = crc32.ChecksumIEEE(data)
 	return data, meta

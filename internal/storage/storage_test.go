@@ -350,14 +350,14 @@ func TestPropsCodecRoundTrip(t *testing.T) {
 		}
 		p := b.Build()
 		dict := buildKeyDict(func(yield func(props.Props)) { yield(p) })
-		keys, err := decodeKeyTable(encodeKeyTable(dict))
+		keys, err := decodeKeyTable(appendKeyTable(nil, &dict))
 		if err != nil {
 			return false
 		}
 		if keys == nil {
 			keys = []props.Key{}
 		}
-		got, err := decodeProps(encodeProps(p, dict), keys)
+		got, err := decodeProps(appendProps(nil, p, &dict), keys)
 		if err != nil {
 			return false
 		}
@@ -378,7 +378,7 @@ func randString(r *rand.Rand) string {
 
 func TestDeltaIntsRoundTrip(t *testing.T) {
 	f := func(vals []int64) bool {
-		got, err := decodeDeltaInts(encodeDeltaInts(vals), len(vals))
+		got, err := decodeDeltaIntsInto(make([]int64, len(vals)), appendDeltaInts(nil, vals, deref))
 		if err != nil {
 			return false
 		}
@@ -396,6 +396,9 @@ func TestDeltaIntsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// deref reads an integer column's value straight from a []int64.
+func deref(v *int64) int64 { return *v }
 
 func TestSortOrderString(t *testing.T) {
 	if SortTemporal.String() != "temporal" || SortStructural.String() != "structural" {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/faults"
 	"repro/internal/props"
 	"repro/internal/storage/wal"
@@ -234,72 +235,160 @@ func TestCompactFoldsTailAndIsIdempotent(t *testing.T) {
 	}
 }
 
+// A flat-only compaction removes the old epoch's nested files once its
+// MANIFEST commits, and a load of OG or OGC then fails with the typed
+// ErrLayoutNotStored, strict or Permissive, instead of reading files
+// that miss the folded records. An offline compaction with default
+// options writes the layout again.
+func TestLayoutNotStoredIsTyped(t *testing.T) {
+	ctx := testCtx()
+	dir := t.TempDir()
+	saveSample(t, dir, 30)
+	appendSample(t, dir, 4)
+	if _, err := Compact(ctx, dir, nil, SaveOptions{ChunkRows: 32, SkipNested: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{NestedVerticesFile, NestedEdgesFile} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s after a flat-only compaction: stat err = %v, want not-exist", name, err)
+		}
+	}
+	ve, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range []core.Representation{core.RepOG, core.RepOGC} {
+		for _, permissive := range []bool{false, true} {
+			_, _, err := Load(ctx, dir, LoadOptions{Rep: rep, Permissive: permissive})
+			if !errors.Is(err, ErrLayoutNotStored) {
+				t.Fatalf("%v load (permissive=%v): err = %v, want ErrLayoutNotStored", rep, permissive, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "nested") || !strings.Contains(msg, "tgraph-cli -compact") {
+				t.Errorf("error %q names neither the layout nor the fix", msg)
+			}
+		}
+	}
+	if _, err := Compact(ctx, dir, nil, SaveOptions{ChunkRows: 32}); err != nil {
+		t.Fatal(err)
+	}
+	og, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepOG})
+	if err != nil {
+		t.Fatalf("OG load after a full compaction: %v", err)
+	}
+	if !equalStrings(flatKeys(og), flatKeys(ve)) {
+		t.Error("the restored nested layout differs from the flat one")
+	}
+}
+
 // The compaction crash matrix: a crash at the compact entry site or at
 // any write site inside the SaveGraph commit window leaves a directory
-// that — after RepairDir — loads every acked record exactly once.
+// that — after RepairDir — loads every acked record exactly once. A
+// flat-only compaction runs the matrix too, plus its removal site: a
+// crash after its MANIFEST commit leaves the old nested files as
+// orphans, which VerifyDir reports and RepairDir removes, and the
+// nested layout then reads as not stored.
 func TestCrashCompactMatrix(t *testing.T) {
 	sites := []string{
 		"storage.wal.compact",
 		"storage.write.create", "storage.write.short",
 		"storage.write.sync", "storage.write.rename",
+		"storage.write.remove",
 	}
 	ctx := testCtx()
-	for _, site := range sites {
-		for every := 1; every <= 3; every++ {
-			t.Run(fmt.Sprintf("%s/every=%d", site, every), func(t *testing.T) {
-				dir := t.TempDir()
-				saveSample(t, dir, 20)
-				appendSample(t, dir, 4)
-				want := func() []string {
-					g, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return flatKeys(g)
-				}()
+	for _, flatOnly := range []bool{false, true} {
+		for _, site := range sites {
+			for every := 1; every <= 3; every++ {
+				name := fmt.Sprintf("%s/every=%d", site, every)
+				if flatOnly {
+					name = "flat-only/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					crashCompact(t, ctx, site, every, flatOnly)
+				})
+			}
+		}
+	}
+}
 
-				inj := faults.New(7+int64(every), faults.Rule{Site: site, Kind: faults.Crash, Every: every})
-				_, err := Compact(ctx, dir, nil, SaveOptions{ChunkRows: 32, FaultHook: inj.WriteHook()})
-				if err == nil {
-					// The rule never fired inside this compaction (cadence
-					// skipped every site); nothing to recover.
-					return
-				}
-				if !isCrash(err) && !wal.IsCrash(err) {
-					t.Fatalf("compact failed with a non-crash error: %v", err)
-				}
+func crashCompact(t *testing.T, ctx *dataflow.Context, site string, every int, flatOnly bool) {
+	dir := t.TempDir()
+	saveSample(t, dir, 20)
+	appendSample(t, dir, 4)
+	want := func() []string {
+		g, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return flatKeys(g)
+	}()
 
-				if _, err := RepairDir(dir); err != nil {
-					t.Fatalf("repair after crash: %v", err)
-				}
-				// No silent loss: every pre-crash state survives. A strict
-				// load succeeding means the commit never started or fully
-				// finished — then the state set must match exactly. A crash
-				// inside the commit window forces a degraded (Permissive)
-				// load, which reads renamed-but-uncommitted files best-effort
-				// and may observe a folded record twice — diagnosed, never
-				// lost.
-				g, _, strictErr := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
-				if strictErr != nil {
-					g, _, err = Load(ctx, dir, LoadOptions{Rep: core.RepVE, Permissive: true})
-					if err != nil {
-						t.Fatalf("load after crash+repair: %v", err)
-					}
-				}
-				got := make(map[string]bool)
-				for _, k := range flatKeys(g) {
-					got[k] = true
-				}
-				for _, k := range want {
-					if !got[k] {
-						t.Errorf("crash at %s lost acked state %s", site, k)
-					}
-				}
-				if strictErr == nil && len(got) != len(want) {
-					t.Errorf("clean recovery at %s changed the state set: %d states, want %d",
-						site, len(got), len(want))
-				}
-			})
+	inj := faults.New(7+int64(every), faults.Rule{Site: site, Kind: faults.Crash, Every: every})
+	_, err := Compact(ctx, dir, nil, SaveOptions{ChunkRows: 32, SkipNested: flatOnly, FaultHook: inj.WriteHook()})
+	if err == nil {
+		// The rule never fired inside this compaction (cadence skipped
+		// every site, or a full compaction removes nothing); nothing to
+		// recover.
+		return
+	}
+	if !isCrash(err) && !wal.IsCrash(err) {
+		t.Fatalf("compact failed with a non-crash error: %v", err)
+	}
+	if site == "storage.write.remove" {
+		rep, err := VerifyDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orphans := 0
+		for _, f := range rep.Files {
+			if f.Status == "orphan" {
+				orphans++
+			}
+		}
+		if orphans == 0 || rep.Clean {
+			t.Errorf("crash before a removal: VerifyDir reports %d orphans (clean=%v), want at least 1", orphans, rep.Clean)
+		}
+	}
+
+	if _, err := RepairDir(dir); err != nil {
+		t.Fatalf("repair after crash: %v", err)
+	}
+	// No silent loss: every pre-crash state survives. A strict load
+	// succeeding means the commit never started or fully finished — then
+	// the state set must match exactly. A crash inside the commit window
+	// forces a degraded (Permissive) load, which reads
+	// renamed-but-uncommitted files best-effort and may observe a folded
+	// record twice — diagnosed, never lost.
+	g, _, strictErr := Load(ctx, dir, LoadOptions{Rep: core.RepVE})
+	if strictErr != nil {
+		g, _, err = Load(ctx, dir, LoadOptions{Rep: core.RepVE, Permissive: true})
+		if err != nil {
+			t.Fatalf("load after crash+repair: %v", err)
+		}
+	}
+	got := make(map[string]bool)
+	for _, k := range flatKeys(g) {
+		got[k] = true
+	}
+	for _, k := range want {
+		if !got[k] {
+			t.Errorf("crash at %s lost acked state %s", site, k)
+		}
+	}
+	if strictErr == nil && len(got) != len(want) {
+		t.Errorf("clean recovery at %s changed the state set: %d states, want %d",
+			site, len(got), len(want))
+	}
+	if site == "storage.write.remove" {
+		if strictErr != nil {
+			t.Errorf("strict VE load after a crash past the commit: %v", strictErr)
+		}
+		for _, name := range []string{NestedVerticesFile, NestedEdgesFile} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				t.Errorf("repair left the orphan %s (stat err = %v)", name, err)
+			}
+		}
+		if _, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepOG, Permissive: true}); !errors.Is(err, ErrLayoutNotStored) {
+			t.Errorf("OG load after a crash past the commit: err = %v, want ErrLayoutNotStored", err)
 		}
 	}
 }
