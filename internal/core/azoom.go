@@ -24,13 +24,6 @@ type azVertexState struct {
 	Orig     props.Props
 }
 
-// azVertexGroupKey keys the identity-equivalence reduce: one output
-// state per (new id, elementary interval).
-type azVertexGroupKey struct {
-	NewID VertexID
-	Iv    temporal.Interval
-}
-
 // azVertexAcc accumulates one output vertex state.
 type azVertexAcc struct {
 	Base props.Props
@@ -61,11 +54,16 @@ func azoomVerticesDataflow(spec AZoomSpec, mapped *dataflow.Dataset[azVertexStat
 	return dataflow.FlatMap(groups, func(gr dataflow.Group[VertexID, azVertexState]) []VertexTuple {
 		// The group kernel is shared with incremental maintenance
 		// (internal/incr), which re-runs it per affected Skolem group.
-		states := make([]HistoryItem, len(gr.Values))
-		for i, s := range gr.Values {
-			states[i] = HistoryItem{Interval: s.Interval, Props: s.Orig}
+		// It does not keep its input, so the states are staged in its
+		// scratch.
+		sc := groupScratchPool.Get().(*groupScratch)
+		sc.hist = sc.hist[:0]
+		for _, s := range gr.Values {
+			sc.hist = append(sc.hist, HistoryItem{Interval: s.Interval, Props: s.Orig})
 		}
-		return AZoomGroup(spec, agg, gr.Key, states)
+		out := sc.azoomGroup(spec, agg, gr.Key, sc.hist)
+		groupScratchPool.Put(sc)
+		return out
 	})
 }
 

@@ -43,46 +43,27 @@ func MergeParallelEdges(g TGraph, newType string, agg props.AggSpec) (TGraph, er
 		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
 	})
 
+	bagg, sc := agg.Bind(), new(groupScratch)
+	k := bagg.Len()
 	var es []EdgeTuple
-	for _, k := range keys {
-		members := groups[k]
-		ivs := make([]temporal.Interval, len(members))
-		for i, e := range members {
-			ivs[i] = e.Interval
-		}
-		bounds := temporal.Boundaries(ivs)
-		type cell struct {
-			agg  props.AggState
-			base props.Props
-		}
-		cells := make(map[temporal.Interval]*cell)
-		var order []temporal.Interval
-		for _, e := range members {
-			for _, frag := range temporal.SplitBy(e.Interval, bounds) {
-				c, ok := cells[frag]
-				if !ok {
-					t := e.Props.Type()
-					if newType != "" {
-						t = newType
-					}
-					c = &cell{agg: agg.Init(e.Props), base: props.New(props.TypeKey, t)}
-					cells[frag] = c
-					order = append(order, frag)
-					continue
-				}
-				c.agg = agg.Merge(c.agg, agg.Init(e.Props))
-			}
-		}
-		temporal.SortIntervals(order)
-		h := mix64(uint64(k.src)) ^ mix64(uint64(k.dst)*0x9e3779b97f4a7c15)
+	for _, pk := range keys {
+		members := groups[pk]
+		foldSlots(sc, bagg, members, edgeIv, edgeProps)
+		h := mix64(uint64(pk.src)) ^ mix64(uint64(pk.dst)*0x9e3779b97f4a7c15)
 		id := EdgeID(int64(h &^ (1 << 63)))
-		for _, frag := range order {
-			c := cells[frag]
+		for j, f := range sc.first {
+			if f == 0 {
+				continue
+			}
+			t := newType
+			if t == "" {
+				t = members[f-1].Props.Type()
+			}
 			es = append(es, EdgeTuple{
 				ID:  id,
-				Src: k.src, Dst: k.dst,
-				Interval: frag,
-				Props:    agg.Result(c.base, c.agg),
+				Src: pk.src, Dst: pk.dst,
+				Interval: temporal.Interval{Start: sc.pts[j], End: sc.pts[j+1]},
+				Props:    bagg.Result(props.New(props.TypeKey, t), sc.acc[j*k:(j+1)*k]),
 			})
 		}
 	}

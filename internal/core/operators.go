@@ -223,44 +223,43 @@ func combineStates(left, right map[any][]temporal.Stated[sideState], kind setOpK
 	for k := range right {
 		keys[k] = struct{}{}
 	}
-	var out []keyedState
+	// Per slot, which sides are present; left's props are preferred.
+	type cell struct {
+		l, r  bool
+		props props.Props
+	}
+	var (
+		out   []keyedState
+		all   []temporal.Stated[sideState]
+		pts   []temporal.Time
+		cells []cell
+	)
 	for k := range keys {
-		ls, rs := left[k], right[k]
-		var all []temporal.Stated[sideState]
-		for _, s := range ls {
+		all = all[:0]
+		for _, s := range left[k] {
 			s.Value.left = true
 			all = append(all, s)
 		}
-		all = append(all, rs...)
-		aligned := temporal.Align(all)
-		// Per elementary interval, gather which sides are present.
-		type cell struct {
-			l, r     bool
-			props    props.Props // left's props preferred
-			hasProps bool
-		}
-		cells := make(map[temporal.Interval]*cell)
-		var order []temporal.Interval
-		for _, s := range aligned {
-			c, ok := cells[s.Interval]
-			if !ok {
-				c = &cell{}
-				cells[s.Interval] = c
-				order = append(order, s.Interval)
+		all = append(all, right[k]...)
+		pts = temporal.BoundariesOf(pts, all, func(s *temporal.Stated[sideState]) *temporal.Interval { return &s.Interval })
+		cells = zeroed(cells, max(len(pts)-1, 0))
+		for _, s := range all {
+			if s.Interval.IsEmpty() {
+				continue
 			}
-			if s.Value.left {
-				c.l = true
-				c.props, c.hasProps = s.Value.props, true
-			} else {
-				c.r = true
-				if !c.hasProps {
-					c.props, c.hasProps = s.Value.props, true
+			for j, _ := slices.BinarySearch(pts, s.Interval.Start); pts[j] < s.Interval.End; j++ {
+				c := &cells[j]
+				if s.Value.left || !c.l && !c.r {
+					c.props = s.Value.props
+				}
+				if s.Value.left {
+					c.l = true
+				} else {
+					c.r = true
 				}
 			}
 		}
-		temporal.SortIntervals(order)
-		for _, iv := range order {
-			c := cells[iv]
+		for j, c := range cells {
 			keep := false
 			switch kind {
 			case opUnion:
@@ -271,7 +270,7 @@ func combineStates(left, right map[any][]temporal.Stated[sideState], kind setOpK
 				keep = c.l && !c.r
 			}
 			if keep {
-				out = append(out, keyedState{key: k, iv: iv, props: c.props})
+				out = append(out, keyedState{key: k, iv: temporal.Interval{Start: pts[j], End: pts[j+1]}, props: c.props})
 			}
 		}
 	}

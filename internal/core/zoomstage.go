@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"sync"
 
 	"repro/internal/props"
 	"repro/internal/temporal"
@@ -33,45 +34,87 @@ import (
 // AZoomGroup reduces one Skolem group: given every input vertex state
 // mapped to the new identity newID, each with its original (pre-zoom)
 // property set, it aligns the states to the group's elementary
-// intervals and folds identity-equivalent states per elementary
-// interval with f_agg (Algorithm 2 lines 5-12). The output states are
-// sorted by interval and uncoalesced, matching the batch pipeline's
-// per-group output exactly.
+// intervals — the temporal splitter cuts every state at every boundary
+// point of the group — and folds the fragments that share an
+// elementary interval with f_agg (Algorithm 2 lines 5-12). The output
+// states are sorted by interval and uncoalesced, matching the batch
+// pipeline's per-group output exactly.
+//
+// It does so without materialising a fragment: foldSlots sweeps the
+// states over the group's sorted boundary points, and each output
+// state is one slot the states cover. Working memory is pooled; the
+// result costs one slice and one property set per output state.
 func AZoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []HistoryItem) []VertexTuple {
+	sc := groupScratchPool.Get().(*groupScratch)
+	out := sc.azoomGroup(spec, agg, newID, states)
+	groupScratchPool.Put(sc)
+	return out
+}
+
+// groupScratch is the working memory of foldSlots and, in the dataflow
+// pipeline, the staged states of one Skolem group.
+type groupScratch struct {
+	pts   []temporal.Time // the slot index: slot j is [pts[j], pts[j+1])
+	acc   props.AggState  // agg.Len() accumulators per slot
+	first []int           // per slot, 1 + the first covering state, or 0
+	hist  []HistoryItem
+}
+
+var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+func (sc *groupScratch) azoomGroup(spec AZoomSpec, agg props.BoundAgg, newID VertexID, states []HistoryItem) []VertexTuple {
 	if len(states) == 0 {
 		return nil
 	}
-	ivs := make([]temporal.Interval, len(states))
-	for i, s := range states {
-		ivs[i] = s.Interval
-	}
-	bounds := temporal.Boundaries(ivs)
+	hit := foldSlots(sc, agg, states, historyIv, historyProps)
 	// NewProps derives the new vertex's identifying properties from
 	// its Skolem identity, so one call covers the whole group.
 	base := spec.newProps(newID, states[0].Props)
-	type frag struct {
-		iv  temporal.Interval
-		agg props.AggState
-	}
-	idx := make(map[temporal.Interval]int)
-	var frags []frag
-	for _, s := range states {
-		for _, fr := range temporal.SplitBy(s.Interval, bounds) {
-			i, ok := idx[fr]
-			if !ok {
-				idx[fr] = len(frags)
-				frags = append(frags, frag{iv: fr, agg: agg.Init(s.Props)})
-				continue
-			}
-			agg.Accumulate(frags[i].agg, s.Props)
+	out := make([]VertexTuple, 0, hit)
+	k := agg.Len()
+	for j, f := range sc.first {
+		if f != 0 {
+			iv := temporal.Interval{Start: sc.pts[j], End: sc.pts[j+1]}
+			out = append(out, VertexTuple{ID: newID, Interval: iv, Props: agg.Result(base, sc.acc[j*k:(j+1)*k])})
 		}
 	}
-	slices.SortStableFunc(frags, func(a, b frag) int { return a.iv.Compare(b.iv) })
-	out := make([]VertexTuple, 0, len(frags))
-	for _, f := range frags {
-		out = append(out, VertexTuple{ID: newID, Interval: f.iv, Props: agg.Result(base, f.agg)})
-	}
 	return out
+}
+
+// foldSlots is the temporal splitter and f_agg of one group in one
+// sweep: it indexes the group's boundary points, then accumulates
+// every state, in input order, into each slot its interval covers —
+// so every slot folds in input order, and float sums keep their last
+// ulp. Accumulating into a zeroed accumulator is Init. It returns the
+// number of slots covered.
+func foldSlots[T any](sc *groupScratch, agg props.BoundAgg, states []T, iv func(*T) *temporal.Interval, p func(*T) props.Props) (hit int) {
+	sc.pts = temporal.BoundariesOf(sc.pts, states, iv)
+	n, k := max(len(sc.pts)-1, 0), agg.Len()
+	sc.acc, sc.first = zeroed(sc.acc, n*k), zeroed(sc.first, n)
+	for i := range states {
+		r := *iv(&states[i])
+		if r.IsEmpty() {
+			continue
+		}
+		for j, _ := slices.BinarySearch(sc.pts, r.Start); sc.pts[j] < r.End; j++ {
+			if sc.first[j] == 0 {
+				sc.first[j] = i + 1
+				hit++
+			}
+			agg.Accumulate(sc.acc[j*k:(j+1)*k], p(&states[i]))
+		}
+	}
+	return hit
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // redirectOne redirects a single (edge state, src state, dst state)

@@ -485,11 +485,13 @@ func (c *Context) finishJob(stage string, failed []*TaskError, cancelErr error, 
 }
 
 // runTasks executes fn(i) for i in [0, n) on the worker pool and blocks
-// until all complete. Cancellation of the bound context is checked
-// between task dispatches; failed tasks are retried per the retry
-// policy; if any task still fails, or tasks were skipped due to
-// cancellation, runTasks panics with a *JobError aggregating every
-// failure (recovered by Context.Run).
+// until all complete: min(parallelism, n) workers — the caller and
+// goroutines started for this job — claim partition numbers from one
+// counter. Cancellation of the bound context is checked before each
+// claim; failed tasks are retried per the retry policy; if any task
+// still fails, or tasks were skipped due to cancellation, runTasks
+// panics with a *JobError aggregating every failure (recovered by
+// Context.Run).
 func (c *Context) runTasks(stage string, n int, fn func(i int)) {
 	if n == 0 {
 		return
@@ -517,37 +519,51 @@ func (c *Context) runTasks(stage string, n int, fn func(i int)) {
 		c.finishJob(stage, failed, nil, 0)
 		return
 	}
-	sem := make(chan struct{}, c.parallelism)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failed []*TaskError
-	var cancelErr error
-	skipped := 0
-	for i := 0; i < n; i++ {
-		// Acquire a worker slot or observe cancellation — never block on
-		// a full pool past the deadline.
-		select {
-		case sem <- struct{}{}:
-		case <-std.Done():
-			cancelErr = std.Err()
-			skipped = n - i
-		}
-		if cancelErr != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			if te := c.execTask(std, stage, i, fn); te != nil {
-				mu.Lock()
-				failed = append(failed, te)
-				mu.Unlock()
-			}
-		}(i)
+	j := &job{c: c, std: std, stage: stage, n: n, fn: fn}
+	j.wg.Add(min(c.parallelism, n) - 1)
+	for range min(c.parallelism, n) - 1 {
+		go func() {
+			defer j.wg.Done()
+			j.work()
+		}()
 	}
-	wg.Wait()
-	c.finishJob(stage, failed, cancelErr, skipped)
+	j.work()
+	j.wg.Wait()
+	// A worker stops short of n only on cancellation.
+	var cancelErr error
+	started := min(int(j.next.Load()), n)
+	if started < n {
+		cancelErr = std.Err()
+	}
+	c.finishJob(stage, j.failed, cancelErr, n-started)
+}
+
+// job is the state the workers of one parallel runTasks call share:
+// the next partition to claim and the failures they collect.
+type job struct {
+	c      *Context
+	std    context.Context
+	stage  string
+	n      int
+	fn     func(int)
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	failed []*TaskError
+}
+
+// work claims and runs tasks until none is left or the job's context
+// is cancelled.
+func (j *job) work() {
+	for j.std.Err() == nil {
+		i := int(j.next.Add(1) - 1)
+		if i >= j.n {
+			return
+		}
+		if te := j.c.execTask(j.std, j.stage, i, j.fn); te != nil {
+			j.mu.Lock()
+			j.failed = append(j.failed, te)
+			j.mu.Unlock()
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package dataflow
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMetricsSnapshotRace hammers Metrics and ResetMetrics while jobs
@@ -76,5 +78,67 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if s := m.String(); s == "" {
 		t.Error("Metrics.String empty")
+	}
+}
+
+// TestRunTasksAllocations: a parallel job allocates per worker, not
+// per task — its workers claim partitions instead of each task getting
+// a goroutine.
+func TestRunTasksAllocations(t *testing.T) {
+	ctx := NewContext(WithParallelism(2))
+	fn := func(int) {}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() { ctx.runTasks("allocs", n, fn) })
+	}
+	if few, many := allocs(8), allocs(256); few != many {
+		t.Errorf("runTasks allocs: %v for 8 tasks, %v for 256 — want the same", few, many)
+	}
+}
+
+// TestRunTasksRespectsParallelism: with tasks that block until every
+// worker holds one, exactly parallelism tasks run at once, never more.
+func TestRunTasksRespectsParallelism(t *testing.T) {
+	for _, par := range []int{2, 3} {
+		ctx := NewContext(WithParallelism(par))
+		var mu sync.Mutex
+		in := 0
+		all := make(chan struct{})
+		ctx.runTasks("barrier", 4*par, func(int) {
+			mu.Lock()
+			if in++; in == par {
+				close(all)
+			}
+			mu.Unlock()
+			<-all
+		})
+		if m := ctx.Metrics(); m.MaxWorkersBusy != int64(par) {
+			t.Errorf("parallelism %d: MaxWorkersBusy = %d, want %d", par, m.MaxWorkersBusy, par)
+		}
+	}
+}
+
+// TestCancelledJobLeavesNoGoroutine: a job cut short by its deadline
+// returns only after every worker it started has stopped.
+func TestCancelledJobLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx := NewContext(WithParallelism(4), WithTimeout(5*time.Millisecond))
+	defer ctx.Close()
+	d := Parallelize(ctx, make([]int, 256), 256)
+	je := collectJobError(t, func() {
+		MapPartitions(d, func(part int, recs []int) []int {
+			time.Sleep(time.Millisecond)
+			return recs
+		})
+	})
+	if je == nil || je.TasksSkipped == 0 {
+		t.Fatalf("expected the deadline to cut the job short, got %v", je)
+	}
+	// A worker that has signalled its WaitGroup may take a moment to
+	// exit; poll instead of asserting on one reading.
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines after the cancelled job, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -98,26 +98,14 @@ func saveGraph(dir string, g core.TGraph, opts SaveOptions) (stamp string, err e
 	staged, entries = append(staged, sf), append(entries, ent)
 
 	if !opts.SkipNested {
-		og := core.ToOG(g)
-		var ogvs []core.OGVertex
-		for _, part := range og.Vertices().Partitions() {
-			for _, v := range part {
-				ogvs = append(ogvs, core.OGVertex{ID: v.ID, History: v.Attr})
-			}
-		}
-		var oges []core.OGEdge
-		for _, part := range og.Edges().Partitions() {
-			for _, e := range part {
-				oges = append(oges, core.OGEdge{ID: e.ID, Src: e.Src, Dst: e.Dst, History: e.Attr})
-			}
-		}
+		vrows, erows := ogNestedRows(core.ToOG(g))
 		nw := WriteOptions{ChunkRows: opts.ChunkRows, FaultHook: opts.FaultHook}
-		nsf, nent, err := stageNested(filepath.Join(dir, NestedVerticesFile), "vertices", nestedVertexRows(ogvs), nw)
+		nsf, nent, err := stageNested(filepath.Join(dir, NestedVerticesFile), "vertices", vrows, nw)
 		if err != nil {
 			return "", err
 		}
 		staged, entries = append(staged, nsf), append(entries, nent)
-		nsf, nent, err = stageNested(filepath.Join(dir, NestedEdgesFile), "edges", nestedEdgeRows(oges), nw)
+		nsf, nent, err = stageNested(filepath.Join(dir, NestedEdgesFile), "edges", erows, nw)
 		if err != nil {
 			return "", err
 		}

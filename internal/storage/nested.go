@@ -133,8 +133,7 @@ func WriteNestedVertices(path string, vs []core.OGVertex, opts WriteOptions) err
 func nestedVertexRows(vs []core.OGVertex) []nestedRow {
 	rows := make([]nestedRow, len(vs))
 	for i, v := range vs {
-		first, last := historySpan(v.History)
-		rows[i] = nestedRow{id: int64(v.ID), firstStart: first, lastEnd: last, hist: v.History}
+		rows[i] = nestedOf(int64(v.ID), 0, 0, v.History)
 	}
 	return rows
 }
@@ -142,10 +141,32 @@ func nestedVertexRows(vs []core.OGVertex) []nestedRow {
 func nestedEdgeRows(es []core.OGEdge) []nestedRow {
 	rows := make([]nestedRow, len(es))
 	for i, e := range es {
-		first, last := historySpan(e.History)
-		rows[i] = nestedRow{id: int64(e.ID), src: int64(e.Src), dst: int64(e.Dst), firstStart: first, lastEnd: last, hist: e.History}
+		rows[i] = nestedOf(int64(e.ID), int64(e.Src), int64(e.Dst), e.History)
 	}
 	return rows
+}
+
+// ogNestedRows builds the nested rows of g straight from its
+// partitions, sharing its histories.
+func ogNestedRows(g *core.OG) (vrows, erows []nestedRow) {
+	vrows = make([]nestedRow, 0, g.Vertices().Count())
+	for _, part := range g.Vertices().Partitions() {
+		for _, v := range part {
+			vrows = append(vrows, nestedOf(int64(v.ID), 0, 0, v.Attr))
+		}
+	}
+	erows = make([]nestedRow, 0, g.Edges().Count())
+	for _, part := range g.Edges().Partitions() {
+		for _, e := range part {
+			erows = append(erows, nestedOf(int64(e.ID), int64(e.Src), int64(e.Dst), e.Attr))
+		}
+	}
+	return vrows, erows
+}
+
+func nestedOf(id, src, dst int64, h []core.HistoryItem) nestedRow {
+	first, last := historySpan(h)
+	return nestedRow{id: id, src: src, dst: dst, firstStart: first, lastEnd: last, hist: h}
 }
 
 // writeNested atomically writes one PGN file and returns its manifest

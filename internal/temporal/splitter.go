@@ -1,9 +1,6 @@
 package temporal
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // The temporal splitter implements the alignment primitive of Dignös et
 // al. ("Temporal Alignment", SIGMOD 2012) that the paper's VE
@@ -17,30 +14,32 @@ import (
 // Boundaries returns the sorted, de-duplicated start and end points of
 // all non-empty input intervals.
 func Boundaries(ivs []Interval) []Time {
-	pts := make([]Time, 0, 2*len(ivs))
-	for _, iv := range ivs {
-		if iv.IsEmpty() {
-			continue
+	if pts := BoundariesOf(make([]Time, 0, 2*len(ivs)), ivs, func(iv *Interval) *Interval { return iv }); len(pts) > 0 {
+		return pts
+	}
+	return nil
+}
+
+// BoundariesOf is Boundaries over the intervals iv reads from items,
+// built in dst's storage. The result indexes the elementary intervals
+// without materialising them: the j-th is [pts[j], pts[j+1]), and a
+// non-empty item covers those from the position of its start up to
+// that of its end.
+func BoundariesOf[T any](dst []Time, items []T, iv func(*T) *Interval) []Time {
+	dst = dst[:0]
+	for i := range items {
+		if r := iv(&items[i]); !r.IsEmpty() {
+			dst = append(dst, r.Start, r.End)
 		}
-		pts = append(pts, iv.Start, iv.End)
 	}
-	if len(pts) == 0 {
-		return nil
-	}
-	slices.Sort(pts) // specialised sort: no per-call reflection allocs
-	out := pts[:1]
-	for _, p := range pts[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // Elementary returns the elementary intervals induced by the input
 // set: consecutive pairs of boundary points. Gaps between disjoint
 // inputs are included; callers that need only covered elementary
-// intervals should intersect with the inputs (see SplitBy).
+// intervals should intersect with the inputs.
 func Elementary(ivs []Interval) []Interval {
 	pts := Boundaries(ivs)
 	if len(pts) < 2 {
@@ -53,49 +52,11 @@ func Elementary(ivs []Interval) []Interval {
 	return out
 }
 
-// SplitBy splits iv at every boundary point that falls strictly inside
-// it, returning the ordered fragments whose union is iv. Points at or
-// outside the bounds of iv are ignored. If iv is empty, SplitBy returns
-// nil. The points slice must be sorted ascending.
-func SplitBy(iv Interval, points []Time) []Interval {
-	if iv.IsEmpty() {
-		return nil
-	}
-	out := make([]Interval, 0, 4)
-	cur := iv.Start
-	i := sort.Search(len(points), func(i int) bool { return points[i] > iv.Start })
-	for ; i < len(points) && points[i] < iv.End; i++ {
-		out = append(out, Interval{Start: cur, End: points[i]})
-		cur = points[i]
-	}
-	out = append(out, Interval{Start: cur, End: iv.End})
-	return out
-}
-
 // Stated pairs a value with its period of validity. It is the unit of
 // temporal relations throughout the system.
 type Stated[T any] struct {
 	Interval Interval
 	Value    T
-}
-
-// Align splits every input state at the union of all boundary points of
-// the input set, so that any two output intervals are either identical
-// or disjoint. This is the group-local "temporal splitter" step used by
-// the VE variants of both zoom operators (Algorithm 2, lines 1-10).
-func Align[T any](states []Stated[T]) []Stated[T] {
-	ivs := make([]Interval, len(states))
-	for i, s := range states {
-		ivs[i] = s.Interval
-	}
-	pts := Boundaries(ivs)
-	out := make([]Stated[T], 0, len(states))
-	for _, s := range states {
-		for _, frag := range SplitBy(s.Interval, pts) {
-			out = append(out, Stated[T]{Interval: frag, Value: s.Value})
-		}
-	}
-	return out
 }
 
 // Coalesce merges value-equivalent adjacent (meeting or overlapping)

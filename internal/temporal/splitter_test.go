@@ -32,38 +32,6 @@ func TestElementary(t *testing.T) {
 	}
 }
 
-func TestSplitBy(t *testing.T) {
-	iv := MustInterval(2, 9)
-	got := SplitBy(iv, []Time{1, 2, 5, 7, 9, 11})
-	want := []Interval{MustInterval(2, 5), MustInterval(5, 7), MustInterval(7, 9)}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SplitBy = %v, want %v", got, want)
-	}
-	if got := SplitBy(iv, nil); !reflect.DeepEqual(got, []Interval{iv}) {
-		t.Errorf("SplitBy with no points = %v, want [%v]", got, iv)
-	}
-	if SplitBy(Empty, []Time{1}) != nil {
-		t.Error("SplitBy(empty) should be nil")
-	}
-}
-
-func TestAlign(t *testing.T) {
-	states := []Stated[string]{
-		{MustInterval(1, 7), "a"},
-		{MustInterval(2, 9), "b"},
-	}
-	got := Align(states)
-	want := []Stated[string]{
-		{MustInterval(1, 2), "a"},
-		{MustInterval(2, 7), "a"},
-		{MustInterval(2, 7), "b"},
-		{MustInterval(7, 9), "b"},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Align = %v, want %v", got, want)
-	}
-}
-
 // coalesceStated and isCoalescedStated run the in-place kernels over
 // Stated values ordered by interval alone; coalesceStated folds a copy
 // so tests keep their input.
@@ -197,58 +165,6 @@ func TestCoalesceGapPreserved(t *testing.T) {
 	got := coalesceStated(in, eq)
 	if len(got) != 2 {
 		t.Fatalf("states separated by a gap must not merge: %v", got)
-	}
-}
-
-// TestAlignCoalesceRoundTrip: aligning then coalescing value-equal
-// states must reproduce the coalesced original point set and values.
-func TestAlignCoalesceRoundTrip(t *testing.T) {
-	eq := func(a, b int) bool { return a == b }
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(15)
-		states := make([]Stated[int], n)
-		for i := range states {
-			s := Time(r.Intn(30))
-			states[i] = Stated[int]{
-				Interval: Interval{Start: s, End: s + 1 + Time(r.Intn(8))},
-				Value:    r.Intn(3),
-			}
-		}
-		aligned := Align(states)
-		// Every aligned fragment must be covered by its source value's
-		// original point set, and total per-value coverage preserved.
-		for v := 0; v < 3; v++ {
-			var orig, frag []Interval
-			for _, s := range states {
-				if s.Value == v {
-					orig = append(orig, s.Interval)
-				}
-			}
-			for _, s := range aligned {
-				if s.Value == v {
-					frag = append(frag, s.Interval)
-				}
-			}
-			co, cf := CoalesceIntervals(orig), CoalesceIntervals(frag)
-			if !reflect.DeepEqual(co, cf) {
-				return false
-			}
-		}
-		// Alignment must produce identical-or-disjoint intervals.
-		for i := range aligned {
-			for j := i + 1; j < len(aligned); j++ {
-				a, b := aligned[i].Interval, aligned[j].Interval
-				if a.Overlaps(b) && !a.Equal(b) {
-					return false
-				}
-			}
-		}
-		_ = eq
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 
