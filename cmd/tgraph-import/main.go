@@ -3,17 +3,17 @@
 // that the GraphLoader can read with predicate pushdown.
 //
 // With -append it instead streams the CSV rows into the write-ahead
-// log of an EXISTING graph directory — row by row, batched fsyncs,
-// nothing held in memory — so large deltas can be ingested without
-// rebuilding the graph; the next load replays them and tgraph-cli
-// -compact folds them into a new columnar epoch. The WAL is
-// single-writer: never -append into a directory a live tgraph-serve is
-// serving (use its POST /v1/append instead).
+// log of an EXISTING graph directory — row by row, one fsync per
+// -batch records, nothing held in memory — so large deltas can be
+// ingested without rebuilding the graph; the next load replays them
+// and tgraph-cli -compact folds them into a new columnar epoch. The
+// WAL is single-writer: never -append into a directory a live
+// tgraph-serve is serving (use its POST /v1/append instead).
 //
 // Usage:
 //
 //	tgraph-import -in ./mydata -out /tmp/mygraph [-order structural] [-validate]
-//	tgraph-import -in ./delta -out /tmp/mygraph -append [-batch 512] [-wal-sync batched]
+//	tgraph-import -in ./delta -out /tmp/mygraph -append [-batch 512]
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "deadline for all dataflow work, e.g. 30s (0 = none)")
 		doAppend = flag.Bool("append", false, "stream the CSV into the write-ahead log of the EXISTING graph directory -out instead of building a new one")
 		batch    = flag.Int("batch", 512, "append mode: records per durable WAL append")
-		walSync  = flag.String("wal-sync", "each", "append mode: WAL fsync policy, each | batched")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -43,13 +42,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *doAppend {
-		mode, err := tgraph.ParseWALSyncMode(*walSync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tgraph-import: %v\n", err)
-			os.Exit(2)
-		}
 		start := time.Now()
-		st, err := tgraph.AppendCSV(*out, *in, *batch, tgraph.WALOptions{Mode: mode})
+		st, err := tgraph.AppendCSV(*out, *in, *batch, tgraph.WALOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tgraph-import: append: %v (%d records already durable)\n", err, st.Records)
 			os.Exit(1)

@@ -16,10 +16,10 @@
 // everything after the first "=". Every graph is served as a VE value.
 // The server is the directory's only writer and reads it only at the
 // first load: after an offline re-save, POST /v1/graphs/{name}/reload
-// adopts the new epoch. POST /v1/append ingests live
-// deltas through each directory's write-ahead log (-wal-sync picks the
-// fsync policy; acks are sent only after durability) and invalidates
-// cached results surgically by declared time range; -compact-after
+// adopts the new epoch. POST /v1/append ingests live deltas through
+// each directory's write-ahead log (an append is acked only after its
+// fsync) and invalidates cached results surgically by declared time
+// range; -compact-after
 // folds the log into a fresh columnar epoch inline. -shards N splits
 // each graph across N in-process shard workers at load time and serves
 // queries scatter-gather (byte-identical to unsharded). On
@@ -87,8 +87,6 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive reload failures that trip a graph's circuit breaker into degraded stale serving")
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "how long a tripped reload breaker stays open before probing the directory again")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown; exceeded = non-zero exit")
-	walSync := flag.String("wal-sync", "each", "append durability: WAL fsync policy, each (fsync before every ack) | batched (group commit)")
-	walSyncDelay := flag.Duration("wal-sync-delay", 0, "batched mode: max latency an append may wait for its group fsync (0 = WAL default)")
 	compactAfter := flag.Int("compact-after", 0, "fold the WAL into a new columnar epoch after this many appended records (0 disables inline compaction)")
 	shards := flag.Int("shards", 0, "split each graph into this many in-process shards at load time and serve scatter-gather (<= 1 serves unsharded)")
 	shardStrategy := flag.String("shard-strategy", "", "vertex-cut placement for -shards: EdgePartition2D (default) | EdgePartition1D | RandomVertexCut | TimeRange")
@@ -112,8 +110,6 @@ func main() {
 		QueueDepth:       *queueDepth,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		WALSyncMode:      *walSync,
-		WALMaxSyncDelay:  *walSyncDelay,
 		CompactAfter:     *compactAfter,
 		Shards:           *shards,
 		ShardStrategy:    *shardStrategy,

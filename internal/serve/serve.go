@@ -178,14 +178,10 @@ type Config struct {
 	// BreakerCooldown is how long a tripped reload breaker stays open
 	// before admitting a half-open probe; <= 0 selects 2s.
 	BreakerCooldown time.Duration
-	// WALSyncMode selects the write-ahead log's fsync policy for
-	// appends: "each" (default; every append fsyncs before acking) or
-	// "batched" (group commit bounded by WALMaxSyncDelay).
+	// WALSyncMode names the write-ahead log's fsync policy for appends.
+	// The only one is "each" (also the meaning of ""): every append
+	// fsyncs before it is acked. Any other value fails New.
 	WALSyncMode string
-	// WALMaxSyncDelay bounds how long a batched append may wait for its
-	// group fsync; <= 0 selects the WAL default (2ms). Ignored under
-	// "each".
-	WALMaxSyncDelay time.Duration
 	// CompactAfter triggers an inline epoch compaction (folding the WAL
 	// tail into new columnar files and retiring its segments) once a
 	// graph has accumulated this many appended records; <= 0 disables
@@ -755,11 +751,10 @@ func New(cfg Config) (*Server, error) {
 		pullupFallbacks: r.Counter("serve.range_pullup_fallbacks"),
 		inflight:        r.Gauge("serve.inflight"),
 	}
-	walMode, err := wal.ParseSyncMode(cfg.WALSyncMode)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+	if cfg.WALSyncMode != "" && cfg.WALSyncMode != "each" {
+		return nil, fmt.Errorf("serve: unknown WAL sync mode %q (the only one is each)", cfg.WALSyncMode)
 	}
-	walOpts := wal.Options{Mode: walMode, MaxSyncDelay: cfg.WALMaxSyncDelay, Hook: cfg.WALFaultHook}
+	walOpts := wal.Options{Hook: cfg.WALFaultHook}
 	shardStrategy, err := shard.ParseStrategy(cfg.ShardStrategy)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -861,9 +856,8 @@ func (s *Server) Drain() {
 	s.closeLogs()
 }
 
-// closeLogs releases the per-graph write-ahead logs the server owns,
-// flushing any batched-but-unsynced records first, and the shard
-// coordinators.
+// closeLogs releases the per-graph write-ahead logs the server owns
+// and the shard coordinators.
 func (s *Server) closeLogs() {
 	for _, name := range s.names {
 		h := s.graphs[name]

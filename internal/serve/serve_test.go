@@ -523,6 +523,14 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x"}, {Name: "a", Dir: "y"}}}); err == nil {
 		t.Error("duplicate name: want error")
 	}
+	for _, mode := range []string{"", "each"} {
+		if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x"}}, WALSyncMode: mode}); err != nil {
+			t.Errorf("WAL sync mode %q: %v", mode, err)
+		}
+	}
+	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x"}}, WALSyncMode: "batched"}); err == nil {
+		t.Error("WAL sync mode batched: want error")
+	}
 }
 
 // Distinct queries occupy distinct entries and both become hits.

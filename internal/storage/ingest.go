@@ -30,10 +30,10 @@ type AppendStats struct {
 
 // AppendCSV streams vertices.csv (and edges.csv, if present) from the
 // in directory into the write-ahead log of the existing graph
-// directory dir, appending in batches of batch records per durable
-// group (batch < 1 selects 512). Rows are converted straight to WAL
-// deltas row-by-row — the file is never held in memory whole — and the
-// next Load (or Compact) folds them into the graph. It returns the
+// directory dir, batch records per fsynced append (batch < 1 selects
+// 512). Rows are converted straight to WAL deltas row-by-row — the
+// file is never held in memory whole — and the next Load (or Compact)
+// folds them into the graph. It returns the
 // acked record count and sequence range; on error, records already
 // appended and synced stay durable (the WAL is append-only; re-running
 // the import duplicates rows, so fix the input and compact rather than

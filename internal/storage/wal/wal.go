@@ -6,24 +6,26 @@
 // columnar layout (the MANIFEST records the subsumed sequence, see
 // storage.Compact).
 //
-// Durability contract: Append returns only after its records are
-// fsync-durable under the configured SyncPolicy — per-record, or
-// batched group commit where the first waiter becomes the sync leader,
-// sleeps up to MaxSyncDelay to gather a batch, fsyncs once and wakes
-// everyone. An acked append therefore survives kill -9; an append that
-// returned an error may or may not be on disk, and recovery is free to
-// keep or drop it (both are consistent states).
+// Durability contract: the log has one writer at a time. Append
+// writes its records, fsyncs the active segment and only then returns,
+// all under the log's mutex (SyncEachAppend, the only policy). An
+// acked append therefore survives kill -9; an append that returned an
+// error may or may not be on disk, and recovery is free to keep or
+// drop it (both are consistent states).
 //
-// Recovery: Open scans every segment front to back, verifying framing,
-// checksums and sequence continuity. An incomplete or checksum-failing
-// record at the physical end of the LAST segment is a torn tail — the
-// unmistakable signature of a crash mid-write — and is truncated away
-// (counted in storage.wal.torn_tails_truncated). A bad record anywhere
-// else is mid-log corruption: a hard error wrapping ErrCorrupt in
-// strict mode, a skip-with-count in permissive mode. A last segment
-// whose header never became durable (rotation crash) is removed whole:
-// an acked record implies a file fsync, which implies a durable header,
-// so a torn header proves the segment holds no acked records.
+// Recovery: Open, Read and Inspect share one scan (scan) over every
+// segment front to back, verifying framing, checksums and sequence
+// continuity. An incomplete or checksum-failing record at the physical
+// end of the LAST segment is a torn tail — the unmistakable signature
+// of a crash mid-write — which Open truncates away (counted in
+// storage.wal.torn_tails_truncated) and Read ignores. A bad record
+// anywhere else, a torn header before the last segment, or a segment
+// that does not continue its predecessor's sequence is mid-log
+// corruption: a hard error wrapping ErrCorrupt in strict mode, a
+// skip-with-count in permissive mode. A last segment whose header
+// never became durable (rotation crash) is removed whole: an acked
+// record implies a file fsync, which implies a durable header, so a
+// torn header proves the segment holds no acked records.
 //
 // The package reports to the process-wide obs registry:
 //
@@ -93,50 +95,21 @@ const (
 	segSuffix = ".seg"
 
 	defaultSegmentBytes = int64(4 << 20)
-	defaultMaxSyncDelay = 2 * time.Millisecond
 )
 
-// SyncMode selects when Append's records become durable.
+// SyncMode names Append's fsync policy. SyncEachAppend is the only
+// one: appends come from one writer at a time, so there is never a
+// second append to share an fsync with.
 type SyncMode int
 
-const (
-	// SyncEachAppend fsyncs before every Append returns: lowest loss
-	// window, highest per-append cost.
-	SyncEachAppend SyncMode = iota
-	// SyncBatched group-commits: concurrent appends share one fsync,
-	// led by the first waiter, which delays up to Options.MaxSyncDelay
-	// to gather the batch. Every Append still returns only after its
-	// own records are durable — batching bounds latency, not safety.
-	SyncBatched
-)
-
-// String renders the mode for flags and reports.
-func (m SyncMode) String() string {
-	if m == SyncBatched {
-		return "batched"
-	}
-	return "each"
-}
-
-// ParseSyncMode maps the CLI spellings to a SyncMode.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "each", "record", "per-record":
-		return SyncEachAppend, nil
-	case "batched", "batch", "group":
-		return SyncBatched, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync mode %q (want each|batched)", s)
-	}
-}
+// SyncEachAppend fsyncs the active segment before every Append returns.
+const SyncEachAppend SyncMode = 0
 
 // Options configures Open.
 type Options struct {
-	// Mode is the fsync policy (default SyncEachAppend).
+	// Mode is the fsync policy; SyncEachAppend (the zero value) is the
+	// only one.
 	Mode SyncMode
-	// MaxSyncDelay bounds how long a batched append may wait for its
-	// group fsync; <= 0 selects 2ms. Ignored under SyncEachAppend.
-	MaxSyncDelay time.Duration
 	// SegmentBytes is the rotation threshold; <= 0 selects 4 MiB.
 	SegmentBytes int64
 	// Permissive skips mid-log corrupt records with a count instead of
@@ -158,13 +131,6 @@ func (o Options) segmentBytes() int64 {
 		return o.SegmentBytes
 	}
 	return defaultSegmentBytes
-}
-
-func (o Options) maxSyncDelay() time.Duration {
-	if o.MaxSyncDelay > 0 {
-		return o.MaxSyncDelay
-	}
-	return defaultMaxSyncDelay
 }
 
 // Recovery reports what Open found and repaired.
@@ -198,24 +164,30 @@ func IsCrash(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// segment is the in-memory ledger entry for one segment file.
-type segment struct {
-	name  string
+// span is the sequence range of one segment's records.
+type span struct {
 	first uint64 // sequence the first record carries (header field)
 	last  uint64 // highest record sequence; < first when empty
-	bytes int64
 }
 
-// effLast is the segment's effective last sequence: first-1 when empty.
-func (s segment) effLast() uint64 {
+// effLast is the effective last sequence: first-1 when empty.
+func (s span) effLast() uint64 {
 	if s.last < s.first {
 		return s.first - 1
 	}
 	return s.last
 }
 
+// segment is the in-memory ledger entry for one segment file.
+type segment struct {
+	name string
+	span
+	bytes int64
+}
+
 // Log is an open write-ahead log over one directory. All methods are
-// safe for concurrent use; there must be at most one Log open per
+// safe for concurrent use, and appends serialize on one mutex held
+// through their fsync. There must be at most one Log open per
 // directory (single writer — do not run tgraph-import -append against
 // a directory a live tgraph-serve is appending to).
 type Log struct {
@@ -226,12 +198,7 @@ type Log struct {
 	f       *os.File // active (last) segment, nil until first append
 	segs    []segment
 	lastSeq uint64
-	dead    error // sticky after an injected crash
-
-	syncMu    sync.Mutex
-	syncedSeq uint64
-	syncing   bool
-	syncDone  chan struct{}
+	dead    error // sticky after an injected crash or a failed rollback
 }
 
 // segmentName renders the canonical file name for a segment whose
@@ -285,8 +252,7 @@ var errTornHeader = errors.New("wal: torn segment header")
 
 // segWalk is what walkSegment learned about one segment's bytes.
 type segWalk struct {
-	first      uint64
-	last       uint64 // < first when no record accepted
+	span       // last < first when no record accepted
 	records    int
 	goodBytes  int64 // truncation point: header + accepted records
 	skipped    int   // corrupt records skipped (permissive)
@@ -404,6 +370,81 @@ func walkSegment(data []byte, isLast, permissive bool, fn func(seq uint64, paylo
 	return w, nil
 }
 
+// segScan is what the recovery scan found in one segment file.
+type segScan struct {
+	name    string
+	isLast  bool
+	size    int64 // file bytes
+	w       segWalk
+	readErr error // the file could not be read; w is zero
+	walkErr error // walkSegment's error (errTornHeader when w.headerTorn)
+	// gap reports that the segment does not continue prevLast, the
+	// effective last sequence of the previous segment that walked
+	// cleanly.
+	gap      bool
+	prevLast uint64
+}
+
+// scan is the one recovery loop over dir's WAL: it lists the segments
+// and, in sequence order, reads and walks each one (fn as in
+// walkSegment, torn-tail semantics on the last segment only), checks
+// that it continues the previous clean segment's sequence, and hands
+// it to visit; a visit error stops the scan. Open repairs from what it
+// finds, Read decodes through fn and Inspect classifies.
+func scan(dir string, permissive bool, fn func(seq uint64, payload []byte) error, visit func(segScan) error) error {
+	names, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	var prevLast uint64
+	seen := false
+	for i, name := range names {
+		s := segScan{name: name, isLast: i == len(names)-1, prevLast: prevLast}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			s.readErr = err
+		} else {
+			s.size = int64(len(data))
+			s.w, s.walkErr = walkSegment(data, s.isLast, permissive, fn)
+			if s.walkErr == nil {
+				s.gap = seen && s.w.first != prevLast+1
+				seen, prevLast = true, s.w.effLast()
+			}
+		}
+		if err := visit(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check is the damage policy Open and Read share for everything except
+// a torn tail and a header-torn last segment, which each handles its
+// own way. A read or walk failure is an error. A header-torn segment
+// before the last, or a segment that breaks sequence continuity, fails
+// a strict reader with an error wrapping ErrCorrupt and counts one
+// skipped record for a permissive one. skipped includes the records
+// the walk itself skipped.
+func (s segScan) check(dir string, permissive bool) (skipped int, err error) {
+	path := filepath.Join(dir, s.name)
+	switch {
+	case s.readErr != nil:
+		return 0, fmt.Errorf("wal: read %s: %w", path, s.readErr)
+	case s.w.headerTorn && !permissive:
+		return 0, fmt.Errorf("wal: %s: %w: %w", path, errTornHeader, ErrCorrupt)
+	case s.w.headerTorn:
+		return 1, nil
+	case s.walkErr != nil:
+		return 0, fmt.Errorf("wal: %s: %w", path, s.walkErr)
+	case s.gap && !permissive:
+		return 0, fmt.Errorf("wal: %s starts at seq %d, previous segment ended at %d: %w",
+			path, s.w.first, s.prevLast, ErrCorrupt)
+	case s.gap:
+		return s.w.skipped + 1, nil
+	}
+	return s.w.skipped, nil
+}
+
 // Open opens (creating if needed) the WAL of a graph directory,
 // running recovery first: torn tails are truncated, a header-torn last
 // segment is removed, and mid-log corruption is a hard error (strict)
@@ -413,71 +454,47 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovery{}, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	names, err := listSegments(dir)
-	if err != nil {
-		return nil, Recovery{}, err
-	}
 	l := &Log{dir: dir, opts: opts}
 	var rec Recovery
-	var prevLast uint64
-	for i, name := range names {
-		isLast := i == len(names)-1
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, rec, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		w, werr := walkSegment(data, isLast, opts.Permissive, nil)
-		if w.headerTorn {
-			if isLast {
-				// Rotation crash: the header was never fsynced, so no record
-				// in this file can have been acked. Remove it whole.
-				if err := os.Remove(path); err != nil {
-					return nil, rec, fmt.Errorf("wal: remove torn segment %s: %w", path, err)
-				}
-				rec.RemovedSegments = append(rec.RemovedSegments, name)
-				rec.TruncatedBytes += int64(len(data))
-				obsTornTruncated.Add(1)
-				continue
+	err := scan(dir, opts.Permissive, nil, func(s segScan) error {
+		path := filepath.Join(dir, s.name)
+		if s.w.headerTorn && s.isLast {
+			// Rotation crash: the header was never fsynced, so no record
+			// in this file can have been acked. Remove it whole.
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("wal: remove torn segment %s: %w", path, err)
 			}
-			if !opts.Permissive {
-				return nil, rec, fmt.Errorf("wal: %s: %w: %w", path, errTornHeader, ErrCorrupt)
-			}
-			rec.SkippedRecords++
-			continue
+			rec.RemovedSegments = append(rec.RemovedSegments, s.name)
+			rec.TruncatedBytes += s.size
+			obsTornTruncated.Add(1)
+			return nil
 		}
-		if werr != nil {
-			return nil, rec, fmt.Errorf("wal: %s: %w", path, werr)
+		skipped, err := s.check(dir, opts.Permissive)
+		rec.SkippedRecords += skipped
+		if err != nil || s.w.headerTorn {
+			return err
 		}
-		if len(l.segs) > 0 && w.first != prevLast+1 {
-			if !opts.Permissive {
-				return nil, rec, fmt.Errorf("wal: %s starts at seq %d, previous segment ended at %d: %w",
-					path, w.first, prevLast, ErrCorrupt)
-			}
-			rec.SkippedRecords++
-		}
-		if w.torn || w.goodBytes < int64(len(data)) {
+		if s.w.torn || s.w.goodBytes < s.size {
 			// Truncate the torn tail (or, permissive, trailing skipped
 			// garbage) so the durable state is exactly the accepted prefix.
-			if err := truncateSegment(path, w.goodBytes); err != nil {
-				return nil, rec, err
+			if err := truncateSegment(path, s.w.goodBytes); err != nil {
+				return err
 			}
-			rec.TruncatedBytes += int64(len(data)) - w.goodBytes
-			if w.torn {
+			rec.TruncatedBytes += s.size - s.w.goodBytes
+			if s.w.torn {
 				obsTornTruncated.Add(1)
 			}
 		}
-		l.segs = append(l.segs, segment{name: name, first: w.first, last: w.last, bytes: w.goodBytes})
-		rec.Records += w.records
-		rec.SkippedRecords += w.skipped
-		prevLast = l.segs[len(l.segs)-1].effLast()
-		if prevLast > l.lastSeq {
-			l.lastSeq = prevLast
-		}
+		l.segs = append(l.segs, segment{name: s.name, span: s.w.span, bytes: s.w.goodBytes})
+		rec.Records += s.w.records
+		l.lastSeq = max(l.lastSeq, s.w.effLast())
+		return nil
+	})
+	if err != nil {
+		return nil, rec, err
 	}
 	rec.Segments = len(l.segs)
 	rec.LastSeq = l.lastSeq
-	l.syncedSeq = l.lastSeq
 	obsSkipped.Add(int64(rec.SkippedRecords))
 	if len(l.segs) > 0 {
 		active := l.segs[len(l.segs)-1]
@@ -539,29 +556,11 @@ func (l *Log) fireLocked(site string) error {
 	return nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
-// LastSeq returns the highest sequence number written (not necessarily
-// yet durable under SyncBatched).
+// LastSeq returns the highest acked sequence number.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastSeq
-}
-
-// SyncedSeq returns the highest sequence number known durable.
-func (l *Log) SyncedSeq() uint64 {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	return l.syncedSeq
-}
-
-// SegmentCount returns the number of live segment files.
-func (l *Log) SegmentCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
 }
 
 // Bytes returns the live segment bytes (headers included).
@@ -609,7 +608,7 @@ func (l *Log) createSegmentLocked(firstSeq uint64) error {
 		return err
 	}
 	l.f = f
-	l.segs = append(l.segs, segment{name: name, first: firstSeq, last: firstSeq - 1, bytes: int64(segHeaderLen)})
+	l.segs = append(l.segs, segment{name: name, span: span{first: firstSeq, last: firstSeq - 1}, bytes: int64(segHeaderLen)})
 	l.publishGauges()
 	return nil
 }
@@ -630,31 +629,27 @@ func syncDir(dir string) error {
 }
 
 // Append logs deltas as consecutive records and returns the sequence
-// number of the last one, after it is durable per the sync policy. An
-// error return means the records are NOT acked: they may or may not
-// survive, and recovery treating either outcome as truth is correct.
-// Appending zero deltas is a no-op returning the current last
-// sequence.
+// number of the last one once the active segment is fsynced. The
+// write, the fsync and the ledger update all happen under l.mu, so
+// concurrent appends serialize. An error return means the records are
+// NOT acked: they may or may not survive, and recovery treating either
+// outcome as truth is correct. Appending zero deltas is a no-op
+// returning the current last sequence.
 func (l *Log) Append(deltas ...Delta) (uint64, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.dead != nil {
-		err := l.dead
-		l.mu.Unlock()
-		return 0, err
+		return 0, l.dead
 	}
 	if len(deltas) == 0 {
-		last := l.lastSeq
-		l.mu.Unlock()
-		return last, nil
+		return l.lastSeq, nil
 	}
 	start := time.Now()
 	if err := l.ensureActiveLocked(); err != nil {
-		l.mu.Unlock()
 		return 0, err
 	}
 	if l.segs[len(l.segs)-1].bytes >= l.opts.segmentBytes() {
 		if err := l.rotateLocked(); err != nil {
-			l.mu.Unlock()
 			return 0, err
 		}
 	}
@@ -666,102 +661,44 @@ func (l *Log) Append(deltas ...Delta) (uint64, error) {
 		// Simulated crash mid-write: half the batch reaches the file (a
 		// torn write for recovery to truncate), the log is dead.
 		l.f.Write(buf[:len(buf)/2])
-		l.mu.Unlock()
 		return 0, err
 	}
-	wrote, err := l.f.Write(buf)
-	if err != nil {
-		// A real I/O error: roll the file back to the pre-append offset
-		// so the log stays usable.
-		seg := &l.segs[len(l.segs)-1]
-		if terr := l.f.Truncate(seg.bytes); terr == nil {
-			l.f.Seek(seg.bytes, 0)
-		}
-		l.mu.Unlock()
+	seg := &l.segs[len(l.segs)-1]
+	if wrote, err := l.f.Write(buf); err != nil {
+		l.rollbackLocked(seg.bytes)
 		return 0, fmt.Errorf("wal: append (%d/%d bytes): %w", wrote, len(buf), err)
 	}
-	seg := &l.segs[len(l.segs)-1]
+	if err := l.fireLocked("storage.wal.sync"); err != nil {
+		return 0, err
+	}
+	if err := l.f.Sync(); err != nil {
+		l.rollbackLocked(seg.bytes)
+		return 0, fmt.Errorf("wal: fsync active segment: %w", err)
+	}
+	obsSyncs.Add(1)
 	seg.bytes += int64(len(buf))
 	l.lastSeq += uint64(len(deltas))
 	seg.last = l.lastSeq
-	last := l.lastSeq
-	mode := l.opts.Mode
 	l.publishGauges()
-	l.mu.Unlock()
-
-	var delay time.Duration
-	if mode == SyncBatched {
-		delay = l.opts.maxSyncDelay()
-	}
-	if err := l.syncTo(last, delay); err != nil {
-		return 0, err
-	}
 	obsAppends.Add(1)
 	obsRecords.Add(int64(len(deltas)))
 	obsAppendLat.Observe(time.Since(start))
-	return last, nil
+	return l.lastSeq, nil
 }
 
-// syncTo blocks until sequence seq is durable, group-committing: the
-// first waiter becomes the leader, sleeps up to delay to gather a
-// batch, fsyncs once and wakes the rest.
-func (l *Log) syncTo(seq uint64, delay time.Duration) error {
-	for {
-		l.syncMu.Lock()
-		if l.syncedSeq >= seq {
-			l.syncMu.Unlock()
-			return nil
-		}
-		if l.syncing {
-			ch := l.syncDone
-			l.syncMu.Unlock()
-			<-ch
-			continue // re-check; become the next leader if still behind
-		}
-		l.syncing = true
-		ch := make(chan struct{})
-		l.syncDone = ch
-		l.syncMu.Unlock()
-
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		err := l.doSync()
-		l.syncMu.Lock()
-		l.syncing = false
-		l.syncMu.Unlock()
-		close(ch)
-		if err != nil {
-			return err
-		}
+// rollbackLocked cuts the active segment back to size, its length
+// before a failed write or fsync, so the unacked records are gone and
+// the log stays appendable. If the cut fails the log goes dead: an
+// append after the stray bytes would break sequence continuity.
+// Callers hold l.mu.
+func (l *Log) rollbackLocked(size int64) {
+	err := l.f.Truncate(size)
+	if err == nil {
+		_, err = l.f.Seek(size, 0)
 	}
-}
-
-// doSync fsyncs the active segment and advances the durable watermark
-// to everything written before the fsync.
-func (l *Log) doSync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dead != nil {
-		return l.dead
+	if err != nil {
+		l.dead = fmt.Errorf("wal: roll back failed append: %w", err)
 	}
-	if l.f == nil {
-		return nil
-	}
-	target := l.lastSeq
-	if err := l.fireLocked("storage.wal.sync"); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync active segment: %w", err)
-	}
-	obsSyncs.Add(1)
-	l.syncMu.Lock()
-	if target > l.syncedSeq {
-		l.syncedSeq = target
-	}
-	l.syncMu.Unlock()
-	return nil
 }
 
 // Rotate closes the active segment (fsyncing it) and starts a fresh
@@ -788,7 +725,6 @@ func (l *Log) rotateLocked() error {
 	if err := l.fireLocked("storage.wal.rotate"); err != nil {
 		return err
 	}
-	target := l.lastSeq
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync before rotate: %w", err)
 	}
@@ -798,11 +734,6 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: close rotated segment: %w", err)
 	}
 	l.f = nil
-	l.syncMu.Lock()
-	if target > l.syncedSeq {
-		l.syncedSeq = target
-	}
-	l.syncMu.Unlock()
 	if err := l.createSegmentLocked(l.lastSeq + 1); err != nil {
 		return err
 	}
@@ -845,27 +776,6 @@ func (l *Log) RetireThrough(seq uint64) (int, error) {
 	}
 	l.publishGauges()
 	return removed, nil
-}
-
-// Since reads back every record with sequence > afterSeq, in order.
-// Safe to call while appends are in flight: an in-progress tail write
-// simply has not happened yet from the reader's point of view (the
-// scanner stops at the last complete, checksummed record), so a reader
-// never observes a half-applied delta.
-func (l *Log) Since(afterSeq uint64) ([]Delta, uint64, error) {
-	l.mu.Lock()
-	if l.dead != nil {
-		err := l.dead
-		l.mu.Unlock()
-		return nil, 0, err
-	}
-	permissive := l.opts.Permissive
-	l.mu.Unlock()
-	res, err := Read(l.dir, afterSeq, permissive)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Deltas, res.LastSeq, nil
 }
 
 // Close fsyncs and closes the active segment. A dead (crashed) log
@@ -918,107 +828,70 @@ type ReadResult struct {
 // with no segments returns an empty result.
 func Read(dir string, afterSeq uint64, permissive bool) (ReadResult, error) {
 	var res ReadResult
-	names, err := listSegments(dir)
-	if err != nil {
-		return res, err
-	}
-	var prevLast uint64
-	for i, name := range names {
-		isLast := i == len(names)-1
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // retired between listing and reading
-			}
-			return res, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		w, werr := walkSegment(data, isLast, permissive, func(seq uint64, payload []byte) error {
-			if seq <= afterSeq {
-				return nil
-			}
-			rseq, d, err := decodePayload(payload)
-			if err != nil {
-				return err
-			}
-			if rseq != seq {
-				return fmt.Errorf("wal: payload seq %d disagrees with frame scan %d", rseq, seq)
-			}
-			res.Deltas = append(res.Deltas, d)
+	decode := func(seq uint64, payload []byte) error {
+		if seq <= afterSeq {
 			return nil
-		})
-		if w.headerTorn {
-			if isLast {
-				res.Torn = true
-				continue // rotation crash; nothing acked in it
-			}
-			if !permissive {
-				return res, fmt.Errorf("wal: %s: %w: %w", path, errTornHeader, ErrCorrupt)
-			}
-			res.Skipped++
-			continue
 		}
-		if werr != nil {
-			return res, fmt.Errorf("wal: %s: %w", path, werr)
+		rseq, d, err := decodePayload(payload)
+		if err != nil {
+			return err
 		}
-		if res.Segments > 0 && w.first != prevLast+1 && !permissive {
-			return res, fmt.Errorf("wal: %s starts at seq %d, previous segment ended at %d: %w",
-				path, w.first, prevLast, ErrCorrupt)
+		if rseq != seq {
+			return fmt.Errorf("wal: payload seq %d disagrees with frame scan %d", rseq, seq)
+		}
+		res.Deltas = append(res.Deltas, d)
+		return nil
+	}
+	err := scan(dir, permissive, decode, func(s segScan) error {
+		if errors.Is(s.readErr, os.ErrNotExist) {
+			return nil // retired between listing and reading
+		}
+		if s.w.headerTorn && s.isLast {
+			res.Torn = true
+			return nil // rotation crash; nothing acked in it
+		}
+		skipped, err := s.check(dir, permissive)
+		res.Skipped += skipped
+		if err != nil || s.w.headerTorn {
+			return err
 		}
 		if res.Segments == 0 {
-			res.FirstSeq = w.first
+			res.FirstSeq = s.w.first
 		}
 		res.Segments++
-		res.Records += w.records
-		res.Skipped += w.skipped
-		res.Torn = res.Torn || w.torn
-		prevLast = w.first - 1
-		if w.records > 0 {
-			prevLast = w.last
-		}
-		if prevLast > res.LastSeq {
-			res.LastSeq = prevLast
-		}
+		res.Records += s.w.records
+		res.Torn = res.Torn || s.w.torn
+		res.LastSeq = max(res.LastSeq, s.w.effLast())
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	obsReplayed.Add(int64(len(res.Deltas)))
 	return res, nil
 }
 
-// TailSeq returns the last live sequence number of dir's WAL by
-// scanning only the final segment (tolerating a torn tail), plus
+// TailSeq returns the last live sequence number of dir's WAL, plus
 // whether a WAL exists at all. It is the cheap read used to fold the
-// WAL position into storage.Stamp.
+// WAL position into storage.Stamp: only the final segment is walked
+// (tolerating a torn tail), or the one before it when the final
+// segment's header is torn, since such a segment holds nothing acked.
 func TailSeq(dir string) (uint64, bool, error) {
 	names, err := listSegments(dir)
 	if err != nil || len(names) == 0 {
 		return 0, false, err
 	}
-	path := filepath.Join(dir, names[len(names)-1])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, true, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	w, _ := walkSegment(data, true, true, nil)
-	if w.headerTorn {
-		// A torn last segment holds nothing acked; the previous segment
-		// (if any) ends the durable log.
-		if len(names) == 1 {
-			return 0, true, nil
-		}
-		prev, err := os.ReadFile(filepath.Join(dir, names[len(names)-2]))
+	for i := len(names) - 1; i >= max(0, len(names)-2); i-- {
+		path := filepath.Join(dir, names[i])
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return 0, true, fmt.Errorf("wal: read %s: %w", names[len(names)-2], err)
+			return 0, true, fmt.Errorf("wal: read %s: %w", path, err)
 		}
-		pw, _ := walkSegment(prev, true, true, nil)
-		if pw.records > 0 {
-			return pw.last, true, nil
+		if w, _ := walkSegment(data, true, true, nil); !w.headerTorn {
+			return w.effLast(), true, nil
 		}
-		return pw.first - 1, true, nil
 	}
-	if w.records > 0 {
-		return w.last, true, nil
-	}
-	return w.first - 1, true, nil
+	return 0, true, nil
 }
 
 // SegmentInfo is one segment's line in a WAL inspection (VerifyDir).
@@ -1044,54 +917,38 @@ type SegmentInfo struct {
 // mutating anything. The error return is reserved for not being able
 // to look at all.
 func Inspect(dir string) ([]SegmentInfo, error) {
-	names, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
 	var infos []SegmentInfo
-	var prevLast uint64
-	seen := false
-	for i, name := range names {
-		isLast := i == len(names)-1
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			infos = append(infos, SegmentInfo{Name: name, Status: "unreadable", Detail: err.Error()})
-			continue
-		}
-		// Walk permissively so one bad record still yields counts, then
-		// classify from what the walk found.
-		w, _ := walkSegment(data, isLast, true, func(seq uint64, payload []byte) error {
-			_, _, err := decodePayload(payload)
-			return err
-		})
-		info := SegmentInfo{Name: name, FirstSeq: w.first, LastSeq: w.last,
-			Records: w.records, Bytes: int64(len(data)), Status: "ok"}
-		if w.last < w.first {
-			info.LastSeq = w.first - 1
-		}
+	// Walk permissively so one bad record still yields counts, then
+	// classify from what the walk found.
+	checkPayload := func(seq uint64, payload []byte) error {
+		_, _, err := decodePayload(payload)
+		return err
+	}
+	err := scan(dir, true, checkPayload, func(s segScan) error {
+		info := SegmentInfo{Name: s.name, FirstSeq: s.w.first, LastSeq: s.w.effLast(),
+			Records: s.w.records, Bytes: s.size, Status: "ok"}
 		switch {
-		case w.headerTorn:
+		case s.readErr != nil:
+			info.Status = "unreadable"
+			info.Detail = s.readErr.Error()
+		case s.w.headerTorn:
 			info.Status = "torn-header"
 			info.Detail = "segment header incomplete (rotation crash remnant)"
-		case w.skipped > 0:
+		case s.walkErr != nil:
 			info.Status = "corrupt-records"
-			info.Detail = fmt.Sprintf("%d corrupt record(s) mid-log", w.skipped)
-		case w.torn:
-			info.Status = "torn-tail"
-			info.Detail = fmt.Sprintf("%d torn byte(s) after the last complete record", int64(len(data))-w.goodBytes)
-		}
-		if seen && !w.headerTorn && w.first != prevLast+1 {
+			info.Detail = s.walkErr.Error()
+		case s.gap:
 			info.Status = "seq-gap"
-			info.Detail = fmt.Sprintf("starts at seq %d, previous segment ended at %d", w.first, prevLast)
-		}
-		if !w.headerTorn {
-			seen = true
-			prevLast = w.first - 1
-			if w.records > 0 {
-				prevLast = w.last
-			}
+			info.Detail = fmt.Sprintf("starts at seq %d, previous segment ended at %d", s.w.first, s.prevLast)
+		case s.w.skipped > 0:
+			info.Status = "corrupt-records"
+			info.Detail = fmt.Sprintf("%d corrupt record(s) mid-log", s.w.skipped)
+		case s.w.torn:
+			info.Status = "torn-tail"
+			info.Detail = fmt.Sprintf("%d torn byte(s) after the last complete record", s.size-s.w.goodBytes)
 		}
 		infos = append(infos, info)
-	}
-	return infos, nil
+		return nil
+	})
+	return infos, err
 }

@@ -202,17 +202,6 @@ func CoalesceIntervals(ivs []Interval) []Interval {
 	return out
 }
 
-// CoveredDuration returns the number of time points of within that are
-// covered by at least one of the given intervals. Overlapping inputs
-// are not double-counted.
-func CoveredDuration(ivs []Interval, within Interval) Time {
-	var total Time
-	for _, iv := range CoalesceIntervals(ivs) {
-		total += iv.Intersect(within).Duration()
-	}
-	return total
-}
-
 // SubtractAll returns the portion of iv not covered by any interval in
 // cover, as a sorted sequence of disjoint intervals.
 func SubtractAll(iv Interval, cover []Interval) []Interval {

@@ -145,19 +145,6 @@ func TestCoalesceIntervals(t *testing.T) {
 	}
 }
 
-func TestCoveredDuration(t *testing.T) {
-	ivs := []Interval{MustInterval(1, 4), MustInterval(3, 6), MustInterval(8, 9)}
-	if got := CoveredDuration(ivs, MustInterval(0, 10)); got != 6 {
-		t.Errorf("CoveredDuration = %d, want 6", got)
-	}
-	if got := CoveredDuration(ivs, MustInterval(2, 5)); got != 3 {
-		t.Errorf("CoveredDuration clipped = %d, want 3", got)
-	}
-	if got := CoveredDuration(nil, MustInterval(0, 10)); got != 0 {
-		t.Errorf("CoveredDuration(nil) = %d, want 0", got)
-	}
-}
-
 func TestSubtractAll(t *testing.T) {
 	iv := MustInterval(0, 10)
 	got := SubtractAll(iv, []Interval{MustInterval(2, 4), MustInterval(6, 7)})

@@ -308,9 +308,9 @@ type WALDelta = wal.Delta
 // WAL is an open, appendable write-ahead log (see Compact).
 type WAL = wal.Log
 
-// WALOptions configures the log AppendCSV opens: sync mode ("each"
-// fsyncs before every ack, "batched" group-commits within
-// WALMaxSyncDelay), segment size, and strict-vs-permissive recovery.
+// WALOptions configures the log AppendCSV opens: segment size and
+// strict-vs-permissive recovery. Every append is fsynced before it is
+// acked; there is no other sync mode.
 type WALOptions = wal.Options
 
 // WAL delta kinds.
@@ -318,9 +318,6 @@ const (
 	WALVertex = wal.KindVertex
 	WALEdge   = wal.KindEdge
 )
-
-// ParseWALSyncMode parses "each" or "batched" (empty selects each).
-func ParseWALSyncMode(s string) (wal.SyncMode, error) { return wal.ParseSyncMode(s) }
 
 // WALSegmentInfo is one segment's line in a WAL inspection: sequence
 // span, record and byte counts, and structural status ("ok",
