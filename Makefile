@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the full gate CI should run:
 # it builds every package, vets, lints, runs the whole test suite
 # (crash-consistency, WAL crash matrix, serving, sharding and
-# incremental-view suites included) under the race detector, repeats
-# the fault-injection chaos suite, and ends with `idle`, failing if any
-# test binary or benchmark process outlived its run.
+# incremental-view suites included) under the race detector, runs the
+# allocation guards without it, repeats the fault-injection chaos
+# suite, and ends with `idle`, failing if any test binary or benchmark
+# process outlived its run.
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race bench fmt pairs chaos idle
+.PHONY: check build vet lint test test-race allocs bench fmt pairs chaos idle
 
-check: build vet lint test-race chaos idle
+check: build vet lint test-race allocs chaos idle
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The allocation guards (every test whose name contains Alloc) without
+# the race detector: under -race the pool-dependent ones, such as
+# TestEncodeGraphAllocations, TestHitAllocations and
+# TestAZoomGroupAllocations, skip themselves.
+allocs:
+	$(GO) test -count=1 -run 'Alloc' ./...
 
 # Fault-injection chaos suite: the TestChaos* tests drive the engine,
 # zoom operators and storage under seeded injected failures (fixed

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,7 +45,7 @@ func fakeExperiment() Experiment {
 				data[i] = i
 			}
 			d := dataflow.Parallelize(ctx, data, 2)
-			n := dataflow.GroupByKey(d, func(v int) int { return v % 3 }).Count()
+			n := dataflow.GroupByKey(d, func(v int) int { return v % 3 }, cmp.Compare[int]).Count()
 			stage.End()
 			sp.End()
 			retries, failures, cancelled := fakeFaultCounters()

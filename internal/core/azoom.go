@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/dataflow"
 	"repro/internal/graphx"
 	"repro/internal/obs"
@@ -48,7 +50,7 @@ func azoomMapVertices(spec AZoomSpec, id VertexID, iv temporal.Interval, p props
 func azoomVerticesDataflow(spec AZoomSpec, mapped *dataflow.Dataset[azVertexState]) *dataflow.Dataset[VertexTuple] {
 	agg := spec.Agg.Bind() // intern the agg labels once, outside the hot loop
 	gsp := obs.StartSpan("group-by")
-	groups := dataflow.GroupByKey(mapped, func(s azVertexState) VertexID { return s.NewID })
+	groups := dataflow.GroupByKey(mapped, func(s azVertexState) VertexID { return s.NewID }, cmp.Compare[VertexID])
 	gsp.End()
 	defer obs.StartSpan("align-aggregate").End()
 	return dataflow.FlatMap(groups, func(gr dataflow.Group[VertexID, azVertexState]) []VertexTuple {
@@ -96,10 +98,10 @@ func (g *VE) azoom(spec AZoomSpec) (TGraph, error) {
 	jsp := obs.StartSpan("edge-join")
 	j1 := dataflow.Join(g.e, g.v,
 		func(e EdgeTuple) VertexID { return e.Src },
-		func(vt VertexTuple) VertexID { return vt.ID })
+		func(vt VertexTuple) VertexID { return vt.ID }, cmp.Compare[VertexID])
 	j2 := dataflow.Join(j1, g.v,
 		func(p dataflow.Pair[EdgeTuple, VertexTuple]) VertexID { return p.First.Dst },
-		func(vt VertexTuple) VertexID { return vt.ID })
+		func(vt VertexTuple) VertexID { return vt.ID }, cmp.Compare[VertexID])
 	jsp.End()
 	rsp := obs.StartSpan("edge-redirect")
 	e := dataflow.FilterMap(j2, func(p dataflow.Pair[dataflow.Pair[EdgeTuple, VertexTuple], VertexTuple]) (EdgeTuple, bool) {
@@ -142,7 +144,7 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 	// the flatMap output of the shared pipeline, but identity can span
 	// partitions, so group once more).
 	hsp := obs.StartSpan("rebuild-histories")
-	vgroups := dataflow.GroupByKey(vtuples, func(t VertexTuple) VertexID { return t.ID })
+	vgroups := dataflow.GroupByKey(vtuples, func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID])
 	newV := dataflow.Map(vgroups, func(gr dataflow.Group[VertexID, VertexTuple]) graphx.Vertex[[]HistoryItem] {
 		h := make([]HistoryItem, len(gr.Values))
 		for i, t := range gr.Values {
@@ -177,7 +179,7 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 		}
 		return out
 	})
-	egroups := dataflow.GroupByKey(redirected, func(p dataflow.Pair[EdgeKey, HistoryItem]) EdgeKey { return p.First })
+	egroups := dataflow.GroupByKey(redirected, func(p dataflow.Pair[EdgeKey, HistoryItem]) EdgeKey { return p.First }, EdgeKey.compare)
 	newE := dataflow.Map(egroups, func(gr dataflow.Group[EdgeKey, dataflow.Pair[EdgeKey, HistoryItem]]) graphx.Edge[[]HistoryItem] {
 		h := make([]HistoryItem, len(gr.Values))
 		for i, p := range gr.Values {
@@ -231,7 +233,7 @@ func (g *RG) azoom(spec AZoomSpec) (TGraph, error) {
 			})
 		})
 		reduced := dataflow.ReduceByKey(mapped,
-			func(p dataflow.Pair[VertexID, azVertexAcc]) VertexID { return p.First },
+			func(p dataflow.Pair[VertexID, azVertexAcc]) VertexID { return p.First }, cmp.Compare[VertexID],
 			func(a, b dataflow.Pair[VertexID, azVertexAcc]) dataflow.Pair[VertexID, azVertexAcc] {
 				return dataflow.Pair[VertexID, azVertexAcc]{
 					First:  a.First,

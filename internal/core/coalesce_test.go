@@ -14,7 +14,7 @@ import (
 // TestCoalesceVEAllocatesPerPartition: coalescing 1 000 vertices and
 // 1 000 edges, each split into three states that merge back into one,
 // costs a few dozen allocations per relation and partition (the
-// shuffle's and the grouping's arrays, the key index's growth steps) —
+// shuffle's and the grouping's arrays, the sorted index) —
 // not several per entity. The bound is a fifth of the entity count.
 func TestCoalesceVEAllocatesPerPartition(t *testing.T) {
 	const entities, parts = 1000, 4
@@ -115,6 +115,42 @@ func TestCoalesceEdgeOrderIsTotal(t *testing.T) {
 		got := NewVE(ctx, nil, es).Coalesce().EdgeStates()
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("arrival order %v coalesced to %v, want %v", order, got, want)
+		}
+	}
+}
+
+// TestCoalesceEdgeEntityIsItsKey: an edge id seen between two vertex
+// pairs is two entities (EdgeKey). VE, OG and CoalescedStates fold
+// edge 1's states (1→2)[0,2), (3→4)[1,3), (1→2)[2,4) alike: the two
+// (1→2) states into [0,4), although a (3→4) state starts between them.
+func TestCoalesceEdgeEntityIsItsKey(t *testing.T) {
+	ctx := testCtx()
+	p := props.New("type", "e")
+	var vs []VertexTuple
+	for id := VertexID(1); id <= 4; id++ {
+		vs = append(vs, VertexTuple{ID: id, Interval: temporal.MustInterval(0, 4), Props: props.New("type", "v")})
+	}
+	es := []EdgeTuple{
+		{ID: 1, Src: 1, Dst: 2, Interval: temporal.MustInterval(0, 2), Props: p},
+		{ID: 1, Src: 3, Dst: 4, Interval: temporal.MustInterval(1, 3), Props: p},
+		{ID: 1, Src: 1, Dst: 2, Interval: temporal.MustInterval(2, 4), Props: p},
+	}
+	want := []EdgeTuple{
+		{ID: 1, Src: 1, Dst: 2, Interval: temporal.MustInterval(0, 4), Props: p},
+		{ID: 1, Src: 3, Dst: 4, Interval: temporal.MustInterval(1, 3), Props: p},
+	}
+	sorted := func(es []EdgeTuple) []EdgeTuple {
+		slices.SortStableFunc(es, edgeKeyCmp)
+		return es
+	}
+	_, _, _, got := CoalescedStates(NewVE(ctx, vs, es))
+	for name, es := range map[string][]EdgeTuple{
+		"VE":              sorted(NewVE(ctx, vs, es).Coalesce().EdgeStates()),
+		"OG":              sorted(ToOG(NewVE(ctx, vs, es)).Coalesce().EdgeStates()),
+		"CoalescedStates": got,
+	} {
+		if !reflect.DeepEqual(es, want) {
+			t.Errorf("%s coalesced edge 1 to %v, want %v", name, es, want)
 		}
 	}
 }

@@ -301,10 +301,9 @@ func (s WZoomSpec) Validate() error {
 }
 
 // The accessors temporal.Coalesce folds each entity's states with: the
-// address of a state's interval, the total order — interval first, then
-// an edge's endpoints, so states of one edge id between different
-// vertex pairs never interleave by arrival order — and the
-// value-equivalence predicate.
+// address of a state's interval and, below, the total orders
+// (vertexKeyCmp, edgeKeyCmp, historyCmp) and the value-equivalence
+// predicates.
 func vertexIv(t *VertexTuple) *temporal.Interval  { return &t.Interval }
 func edgeIv(t *EdgeTuple) *temporal.Interval      { return &t.Interval }
 func historyIv(h *HistoryItem) *temporal.Interval { return &h.Interval }
@@ -314,15 +313,13 @@ func vertexProps(t *VertexTuple) props.Props  { return t.Props }
 func edgeProps(t *EdgeTuple) props.Props      { return t.Props }
 func historyProps(h *HistoryItem) props.Props { return h.Props }
 
-func vertexCmp(a, b VertexTuple) int  { return a.Interval.Compare(b.Interval) }
 func historyCmp(a, b HistoryItem) int { return a.Interval.Compare(b.Interval) }
-func edgeCmp(a, b EdgeTuple) int {
-	return cmp.Or(a.Interval.Compare(b.Interval), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-}
 
 // The listing order across entities (SortedCoalesced): entity key
 // first, then interval. They return at the first field that differs —
-// a response sorts every state it lists with them.
+// a response sorts every state it lists with them. Within one entity
+// they order by interval, so they are the coalescing order too, and an
+// edge id's states between different vertex pairs never interleave.
 func vertexKeyCmp(a, b VertexTuple) int {
 	if a.ID != b.ID {
 		return cmp.Compare(a.ID, b.ID)

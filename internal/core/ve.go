@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/dataflow"
@@ -91,31 +92,33 @@ func (g *VE) IsCoalesced() bool { return g.coalesced }
 // Coalesce implements TGraph using the partitioning method: group each
 // relation by entity key, sort group states by start time, and fold,
 // merging value-equivalent adjacent states (Section 4 "Coalescing").
+// Edge states are grouped by id, and sorted by (src, dst, start)
+// within it: an edge entity is its EdgeKey, as everywhere else, and the
+// entities of one id leave in key order.
 func (g *VE) Coalesce() TGraph {
 	if g.coalesced {
 		return g
 	}
 	defer obs.StartSpan("coalesce.VE").End()
-	v := coalesceVertexDataset(g.v)
-	e := coalesceEdgeDataset(g.e)
+	v := coalesceEntities(g.v, func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID], vertexIv, vertexKeyCmp, vertexEq)
+	e := coalesceEntities(g.e, func(t EdgeTuple) EdgeID { return t.ID }, cmp.Compare[EdgeID], edgeIv, edgeKeyCmp, edgeEq)
 	return &VE{ctx: g.ctx, v: v, e: e, coalesced: true, lifetime: g.lifetime}
 }
 
-// coalesceVertexDataset groups vertex states by id and coalesces each
-// group in place: GroupByKey hands every group a fresh run it owns.
-func coalesceVertexDataset(v *dataflow.Dataset[VertexTuple]) *dataflow.Dataset[VertexTuple] {
-	groups := dataflow.GroupByKey(v, func(t VertexTuple) VertexID { return t.ID })
-	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[VertexID, VertexTuple], out []VertexTuple) []VertexTuple {
-		return append(out, temporal.Coalesce(gr.Values, vertexIv, vertexCmp, vertexEq)...)
-	})
-}
-
-// coalesceEdgeDataset groups edge states by id and coalesces each
-// group in place.
-func coalesceEdgeDataset(e *dataflow.Dataset[EdgeTuple]) *dataflow.Dataset[EdgeTuple] {
-	groups := dataflow.GroupByKey(e, func(t EdgeTuple) EdgeID { return t.ID })
-	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[EdgeID, EdgeTuple], out []EdgeTuple) []EdgeTuple {
-		return append(out, temporal.Coalesce(gr.Values, edgeIv, edgeCmp, edgeEq)...)
+// coalesceEntities groups states by key and lists each group's states
+// coalesced under order — in place, as coalesceGroups does — in one
+// job.
+func coalesceEntities[K comparable, T any](
+	d *dataflow.Dataset[T],
+	key func(T) K,
+	keyOrder func(a, b K) int,
+	ivOf func(*T) *temporal.Interval,
+	order func(a, b T) int,
+	eq func(a, b T) bool,
+) *dataflow.Dataset[T] {
+	groups := dataflow.GroupByKey(d, key, keyOrder)
+	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[K, T], out []T) []T {
+		return append(out, temporal.Coalesce(gr.Values, ivOf, order, eq)...)
 	})
 }
 

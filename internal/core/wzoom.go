@@ -64,13 +64,13 @@ func (g *VE) WZoom(spec WZoomSpec) (TGraph, error) {
 func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 	defer obs.StartSpan("wzoom.VE").End()
 	gsp := obs.StartSpan("group-by")
-	vg := dataflow.GroupByKey(g.v, func(t VertexTuple) VertexID { return t.ID })
-	eg := dataflow.GroupByKey(g.e, EdgeTuple.Key)
+	vg := dataflow.GroupByKey(g.v, func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID])
+	eg := dataflow.GroupByKey(g.e, EdgeTuple.Key, EdgeKey.compare)
 	gsp.End()
 	if !g.coalesced {
 		csp := obs.StartSpan("coalesce.VE")
-		vg = coalesceGroups(vg, vertexIv, vertexCmp, vertexEq)
-		eg = coalesceGroups(eg, edgeIv, edgeCmp, edgeEq)
+		vg = coalesceGroups(vg, vertexIv, vertexKeyCmp, vertexEq)
+		eg = coalesceGroups(eg, edgeIv, edgeKeyCmp, edgeEq)
 		csp.End()
 	}
 
@@ -111,11 +111,11 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 		dsp := obs.StartSpan("dangling-semijoin")
 		e = dataflow.SemiJoin(e, v,
 			func(t EdgeTuple) VertexID { return t.Src },
-			func(t VertexTuple) VertexID { return t.ID },
+			func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID],
 			func(et EdgeTuple, vt VertexTuple) bool { return vt.Interval.Covers(et.Interval) })
 		e = dataflow.SemiJoin(e, v,
 			func(t EdgeTuple) VertexID { return t.Dst },
-			func(t VertexTuple) VertexID { return t.ID },
+			func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID],
 			func(et EdgeTuple, vt VertexTuple) bool { return vt.Interval.Covers(et.Interval) })
 		dsp.End()
 	}

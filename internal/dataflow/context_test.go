@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestMetricsSnapshotRace(t *testing.T) {
 				default:
 				}
 				d := Parallelize(ctx, data, 4)
-				GroupByKey(d, func(v int) int { return v % 5 }).Count()
+				GroupByKey(d, func(v int) int { return v % 5 }, cmp.Compare[int]).Count()
 			}
 		}(w)
 	}
@@ -55,7 +56,7 @@ func TestMetricsCounters(t *testing.T) {
 		data[i] = i
 	}
 	d := Parallelize(ctx, data, 4)
-	GroupByKey(d, func(v int) int { return v % 3 }).Count()
+	GroupByKey(d, func(v int) int { return v % 3 }, cmp.Compare[int]).Count()
 	m := ctx.Metrics()
 	if m.Jobs == 0 || m.Tasks == 0 {
 		t.Errorf("jobs/tasks not counted: %+v", m)

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"cmp"
 	"reflect"
 	"sort"
 	"testing"
@@ -159,7 +160,7 @@ func TestMetrics(t *testing.T) {
 	if m1.Shuffles != 0 {
 		t.Errorf("narrow map should not shuffle, got %d", m1.Shuffles)
 	}
-	_ = ReduceByKey(d, func(x int) int { return x % 3 }, func(a, b int) int { return a + b }).Collect()
+	_ = ReduceByKey(d, func(x int) int { return x % 3 }, cmp.Compare[int], func(a, b int) int { return a + b }).Collect()
 	m2 := ctx.Metrics()
 	if m2.Shuffles == 0 || m2.ShuffledRecords == 0 {
 		t.Errorf("reduceByKey should shuffle: %+v", m2)

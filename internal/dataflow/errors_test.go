@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -297,7 +298,7 @@ func TestFaultHookSitesAndTransientInjection(t *testing.T) {
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond}),
 	)
 	d := Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3)
-	groups := GroupByKey(d, func(v int) int { return v % 2 })
+	groups := GroupByKey(d, func(v int) int { return v % 2 }, cmp.Compare[int])
 	if got := groups.Count(); got != 2 {
 		t.Errorf("groups = %d, want 2", got)
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -77,7 +78,7 @@ func TestChaosDataflowPanics(t *testing.T) {
 			err := ctx.Run(func() error {
 				d := dataflow.Parallelize(ctx, data, 16)
 				doubled := dataflow.Map(d, func(v int) int { return v * 2 })
-				keyed := dataflow.GroupByKey(doubled, func(v int) int { return v % 16 })
+				keyed := dataflow.GroupByKey(doubled, func(v int) int { return v % 16 }, cmp.Compare[int])
 				groups = keyed.Count()
 				return nil
 			})
