@@ -39,6 +39,18 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// loadRange turns -from and -to into the load range: both 0 loads
+// everything (the empty interval), anything else needs -to > -from.
+func loadRange(from, to int64) (tgraph.Interval, error) {
+	if from == 0 && to == 0 {
+		return tgraph.Interval{}, nil
+	}
+	if to <= from {
+		return tgraph.Interval{}, fmt.Errorf("-from %d -to %d is not a range: give -to > -from, or neither to load everything", from, to)
+	}
+	return tgraph.MustInterval(tgraph.Time(from), tgraph.Time(to)), nil
+}
+
 func main() {
 	var (
 		dir        = flag.String("dir", "", "graph directory (required)")
@@ -64,6 +76,12 @@ func main() {
 	flag.Parse()
 	if *dir == "" {
 		fail("-dir is required")
+	}
+	rng, err := loadRange(*from, *to)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tgraph-cli: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *compact {
 		var copts []tgraph.Option
@@ -122,10 +140,6 @@ func main() {
 	}
 	ctx := tgraph.NewContext(copts...)
 	defer ctx.Close()
-	var rng tgraph.Interval
-	if *to > *from {
-		rng = tgraph.MustInterval(tgraph.Time(*from), tgraph.Time(*to))
-	}
 	g, stats, err := tgraph.Load(ctx, *dir, tgraph.LoadOptions{
 		Rep: r, Range: rng, Permissive: *permissive,
 		Scan: tgraph.ScanOptions{Parallelism: *scanPar},

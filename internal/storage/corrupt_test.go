@@ -169,42 +169,25 @@ func TestLoadCoalescedFlag(t *testing.T) {
 	}
 }
 
-// corruptChunkAt flips one byte inside the data region of chunk k and
-// rewrites the file, returning the number of rows stored in that chunk.
-func corruptFlatChunk(t *testing.T, path string, k int) int {
+// corruptChunk flips one byte inside the data region of chunk k of a
+// flat or nested file (by its extension) and rewrites the file,
+// returning the number of rows stored in that chunk.
+func corruptChunk(t *testing.T, path string, k int) int {
 	t.Helper()
-	r, err := openPGC(path)
+	r, err := openHeads(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k >= len(r.footer.Chunks) {
 		t.Fatalf("file has %d chunks, wanted to corrupt %d", len(r.footer.Chunks), k)
 	}
-	cm := r.footer.Chunks[k]
+	h := r.footer.Chunks[k]
 	data := append([]byte(nil), r.data...)
-	data[cm.Offset+int64(cm.Length)/2] ^= 0xFF
+	data[h.Offset+int64(h.Length)/2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return cm.Rows
-}
-
-func corruptNestedChunk(t *testing.T, path string, k int) int {
-	t.Helper()
-	r, err := openNested(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k >= len(r.footer.Chunks) {
-		t.Fatalf("file has %d chunks, wanted to corrupt %d", len(r.footer.Chunks), k)
-	}
-	cm := r.footer.Chunks[k]
-	data := append([]byte(nil), r.data...)
-	data[cm.Offset+int64(cm.Length)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return cm.Rows
+	return h.Rows
 }
 
 // Permissive mode on the flat reader: the corrupted chunk is skipped
@@ -216,7 +199,7 @@ func TestPermissiveFlatSkipsCorruptChunk(t *testing.T) {
 	if err := WriteVertices(path, in, WriteOptions{ChunkRows: 32}); err != nil {
 		t.Fatal(err)
 	}
-	lost := corruptFlatChunk(t, path, 1)
+	lost := corruptChunk(t, path, 1)
 
 	if _, _, err := ReadVertices(path, temporal.Empty); err == nil {
 		t.Fatal("strict read of a corrupt chunk: want error")
@@ -267,7 +250,7 @@ func TestPermissiveNestedSkipsCorruptChunk(t *testing.T) {
 	if err := WriteNestedVertices(path, in, WriteOptions{ChunkRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	lost := corruptNestedChunk(t, path, 2)
+	lost := corruptChunk(t, path, 2)
 
 	if _, _, err := ReadNestedVertices(path, temporal.Empty); err == nil {
 		t.Fatal("strict nested read of a corrupt chunk: want error")
@@ -316,7 +299,7 @@ func TestPermissiveLoad(t *testing.T) {
 	if err := SaveGraph(dir, g, SaveOptions{ChunkRows: 32}); err != nil {
 		t.Fatal(err)
 	}
-	corruptFlatChunk(t, filepath.Join(dir, FlatVerticesFile), 0)
+	corruptChunk(t, filepath.Join(dir, FlatVerticesFile), 0)
 
 	if _, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE}); err == nil {
 		t.Fatal("strict load of corrupt dir: want error")
@@ -351,8 +334,8 @@ func TestPermissiveNestedCorruptFirstAndLastChunk(t *testing.T) {
 	if err := WriteNestedVertices(path, in, WriteOptions{ChunkRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	lostFirst := corruptNestedChunk(t, path, 0)
-	lostLast := corruptNestedChunk(t, path, 6)
+	lostFirst := corruptChunk(t, path, 0)
+	lostLast := corruptChunk(t, path, 6)
 	if lostFirst != 16 || lostLast != 4 {
 		t.Fatalf("chunk layout changed: first holds %d, last holds %d", lostFirst, lostLast)
 	}
@@ -407,8 +390,8 @@ func TestPermissiveLoadRangeOverCorruptFile(t *testing.T) {
 	// Chunk 4 (ids 128..159) lies inside the query range; chunk 0 does
 	// not. Both flips keep the file size, so the manifest check passes
 	// and the chunk CRCs are the only tripwire.
-	corruptFlatChunk(t, path, 4)
-	corruptFlatChunk(t, path, 0)
+	corruptChunk(t, path, 4)
+	corruptChunk(t, path, 0)
 	rng := temporal.MustInterval(100, 164)
 
 	if _, _, err := Load(ctx, dir, LoadOptions{Rep: core.RepVE, Range: rng}); err == nil {

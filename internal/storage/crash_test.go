@@ -125,22 +125,12 @@ func truncOffsets(t *testing.T, path string) []int64 {
 	}
 	size := info.Size()
 	offs := []int64{0, int64(len(magic)), size - 16, size - 1}
-	if filepath.Ext(path) == ".pgn" {
-		r, err := openNested(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cm := range r.footer.Chunks {
-			offs = append(offs, cm.Offset+int64(cm.Length))
-		}
-	} else {
-		r, err := openPGC(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cm := range r.footer.Chunks {
-			offs = append(offs, cm.Offset+int64(cm.Length))
-		}
+	r, err := openHeads(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range r.footer.Chunks {
+		offs = append(offs, h.Offset+int64(h.Length))
 	}
 	seen := map[int64]bool{}
 	var out []int64

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,8 +32,7 @@ import (
 func WriteVerticesCSV(w io.Writer, states []core.VertexTuple) error {
 	labels := collectLabels(len(states), func(i int) props.Props { return states[i].Props })
 	cw := csv.NewWriter(w)
-	header := append([]string{"id", "start", "end"}, labels...)
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(csvHeader(vertexCols, labels)); err != nil {
 		return err
 	}
 	for _, v := range states {
@@ -54,8 +54,7 @@ func WriteVerticesCSV(w io.Writer, states []core.VertexTuple) error {
 func WriteEdgesCSV(w io.Writer, states []core.EdgeTuple) error {
 	labels := collectLabels(len(states), func(i int) props.Props { return states[i].Props })
 	cw := csv.NewWriter(w)
-	header := append([]string{"id", "src", "dst", "start", "end"}, labels...)
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(csvHeader(edgeCols, labels)); err != nil {
 		return err
 	}
 	for _, e := range states {
@@ -106,96 +105,151 @@ func appendPropCells(row []string, p props.Props, labels []string) []string {
 		if v.Kind() == props.KindFloat && ParseValue(s).Kind() != props.KindFloat {
 			s += ".0"
 		}
-		row = append(row, s)
+		row = append(row, csvCell(s))
 	}
 	return row
 }
 
+// csvHeader is the header row of fixed columns and property labels.
+func csvHeader(fixed, labels []string) []string {
+	header := append([]string(nil), fixed...)
+	for _, l := range labels {
+		header = append(header, csvCell(l))
+	}
+	return header
+}
+
+// csvCell escapes a text cell so that it reads back as written: a CSV
+// reader turns every CR LF it reads into LF, even inside quotes, so
+// the writer doubles the CR before each LF ("\r\r\n" reads back as
+// "\r\n").
+func csvCell(s string) string { return strings.ReplaceAll(s, "\r\n", "\r\r\n") }
+
+// vertexCols and edgeCols are the fixed header prefixes of vertices.csv
+// and edges.csv.
+var (
+	vertexCols = []string{"id", "start", "end"}
+	edgeCols   = []string{"id", "src", "dst", "start", "end"}
+)
+
 // ReadVerticesCSV parses vertex states from CSV.
 func ReadVerticesCSV(r io.Reader) ([]core.VertexTuple, error) {
-	rows, labels, err := readCSV(r, []string{"id", "start", "end"})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.VertexTuple, 0, len(rows))
-	for i, row := range rows {
-		id, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("storage: vertices.csv row %d: id: %v", i+2, err)
-		}
-		iv, err := parseIntervalCells(row[1], row[2])
-		if err != nil {
-			return nil, fmt.Errorf("storage: vertices.csv row %d: %v", i+2, err)
-		}
-		out = append(out, core.VertexTuple{
-			ID:       core.VertexID(id),
-			Interval: iv,
-			Props:    parsePropCells(row[3:], labels),
-		})
-	}
-	return out, nil
+	return collectCSV(r, "vertices.csv", vertexCols, parseVertexRow)
 }
 
 // ReadEdgesCSV parses edge states from CSV.
 func ReadEdgesCSV(r io.Reader) ([]core.EdgeTuple, error) {
-	rows, labels, err := readCSV(r, []string{"id", "src", "dst", "start", "end"})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.EdgeTuple, 0, len(rows))
-	for i, row := range rows {
-		nums := make([]int64, 3)
-		for j := 0; j < 3; j++ {
-			n, err := strconv.ParseInt(row[j], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("storage: edges.csv row %d col %d: %v", i+2, j+1, err)
-			}
-			nums[j] = n
-		}
-		iv, err := parseIntervalCells(row[3], row[4])
-		if err != nil {
-			return nil, fmt.Errorf("storage: edges.csv row %d: %v", i+2, err)
-		}
-		out = append(out, core.EdgeTuple{
-			ID:       core.EdgeID(nums[0]),
-			Src:      core.VertexID(nums[1]),
-			Dst:      core.VertexID(nums[2]),
-			Interval: iv,
-			Props:    parsePropCells(row[5:], labels),
-		})
+	return collectCSV(r, "edges.csv", edgeCols, parseEdgeRow)
+}
+
+// collectCSV is streamCSV gathering every state it parses.
+func collectCSV[T any](r io.Reader, name string, fixed []string, parse func(cells, labels []string) (T, error)) ([]T, error) {
+	var out []T
+	if err := streamCSV(r, fixed, parse, func(t T) error { out = append(out, t); return nil }); err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", name, err)
 	}
 	return out, nil
 }
 
-// readCSV parses the file, checks the fixed header prefix, and returns
-// the data rows plus the property labels from the header tail.
-func readCSV(r io.Reader, fixed []string) (rows [][]string, labels []string, err error) {
+// streamCSV reads one CSV file row by row, never holding it whole: it
+// checks the fixed header prefix (the header tail names the property
+// columns), parses every data row into a state, and hands it to state.
+func streamCSV[T any](r io.Reader, fixed []string, parse func(cells, labels []string) (T, error), state func(T) error) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	all, err := cr.ReadAll()
+	header, err := cr.Read()
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("missing header")
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: csv: %w", err)
+		return err
 	}
-	if len(all) == 0 {
-		return nil, nil, fmt.Errorf("storage: csv: missing header")
-	}
-	header := all[0]
 	if len(header) < len(fixed) {
-		return nil, nil, fmt.Errorf("storage: csv: header %v lacks required columns %v", header, fixed)
+		return fmt.Errorf("header %v lacks required columns %v", header, fixed)
 	}
 	for i, want := range fixed {
 		if !strings.EqualFold(strings.TrimSpace(header[i]), want) {
-			return nil, nil, fmt.Errorf("storage: csv: header column %d is %q, want %q", i+1, header[i], want)
+			return fmt.Errorf("header column %d is %q, want %q", i+1, header[i], want)
 		}
 	}
-	labels = header[len(fixed):]
-	for _, row := range all[1:] {
-		if len(row) != len(header) {
-			return nil, nil, fmt.Errorf("storage: csv: row has %d cells, header has %d", len(row), len(header))
+	labels := header[len(fixed):]
+	for line := 2; ; line++ {
+		cells, err := cr.Read()
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		rows = append(rows, row)
+		if err != nil {
+			return err
+		}
+		if len(cells) != len(header) {
+			return fmt.Errorf("row %d has %d cells, header has %d", line, len(cells), len(header))
+		}
+		t, err := parse(cells, labels)
+		if err == nil {
+			err = state(t)
+		}
+		if err != nil {
+			return fmt.Errorf("row %d: %w", line, err)
+		}
 	}
-	return rows, labels, nil
+}
+
+// streamCSVDir streams dir's vertices.csv into vertex, then its
+// edges.csv, if there is one, into edge.
+func streamCSVDir(dir string, vertex func(core.VertexTuple) error, edge func(core.EdgeTuple) error) error {
+	vf, err := os.Open(dir + "/vertices.csv")
+	if err != nil {
+		return err
+	}
+	defer vf.Close()
+	if err := streamCSV(vf, vertexCols, parseVertexRow, vertex); err != nil {
+		return fmt.Errorf("vertices.csv: %w", err)
+	}
+	ef, err := os.Open(dir + "/edges.csv")
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer ef.Close()
+	if err := streamCSV(ef, edgeCols, parseEdgeRow, edge); err != nil {
+		return fmt.Errorf("edges.csv: %w", err)
+	}
+	return nil
+}
+
+// parseVertexRow parses the cells of one vertices.csv data row.
+func parseVertexRow(cells, labels []string) (core.VertexTuple, error) {
+	id, err := strconv.ParseInt(cells[0], 10, 64)
+	if err != nil {
+		return core.VertexTuple{}, fmt.Errorf("id: %v", err)
+	}
+	iv, err := parseIntervalCells(cells[1], cells[2])
+	if err != nil {
+		return core.VertexTuple{}, err
+	}
+	return core.VertexTuple{ID: core.VertexID(id), Interval: iv, Props: parsePropCells(cells[3:], labels)}, nil
+}
+
+// parseEdgeRow parses the cells of one edges.csv data row.
+func parseEdgeRow(cells, labels []string) (core.EdgeTuple, error) {
+	var nums [3]int64
+	for j := range nums {
+		n, err := strconv.ParseInt(cells[j], 10, 64)
+		if err != nil {
+			return core.EdgeTuple{}, fmt.Errorf("col %d: %v", j+1, err)
+		}
+		nums[j] = n
+	}
+	iv, err := parseIntervalCells(cells[3], cells[4])
+	if err != nil {
+		return core.EdgeTuple{}, err
+	}
+	return core.EdgeTuple{
+		ID: core.EdgeID(nums[0]), Src: core.VertexID(nums[1]), Dst: core.VertexID(nums[2]),
+		Interval: iv, Props: parsePropCells(cells[5:], labels),
+	}, nil
 }
 
 func parseIntervalCells(start, end string) (temporal.Interval, error) {
@@ -242,27 +296,12 @@ func ParseValue(s string) props.Value {
 
 // ImportCSV loads a graph directory containing vertices.csv and
 // edges.csv (edges optional) and returns the states.
-func ImportCSV(dir string) ([]core.VertexTuple, []core.EdgeTuple, error) {
-	vf, err := os.Open(dir + "/vertices.csv")
+func ImportCSV(dir string) (vs []core.VertexTuple, es []core.EdgeTuple, err error) {
+	err = streamCSVDir(dir,
+		func(v core.VertexTuple) error { vs = append(vs, v); return nil },
+		func(e core.EdgeTuple) error { es = append(es, e); return nil })
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: %w", err)
-	}
-	defer vf.Close()
-	vs, err := ReadVerticesCSV(vf)
-	if err != nil {
-		return nil, nil, err
-	}
-	ef, err := os.Open(dir + "/edges.csv")
-	if os.IsNotExist(err) {
-		return vs, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %w", err)
-	}
-	defer ef.Close()
-	es, err := ReadEdgesCSV(ef)
-	if err != nil {
-		return nil, nil, err
 	}
 	return vs, es, nil
 }

@@ -18,8 +18,11 @@
 //	                 (structural locality; used for RG, loads ~30% faster
 //	                 for snapshot-oriented representations)
 //
-// The nested layout for OG/OGC (history arrays, with first/last
-// existence columns for pushdown) lives in nested.go.
+// The nested layout for OG/OGC stores one entity a row, its history
+// array as the blob, with its first start and last end as the interval
+// columns for pushdown. Both layouts are one container (pgc.go) and
+// differ only in magic, fault site and blob-column codec; the nested
+// codec lives in nested.go.
 //
 // Reads go through the parallel scan engine in scan.go: zone-map
 // survivors are selected sequentially (keeping fault-injection
@@ -316,34 +319,34 @@ func appendDictColumn(buf []byte, vals [][]byte) []byte {
 	return buf
 }
 
-// decodeDictColumn deserialises n rows of a dictionary-encoded column.
-func decodeDictColumn(data []byte, n int) ([][]byte, error) {
+// splitDictColumn reverses appendDictColumn into the blob of each of
+// rows.
+func splitDictColumn(data []byte, rows []row) error {
 	r := &byteReader{buf: data}
 	dn, err := r.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dict := make([][]byte, dn)
 	for i := range dict {
 		l, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dict[i], err = r.bytes(int(l))
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
+	for i := range rows {
 		ix, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ix >= dn {
-			return nil, fmt.Errorf("storage: dictionary index %d out of range %d", ix, dn)
+			return fmt.Errorf("storage: dictionary index %d out of range %d", ix, dn)
 		}
-		out[i] = dict[ix]
+		rows[i].blob = dict[ix]
 	}
-	return out, nil
+	return nil
 }

@@ -1,14 +1,9 @@
 package storage
 
 import (
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
 
+	"repro/internal/core"
 	"repro/internal/storage/wal"
 )
 
@@ -85,97 +80,11 @@ func AppendCSV(dir, in string, batch int, opts wal.Options) (stats AppendStats, 
 		return nil
 	}
 
-	vf, err := os.Open(in + "/vertices.csv")
+	err = streamCSVDir(in,
+		func(v core.VertexTuple) error { return add(wal.VertexDelta(v)) },
+		func(e core.EdgeTuple) error { return add(wal.EdgeDelta(e)) })
 	if err != nil {
 		return stats, fmt.Errorf("storage: append-csv: %w", err)
-	}
-	err = streamCSV(vf, []string{"id", "start", "end"}, func(row, labels []string) error {
-		id, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("id: %v", err)
-		}
-		iv, err := parseIntervalCells(row[1], row[2])
-		if err != nil {
-			return err
-		}
-		return add(wal.Delta{
-			Kind: wal.KindVertex, ID: id, Interval: iv,
-			Props: parsePropCells(row[3:], labels),
-		})
-	})
-	vf.Close()
-	if err != nil {
-		return stats, fmt.Errorf("storage: append-csv: vertices.csv: %w", err)
-	}
-
-	ef, err := os.Open(in + "/edges.csv")
-	switch {
-	case os.IsNotExist(err):
-		err = nil
-	case err != nil:
-		return stats, fmt.Errorf("storage: append-csv: %w", err)
-	default:
-		err = streamCSV(ef, []string{"id", "src", "dst", "start", "end"}, func(row, labels []string) error {
-			nums := make([]int64, 3)
-			for j := 0; j < 3; j++ {
-				v, err := strconv.ParseInt(row[j], 10, 64)
-				if err != nil {
-					return fmt.Errorf("col %d: %v", j+1, err)
-				}
-				nums[j] = v
-			}
-			iv, err := parseIntervalCells(row[3], row[4])
-			if err != nil {
-				return err
-			}
-			return add(wal.Delta{
-				Kind: wal.KindEdge, ID: nums[0], Src: nums[1], Dst: nums[2],
-				Interval: iv, Props: parsePropCells(row[5:], labels),
-			})
-		})
-		ef.Close()
-		if err != nil {
-			return stats, fmt.Errorf("storage: append-csv: edges.csv: %w", err)
-		}
 	}
 	return stats, flush()
-}
-
-// streamCSV reads one CSV file row-by-row: it validates the fixed
-// header prefix (property labels are the header tail, as in readCSV)
-// and calls row for every data row without accumulating the file.
-func streamCSV(r io.Reader, fixed []string, row func(cells, labels []string) error) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if errors.Is(err, io.EOF) {
-		return fmt.Errorf("missing header")
-	}
-	if err != nil {
-		return err
-	}
-	if len(header) < len(fixed) {
-		return fmt.Errorf("header %v lacks required columns %v", header, fixed)
-	}
-	for i, want := range fixed {
-		if !strings.EqualFold(strings.TrimSpace(header[i]), want) {
-			return fmt.Errorf("header column %d is %q, want %q", i+1, header[i], want)
-		}
-	}
-	labels := header[len(fixed):]
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if len(rec) != len(header) {
-			return fmt.Errorf("row %d has %d cells, header has %d", line, len(rec), len(header))
-		}
-		if err := row(rec, labels); err != nil {
-			return fmt.Errorf("row %d: %w", line, err)
-		}
-	}
 }

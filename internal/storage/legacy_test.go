@@ -14,7 +14,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -38,67 +37,14 @@ func legacyEncodeProps(p props.Props) []byte {
 	return buf
 }
 
-// legacyEncodeChunk is encodeChunk without the key-table column:
-// 6 columns, inline-key property blobs.
-func legacyEncodeChunk(rows []row) ([]byte, chunkMeta) {
-	n := len(rows)
-	ids := make([]int64, n)
-	srcs := make([]int64, n)
-	dsts := make([]int64, n)
-	starts := make([]int64, n)
-	ends := make([]int64, n)
-	pb := make([][]byte, n)
-	meta := chunkMeta{Rows: n}
+// legacyPropsColumn is the epoch-1 flat blob column: inline-key props
+// blobs, dictionary-encoded.
+func legacyPropsColumn(rows []row) []byte {
+	pb := make([][]byte, len(rows))
 	for i, r := range rows {
-		ids[i], srcs[i], dsts[i], starts[i], ends[i] = r.id, r.src, r.dst, r.start, r.end
 		pb[i] = legacyEncodeProps(r.p)
-		if i == 0 {
-			meta.MinStart, meta.MaxStart = r.start, r.start
-			meta.MinEnd, meta.MaxEnd = r.end, r.end
-			meta.MinID, meta.MaxID = r.id, r.id
-		} else {
-			meta.MinStart = min(meta.MinStart, r.start)
-			meta.MaxStart = max(meta.MaxStart, r.start)
-			meta.MinEnd = min(meta.MinEnd, r.end)
-			meta.MaxEnd = max(meta.MaxEnd, r.end)
-			meta.MinID = min(meta.MinID, r.id)
-			meta.MaxID = max(meta.MaxID, r.id)
-		}
 	}
-	cols := [][]byte{
-		appendDeltaInts(nil, ids, deref),
-		appendDeltaInts(nil, srcs, deref),
-		appendDeltaInts(nil, dsts, deref),
-		appendDeltaInts(nil, starts, deref),
-		appendDeltaInts(nil, ends, deref),
-		appendDictColumn(nil, pb),
-	}
-	var data []byte
-	for _, c := range cols {
-		meta.ColLens = append(meta.ColLens, len(c))
-		data = append(data, c...)
-	}
-	meta.Length = len(data)
-	meta.CRC = crc32.ChecksumIEEE(data)
-	return data, meta
-}
-
-func legacyWritePGC(t *testing.T, path, kind string, rows []row, order SortOrder, chunkRows int) {
-	t.Helper()
-	sortRows(rows, order)
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	offset := int64(len(magic))
-	footer := fileFooter{Version: 1, Kind: kind, RowCount: len(rows), ChunkRows: chunkRows, SortOrder: order.String()}
-	for lo := 0; lo < len(rows); lo += chunkRows {
-		hi := min(lo+chunkRows, len(rows))
-		data, meta := legacyEncodeChunk(rows[lo:hi])
-		meta.Offset = offset
-		buf.Write(data)
-		offset += int64(len(data))
-		footer.Chunks = append(footer.Chunks, meta)
-	}
-	writeFooterAndTrailer(t, path, &buf, footer, magic)
+	return appendDictColumn(nil, pb)
 }
 
 // legacyEncodeHistory serialises a history array with inline-key
@@ -115,67 +61,57 @@ func legacyEncodeHistory(h []core.HistoryItem) []byte {
 	return buf
 }
 
-// legacyEncodeNestedChunk is encodeNestedChunk without the key-table
-// column.
-func legacyEncodeNestedChunk(rows []nestedRow) ([]byte, nestedChunkMeta) {
-	n := len(rows)
-	ids := make([]int64, n)
-	srcs := make([]int64, n)
-	dsts := make([]int64, n)
-	firsts := make([]int64, n)
-	lasts := make([]int64, n)
-	meta := nestedChunkMeta{Rows: n}
-	var hcol []byte
-	for i, r := range rows {
-		ids[i], srcs[i], dsts[i], firsts[i], lasts[i] = r.id, r.src, r.dst, r.firstStart, r.lastEnd
+// legacyHistoryColumn is the epoch-1 nested blob column: inline-key
+// histories, length-prefixed.
+func legacyHistoryColumn(rows []row) []byte {
+	var col []byte
+	for _, r := range rows {
 		h := legacyEncodeHistory(r.hist)
-		hcol = binary.AppendUvarint(hcol, uint64(len(h)))
-		hcol = append(hcol, h...)
-		if i == 0 {
-			meta.MinFirstStart, meta.MaxFirstStart = r.firstStart, r.firstStart
-			meta.MinLastEnd, meta.MaxLastEnd = r.lastEnd, r.lastEnd
-		} else {
-			meta.MinFirstStart = min(meta.MinFirstStart, r.firstStart)
-			meta.MaxFirstStart = max(meta.MaxFirstStart, r.firstStart)
-			meta.MinLastEnd = min(meta.MinLastEnd, r.lastEnd)
-			meta.MaxLastEnd = max(meta.MaxLastEnd, r.lastEnd)
-		}
+		col = binary.AppendUvarint(col, uint64(len(h)))
+		col = append(col, h...)
 	}
-	cols := [][]byte{
-		appendDeltaInts(nil, ids, deref), appendDeltaInts(nil, srcs, deref), appendDeltaInts(nil, dsts, deref),
-		appendDeltaInts(nil, firsts, deref), appendDeltaInts(nil, lasts, deref), hcol,
-	}
-	var data []byte
-	for _, c := range cols {
-		meta.ColLens = append(meta.ColLens, len(c))
-		data = append(data, c...)
-	}
-	meta.Length = len(data)
-	meta.CRC = crc32.ChecksumIEEE(data)
-	return data, meta
+	return col
 }
 
-func legacyWritePGN(t *testing.T, path, kind string, rows []nestedRow, chunkRows int) {
+// legacyEncodeChunk is encodeChunk without the key-table column: 6
+// columns, the sixth the epoch-1 blob column blobs builds.
+func legacyEncodeChunk[M chunkIndex](l *layout[M], rows []row, offset int64, blobs func([]row) []byte) ([]byte, M) {
+	var data []byte
+	var lens []int
+	for _, field := range []func(*row) int64{
+		func(r *row) int64 { return r.id }, func(r *row) int64 { return r.src }, func(r *row) int64 { return r.dst },
+		func(r *row) int64 { return r.lo }, func(r *row) int64 { return r.hi },
+	} {
+		at := len(data)
+		data = appendDeltaInts(data, rows, field)
+		lens = append(lens, len(data)-at)
+	}
+	col := blobs(rows)
+	data = append(data, col...)
+	lens = append(lens, len(col))
+	h := chunkHead{Rows: len(rows), Offset: offset, Length: len(data), CRC: crc32.ChecksumIEEE(data)}
+	return data, l.meta(h, zoneOf(rows), lens)
+}
+
+// legacyWrite writes an epoch-1 file of layout l: version-1 footer,
+// 64-row chunks of legacyEncodeChunk.
+func legacyWrite[M chunkIndex](t *testing.T, l *layout[M], path, kind string, rows []row, blobs func([]row) []byte) {
 	t.Helper()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].firstStart != rows[j].firstStart {
-			return rows[i].firstStart < rows[j].firstStart
-		}
-		return rows[i].id < rows[j].id
-	})
+	const chunkRows = 64
+	footer := fileFooter[M]{Version: 1, Kind: kind, RowCount: len(rows), ChunkRows: chunkRows}
+	order := SortStructural
+	if !l.fixedOrder {
+		order, footer.SortOrder = SortTemporal, SortTemporal.String()
+	}
+	sortRows(rows, order)
 	var buf bytes.Buffer
-	buf.WriteString(nestedMagic)
-	offset := int64(len(nestedMagic))
-	footer := nestedFooter{Version: 1, Kind: kind, RowCount: len(rows), ChunkRows: chunkRows}
+	buf.WriteString(l.magic)
 	for lo := 0; lo < len(rows); lo += chunkRows {
-		hi := min(lo+chunkRows, len(rows))
-		data, meta := legacyEncodeNestedChunk(rows[lo:hi])
-		meta.Offset = offset
+		data, meta := legacyEncodeChunk(l, rows[lo:min(lo+chunkRows, len(rows))], int64(buf.Len()), blobs)
 		buf.Write(data)
-		offset += int64(len(data))
 		footer.Chunks = append(footer.Chunks, meta)
 	}
-	writeFooterAndTrailer(t, path, &buf, footer, nestedMagic)
+	writeFooterAndTrailer(t, path, &buf, footer, l.magic)
 }
 
 // writeFooterAndTrailer appends the JSON footer and 16-byte trailer to
@@ -230,24 +166,11 @@ func legacyWriteManifest(t *testing.T, dir string, names []string, epoch int) {
 // nested files, epoch-1 manifest) for the given states.
 func writeLegacyDir(t *testing.T, dir string, vs []core.VertexTuple, es []core.EdgeTuple) {
 	t.Helper()
-	legacyWritePGC(t, filepath.Join(dir, FlatVerticesFile), "vertices", vertexRows(vs), SortTemporal, 64)
-	legacyWritePGC(t, filepath.Join(dir, FlatEdgesFile), "edges", edgeRows(es), SortTemporal, 64)
-
-	og := core.ToOG(core.NewVE(testCtx(), vs, es))
-	var ogvs []core.OGVertex
-	for _, part := range og.Vertices().Partitions() {
-		for _, v := range part {
-			ogvs = append(ogvs, core.OGVertex{ID: v.ID, History: v.Attr})
-		}
-	}
-	var oges []core.OGEdge
-	for _, part := range og.Edges().Partitions() {
-		for _, e := range part {
-			oges = append(oges, core.OGEdge{ID: e.ID, Src: e.Src, Dst: e.Dst, History: e.Attr})
-		}
-	}
-	legacyWritePGN(t, filepath.Join(dir, NestedVerticesFile), "vertices", nestedVertexRows(ogvs), 64)
-	legacyWritePGN(t, filepath.Join(dir, NestedEdgesFile), "edges", nestedEdgeRows(oges), 64)
+	legacyWrite(t, &flatLayout, filepath.Join(dir, FlatVerticesFile), "vertices", vertexRows(vs), legacyPropsColumn)
+	legacyWrite(t, &flatLayout, filepath.Join(dir, FlatEdgesFile), "edges", edgeRows(es), legacyPropsColumn)
+	vrows, erows := ogNestedRows(core.ToOG(core.NewVE(testCtx(), vs, es)))
+	legacyWrite(t, &nestedLayout, filepath.Join(dir, NestedVerticesFile), "vertices", vrows, legacyHistoryColumn)
+	legacyWrite(t, &nestedLayout, filepath.Join(dir, NestedEdgesFile), "edges", erows, legacyHistoryColumn)
 	legacyWriteManifest(t, dir, layoutFiles, 1)
 }
 

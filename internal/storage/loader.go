@@ -85,31 +85,26 @@ func saveGraph(dir string, g core.TGraph, opts SaveOptions) (stamp string, err e
 		}
 	}()
 
+	stage := func(sf stagedFile, ent ManifestEntry, err error) error {
+		if err == nil {
+			staged, entries = append(staged, sf), append(entries, ent)
+		}
+		return err
+	}
 	w := WriteOptions{Order: opts.FlatOrder, ChunkRows: opts.ChunkRows, FaultHook: opts.FaultHook}
-	sf, ent, err := stagePGC(filepath.Join(dir, FlatVerticesFile), "vertices", vertexRows(g.VertexStates()), w)
-	if err != nil {
-		return "", err
+	err = stage(stageRows(&flatLayout, filepath.Join(dir, FlatVerticesFile), "vertices", vertexRows(g.VertexStates()), w))
+	if err == nil {
+		err = stage(stageRows(&flatLayout, filepath.Join(dir, FlatEdgesFile), "edges", edgeRows(g.EdgeStates()), w))
 	}
-	staged, entries = append(staged, sf), append(entries, ent)
-	sf, ent, err = stagePGC(filepath.Join(dir, FlatEdgesFile), "edges", edgeRows(g.EdgeStates()), w)
-	if err != nil {
-		return "", err
-	}
-	staged, entries = append(staged, sf), append(entries, ent)
-
-	if !opts.SkipNested {
+	if err == nil && !opts.SkipNested {
 		vrows, erows := ogNestedRows(core.ToOG(g))
-		nw := WriteOptions{ChunkRows: opts.ChunkRows, FaultHook: opts.FaultHook}
-		nsf, nent, err := stageNested(filepath.Join(dir, NestedVerticesFile), "vertices", vrows, nw)
-		if err != nil {
-			return "", err
+		err = stage(stageRows(&nestedLayout, filepath.Join(dir, NestedVerticesFile), "vertices", vrows, w))
+		if err == nil {
+			err = stage(stageRows(&nestedLayout, filepath.Join(dir, NestedEdgesFile), "edges", erows, w))
 		}
-		staged, entries = append(staged, nsf), append(entries, nent)
-		nsf, nent, err = stageNested(filepath.Join(dir, NestedEdgesFile), "edges", erows, nw)
-		if err != nil {
-			return "", err
-		}
-		staged, entries = append(staged, nsf), append(entries, nent)
+	}
+	if err != nil {
+		return "", err
 	}
 
 	// Commit: rename every staged file into place, then write the

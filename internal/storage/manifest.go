@@ -338,26 +338,13 @@ var layoutFiles = []string{FlatVerticesFile, FlatEdgesFile, NestedVerticesFile, 
 // chunkCRCs verifies every chunk CRC of a PGC or PGN file, returning
 // the chunk count and the indexes of chunks failing their checksum.
 func chunkCRCs(path string) (chunks int, bad []int, err error) {
-	if strings.HasSuffix(path, ".pgn") {
-		r, err := openNested(path)
-		if err != nil {
-			return 0, nil, err
-		}
-		for i, cm := range r.footer.Chunks {
-			data, cerr := chunkBytes(r.data, cm.Offset, cm.Length, "storage.pgn.chunk", nil)
-			if cerr != nil || crc32.ChecksumIEEE(data) != cm.CRC {
-				bad = append(bad, i)
-			}
-		}
-		return len(r.footer.Chunks), bad, nil
-	}
-	r, err := openPGC(path)
+	r, err := openHeads(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	for i, cm := range r.footer.Chunks {
-		data, cerr := chunkBytes(r.data, cm.Offset, cm.Length, "storage.pgc.chunk", nil)
-		if cerr != nil || crc32.ChecksumIEEE(data) != cm.CRC {
+	for i, h := range r.footer.Chunks {
+		data, cerr := chunkBytes(r.data, h, "", nil)
+		if cerr != nil || crc32.ChecksumIEEE(data) != h.CRC {
 			bad = append(bad, i)
 		}
 	}

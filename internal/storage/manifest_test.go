@@ -300,7 +300,7 @@ func TestVerifyDir(t *testing.T) {
 
 	// Flip one byte of the flat vertices file in place: the size still
 	// matches the manifest, so only the whole-file CRC catches it.
-	corruptFlatChunk(t, filepath.Join(dir, FlatVerticesFile), 1)
+	corruptChunk(t, filepath.Join(dir, FlatVerticesFile), 1)
 	if err := os.WriteFile(filepath.Join(dir, "edges.pgc.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}

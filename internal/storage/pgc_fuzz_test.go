@@ -122,7 +122,11 @@ func FuzzReadPGN(f *testing.F) {
 			}
 		} else {
 			again := filepath.Join(t.TempDir(), "e.pgn")
-			if _, err := writeNested(again, "edges", nestedEdgeRows(es), WriteOptions{ChunkRows: 3}); err != nil {
+			rows := make([]row, len(es))
+			for i, e := range es {
+				rows[i] = nestedOf(int64(e.ID), int64(e.Src), int64(e.Dst), e.History)
+			}
+			if err := writeRows(&nestedLayout, again, "edges", rows, WriteOptions{ChunkRows: 3}); err != nil {
 				t.Fatalf("write: %v", err)
 			}
 			back, _, err := ReadNestedEdgesOpts(again, fuzzStrict)

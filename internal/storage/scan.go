@@ -78,16 +78,14 @@ func (o ScanOptions) context() context.Context {
 }
 
 // decodeScratch is the reusable per-chunk decode state: the five
-// fixed-width integer columns of both layouts plus the intermediate row
-// slices, sized to the largest chunk seen. Instances are pooled
-// process-wide (scratchPool) and reused across chunks, files and loads;
-// nothing handed out by a decode function may alias them once the chunk
-// is finished (decodeChunk/decodeNestedChunk copy all scratch-resident
-// values into their outputs or into chunk-owned byte slices).
+// integer columns plus the intermediate row slice, sized to the largest
+// chunk seen. Instances are pooled process-wide (scratchPool) and
+// reused across chunks, files and loads; nothing handed out by a decode
+// function may alias them once the chunk is finished (readFile copies
+// all scratch-resident values into its outputs).
 type decodeScratch struct {
-	ints  [5][]int64
-	rows  []row
-	nrows []nestedRow
+	ints [5][]int64
+	rows []row
 }
 
 // scratchPool recycles decodeScratch values across chunks and loads.
@@ -118,22 +116,13 @@ func (sc *decodeScratch) int64s(k, n int) []int64 {
 	return sc.ints[k]
 }
 
-// rowBuf returns the scratch flat-row slice resized to n.
+// rowBuf returns the scratch row slice resized to n.
 func (sc *decodeScratch) rowBuf(n int) []row {
 	if cap(sc.rows) < n {
 		sc.rows = make([]row, n)
 	}
 	sc.rows = sc.rows[:n]
 	return sc.rows
-}
-
-// nestedRowBuf returns the scratch nested-row slice resized to n.
-func (sc *decodeScratch) nestedRowBuf(n int) []nestedRow {
-	if cap(sc.nrows) < n {
-		sc.nrows = make([]nestedRow, n)
-	}
-	sc.nrows = sc.nrows[:n]
-	return sc.nrows
 }
 
 // chunkOut is one chunk's decoded contribution to a scan: the fully
@@ -190,24 +179,22 @@ func runScan(opts ScanOptions, n int, decode func(i int)) error {
 	return ctx.Err()
 }
 
-// scanFileAs is the engine shared by the flat (PGC) and nested (PGN)
-// readers, generic over the output row type (flat scans produce row,
-// nested scans produce nestedRow or converted tuples): survivor
-// selection over metas with zone-map skip and the fault-injection hook,
-// parallel decode via runScan, and in-order reassembly of rows and
-// statistics. decode is called once per surviving chunk with its raw
-// bytes, its footer entry and a pooled scratch buffer; it must return
-// either the chunk's materialised rows or the error that makes the
-// chunk corrupt (skipped and counted under Permissive, fatal otherwise
-// — chosen in chunk order, so strict-mode errors are deterministic at
-// any parallelism).
-func scanFileAs[M, R any](
+// scanFileAs is the engine under readFile, generic over the output row
+// type: survivor selection over metas, skipping each chunk whose span
+// (least lo, greatest hi) skip rejects and routing the others through
+// the fault-injection hook at site, parallel decode via runScan, and
+// in-order reassembly of rows and statistics. decode is called once per
+// surviving chunk with its raw bytes, its footer entry and a pooled
+// scratch buffer; it must return either the chunk's materialised rows
+// or the error that makes the chunk corrupt (skipped and counted under
+// Permissive, fatal otherwise — chosen in chunk order, so strict-mode
+// errors are deterministic at any parallelism).
+func scanFileAs[M chunkIndex, R any](
 	data []byte,
 	opts ReadOptions,
 	metas []M,
-	skip func(M) bool,
-	extent func(M) (offset int64, length int),
 	site string,
+	skip func(lo, hi int64) bool,
 	decode func(chunk []byte, meta M, sc *decodeScratch) (chunkOut[R], error),
 ) ([]R, ScanStats, error) {
 	var stats ScanStats
@@ -221,17 +208,17 @@ func scanFileAs[M, R any](
 	}
 	var jobs []job
 	for _, cm := range metas {
-		if skip(cm) {
+		if skip(cm.span()) {
 			stats.ChunksSkipped++
 			obsZoneMapSkips.Add(1)
 			continue
 		}
-		off, length := extent(cm)
+		h := cm.head()
 		stats.ChunksRead++
-		stats.BytesRead += int64(length)
+		stats.BytesRead += int64(h.Length)
 		obsChunksRead.Add(1)
-		obsBytesRead.Add(int64(length))
-		chunk, err := chunkBytes(data, off, length, site, opts.ChunkHook)
+		obsBytesRead.Add(int64(h.Length))
+		chunk, err := chunkBytes(data, h, site, opts.ChunkHook)
 		if err != nil {
 			if opts.Permissive {
 				stats.ChunksCorrupt++

@@ -91,8 +91,8 @@ func TestScanParallelPermissiveCorruptParity(t *testing.T) {
 	if err := WriteVertices(path, sampleVertices(300), WriteOptions{ChunkRows: 32}); err != nil {
 		t.Fatal(err)
 	}
-	corruptFlatChunk(t, path, 2)
-	corruptFlatChunk(t, path, 7)
+	corruptChunk(t, path, 2)
+	corruptChunk(t, path, 7)
 	seq, seqStats, err := ReadVerticesOpts(path, ReadOptions{Permissive: true, Scan: ScanOptions{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
