@@ -75,18 +75,23 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Fuzzes the readers of untrusted bytes — chunk files of both layouts,
-# CSV, the MANIFEST — for FUZZSECS seconds each with two workers, every
-# run under a hard timeout. Not part of `check`: `go test` replays only
-# the seed corpora in testdata/fuzz. A crasher is written there as a
-# new seed and fails the target. Minimising each new input is capped at
-# 2 s: under the default 60 s, FuzzReadPGC spent 36 of 45 s minimising
-# and ran 7 120 inputs; capped, it runs about 2 000 a second.
+# Fuzzes every reader of untrusted bytes — chunk files of both
+# layouts, CSV, the MANIFEST, WAL record payloads, request specs,
+# cached bodies clipped to a range and the state encoder — for FUZZSECS
+# seconds each with two workers, every run under a hard timeout. Not
+# part of `check`: `go test` replays only the seed corpora in
+# testdata/fuzz. A crasher is written there as a new seed and fails the
+# target. Minimising each new input is capped at 2 s: under the default
+# 60 s, FuzzReadPGC spent 36 of 45 s minimising and ran 7 120 inputs;
+# capped, it runs about 2 000 a second.
 FUZZSECS ?= 30
+FUZZ_TARGETS = storage:FuzzReadPGC storage:FuzzReadPGN storage:FuzzReadCSV \
+	storage:FuzzParseManifest storage/wal:FuzzDecodePayload \
+	serve:FuzzSpecRequest serve:FuzzClipBody serve:FuzzEncodeStates
 fuzz:
-	@for f in FuzzReadPGC FuzzReadPGN FuzzReadCSV FuzzParseManifest; do \
-		timeout -k 5 $$(( $(FUZZSECS) + 120 )) $(GO) test -run '^$$' -fuzz "^$$f$$" \
-			-fuzztime $(FUZZSECS)s -fuzzminimizetime 2s -parallel 2 ./internal/storage || exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		timeout -k 5 $$(( $(FUZZSECS) + 120 )) $(GO) test -run '^$$' -fuzz "^$${t#*:}$$" \
+			-fuzztime $(FUZZSECS)s -fuzzminimizetime 2s -parallel 2 ./internal/$${t%%:*} || exit 1; \
 	done
 
 # Hand-over check: prints every live tgraph-*, pairs.sh or run.sh

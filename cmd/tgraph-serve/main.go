@@ -21,8 +21,9 @@
 // fsync) and invalidates cached results surgically by declared time
 // range; -compact-after
 // folds the log into a fresh columnar epoch inline. -shards N splits
-// each graph across N in-process shard workers at load time and serves
-// queries scatter-gather (byte-identical to unsharded). On
+// each graph across N in-process shard workers at load time (a vertex
+// cut) and serves queries scatter-gather, byte-identical to unsharded;
+// a failed shard fails the request. On
 // SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests; if they outlive -drain-timeout the process exits
 // non-zero so supervisors see the unclean shutdown.
@@ -89,8 +90,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown; exceeded = non-zero exit")
 	compactAfter := flag.Int("compact-after", 0, "fold the WAL into a new columnar epoch after this many appended records (0 disables inline compaction)")
 	shards := flag.Int("shards", 0, "split each graph into this many in-process shards at load time and serve scatter-gather (<= 1 serves unsharded)")
-	shardStrategy := flag.String("shard-strategy", "", "vertex-cut placement for -shards: EdgePartition2D (default) | EdgePartition1D | RandomVertexCut | TimeRange")
-	shardPartial := flag.Bool("shard-partial", false, "answer 200 with the surviving shards' merge (X-TGraph-Shards: k/n) when some shards fail, instead of failing the request")
 	flag.Var(&graphs, "graph", "graph to serve as name=dir; repeatable")
 	flag.Parse()
 
@@ -112,8 +111,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		CompactAfter:     *compactAfter,
 		Shards:           *shards,
-		ShardStrategy:    *shardStrategy,
-		ShardPartial:     *shardPartial,
 	})
 	if err != nil {
 		log.Fatal(err)

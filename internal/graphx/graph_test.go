@@ -64,7 +64,7 @@ func TestTriplets(t *testing.T) {
 }
 
 func TestPartitionStrategies(t *testing.T) {
-	for _, s := range []PartitionStrategy{EdgePartition1D{}, EdgePartition2D{}, RandomVertexCut{}} {
+	for _, s := range []PartitionStrategy{EdgePartition1D{}, EdgePartition2D{}} {
 		if s.String() == "" {
 			t.Errorf("empty strategy name")
 		}
@@ -93,13 +93,6 @@ func TestEdgePartition1DColocatesBySource(t *testing.T) {
 		if s.Partition(7, dst, 8) != s.Partition(7, 0, 8) {
 			t.Fatal("EdgePartition1D must colocate by source")
 		}
-	}
-}
-
-func TestRandomVertexCutColocatesParallelEdges(t *testing.T) {
-	s := RandomVertexCut{}
-	if s.Partition(3, 9, 8) != s.Partition(3, 9, 8) {
-		t.Error("parallel edges must colocate")
 	}
 }
 

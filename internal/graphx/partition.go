@@ -94,17 +94,6 @@ func (EdgePartition2D) Partition(src, dst VertexID, numParts int) int {
 
 func (EdgePartition2D) String() string { return "EdgePartition2D" }
 
-// RandomVertexCut hashes the (src, dst) pair, colocating parallel edges
-// of a multigraph while spreading everything else uniformly.
-type RandomVertexCut struct{}
-
-// Partition implements PartitionStrategy.
-func (RandomVertexCut) Partition(src, dst VertexID, numParts int) int {
-	return int(mix64(mix64(uint64(src))^uint64(dst)) % uint64(numParts))
-}
-
-func (RandomVertexCut) String() string { return "RandomVertexCut" }
-
 // partitionEdges distributes edges over numParts partitions with the
 // given strategy.
 func partitionEdges[ED any](ctx *dataflow.Context, edges []Edge[ED], strategy PartitionStrategy, numParts int) *dataflow.Dataset[Edge[ED]] {

@@ -38,16 +38,16 @@
 //
 // Every graph is served as a VE value (the representations stay in
 // core for the batch pipelines and the "switch" step). Live ingestion:
-// POST /v1/append appends vertex/edge deltas to the graph directory's
-// write-ahead log (internal/storage/wal) and acks only after they are
-// durable under the configured fsync policy — a 200 means the records
-// survive kill -9. The append publishes a new VE with the deltas folded
-// in (no reload from disk) and, on a sharded handle, a coordinator
-// split from it; nothing a reader holds changes. Invalidation is
-// surgical: the cache key's <rangeTag> segment names the time range
-// the result declared (via "range" pipeline steps; "full" when it
-// declared none), the server keeps a tag → interval index per graph,
-// and an append invalidates only the tags its deltas' time span
+// POST /v1/append (a body of at most 8 MiB, else 413) appends
+// vertex/edge deltas to the graph directory's write-ahead log
+// (internal/storage/wal) and acks only after they are fsynced — a 200
+// means the records survive kill -9. The append publishes a new VE with
+// the deltas folded in (no reload from disk) and, on a sharded handle,
+// a coordinator split from it; nothing a reader holds changes.
+// Invalidation is surgical: the cache key's <rangeTag> segment names
+// the time range the result declared (via "range" pipeline steps;
+// "full" when it declared none), the server keeps a tag → interval
+// index per graph, and an append invalidates only the tags its deltas' time span
 // overlaps. Results over windows the append cannot have changed stay
 // resident — that is the hit-rate-retention property the ingest bench
 // measures. Full-graph chains go one better: when a single azoom/wzoom
@@ -152,18 +152,9 @@ type Config struct {
 	ScanParallelism int
 	// Shards splits each graph into this many in-process shard workers
 	// at load time (vertex-cut partitioning, see internal/shard) and
-	// serves queries scatter-gather; <= 1 serves unsharded.
+	// serves queries scatter-gather; <= 1 serves unsharded. The first
+	// shard failure fails the request with a typed dataflow.JobError.
 	Shards int
-	// ShardStrategy names the placement strategy for Shards > 1
-	// ("EdgePartition2D" default, "EdgePartition1D", "RandomVertexCut",
-	// "TimeRange").
-	ShardStrategy string
-	// ShardPartial enables degraded partial results when a subset of
-	// shards fails mid-query: the response merges the surviving shards'
-	// contributions, answers 200, and carries X-TGraph-Shards: k/n.
-	// When false (default) the first shard failure fails the request
-	// with a typed dataflow.JobError.
-	ShardPartial bool
 	// MaxInflight bounds concurrently executing query requests
 	// (admission control); <= 0 disables the limiter and every request
 	// is admitted, preserving the unbounded pre-resilience behaviour.
@@ -229,10 +220,9 @@ type graphHandle struct {
 	// unsharded (durability, compaction, one atomic log append per
 	// batch), and each load and append additionally splits the graph
 	// into a fresh coordinator that answers the queries (split).
-	shards        int
-	shardStrategy shard.Strategy
-	shardOpts     shard.Options
-	// shardsHeader is the X-TGraph-Shards value of a full merge, "n/n".
+	shards    int
+	shardOpts shard.Options
+	// shardsHeader is the X-TGraph-Shards value, "n/n".
 	shardsHeader []string
 
 	// state is what requests answer from. It is replaced whole, never
@@ -439,7 +429,7 @@ func (h *graphHandle) split(g *core.VE) *shard.Coordinator {
 	if h.shards <= 1 {
 		return nil
 	}
-	return shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
+	return shard.NewFromStates(g.VertexStates(), g.EdgeStates(), shard.VertexCut{}, h.shards, h.shardOpts)
 }
 
 // version returns the key version of tag to answer st's request under.
@@ -755,10 +745,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: unknown WAL sync mode %q (the only one is each)", cfg.WALSyncMode)
 	}
 	walOpts := wal.Options{Hook: cfg.WALFaultHook}
-	shardStrategy, err := shard.ParseStrategy(cfg.ShardStrategy)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if cfg.MaxInflight > 0 {
 		s.limiter = resil.NewLimiter(cfg.MaxInflight, cfg.QueueDepth)
 	}
@@ -788,12 +774,7 @@ func New(cfg Config) (*Server, error) {
 		h.walOpts.BeforeRetire = h.reclaim.Hold
 		if cfg.Shards > 1 {
 			h.shards = cfg.Shards
-			h.shardStrategy = shardStrategy
-			h.shardOpts = shard.Options{
-				Parallelism: cfg.Parallelism,
-				Partial:     cfg.ShardPartial,
-				FaultHook:   cfg.FaultHook,
-			}
+			h.shardOpts = shard.Options{Parallelism: cfg.Parallelism, FaultHook: cfg.FaultHook}
 			h.shardsHeader = []string{fmt.Sprintf("%d/%d", cfg.Shards, cfg.Shards)}
 		}
 		s.graphs[gc.Name] = h
@@ -1070,6 +1051,20 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpoint, lim
 // 1 KiB.
 const maxQueryBody = 64 << 10
 
+// maxAppendBody bounds an /v1/append body, far under the write-ahead
+// log's 64 MiB record bound, so no accepted delta is refused there.
+const maxAppendBody = 8 << 20
+
+// bodyStatus is the status a failed body read answers with: 413 when
+// the body outgrew its http.MaxBytesReader, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // bodyBufs pools the query bodies, each read behind its endpoint's name
 // and a NUL: the bytes the spec index hashes.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -1149,12 +1144,7 @@ func (s *Server) handleQuery(ep *endpoint) http.HandlerFunc {
 		buf.WriteString(ep.name)
 		buf.WriteByte(0)
 		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			s.fail(w, code, err)
+			s.fail(w, bodyStatus(err), err)
 			return
 		}
 		q := query{ep: ep, body: buf.Bytes()[len(ep.name)+1:]}
@@ -1214,7 +1204,6 @@ func (s *Server) failEnsure(w http.ResponseWriter, err error) {
 var (
 	jsonContent   = []string{"application/json"}
 	staleGraph    = []string{"stale-graph"}
-	partialShards = []string{"partial-shards"}
 	outcomeValues = [...][]string{qcache.Miss: {"miss"}, qcache.Hit: {"hit"}, qcache.Shared: {"shared"}, qcache.Patched: {"patched"}}
 )
 
@@ -1267,16 +1256,10 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *query) {
 		return s.compute(r.Context(), budget, h, st, steps, q.spec.canon)
 	})
 	if err != nil {
-		var pe *partialError
-		if !errors.As(err, &pe) {
-			s.fail(w, statusForRunError(err), err)
-			return
-		}
-		s.degraded.Add(1)
-		hdr["X-Tgraph-Degraded"] = partialShards
-		hdr["X-Tgraph-Shards"] = []string{pe.stats.Header()}
-		val = pe.body
-	} else if st.coord != nil {
+		s.fail(w, statusForRunError(err), err)
+		return
+	}
+	if st.coord != nil {
 		hdr["X-Tgraph-Shards"] = h.shardsHeader
 	}
 	hdr["Content-Type"] = jsonContent
@@ -1295,9 +1278,8 @@ func (s *Server) budget() (context.Context, context.CancelFunc) {
 
 // compute runs a chain over st on a fresh dataflow context bound to
 // budget — through the coordinator on a sharded handle — and encodes the
-// result; a degraded shard merge comes back as a *partialError. It is
-// the one cold path, for a request's chain and a pull-up's whole-graph
-// step.
+// result. It is the one cold path, for a request's chain and a pull-up's
+// whole-graph step.
 func (s *Server) compute(ctx, budget context.Context, h *graphHandle, st *servedState, steps chain, canon string) (any, int64, error) {
 	// Viewable chains register a materialized-view slot on their first
 	// computation, so the next append can patch this chain's entry
@@ -1320,12 +1302,11 @@ func (s *Server) compute(ctx, budget context.Context, h *graphHandle, st *served
 		defer cancel()
 	}
 	var body []byte
-	var stats shard.Stats
 	err := reqCtx.Run(func() error {
 		var out core.TGraph
 		var err error
 		if st.coord != nil {
-			out, stats, err = st.coord.Run(runCtx, reqCtx, shardQuery(steps))
+			out, _, err = st.coord.Run(runCtx, reqCtx, shardQuery(steps))
 		} else if out, err = core.Rebind(st.graph, reqCtx); err == nil {
 			out, err = steps.apply(out)
 		}
@@ -1337,9 +1318,6 @@ func (s *Server) compute(ctx, budget context.Context, h *graphHandle, st *served
 	})
 	if err != nil {
 		return nil, 0, err
-	}
-	if stats.Partial {
-		return nil, 0, &partialError{body: body, stats: stats}
 	}
 	return body, int64(len(body)), nil
 }
@@ -1394,25 +1372,11 @@ func (s *Server) pullUp(ctx, budget context.Context, h *graphHandle, st *servedS
 	return nil, nil
 }
 
-// partialError carries a degraded partial merge out of the cache's
-// compute function as an error: qcache shares errors with concurrent
-// waiters but never caches them, which is exactly the semantics a
-// partial result needs — every in-flight requester gets the k/n body,
-// and the next request recomputes in the hope of full coverage.
-type partialError struct {
-	body  []byte
-	stats shard.Stats
-}
-
-func (e *partialError) Error() string {
-	return fmt.Sprintf("serve: partial shard result %s", e.stats.Header())
-}
-
 // shardQuery translates a parsed chain into the coordinator's query
 // form: a leading azoom/wzoom step ships its spec for shard-side
 // evaluation (keeping its apply as the gather fallback), a leading
-// range step becomes the shard-side clip with non-overlapping shards
-// pruned, and everything else runs as tail steps over the merged graph.
+// range step becomes the shard-side clip, and everything else runs as
+// tail steps over the merged graph.
 func shardQuery(c chain) shard.Query {
 	q := shard.Query{Rep: core.RepVE}
 	rest := c[1:]
@@ -1434,10 +1398,10 @@ func shardQuery(c chain) shard.Query {
 
 // handleAppend is the live-ingestion endpoint: it logs the request's
 // deltas to the graph's write-ahead log and answers 200 only after
-// they are durable under the configured fsync policy — an acked append
-// survives kill -9. A stale graph (its last reload failed) refuses
-// appends with 503: accepting writes against a view the server cannot
-// reconcile with disk risks divergence.
+// they are fsynced — an acked append survives kill -9. A body over
+// maxAppendBody is a 413 and logs nothing. A stale graph (its last
+// reload failed) refuses appends with 503: accepting writes against a
+// view the server cannot reconcile with disk risks divergence.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	a, ok := s.admit(w, r, s.appendEP, true)
 	if !ok {
@@ -1445,8 +1409,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	defer a.done()
 	var req AppendRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxAppendBody), &req); err != nil {
+		s.fail(w, bodyStatus(err), err)
 		return
 	}
 	ds, err := parseDeltas(req.Deltas)
@@ -1507,10 +1471,9 @@ type GraphInfo struct {
 	// append); Appended counts records logged since the last compaction.
 	WALSeq   uint64 `json:"walSeq,omitempty"`
 	Appended int    `json:"appended,omitempty"`
-	// Shards and ShardStrategy describe sharded serving (0/"" when the
-	// graph is served unsharded).
-	Shards        int    `json:"shards,omitempty"`
-	ShardStrategy string `json:"shardStrategy,omitempty"`
+	// Shards is the shard count of sharded serving (0 when the graph is
+	// served unsharded).
+	Shards int `json:"shards,omitempty"`
 }
 
 // info returns h's entry of the /v1/graphs listing.
@@ -1521,7 +1484,6 @@ func (h *graphHandle) info() GraphInfo {
 		info.WALSeq, info.Appended = st.walSeq, st.appended
 		if st.coord != nil {
 			info.Shards = st.coord.N()
-			info.ShardStrategy = st.coord.Strategy().Name()
 		}
 	}
 	return info

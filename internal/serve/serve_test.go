@@ -302,6 +302,25 @@ func TestQueryBodyBounded(t *testing.T) {
 	}
 }
 
+// An append body beyond maxAppendBody answers 413 like an oversized
+// query and logs nothing: the next append is the log's first record.
+func TestAppendBodyBounded(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer s.Drain()
+	big := AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 77, Start: 1, End: 2, Props: map[string]string{"blob": strings.Repeat("x", maxAppendBody)}},
+	}}
+	w := doJSON(t, s, "POST", "/v1/append", big)
+	var e errorJSON
+	if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Kind != "too-large" {
+		t.Fatalf("oversized append: %d %.200s, want 413 too-large", w.Code, w.Body)
+	}
+	resp, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{{Kind: "vertex", ID: 78, Start: 1, End: 2}}})
+	if code != http.StatusOK || resp.FirstSeq != 1 {
+		t.Fatalf("append after the 413: %d firstSeq=%d, want 200 and 1", code, resp.FirstSeq)
+	}
+}
+
 // Two aZoom specs whose free-text fields rendered alike in the parent's
 // unquoted canonical form ("azoom(by=school,type=x,type=y,count=)")
 // shared one cache entry, so the second got the first one's body.

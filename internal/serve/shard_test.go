@@ -118,8 +118,8 @@ func shardQueries(t *testing.T, s *Server) map[string]*bytes.Buffer {
 }
 
 // Sharded responses are byte-identical to the unsharded server's, for
-// every shard count and strategy under test, and carry the
-// full-coverage X-TGraph-Shards header.
+// every shard count under test, and carry the full-coverage
+// X-TGraph-Shards header.
 func TestShardedByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	saveShardFixture(t, dir)
@@ -129,21 +129,18 @@ func TestShardedByteIdentity(t *testing.T) {
 	want := shardQueries(t, flat)
 	flat.Drain()
 	for _, n := range []int{2, 4} {
-		for _, strategy := range []string{"", "TimeRange"} {
-			name := fmt.Sprintf("n=%d/strategy=%q", n, strategy)
-			sharded := newServerOn(t, dir, Config{Shards: n, ShardStrategy: strategy})
-			got := shardQueries(t, sharded)
-			for q, body := range want {
-				if !bytes.Equal(body.Bytes(), got[q].Bytes()) {
-					t.Errorf("%s: query %s: sharded body differs from unsharded", name, q)
-				}
+		sharded := newServerOn(t, dir, Config{Shards: n})
+		got := shardQueries(t, sharded)
+		for q, body := range want {
+			if !bytes.Equal(body.Bytes(), got[q].Bytes()) {
+				t.Errorf("n=%d: query %s: sharded body differs from unsharded", n, q)
 			}
-			w := doJSON(t, sharded, "POST", "/v1/azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"})
-			if h := w.Header().Get("X-TGraph-Shards"); h != fmt.Sprintf("%d/%d", n, n) {
-				t.Errorf("%s: X-TGraph-Shards = %q, want %d/%d", name, h, n, n)
-			}
-			sharded.Drain()
 		}
+		w := doJSON(t, sharded, "POST", "/v1/azoom", AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"})
+		if h := w.Header().Get("X-TGraph-Shards"); h != fmt.Sprintf("%d/%d", n, n) {
+			t.Errorf("n=%d: X-TGraph-Shards = %q, want %d/%d", n, h, n, n)
+		}
+		sharded.Drain()
 	}
 }
 
@@ -311,44 +308,13 @@ func legFaultOnce(err error) func(string) error {
 	}
 }
 
-// With ShardPartial a failed shard degrades the response to a partial
-// merge (200, X-TGraph-Shards k/n, never cached); without it the
-// request fails with the typed scatter error. Either way the next
-// request recovers full coverage.
+// A failed shard fails the request with the typed scatter error — there
+// is no partial merge — and the next request recovers full coverage.
 func TestShardedPartialDegraded(t *testing.T) {
 	dir := t.TempDir()
 	saveShardFixture(t, dir)
 	boom := errors.New("injected shard fault")
 	azoom := AZoomRequest{Graph: "g", GroupBy: "dept", Count: "members"}
-
-	t.Run("partial", func(t *testing.T) {
-		s := newServerOn(t, dir, Config{Shards: 4, ShardPartial: true, FaultHook: legFaultOnce(boom)})
-		defer s.Drain()
-		w := doJSON(t, s, "POST", "/v1/azoom", azoom)
-		if w.Code != http.StatusOK {
-			t.Fatalf("partial request: %d %s", w.Code, w.Body)
-		}
-		if h := w.Header().Get("X-TGraph-Shards"); h != "3/4" {
-			t.Errorf("X-TGraph-Shards = %q, want 3/4", h)
-		}
-		if h := w.Header().Get("X-TGraph-Degraded"); h != "partial-shards" {
-			t.Errorf("X-TGraph-Degraded = %q, want partial-shards", h)
-		}
-		// The partial body was not cached: the retry recomputes at full
-		// coverage and only then becomes a hit.
-		w2 := doJSON(t, s, "POST", "/v1/azoom", azoom)
-		if w2.Header().Get("X-TGraph-Cache") != "miss" || w2.Header().Get("X-TGraph-Shards") != "4/4" {
-			t.Errorf("recovery request: cache=%q shards=%q, want miss 4/4",
-				w2.Header().Get("X-TGraph-Cache"), w2.Header().Get("X-TGraph-Shards"))
-		}
-		w3 := doJSON(t, s, "POST", "/v1/azoom", azoom)
-		if w3.Header().Get("X-TGraph-Cache") != "hit" {
-			t.Errorf("third request cache = %q, want hit", w3.Header().Get("X-TGraph-Cache"))
-		}
-		if !bytes.Equal(w2.Body.Bytes(), w3.Body.Bytes()) {
-			t.Error("full-coverage hit not byte-identical")
-		}
-	})
 
 	t.Run("fail-fast", func(t *testing.T) {
 		s := newServerOn(t, dir, Config{Shards: 4, FaultHook: legFaultOnce(boom)})

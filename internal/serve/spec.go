@@ -369,8 +369,7 @@ type DeltaJSON struct {
 }
 
 // AppendRequest asks to append deltas to a served graph's write-ahead
-// log. The request is acked only after the records are durable under
-// the server's fsync policy.
+// log. The request is acked only after the records are fsynced.
 type AppendRequest struct {
 	Graph  string      `json:"graph"`
 	Deltas []DeltaJSON `json:"deltas"`

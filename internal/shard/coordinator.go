@@ -19,13 +19,12 @@ import (
 // Scatter instruments (registered on the default obs registry, like
 // every other subsystem's).
 var (
-	mScatters      = obs.Default().Counter("shard.scatters")
-	mLegs          = obs.Default().Counter("shard.legs")
-	mLegFailures   = obs.Default().Counter("shard.leg_failures")
-	mPartialMerges = obs.Default().Counter("shard.partial_merges")
-	mFallbacks     = obs.Default().Counter("shard.fallbacks")
-	mGroupsMerged  = obs.Default().Counter("shard.groups_merged")
-	mLegLatency    = obs.Default().Histogram("shard.leg_latency")
+	mScatters     = obs.Default().Counter("shard.scatters")
+	mLegs         = obs.Default().Counter("shard.legs")
+	mLegFailures  = obs.Default().Counter("shard.leg_failures")
+	mFallbacks    = obs.Default().Counter("shard.fallbacks")
+	mGroupsMerged = obs.Default().Counter("shard.groups_merged")
+	mLegLatency   = obs.Default().Histogram("shard.leg_latency")
 )
 
 // legBudgetFraction is how much of the request's remaining deadline the
@@ -36,10 +35,6 @@ const legBudgetFraction = 0.9
 type Options struct {
 	// Parallelism sizes each worker's dataflow context.
 	Parallelism int
-	// Partial enables degraded partial-result merges when a subset of
-	// shards fails; when false the first leg failure cancels siblings
-	// and the scatter reports a typed *dataflow.JobError.
-	Partial bool
 	// FaultHook, when non-nil, is invoked at fault sites (site
 	// "shard.leg" at the start of every scatter leg) and its error fails
 	// the leg — the chaos-testing seam, mirroring internal/faults.
@@ -52,8 +47,6 @@ type Options struct {
 // every shard at one version.
 type Coordinator struct {
 	n       int
-	st      Strategy
-	partial bool
 	hook    func(site string) error
 	workers []*Worker
 }
@@ -61,9 +54,9 @@ type Coordinator struct {
 // NewFromStates splits the given states in memory and builds a loaded
 // Coordinator over them — the serving layer's path for graph
 // directories run with -shards > 1.
-func NewFromStates(vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n int, opts Options) *Coordinator {
-	parts, bound := Split(vs, es, st, n)
-	c := &Coordinator{n: len(parts), st: bound, partial: opts.Partial, hook: opts.FaultHook}
+func NewFromStates(vs []core.VertexTuple, es []core.EdgeTuple, st VertexCut, n int, opts Options) *Coordinator {
+	parts, _ := Split(vs, es, st, n)
+	c := &Coordinator{n: len(parts), hook: opts.FaultHook}
 	for _, p := range parts {
 		c.workers = append(c.workers, newMemWorker(p, opts))
 	}
@@ -72,9 +65,6 @@ func NewFromStates(vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n in
 
 // N returns the shard count.
 func (c *Coordinator) N() int { return c.n }
-
-// Strategy returns the coordinator's bound placement strategy.
-func (c *Coordinator) Strategy() Strategy { return c.st }
 
 // Close releases every worker's dataflow context.
 func (c *Coordinator) Close() {
@@ -101,7 +91,7 @@ type Query struct {
 	AZ *core.AZoomSpec
 	WZ *core.WZoomSpec
 	// Clip is set when the first step is a range restriction; the clip
-	// is applied shard-side and non-overlapping shards are pruned.
+	// is applied shard-side.
 	Clip temporal.Interval
 	// First applies the first step unsharded (fallback path); nil when
 	// Clip represents it.
@@ -113,11 +103,9 @@ type Query struct {
 // Stats describes how a scatter went, for response headers and logs.
 type Stats struct {
 	// N and OK are the shard count and the number of shards whose
-	// contribution is reflected in the result (pruned shards count: they
-	// contributed everything they had, namely nothing).
+	// contribution is reflected in the result: a scatter is
+	// all-or-nothing, so OK is N on success and 0 on failure.
 	N, OK int
-	// Partial marks a degraded merge (OK < N with Partial mode on).
-	Partial bool
 	// Fallback marks the gather-states fallback path.
 	Fallback bool
 }
@@ -158,17 +146,22 @@ func (c *Coordinator) Run(ctx context.Context, dctx *dataflow.Context, q Query) 
 	st := Stats{N: c.n}
 	lctx, cancel := legContext(ctx)
 	defer cancel()
+	var g core.TGraph
+	var err error
 	switch {
-	case q.AZ != nil && c.st.EntityLocal() && repFast(q.Rep) && !hasCustomAgg(q.AZ.Agg):
-		g, err := c.runAZoom(lctx, dctx, q, &st)
-		return g, st, err
-	case q.WZ != nil && c.st.EntityLocal() && repFast(q.Rep):
-		g, err := c.runWZoom(lctx, dctx, q, &st)
-		return g, st, err
+	case q.AZ != nil && repFast(q.Rep) && !hasCustomAgg(q.AZ.Agg):
+		g, err = c.runAZoom(lctx, dctx, q)
+	case q.WZ != nil && repFast(q.Rep):
+		g, err = c.runWZoom(lctx, dctx, q)
 	default:
-		g, err := c.runGather(lctx, dctx, q, &st)
-		return g, st, err
+		st.Fallback = true
+		g, err = c.runGather(lctx, dctx, q)
 	}
+	if err != nil {
+		return nil, st, err
+	}
+	st.OK = c.n
+	return g, st, nil
 }
 
 // legContext derives the scatter legs' deadline from the request
@@ -186,26 +179,19 @@ func legContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(ctx, time.Now().Add(time.Duration(float64(rem)*legBudgetFraction)))
 }
 
-// scatter fans leg out to every included worker concurrently, one
-// span-instrumented goroutine per shard. Excluded (pruned) workers
-// yield a nil result and count as succeeded; failed legs yield a nil
-// result too, never a partly built one. Without Partial mode the
-// first failure cancels the sibling legs; legs that die of that
-// sibling cancellation are reported as skipped, not failed. The ok
-// count is the number of workers whose contribution the caller may
-// merge.
-func (c *Coordinator) scatter(ctx context.Context, include func(int, *Worker) bool, leg func(context.Context, *Worker) (any, error)) ([]any, int, error) {
+// scatter fans leg out to every worker concurrently, one
+// span-instrumented goroutine per shard, and returns their results in
+// shard order. It is all-or-nothing: the first failed leg cancels its
+// siblings, and the scatter fails with a *dataflow.JobError naming
+// every failed shard; legs that die of that sibling cancellation are
+// reported as skipped, not failed.
+func (c *Coordinator) scatter(ctx context.Context, leg func(context.Context, *Worker) (any, error)) ([]any, error) {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]any, c.n)
 	errs := make([]error, c.n)
-	ran := make([]bool, c.n)
 	var wg sync.WaitGroup
 	for i, w := range c.workers {
-		if include != nil && !include(i, w) {
-			continue
-		}
-		ran[i] = true
 		wg.Add(1)
 		go func(i int, w *Worker) {
 			defer wg.Done()
@@ -217,7 +203,7 @@ func (c *Coordinator) scatter(ctx context.Context, include func(int, *Worker) bo
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("shard %d: leg panic: %v", i, r)
 				}
-				if errs[i] != nil && !c.partial {
+				if errs[i] != nil {
 					cancel()
 				}
 			}()
@@ -228,24 +214,18 @@ func (c *Coordinator) scatter(ctx context.Context, include func(int, *Worker) bo
 					return
 				}
 			}
-			if r, err := leg(ictx, w); err != nil {
-				errs[i] = err
-			} else {
-				results[i] = r
-			}
+			results[i], errs[i] = leg(ictx, w)
 		}(i, w)
 	}
 	wg.Wait()
 
-	ok := 0
 	var tasks []*dataflow.TaskError
 	skipped := 0
 	siblingCancel := ctx.Err() == nil // ictx cancellations came from a failed sibling
-	for i := range results {
+	for i, err := range errs {
 		switch {
-		case errs[i] == nil:
-			ok++
-		case siblingCancel && errors.Is(errs[i], context.Canceled):
+		case err == nil:
+		case siblingCancel && errors.Is(err, context.Canceled):
 			skipped++
 		default:
 			mLegFailures.Add(1)
@@ -253,55 +233,36 @@ func (c *Coordinator) scatter(ctx context.Context, include func(int, *Worker) bo
 				Stage:     "shard.scatter",
 				Partition: i,
 				Attempts:  1,
-				Err:       errs[i],
+				Err:       err,
 			})
 		}
 	}
 	if len(tasks) == 0 && skipped == 0 {
-		return results, ok, nil
+		return results, nil
 	}
 	je := &dataflow.JobError{Stage: "shard.scatter", Tasks: tasks, TasksSkipped: skipped}
 	if err := ctx.Err(); err != nil {
 		je.Cancel = err
 	}
-	return results, ok, je
-}
-
-// degrade resolves a scatter's outcome: full success passes through, a
-// failure with Partial mode and at least one survivor switches the
-// request to degraded mode, anything else propagates the typed error.
-func (c *Coordinator) degrade(st *Stats, ok int, err error) error {
-	st.OK = ok
-	if err == nil {
-		return nil
-	}
-	if !c.partial || ok == 0 {
-		return err
-	}
-	st.Partial = true
-	mPartialMerges.Add(1)
-	return nil
+	return nil, je
 }
 
 // runAZoom is the shard-side aZoom path: each worker contributes its
 // masters' Skolem-group states and its local edges' redirected outputs;
 // the coordinator re-reduces each group — now complete — with
 // AZoomGroup, the exact batch kernel.
-func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Query, st *Stats) (core.TGraph, error) {
+func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Query) (core.TGraph, error) {
 	spec := *q.AZ
 	esk := spec.BoundEdgeSkolem()
-	res, ok, serr := c.scatter(ctx, nil, func(ctx context.Context, w *Worker) (any, error) {
+	res, err := c.scatter(ctx, func(ctx context.Context, w *Worker) (any, error) {
 		return w.azoomPartial(ctx, &spec, esk)
 	})
-	if err := c.degrade(st, ok, serr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	groups := make(map[core.VertexID][]core.HistoryItem)
 	var es []core.EdgeTuple
 	for _, r := range res {
-		if r == nil {
-			continue
-		}
 		p := r.(*azPartial)
 		for id, s := range p.Groups {
 			groups[id] = append(groups[id], s...)
@@ -326,21 +287,19 @@ func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 // Phase two scatters that relation for per-entity windowed reduction;
 // the dangling-edge semijoin runs at the coordinator against the merged
 // (global) vertex outputs.
-func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Query, st *Stats) (core.TGraph, error) {
+func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Query) (core.TGraph, error) {
 	spec := *q.WZ
 	cs := temporal.UsesChangePoints(spec.Window)
-	probes, _, perr := c.scatter(ctx, nil, func(_ context.Context, w *Worker) (any, error) {
+	probes, err := c.scatter(ctx, func(_ context.Context, w *Worker) (any, error) {
 		return w.wzoomProbe(cs), nil
 	})
-	alive := func(i int) bool { return probes[i] != nil }
-
+	if err != nil {
+		return nil, err
+	}
 	lifetime := temporal.Empty
 	var bounds []temporal.Time
-	for i := range probes {
-		if !alive(i) {
-			continue
-		}
-		p := probes[i].(wzProbe)
+	for _, r := range probes {
+		p := r.(wzProbe)
 		lifetime = temporal.Span(lifetime, p.Lifetime)
 		bounds = append(bounds, p.Bounds...)
 	}
@@ -348,30 +307,18 @@ func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 	bounds = slices.Compact(bounds)
 	windows := spec.Window.Windows(lifetime, bounds)
 
-	parts, _, serr := c.scatter(ctx, func(i int, _ *Worker) bool { return alive(i) }, func(ctx context.Context, w *Worker) (any, error) {
+	parts, err := c.scatter(ctx, func(ctx context.Context, w *Worker) (any, error) {
 		return w.wzoomPartial(ctx, &spec, windows)
 	})
-	ok := 0
-	for i := range parts {
-		if alive(i) && parts[i] != nil {
-			ok++
-		}
-	}
-	if serr == nil {
-		serr = perr
-	}
-	if err := c.degrade(st, ok, serr); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
 	// Masters are disjoint across shards, and so are edge owners.
 	out := core.NewHistories()
-	for i := range parts {
-		if alive(i) && parts[i] != nil {
-			p := parts[i].(core.Histories)
-			maps.Copy(out.V, p.V)
-			maps.Copy(out.E, p.E)
-		}
+	for _, r := range parts {
+		p := r.(core.Histories)
+		maps.Copy(out.V, p.V)
+		maps.Copy(out.E, p.E)
 	}
 	vs, es := out.WZoomFinish(spec)
 	return c.finish(dctx, q, vs, es)
@@ -379,27 +326,19 @@ func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 
 // runGather is the fallback for every other chain shape: collect the
 // shards' raw base states (masters and owned edges — the lossless
-// multiset), clipped and pruned by the leading range restriction when
-// present, and run the unsharded operator chain over the merged graph.
-func (c *Coordinator) runGather(ctx context.Context, dctx *dataflow.Context, q Query, st *Stats) (core.TGraph, error) {
+// multiset), clipped to the leading range restriction when present, and
+// run the unsharded operator chain over the merged graph.
+func (c *Coordinator) runGather(ctx context.Context, dctx *dataflow.Context, q Query) (core.TGraph, error) {
 	mFallbacks.Add(1)
-	st.Fallback = true
-	var include func(int, *Worker) bool
-	if !q.Clip.IsEmpty() {
-		include = func(_ int, w *Worker) bool { return w.Span().Overlaps(q.Clip) }
-	}
-	res, ok, serr := c.scatter(ctx, include, func(ctx context.Context, w *Worker) (any, error) {
+	res, err := c.scatter(ctx, func(ctx context.Context, w *Worker) (any, error) {
 		return w.states(ctx, q.Clip)
 	})
-	if err := c.degrade(st, ok, serr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	var vs []core.VertexTuple
 	var es []core.EdgeTuple
 	for _, r := range res {
-		if r == nil {
-			continue
-		}
 		p := r.(*statesPartial)
 		vs = append(vs, p.V...)
 		es = append(es, p.E...)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/graphx"
 	"repro/internal/props"
 	"repro/internal/temporal"
 )
@@ -117,35 +116,27 @@ func wzSpec(window temporal.WindowSpec, dangling bool) core.WZoomSpec {
 	return s
 }
 
-var allStrategies = []Strategy{
-	VertexCut{},
-	VertexCut{Edges: graphx.RandomVertexCut{}},
-	TimeRange{},
-}
-
 // TestSplitLossless asserts every input state lands in exactly one
-// part's Masters/Edges for every strategy and shard count.
+// part's Masters/Edges for every shard count.
 func TestSplitLossless(t *testing.T) {
 	vs, es := genGraph(60, 120)
-	for _, st := range allStrategies {
-		for _, n := range []int{1, 2, 3, 4, 7} {
-			parts, _ := Split(vs, es, st, n)
-			nv, ne := 0, 0
-			for _, p := range parts {
-				nv += len(p.Masters)
-				ne += len(p.Edges)
-			}
-			if nv != len(vs) || ne != len(es) {
-				t.Fatalf("%s n=%d: split not lossless: %d/%d vertices, %d/%d edges",
-					st.Name(), n, nv, len(vs), ne, len(es))
-			}
+	for _, n := range []int{1, 2, 3, 4, 7} {
+		parts, _ := Split(vs, es, VertexCut{}, n)
+		nv, ne := 0, 0
+		for _, p := range parts {
+			nv += len(p.Masters)
+			ne += len(p.Edges)
+		}
+		if nv != len(vs) || ne != len(es) {
+			t.Fatalf("n=%d: split not lossless: %d/%d vertices, %d/%d edges",
+				n, nv, len(vs), ne, len(es))
 		}
 	}
 }
 
 // runBoth runs the same query sharded and unsharded and compares the
 // canonical forms.
-func runBoth(t *testing.T, name string, vs []core.VertexTuple, es []core.EdgeTuple, st Strategy, n int, q Query, direct func(core.TGraph) (core.TGraph, error)) {
+func runBoth(t *testing.T, name string, vs []core.VertexTuple, es []core.EdgeTuple, n int, q Query, direct func(core.TGraph) (core.TGraph, error)) {
 	t.Helper()
 	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
 	defer dctx.Close()
@@ -153,34 +144,32 @@ func runBoth(t *testing.T, name string, vs []core.VertexTuple, es []core.EdgeTup
 	if err != nil {
 		t.Fatalf("%s: direct: %v", name, err)
 	}
-	c := NewFromStates(vs, es, st, n, Options{Parallelism: 2})
+	c := NewFromStates(vs, es, VertexCut{}, n, Options{Parallelism: 2})
 	defer c.Close()
 	got, stats, err := c.Run(context.Background(), dctx, q)
 	if err != nil {
 		t.Fatalf("%s: sharded: %v", name, err)
 	}
-	if stats.N != n || stats.OK != n || stats.Partial {
+	if stats.N != n || stats.OK != n {
 		t.Fatalf("%s: stats = %+v, want full %d/%d", name, stats, n, n)
 	}
 	if g, w := canon(t, got), canon(t, want); g != w {
-		t.Errorf("%s (%s, n=%d): sharded output differs\n--- got ---\n%s--- want ---\n%s", name, st.Name(), n, g, w)
+		t.Errorf("%s (n=%d): sharded output differs\n--- got ---\n%s--- want ---\n%s", name, n, g, w)
 	}
 }
 
-// TestAZoomByteIdentity covers the shard-side aZoom path (vertex cuts)
-// and the gather fallback (TimeRange) against the batch kernel.
+// TestAZoomByteIdentity covers the shard-side aZoom path against the
+// batch kernel.
 func TestAZoomByteIdentity(t *testing.T) {
 	vs, es := genGraph(60, 120)
 	spec := azSpec()
-	for _, st := range allStrategies {
-		for _, n := range []int{1, 2, 4} {
-			q := Query{
-				Canon: "azoom-test", Rep: core.RepVE, AZ: &spec,
-				First: func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) },
-			}
-			runBoth(t, "azoom", vs, es, st, n, q,
-				func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) })
+	for _, n := range []int{1, 2, 4} {
+		q := Query{
+			Canon: "azoom-test", Rep: core.RepVE, AZ: &spec,
+			First: func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) },
 		}
+		runBoth(t, "azoom", vs, es, n, q,
+			func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) })
 	}
 }
 
@@ -263,49 +252,15 @@ func TestWZoomByteIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		spec := tc.spec
-		for _, st := range allStrategies {
-			for _, n := range []int{1, 2, 4} {
-				q := Query{
-					Canon: "wzoom-" + tc.name, Rep: core.RepVE, WZ: &spec,
-					First: func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) },
-				}
-				runBoth(t, "wzoom/"+tc.name, vs, es, st, n, q,
-					func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) })
+		for _, n := range []int{1, 2, 4} {
+			q := Query{
+				Canon: "wzoom-" + tc.name, Rep: core.RepVE, WZ: &spec,
+				First: func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) },
 			}
+			runBoth(t, "wzoom/"+tc.name, vs, es, n, q,
+				func(g core.TGraph) (core.TGraph, error) { return g.WZoom(spec) })
 		}
 	}
-}
-
-// TestRangeGatherPrunes asserts leading range restrictions prune
-// non-overlapping shards under TimeRange and still merge exactly.
-func TestRangeGatherPrunes(t *testing.T) {
-	vs, es := genGraph(60, 120)
-	clip := temporal.Interval{Start: 10, End: 30}
-	spec := azSpec()
-	q := Query{
-		Canon: "range-azoom", Rep: core.RepVE, Clip: clip,
-		Tail: []func(core.TGraph) (core.TGraph, error){
-			func(g core.TGraph) (core.TGraph, error) { return g.AZoom(spec) },
-		},
-	}
-	clipStates := func(g core.TGraph) (core.TGraph, error) {
-		var cvs []core.VertexTuple
-		for _, v := range g.VertexStates() {
-			if v.Interval.Overlaps(clip) {
-				v.Interval = v.Interval.Intersect(clip)
-				cvs = append(cvs, v)
-			}
-		}
-		var ces []core.EdgeTuple
-		for _, e := range g.EdgeStates() {
-			if e.Interval.Overlaps(clip) {
-				e.Interval = e.Interval.Intersect(clip)
-				ces = append(ces, e)
-			}
-		}
-		return core.NewVE(g.Context(), cvs, ces).AZoom(spec)
-	}
-	runBoth(t, "range+azoom", vs, es, TimeRange{}, 4, q, clipStates)
 }
 
 // TestAppendRouting: a coordinator split from a graph grown by appended
@@ -325,7 +280,7 @@ func TestAppendRouting(t *testing.T) {
 	c := NewFromStates(vs, es, VertexCut{}, 4, Options{Parallelism: 2})
 	defer c.Close()
 
-	owner := VertexCut{}.EdgeShard(es[len(es)-1], 4)
+	owner := VertexCut{}.edgeShard(es[len(es)-1], 4)
 	if len(c.workers[owner].vstates(2000)) != 1 {
 		t.Fatalf("shard %d owns edge 9002 but does not hold vertex 2000's state", owner)
 	}
@@ -433,9 +388,9 @@ func TestRunsDuringAppends(t *testing.T) {
 	}
 }
 
-// TestChaosPartialFailure fault-injects one shard leg and asserts both
-// failure modes: fail-fast mode surfaces a typed *dataflow.JobError
-// naming the failed shard, and partial mode degrades to a k/n merge.
+// TestChaosPartialFailure fault-injects one shard leg and asserts the
+// scatter fails fast with a typed *dataflow.JobError naming the failed
+// shard: there is no partial merge.
 func TestChaosPartialFailure(t *testing.T) {
 	vs, es := genGraph(40, 80)
 	spec := azSpec()
@@ -475,26 +430,41 @@ func TestChaosPartialFailure(t *testing.T) {
 			t.Errorf("JobError does not unwrap to the injected fault: %v", err)
 		}
 	})
+}
 
-	t.Run("partial", func(t *testing.T) {
-		dctx := dataflow.NewContext(dataflow.WithParallelism(2))
-		defer dctx.Close()
-		c := NewFromStates(vs, es, VertexCut{}, 4, Options{Parallelism: 2, Partial: true, FaultHook: hookOnce()})
-		defer c.Close()
-		g, stats, err := c.Run(context.Background(), dctx, q)
-		if err != nil {
-			t.Fatalf("partial mode should degrade, got %v", err)
+// TestWZoomProbeFailureEndsScatter: a failed phase-one probe leg fails
+// the wZoom at once; the windowing phase never starts, so the legs run
+// are the n probes alone.
+func TestWZoomProbeFailureEndsScatter(t *testing.T) {
+	const n = 4
+	vs, es := genGraph(40, 80)
+	boom := errors.New("injected probe fault")
+	var mu sync.Mutex
+	legs := 0
+	hook := func(site string) error {
+		if site != "shard.leg" {
+			return nil
 		}
-		if !stats.Partial || stats.OK != 3 || stats.N != 4 {
-			t.Fatalf("stats = %+v, want partial 3/4", stats)
+		mu.Lock()
+		defer mu.Unlock()
+		if legs++; legs == 1 {
+			return boom
 		}
-		if stats.Header() != "3/4" {
-			t.Errorf("header = %q, want 3/4", stats.Header())
-		}
-		if g == nil || len(g.VertexStates()) == 0 {
-			t.Error("degraded merge returned no data")
-		}
-	})
+		return nil
+	}
+	dctx := dataflow.NewContext(dataflow.WithParallelism(2))
+	defer dctx.Close()
+	c := NewFromStates(vs, es, VertexCut{}, n, Options{Parallelism: 2, FaultHook: hook})
+	defer c.Close()
+	spec := wzSpec(temporal.MustEveryN(10), true)
+	_, _, err := c.Run(context.Background(), dctx, Query{Canon: "probe-fault", Rep: core.RepVE, WZ: &spec})
+	var je *dataflow.JobError
+	if !errors.As(err, &je) || !errors.Is(err, boom) {
+		t.Fatalf("want a *dataflow.JobError wrapping the probe fault, got %v", err)
+	}
+	if legs != n {
+		t.Errorf("shard.leg ran %d times, want %d: the windowing phase ran after a failed probe", legs, n)
+	}
 }
 
 // TestLegDeadline asserts the per-leg deadline derives from the request

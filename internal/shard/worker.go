@@ -52,10 +52,6 @@ func newMemWorker(p Part, opts Options) *Worker {
 // close releases the worker's dataflow context.
 func (w *Worker) close() { w.dctx.Close() }
 
-// Span returns the interval covered by the shard's base states —
-// consulted for range pruning.
-func (w *Worker) Span() temporal.Interval { return w.span }
-
 // vstates returns the full history of a vertex the shard knows (master
 // or mirror), shared with the worker.
 func (w *Worker) vstates(id core.VertexID) []core.HistoryItem {

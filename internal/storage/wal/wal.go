@@ -70,6 +70,12 @@ import (
 // that is not the torn tail of the final segment. Test with errors.Is.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// ErrRecordTooLarge marks an append refused because one of its deltas
+// encodes to a payload over maxRecordLen, which recovery would read as
+// a torn tail and truncate. Nothing of the batch is written. Test with
+// errors.Is.
+var ErrRecordTooLarge = errors.New("wal: record too large")
+
 var (
 	obsAppends       = obs.Default().Counter("storage.wal.appends")
 	obsRecords       = obs.Default().Counter("storage.wal.records")
@@ -634,7 +640,9 @@ func syncDir(dir string) error {
 // concurrent appends serialize. An error return means the records are
 // NOT acked: they may or may not survive, and recovery treating either
 // outcome as truth is correct. Appending zero deltas is a no-op
-// returning the current last sequence.
+// returning the current last sequence. A batch holding a delta whose
+// record would exceed maxRecordLen is refused whole with
+// ErrRecordTooLarge before a byte is written; the log stays appendable.
 func (l *Log) Append(deltas ...Delta) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -645,6 +653,14 @@ func (l *Log) Append(deltas ...Delta) (uint64, error) {
 		return l.lastSeq, nil
 	}
 	start := time.Now()
+	var buf []byte
+	for i, d := range deltas {
+		n := len(buf)
+		buf = encodeRecord(buf, l.lastSeq+1+uint64(i), d)
+		if plen := len(buf) - n - frameHeaderLen; plen > maxRecordLen {
+			return 0, fmt.Errorf("wal: delta %d encodes to %d bytes, over %d: %w", i, plen, maxRecordLen, ErrRecordTooLarge)
+		}
+	}
 	if err := l.ensureActiveLocked(); err != nil {
 		return 0, err
 	}
@@ -652,10 +668,6 @@ func (l *Log) Append(deltas ...Delta) (uint64, error) {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
-	}
-	var buf []byte
-	for i, d := range deltas {
-		buf = encodeRecord(buf, l.lastSeq+1+uint64(i), d)
 	}
 	if err := l.fireLocked("storage.wal.append"); err != nil {
 		// Simulated crash mid-write: half the batch reaches the file (a

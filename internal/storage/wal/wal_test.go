@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -210,6 +211,36 @@ func TestAppendReopenReplay(t *testing.T) {
 	tail, err := Read(dir, 2, false)
 	if err != nil || len(tail.Deltas) != 1 || !deltasEqual(tail.Deltas[0], want[2]) {
 		t.Fatalf("read after 2: %v %v", tail.Deltas, err)
+	}
+}
+
+// TestAppendRefusesOversizeRecord: a delta whose record would exceed
+// maxRecordLen is refused with the whole batch before a byte is written
+// — recovery would read such a length as a torn tail and truncate an
+// acked record — and the log goes on appending after it.
+func TestAppendRefusesOversizeRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	if _, err := l.Append(vd(1, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	huge := vd(2, 0, 5, "blob", props.StringVal(strings.Repeat("x", maxRecordLen+1)))
+	if seq, err := l.Append(vd(3, 0, 5), huge); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversize append: seq=%d err=%v, want ErrRecordTooLarge", seq, err)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq after refused batch = %d, want 1", got)
+	}
+	if seq, err := l.Append(vd(4, 0, 5)); err != nil || seq != 2 {
+		t.Fatalf("append after refused batch: seq=%d err=%v, want 2", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if rec.LastSeq != 2 || rec.Records != 2 || rec.TruncatedBytes != 0 {
+		t.Fatalf("reopen recovery: %+v, want 2 records and nothing truncated", rec)
 	}
 }
 
