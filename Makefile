@@ -76,17 +76,19 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Fuzzes every reader of untrusted bytes — chunk files of both
-# layouts, CSV, the MANIFEST, WAL record payloads, request specs,
-# cached bodies clipped to a range and the state encoder — for FUZZSECS
-# seconds each with two workers, every run under a hard timeout. Not
-# part of `check`: `go test` replays only the seed corpora in
-# testdata/fuzz. A crasher is written there as a new seed and fails the
-# target. Minimising each new input is capped at 2 s: under the default
-# 60 s, FuzzReadPGC spent 36 of 45 s minimising and ran 7 120 inputs;
-# capped, it runs about 2 000 a second.
+# layouts, CSV, the MANIFEST, WAL record payloads and whole WAL
+# segments, request specs, cached bodies clipped to a range and the
+# state encoder — for FUZZSECS seconds each with two workers, every
+# run under a hard timeout. Not part of `check`: `go test` replays
+# only the seed corpora in testdata/fuzz. A crasher is written there as
+# a new seed and fails the target. Minimising each new input is capped
+# at 2 s: under the default 60 s, FuzzReadPGC spent 36 of 45 s
+# minimising and ran 7 120 inputs; capped, it runs about 2 000 a
+# second.
 FUZZSECS ?= 30
 FUZZ_TARGETS = storage:FuzzReadPGC storage:FuzzReadPGN storage:FuzzReadCSV \
 	storage:FuzzParseManifest storage/wal:FuzzDecodePayload \
+	storage/wal:FuzzOpenSegment \
 	serve:FuzzSpecRequest serve:FuzzClipBody serve:FuzzEncodeStates
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

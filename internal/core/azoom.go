@@ -46,14 +46,16 @@ func azoomMapVertices(spec AZoomSpec, id VertexID, iv temporal.Interval, p props
 // variants (Algorithm 2 lines 1-12 / Algorithm 3 lines 1-5): group the
 // mapped states by new identity, align each group's intervals to the
 // group's elementary intervals (the temporal splitter), and reduce
-// identity-equivalent states per elementary interval with f_agg.
-func azoomVerticesDataflow(spec AZoomSpec, mapped *dataflow.Dataset[azVertexState]) *dataflow.Dataset[VertexTuple] {
+// identity-equivalent states per elementary interval with f_agg. emit
+// appends the output of one group — its new identity and its states in
+// interval order — to the partition's records.
+func azoomVerticesDataflow[O any](spec AZoomSpec, mapped *dataflow.Dataset[azVertexState], emit func(newID VertexID, ts []VertexTuple, out []O) []O) *dataflow.Dataset[O] {
 	agg := spec.Agg.Bind() // intern the agg labels once, outside the hot loop
 	gsp := obs.StartSpan("group-by")
 	groups := dataflow.GroupByKey(mapped, func(s azVertexState) VertexID { return s.NewID }, cmp.Compare[VertexID])
 	gsp.End()
 	defer obs.StartSpan("align-aggregate").End()
-	return dataflow.FlatMap(groups, func(gr dataflow.Group[VertexID, azVertexState]) []VertexTuple {
+	return dataflow.FlatMapAppend(groups, func(gr dataflow.Group[VertexID, azVertexState], out []O) []O {
 		// The group kernel is shared with incremental maintenance
 		// (internal/incr), which re-runs it per affected Skolem group.
 		// It does not keep its input, so the states are staged in its
@@ -63,7 +65,7 @@ func azoomVerticesDataflow(spec AZoomSpec, mapped *dataflow.Dataset[azVertexStat
 		for _, s := range gr.Values {
 			sc.hist = append(sc.hist, HistoryItem{Interval: s.Interval, Props: s.Orig})
 		}
-		out := sc.azoomGroup(spec, agg, gr.Key, sc.hist)
+		out = emit(gr.Key, sc.azoomGroup(spec, agg, gr.Key, sc.hist), out)
 		groupScratchPool.Put(sc)
 		return out
 	})
@@ -88,7 +90,7 @@ func (g *VE) azoom(spec AZoomSpec) (TGraph, error) {
 		return azoomMapVertices(spec, t.ID, t.Interval, t.Props)
 	})
 	msp.End()
-	v := azoomVerticesDataflow(spec, mapped)
+	v := azoomVerticesDataflow(spec, mapped, func(_ VertexID, ts, out []VertexTuple) []VertexTuple { return append(out, ts...) })
 	vsp.End()
 	if err := checkpoint(g.ctx, "azoom.VE:edges"); err != nil {
 		return nil, err
@@ -138,21 +140,14 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 		return out
 	})
 	msp.End()
-	vtuples := azoomVerticesDataflow(spec, mapped)
-
-	// Rebuild history arrays per new vertex (group is already local to
-	// the flatMap output of the shared pipeline, but identity can span
-	// partitions, so group once more).
-	hsp := obs.StartSpan("rebuild-histories")
-	vgroups := dataflow.GroupByKey(vtuples, func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID])
-	newV := dataflow.Map(vgroups, func(gr dataflow.Group[VertexID, VertexTuple]) graphx.Vertex[[]HistoryItem] {
-		h := make([]HistoryItem, len(gr.Values))
-		for i, t := range gr.Values {
+	// A group's states are one vertex's history, in interval order.
+	newV := azoomVerticesDataflow(spec, mapped, func(id VertexID, ts []VertexTuple, out []graphx.Vertex[[]HistoryItem]) []graphx.Vertex[[]HistoryItem] {
+		h := make([]HistoryItem, len(ts))
+		for i, t := range ts {
 			h[i] = HistoryItem{Interval: t.Interval, Props: t.Props}
 		}
-		return graphx.Vertex[[]HistoryItem]{ID: gr.Key, Attr: sortHistory(h)}
+		return append(out, graphx.Vertex[[]HistoryItem]{ID: id, Attr: h})
 	})
-	hsp.End()
 	vsp.End()
 	if err := checkpoint(g.Context(), "azoom.OG:edges"); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -46,14 +47,12 @@ func wzoomWindows(g TGraph, spec WZoomSpec) []temporal.Window {
 // shuffle per relation. The paper attributes VE's wZoom cost to the
 // locality that plan lacks (Section 4).
 //
-// What runs here computes the same relation and keeps the locality the
-// first shuffle buys: each relation is grouped by entity once; a
-// group's run is coalesced in place when the input is not flagged
-// coalesced; and the windows are evaluated over the run by the
-// per-entity kernel OG applies to its history arrays (wzoomRun). No
-// state is copied per window and nothing is shuffled twice. Change
-// points, where the window spec wants them, come from the coalesced
-// runs. The two dangling-edge semijoins are the paper's.
+// What runs here computes the same relation with one shuffle per
+// relation: each is grouped by entity once, a group's run is coalesced
+// in place unless the input is flagged coalesced, and the windows are
+// evaluated over the run by OG's per-entity kernel (wzoomRun). Change
+// points come from the coalesced runs. Dangling edges are removed as on
+// OG, against the gathered vertex result (vertexIndex), with no shuffle.
 func (g *VE) WZoom(spec WZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -106,17 +105,15 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 		if err := checkpoint(g.ctx, "wzoom.VE:dangling"); err != nil {
 			return nil, err
 		}
-		// Two semijoins: an edge state (always a whole window) survives
-		// only if both endpoints exist in the same window.
-		dsp := obs.StartSpan("dangling-semijoin")
-		e = dataflow.SemiJoin(e, v,
-			func(t EdgeTuple) VertexID { return t.Src },
-			func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID],
-			func(et EdgeTuple, vt VertexTuple) bool { return vt.Interval.Covers(et.Interval) })
-		e = dataflow.SemiJoin(e, v,
-			func(t EdgeTuple) VertexID { return t.Dst },
-			func(t VertexTuple) VertexID { return t.ID }, cmp.Compare[VertexID],
-			func(et EdgeTuple, vt VertexTuple) bool { return vt.Interval.Covers(et.Interval) })
+		dsp := obs.StartSpan("dangling")
+		x := gatherVertices(v.Partitions(), v.Count(), func(x vertexIndex, t VertexTuple) vertexIndex {
+			return append(x, vertexSpan{t.ID, t.Interval})
+		})
+		e = dataflow.MapPartitions(e, func(_ int, es []EdgeTuple) []EdgeTuple {
+			return slices.DeleteFunc(es, func(t EdgeTuple) bool {
+				return !keepsEdgeState(t.Interval, x.states(t.Src), x.states(t.Dst), spanIv)
+			})
+		})
 		dsp.End()
 	}
 	return veFromDatasets(g.ctx, v, e, false), nil
@@ -184,11 +181,45 @@ func wzoomGroups[K comparable, T any](
 	})
 }
 
+// vertexIndex is a zoomed vertex result gathered for the dangling-edge
+// rule: every state of every partition, projected to its id and
+// interval, in one slice sorted by id. Each edge partition probes it in
+// place, as GraphX's routing table ships vertex attributes to the edges,
+// instead of shuffling the edges to the vertices.
+type vertexIndex []vertexSpan
+
+type vertexSpan struct {
+	ID       VertexID
+	Interval temporal.Interval
+}
+
+func spanIv(s *vertexSpan) *temporal.Interval { return &s.Interval }
+
+// gatherVertices builds the index from the partitions of a zoomed
+// vertex result, with room for n spans; spans appends one record's.
+func gatherVertices[T any](parts [][]T, n int, spans func(vertexIndex, T) vertexIndex) vertexIndex {
+	x := make(vertexIndex, 0, n)
+	for _, part := range parts {
+		for _, rec := range part {
+			x = spans(x, rec)
+		}
+	}
+	slices.SortFunc(x, func(a, b vertexSpan) int { return cmp.Compare(a.ID, b.ID) })
+	return x
+}
+
+// states returns the spans of vertex id.
+func (x vertexIndex) states(id VertexID) []vertexSpan {
+	lo := sort.Search(len(x), func(i int) bool { return x[i].ID >= id })
+	hi := sort.Search(len(x), func(i int) bool { return x[i].ID > id })
+	return x[lo:hi]
+}
+
 // WZoom over OG (Algorithm 6): every entity's history is recomputed
 // in-place — a narrow map with no shuffle, because OG's temporal
 // locality puts all states of an entity in one record. Dangling-edge
-// removal intersects edge histories with endpoint histories through the
-// routing table.
+// removal trims each edge's history in place against the gathered
+// vertex result (vertexIndex).
 func (g *OG) WZoom(spec WZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -235,35 +266,22 @@ func (g *OG) wzoom(spec WZoomSpec) (TGraph, error) {
 		if err := checkpoint(g.Context(), "wzoom.OG:dangling"); err != nil {
 			return nil, err
 		}
-		dsp := obs.StartSpan("dangling-intersect")
-		table := make(map[VertexID][]temporal.Interval)
-		for _, part := range newV.Partitions() {
-			for _, v := range part {
-				ivs := make([]temporal.Interval, len(v.Attr))
-				for i, it := range v.Attr {
-					ivs[i] = it.Interval
-				}
-				table[v.ID] = ivs
+		dsp := obs.StartSpan("dangling")
+		x := gatherVertices(newV.Partitions(), newV.Count(), func(x vertexIndex, v graphx.Vertex[[]HistoryItem]) vertexIndex {
+			for _, it := range v.Attr {
+				x = append(x, vertexSpan{v.ID, it.Interval})
 			}
-		}
-		coveredByVertex := func(id VertexID, iv temporal.Interval) bool {
-			for _, viv := range table[id] {
-				if viv.Covers(iv) {
-					return true
-				}
+			return x
+		})
+		newE = dataflow.MapPartitions(newE, func(_ int, es []graphx.Edge[[]HistoryItem]) []graphx.Edge[[]HistoryItem] {
+			for i, e := range es {
+				src, dst := x.states(e.Src), x.states(e.Dst)
+				es[i].Attr = slices.DeleteFunc(e.Attr, func(it HistoryItem) bool {
+					return !keepsEdgeState(it.Interval, src, dst, spanIv)
+				})
 			}
-			return false
-		}
-		newE = dataflow.Map(newE, func(e graphx.Edge[[]HistoryItem]) graphx.Edge[[]HistoryItem] {
-			kept := make([]HistoryItem, 0, len(e.Attr))
-			for _, it := range e.Attr {
-				if coveredByVertex(e.Src, it.Interval) && coveredByVertex(e.Dst, it.Interval) {
-					kept = append(kept, it)
-				}
-			}
-			e.Attr = kept
-			return e
-		}).Filter(func(e graphx.Edge[[]HistoryItem]) bool { return len(e.Attr) > 0 })
+			return slices.DeleteFunc(es, func(e graphx.Edge[[]HistoryItem]) bool { return len(e.Attr) == 0 })
+		})
 		dsp.End()
 	}
 	return ogFromGraph(graphx.FromDatasets(newV, newE, g.graph.Strategy()), false), nil
@@ -328,11 +346,11 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 				}
 			}
 		}
-		keptV := make(map[VertexID]struct{})
+		keptV := make(map[VertexID]bool)
 		var svs []graphx.Vertex[props.Props]
 		for _, id := range sortedKeys(vStates, cmp.Compare[VertexID]) {
 			if p, ok := WZoomReduce(vStates[id], w, spec.VQuant, vres); ok {
-				keptV[id] = struct{}{}
+				keptV[id] = true
 				svs = append(svs, graphx.Vertex[props.Props]{ID: id, Attr: p})
 			}
 		}
@@ -340,16 +358,8 @@ func (g *RG) wzoom(spec WZoomSpec) (TGraph, error) {
 		dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
 		for _, k := range sortedKeys(eStates, EdgeKey.compare) {
 			p, ok := WZoomReduce(eStates[k], w, spec.EQuant, eres)
-			if !ok {
+			if !ok || dangling && !(keptV[k.Src] && keptV[k.Dst]) {
 				continue
-			}
-			if dangling {
-				if _, ok := keptV[k.Src]; !ok {
-					continue
-				}
-				if _, ok := keptV[k.Dst]; !ok {
-					continue
-				}
 			}
 			ses = append(ses, graphx.Edge[props.Props]{ID: k.ID, Src: k.Src, Dst: k.Dst, Attr: p})
 		}
@@ -426,15 +436,12 @@ func (g *OGC) wzoom(spec WZoomSpec) (TGraph, error) {
 				table[v.ID] = v.Attr.Bits
 			}
 		}
-		empty := bitset.New(len(windows))
 		newE = dataflow.Map(newE, func(e graphx.Edge[OGCEntity]) graphx.Edge[OGCEntity] {
-			b := e.Attr.Bits.Clone()
-			src, ok1 := table[e.Src]
-			dst, ok2 := table[e.Dst]
-			if !ok1 || !ok2 {
-				b = empty.Clone()
+			var b *bitset.Bitset
+			if src, dst := table[e.Src], table[e.Dst]; src != nil && dst != nil {
+				b = e.Attr.Bits.Clone().And(src).And(dst)
 			} else {
-				b.And(src).And(dst)
+				b = bitset.New(len(windows))
 			}
 			return graphx.Edge[OGCEntity]{ID: e.ID, Src: e.Src, Dst: e.Dst, Attr: OGCEntity{Type: e.Attr.Type, Bits: b}}
 		})

@@ -286,6 +286,24 @@ func historyItem(iv temporal.Interval, p props.Props) HistoryItem {
 	return HistoryItem{Interval: iv, Props: p}
 }
 
+// keepsEdgeState is wZoom^T's dangling-edge rule, which applies when
+// the vertex quantifier is more restrictive than the edge quantifier:
+// an edge state over iv survives only if a state of its source and a
+// state of its destination each cover iv. src and dst are the
+// endpoints' windowed states, whose intervals ivOf reads: VE and OG
+// find them in a vertexIndex, Histories.WZoomFinish in its histories.
+func keepsEdgeState[T any](iv temporal.Interval, src, dst []T, ivOf func(*T) *temporal.Interval) bool {
+	covers := func(states []T) bool {
+		for i := range states {
+			if ivOf(&states[i]).Covers(iv) {
+				return true
+			}
+		}
+		return false
+	}
+	return covers(src) && covers(dst)
+}
+
 // BoundEdgeSkolem returns the spec's edge Skolem function with the
 // default (hash of original id and both new endpoints) substituted
 // when none is set — the exported form of the binding the batch
@@ -299,7 +317,7 @@ func (s AZoomSpec) BoundEdgeSkolem() EdgeSkolemFunc { return s.edgeSkolem() }
 // in it, and a shard worker the masters and edges it owns; the methods
 // are the per-entity wZoom^T steps both evaluate — window every entity,
 // collect the change points, flatten the outputs through the
-// dangling-edge semijoin. Histories only grow by append and no method
+// dangling-edge rule. Histories only grow by append and no method
 // writes to one: a history that must be coalesced first is folded on a
 // copy, so holders may share the slices.
 type Histories struct {
@@ -332,7 +350,7 @@ const cancelStride = 512
 // WZoom evaluates the window relation over every entity: each history
 // is coalesced, as the batch path coalesces its input, and windowed by
 // the kernel OG runs per entity (WZoomEntity). Entities no window
-// retains are left out. Dangling edges are kept — their semijoin needs
+// retains are left out. Dangling edges are kept — their rule needs
 // every vertex's output, which a partial may not hold; WZoomFinish
 // applies it once the outputs are merged. WZoom returns ctx's error if
 // ctx ends before it is done.
@@ -394,10 +412,10 @@ func coalescedIntervals[K comparable](ivs []temporal.Interval, m map[K][]History
 // WZoomFinish flattens windowed outputs — WZoom's result, or the union
 // of several partials' disjoint results — into the state tuples wZoom^T
 // emits. When the vertex quantifier is more restrictive than the edge
-// quantifier it removes dangling edges with the batch semijoin's
-// predicate: an edge state, always a whole window, survives only while
-// a state of each endpoint covers it. Entities come out in key order,
-// so a response's sort (SortedCoalesced) finds them sorted.
+// quantifier it removes dangling edges by the batch drivers' rule
+// (keepsEdgeState), against the vertex histories it holds. Entities
+// come out in key order, so a response's sort (SortedCoalesced) finds
+// them sorted.
 func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 	vs := make([]VertexTuple, 0, statesIn(h.V))
 	for _, id := range sortedKeys(h.V, cmp.Compare[VertexID]) {
@@ -406,21 +424,13 @@ func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 		}
 	}
 	dangling := spec.VQuant.MoreRestrictiveThan(spec.EQuant)
-	covered := func(id VertexID, iv temporal.Interval) bool {
-		for _, it := range h.V[id] {
-			if it.Interval.Covers(iv) {
-				return true
-			}
-		}
-		return false
-	}
 	es := make([]EdgeTuple, 0, statesIn(h.E))
 	for _, k := range sortedKeys(h.E, EdgeKey.compare) {
+		src, dst := h.V[k.Src], h.V[k.Dst]
 		for _, it := range h.E[k] {
-			if dangling && (!covered(k.Src, it.Interval) || !covered(k.Dst, it.Interval)) {
-				continue
+			if !dangling || keepsEdgeState(it.Interval, src, dst, historyIv) {
+				es = append(es, k.state(it))
 			}
-			es = append(es, k.state(it))
 		}
 	}
 	return vs, es

@@ -218,82 +218,41 @@ func foldRuns[K, V, O any](idx []keyed[K], order func(a, b K) int, val func(pos 
 	return out
 }
 
-// lookup finds key runs in a sorted index by binary search.
-type lookup[K any] struct {
-	idx   []keyed[K]
-	order func(a, b K) int
-}
-
-// run returns the bounds [lo, hi) of key k's run in the index.
-func (l lookup[K]) run(k K) (int, int) {
-	lo, found := slices.BinarySearchFunc(l.idx, k, func(e keyed[K], k K) int { return l.order(e.key, k) })
-	if !found {
-		return lo, lo
-	}
-	return lo, runEnd(len(l.idx), lo, func(i int) K { return l.idx[i].key }, l.order)
-}
-
-// joinTasks shuffles l and r to the same partitioning and runs one task
-// per partition with its left records and, as in a sort-merge join, a
-// lookup over its right side sorted by key under order.
-func joinTasks[K comparable, L, R any](stage string, l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K, order func(a, b K) int, task func(i int, ls []L, rs []R, find lookup[K])) {
-	n := max(len(l.parts), len(r.parts))
-	ls := shuffleByKey(l, lKey, n)
-	rs := shuffleByKey(r, rKey, n)
-	l.ctx.runTasks(stage, n, func(i int) {
-		idx := sortedIndex(len(rs[i]), func(j int) K { return rKey(rs[i][j]) }, order)
-		task(i, ls[i], rs[i], lookup[K]{idx: idx, order: order})
-	})
-}
-
 // Join computes the inner equi-join of l and r on their keys: one
 // output pair per matching (left, right) combination, in left order,
-// each left record's matches in right input order.
+// each left record's matches in right input order. It shuffles both
+// sides to the same partitioning; a partition's task then looks each
+// left record up, by binary search, in its right side's sorted index,
+// as in a sort-merge join.
 func Join[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K, order func(a, b K) int) *Dataset[Pair[L, R]] {
-	out := make([][]Pair[L, R], max(len(l.parts), len(r.parts)))
-	joinTasks("join", l, r, lKey, rKey, order, func(i int, ls []L, rs []R, find lookup[K]) {
+	n := max(len(l.parts), len(r.parts))
+	lss := shuffleByKey(l, lKey, n)
+	rss := shuffleByKey(r, rKey, n)
+	out := make([][]Pair[L, R], n)
+	l.ctx.runTasks("join", n, func(i int) {
+		ls, rs := lss[i], rss[i]
+		idx := sortedIndex(len(rs), func(j int) K { return rKey(rs[j]) }, order)
+		keyAt := func(x int) K { return idx[x].key }
 		// Look every left record up once, so that the output is sized
 		// before it is filled.
 		runs := make([][2]int32, len(ls))
 		total := 0
 		for j, ll := range ls {
-			lo, hi := find.run(lKey(ll))
+			lo, found := slices.BinarySearchFunc(idx, lKey(ll), func(e keyed[K], k K) int { return order(e.key, k) })
+			hi := lo
+			if found {
+				hi = runEnd(len(idx), lo, keyAt, order)
+			}
 			runs[j] = [2]int32{int32(lo), int32(hi)}
 			total += hi - lo
 		}
 		p := make([]Pair[L, R], 0, total)
 		for j, ll := range ls {
-			for _, e := range find.idx[runs[j][0]:runs[j][1]] {
+			for _, e := range idx[runs[j][0]:runs[j][1]] {
 				p = append(p, Pair[L, R]{First: ll, Second: rs[e.pos]})
 			}
 		}
 		out[i] = p
 	})
 	return &Dataset[Pair[L, R]]{ctx: l.ctx, parts: out}
-}
-
-// SemiJoin keeps the left records whose key appears in the right
-// dataset (at most once each), optionally filtered by match: if match
-// is non-nil a left record is kept when match(l, r) holds for at least
-// one right record with the same key. The kept records of a partition
-// are compacted in place, in left order, in the array the shuffle
-// gathered them into.
-func SemiJoin[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K, order func(a, b K) int, match func(L, R) bool) *Dataset[L] {
-	out := make([][]L, max(len(l.parts), len(r.parts)))
-	joinTasks("semijoin", l, r, lKey, rKey, order, func(i int, ls []L, rs []R, find lookup[K]) {
-		// ls is this task's own freshly gathered array: the kept
-		// records are compacted to its front, behind the read position.
-		p := ls[:0]
-		for _, ll := range ls {
-			lo, hi := find.run(lKey(ll))
-			for _, e := range find.idx[lo:hi] {
-				if match == nil || match(ll, rs[e.pos]) {
-					p = append(p, ll)
-					break
-				}
-			}
-		}
-		out[i] = p[:len(p):len(p)]
-	})
-	return &Dataset[L]{ctx: l.ctx, parts: out}
 }

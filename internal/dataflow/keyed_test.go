@@ -128,32 +128,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestSemiJoin(t *testing.T) {
-	ctx := testCtx()
-	left := Parallelize(ctx, []int{1, 2, 3, 4, 5, 5}, 3)
-	right := Parallelize(ctx, []string{"3", "5", "5", "9"}, 2)
-	rKey := func(s string) int { return int(s[0] - '0') }
-	got := sorted(SemiJoin(left, right, func(x int) int { return x }, rKey, cmp.Compare[int], nil).Collect())
-	// Each left record kept at most once, even with duplicate rights.
-	if !reflect.DeepEqual(got, []int{3, 5, 5}) {
-		t.Errorf("SemiJoin = %v, want [3 5 5]", got)
-	}
-}
-
-func TestSemiJoinWithPredicate(t *testing.T) {
-	ctx := testCtx()
-	left := Parallelize(ctx, []int{10, 20, 30}, 2)
-	right := Parallelize(ctx, []int{11, 29, 31}, 2)
-	got := sorted(SemiJoin(left, right,
-		func(x int) int { return x / 10 },
-		func(x int) int { return x / 10 },
-		cmp.Compare[int],
-		func(l, r int) bool { return r-l == 1 }).Collect())
-	if !reflect.DeepEqual(got, []int{10, 30}) {
-		t.Errorf("SemiJoin with predicate = %v, want [10 30]", got)
-	}
-}
-
 // Property: ReduceByKey equals a sequential group-then-fold regardless
 // of partitioning and parallelism.
 func TestReduceByKeyMatchesSequential(t *testing.T) {
@@ -271,8 +245,8 @@ func TestGroupsShareOneArrayWithoutOverlap(t *testing.T) {
 // of arrays per partition — the sorted index, the arena and the groups
 // — whatever the number of groups: a hundred times the groups allocate
 // no more (±2), and neither count exceeds a fixed ceiling, so a fixed
-// cost added to every call fails too. Join, SemiJoin and ReduceByKey
-// keep the same guard.
+// cost added to every call fails too. Join and ReduceByKey keep the
+// same guard.
 func TestGroupByKeyAllocatesPerPartition(t *testing.T) {
 	ctx := NewContext(WithParallelism(1), WithDefaultPartitions(4))
 	d := Parallelize(ctx, ints(20000), 4)
@@ -285,7 +259,6 @@ func TestGroupByKeyAllocatesPerPartition(t *testing.T) {
 		{"GroupByKey", func(key func(int) int) { GroupByKey(d, key, cmp.Compare[int]) }},
 		{"ReduceByKey", func(key func(int) int) { ReduceByKey(d, key, cmp.Compare[int], add) }},
 		{"Join", func(key func(int) int) { Join(d, right, key, key, cmp.Compare[int]) }},
-		{"SemiJoin", func(key func(int) int) { SemiJoin(d, right, key, key, cmp.Compare[int], nil) }},
 	} {
 		allocs := func(groups int) float64 {
 			return testing.AllocsPerRun(5, func() { op.run(func(x int) int { return x % groups }) })
@@ -394,8 +367,8 @@ func refReduce(ctx *Context, parts [][]rec, reduce func(a, b rec) rec) [][]rec {
 	return out
 }
 
-// TestKeyedOpsMatchNaiveReference: GroupByKey, ReduceByKey, Join and
-// SemiJoin equal a map-based reference partition for partition — group
+// TestKeyedOpsMatchNaiveReference: GroupByKey, ReduceByKey and Join
+// equal a map-based reference partition for partition — group
 // key order, in-group order, ReduceByKey's fold sequence and
 // capacity-capped runs included — over random keys, 1–5 partitions a
 // side and empty partitions.
@@ -440,25 +413,13 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 
 		n := max(len(lparts), len(rparts))
 		ls, rs := refShuffle(ctx, lparts, n), refShuffle(ctx, rparts, n)
-		pred := func(a, b rec) bool { return (a.Seq+b.Seq)%3 != 0 }
 		joined := Join(l, rd, recKey, recKey, cmp.Compare[int]).Partitions()
-		semi := SemiJoin(l, rd, recKey, recKey, cmp.Compare[int], nil).Partitions()
-		semiPred := SemiJoin(l, rd, recKey, recKey, cmp.Compare[int], pred).Partitions()
 		for dst := 0; dst < n; dst++ {
 			_, rights := refGroup(rs[dst])
 			var wantJoin []Pair[rec, rec]
-			var wantSemi, wantSemiPred []rec
 			for _, a := range ls[dst] {
-				if len(rights[a.K]) > 0 {
-					wantSemi = append(wantSemi, a)
-				}
-				matched := false
 				for _, b := range rights[a.K] {
 					wantJoin = append(wantJoin, Pair[rec, rec]{First: a, Second: b})
-					matched = matched || pred(a, b)
-				}
-				if matched {
-					wantSemiPred = append(wantSemiPred, a)
 				}
 			}
 			if len(joined[dst]) != len(wantJoin) || (len(wantJoin) > 0 && !reflect.DeepEqual(joined[dst], wantJoin)) {
@@ -467,16 +428,9 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 			if cap(joined[dst]) != len(joined[dst]) {
 				t.Errorf("Join partition %d: cap %d != len %d, output not sized once", dst, cap(joined[dst]), len(joined[dst]))
 			}
-			if !same(semi[dst], wantSemi) {
-				t.Errorf("SemiJoin partition %d = %v, want %v", dst, semi[dst], wantSemi)
-			}
-			if !same(semiPred[dst], wantSemiPred) {
-				t.Errorf("SemiJoin(pred) partition %d = %v, want %v", dst, semiPred[dst], wantSemiPred)
-			}
-			capped("SemiJoin", semi[dst])
 		}
-		if m := ctx.Metrics(); m.Shuffles != 1+1+2*3 {
-			t.Errorf("Shuffles = %d, want 8: one per GroupByKey and ReduceByKey, two per binary operator", m.Shuffles)
+		if m := ctx.Metrics(); m.Shuffles != 1+1+2 {
+			t.Errorf("Shuffles = %d, want 4: one per GroupByKey and ReduceByKey, two for Join", m.Shuffles)
 		}
 		return !t.Failed()
 	}

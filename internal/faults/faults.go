@@ -18,9 +18,9 @@
 //	dataflow.map, dataflow.flatmap, dataflow.filter,
 //	dataflow.mappartitions, dataflow.shuffle-route,
 //	dataflow.shuffle-gather, dataflow.groupbykey, dataflow.reducebykey,
-//	dataflow.join, dataflow.semijoin (task attempts; a GroupByKey
-//	visits shuffle-route and groupbykey only, the other keyed operators
-//	shuffle-route, shuffle-gather and their own stage);
+//	dataflow.join (task attempts; a GroupByKey visits shuffle-route
+//	and groupbykey only, the other keyed operators shuffle-route,
+//	shuffle-gather and their own stage);
 //	storage.pgc.chunk, storage.pgn.chunk (chunk reads);
 //	storage.write.create, storage.write.short, storage.write.sync,
 //	storage.write.rename (atomic-write crash points);

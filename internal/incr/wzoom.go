@@ -32,9 +32,9 @@ import (
 //
 // Dangling-edge removal (applied when the vertex quantifier is more
 // restrictive than the edge quantifier) is evaluated at Result time
-// from the final vertex outputs — exactly the batch semijoin predicate
-// — so vertex retention flips caused by a patch never leave stale
-// edges behind.
+// from the final vertex outputs — by the batch drivers' rule, through
+// core.Histories.WZoomFinish — so vertex retention flips caused by a
+// patch never leave stale edges behind.
 type WZoomView struct {
 	mu   sync.RWMutex
 	spec core.WZoomSpec
@@ -217,9 +217,9 @@ func patch[K comparable](out, redo, windowed map[K][]core.HistoryItem) {
 }
 
 // Result snapshots the materialized output as uncoalesced windowed
-// state tuples, applying dangling-edge removal (the batch semijoin
-// predicate over the final vertex outputs) when the vertex quantifier
-// is more restrictive than the edge quantifier.
+// state tuples, applying dangling-edge removal (the batch drivers' rule
+// over the final vertex outputs) when the vertex quantifier is more
+// restrictive than the edge quantifier.
 func (v *WZoomView) Result() ([]core.VertexTuple, []core.EdgeTuple) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

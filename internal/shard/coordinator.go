@@ -285,7 +285,7 @@ func (c *Coordinator) runAZoom(ctx context.Context, dctx *dataflow.Context, q Qu
 // sets union losslessly and the change-window spec filters to the
 // lifetime interior itself — and derives the window relation once.
 // Phase two scatters that relation for per-entity windowed reduction;
-// the dangling-edge semijoin runs at the coordinator against the merged
+// dangling-edge removal runs at the coordinator against the merged
 // (global) vertex outputs.
 func (c *Coordinator) runWZoom(ctx context.Context, dctx *dataflow.Context, q Query) (core.TGraph, error) {
 	spec := *q.WZ

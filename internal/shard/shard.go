@@ -37,8 +37,8 @@
 // change-based), the coordinator derives the global window relation
 // once, and the second phase has each worker window its own entities
 // (core.Histories.WZoom); the coordinator merges the disjoint outputs
-// and applies the dangling-edge semijoin against the merged vertex
-// outputs (core.Histories.WZoomFinish, the finish the incremental views
+// and removes dangling edges against the merged vertex outputs
+// (core.Histories.WZoomFinish, the finish the incremental views
 // call too), exactly as the batch path evaluates it globally. Every
 // other chain — representation switches first, leading range steps,
 // custom aggregates — falls back to gathering the shards' raw states

@@ -238,7 +238,7 @@ func TestAZoomCustomAggFallsBack(t *testing.T) {
 }
 
 // TestWZoomByteIdentity covers the two-phase wZoom path for unit and
-// change-based windows, with and without the dangling-edge semijoin.
+// change-based windows, with and without dangling-edge removal.
 func TestWZoomByteIdentity(t *testing.T) {
 	vs, es := genGraph(60, 120)
 	cases := []struct {

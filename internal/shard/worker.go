@@ -120,8 +120,8 @@ func (w *Worker) wzoomProbe(changeSensitive bool) wzProbe {
 
 // wzoomPartial windows the shard's master vertices and local edges
 // under the globally derived window relation. Dangling-edge removal is
-// NOT applied here — it is a semijoin against the global vertex
-// outputs, which only the coordinator holds.
+// NOT applied here — it reads the global vertex outputs, which only the
+// coordinator holds.
 func (w *Worker) wzoomPartial(ctx context.Context, spec *core.WZoomSpec, windows []temporal.Window) (core.Histories, error) {
 	return w.base.WZoom(ctx, *spec, windows)
 }

@@ -125,14 +125,16 @@ func appendVarint(b []byte, v int64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// encodeRecord appends the framed record for (seq, d) to buf.
+// encodeRecord appends the framed record for (seq, d) to buf: it
+// reserves the frame header, encodes the payload behind it in place and
+// then fills in the payload's length and checksum.
 func encodeRecord(buf []byte, seq uint64, d Delta) []byte {
-	payload := encodePayload(nil, seq, d)
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	n := len(buf)
+	buf = encodePayload(append(buf, make([]byte, frameHeaderLen)...), seq, d)
+	payload := buf[n+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[n:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[n+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // encodePayload appends the unframed record payload.

@@ -453,8 +453,9 @@ func (s segScan) check(dir string, permissive bool) (skipped int, err error) {
 
 // Open opens (creating if needed) the WAL of a graph directory,
 // running recovery first: torn tails are truncated, a header-torn last
-// segment is removed, and mid-log corruption is a hard error (strict)
-// or a skip-with-count (Options.Permissive). The returned Recovery
+// segment is removed, and mid-log corruption — a record that fails its
+// checksum or does not decode — is a hard error (strict) or a
+// skip-with-count (Options.Permissive). The returned Recovery
 // describes what was found.
 func Open(dir string, opts Options) (*Log, Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -462,7 +463,7 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	}
 	l := &Log{dir: dir, opts: opts}
 	var rec Recovery
-	err := scan(dir, opts.Permissive, nil, func(s segScan) error {
+	err := scan(dir, opts.Permissive, checkPayload, func(s segScan) error {
 		path := filepath.Join(dir, s.name)
 		if s.w.headerTorn && s.isLast {
 			// Rotation crash: the header was never fsynced, so no record
@@ -516,6 +517,14 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	}
 	l.publishGauges()
 	return l, rec, nil
+}
+
+// checkPayload is the walk callback of Open and Inspect: a record
+// whose checksum holds but whose payload does not decode is corrupt to
+// them as it is to Read, so all three count the same records.
+func checkPayload(_ uint64, payload []byte) error {
+	_, _, err := decodePayload(payload)
+	return err
 }
 
 // truncateSegment cuts a segment file to size and makes the cut
@@ -932,10 +941,6 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 	var infos []SegmentInfo
 	// Walk permissively so one bad record still yields counts, then
 	// classify from what the walk found.
-	checkPayload := func(seq uint64, payload []byte) error {
-		_, _, err := decodePayload(payload)
-		return err
-	}
 	err := scan(dir, true, checkPayload, func(s segScan) error {
 		info := SegmentInfo{Name: s.name, FirstSeq: s.w.first, LastSeq: s.w.effLast(),
 			Records: s.w.records, Bytes: s.size, Status: "ok"}

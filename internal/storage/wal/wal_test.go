@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -211,6 +212,28 @@ func TestAppendReopenReplay(t *testing.T) {
 	tail, err := Read(dir, 2, false)
 	if err != nil || len(tail.Deltas) != 1 || !deltasEqual(tail.Deltas[0], want[2]) {
 		t.Fatalf("read after 2: %v %v", tail.Deltas, err)
+	}
+}
+
+// TestEncodeRecordAllocations: a record is encoded in place behind its
+// reserved frame header, so framing a delta into a buffer with room
+// allocates nothing beyond what encoding its payload does, and the
+// frame is the header of the payload's length and CRC, then the
+// payload.
+func TestEncodeRecordAllocations(t *testing.T) {
+	d := vd(7, 0, 5, "name", props.StringVal("ann"), "age", props.Int(40))
+	payload := encodePayload(nil, 3, d)
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+	want = append(want, payload...)
+	buf := make([]byte, 0, 4096)
+	if got := encodeRecord(buf, 3, d); !bytes.Equal(got, want) {
+		t.Fatalf("frame = %x, want %x", got, want)
+	}
+	pa := testing.AllocsPerRun(100, func() { encodePayload(buf, 3, d) })
+	ra := testing.AllocsPerRun(100, func() { encodeRecord(buf, 3, d) })
+	if ra > pa {
+		t.Errorf("encodeRecord allocates %v times, encodePayload %v: framing must add none", ra, pa)
 	}
 }
 
