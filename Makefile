@@ -77,19 +77,20 @@ fmt-check:
 
 # Fuzzes every reader of untrusted bytes — chunk files of both
 # layouts, CSV, the MANIFEST, WAL record payloads and whole WAL
-# segments, request specs, cached bodies clipped to a range and the
-# state encoder — for FUZZSECS seconds each with two workers, every
-# run under a hard timeout. Not part of `check`: `go test` replays
-# only the seed corpora in testdata/fuzz. A crasher is written there as
-# a new seed and fails the target. Minimising each new input is capped
-# at 2 s: under the default 60 s, FuzzReadPGC spent 36 of 45 s
-# minimising and ran 7 120 inputs; capped, it runs about 2 000 a
-# second.
+# segments, request specs, cached bodies clipped to a range, the state
+# encoder and append batches — for FUZZSECS seconds each with two
+# workers, every run under a hard timeout. Not part of `check`: `go
+# test` replays only the seed corpora in testdata/fuzz. A crasher is
+# written there as a new seed and fails the target. Minimising each new
+# input is capped at 2 s: under the default 60 s, FuzzReadPGC spent 36
+# of 45 s minimising and ran 7 120 inputs; capped, it runs about 2 000
+# a second.
 FUZZSECS ?= 30
 FUZZ_TARGETS = storage:FuzzReadPGC storage:FuzzReadPGN storage:FuzzReadCSV \
 	storage:FuzzParseManifest storage/wal:FuzzDecodePayload \
 	storage/wal:FuzzOpenSegment \
-	serve:FuzzSpecRequest serve:FuzzClipBody serve:FuzzEncodeStates
+	serve:FuzzSpecRequest serve:FuzzClipBody serve:FuzzEncodeStates \
+	serve:FuzzAppendBatch
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		timeout -k 5 $$(( $(FUZZSECS) + 120 )) $(GO) test -run '^$$' -fuzz "^$${t#*:}$$" \

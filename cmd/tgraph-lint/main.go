@@ -3,8 +3,10 @@
 // constructs a raw map[string]props.Value (the pattern the interned
 // Props runtime replaced), when an exported symbol in a
 // doc-coverage-enforced package (internal/storage) lacks a godoc
-// comment, or when a package on the zoom result path calls sort.Slice
-// or sort.SliceStable. Usage:
+// comment, when a package on the zoom result path calls sort.Slice
+// or sort.SliceStable, or when README.md, DESIGN.md, PAPER.md or a Go
+// comment names a pkg.Name or pkg.Type.Member that the module does not
+// declare. Usage:
 //
 //	tgraph-lint [dir]
 //
@@ -41,7 +43,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tgraph-lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags = append(append(diags, docDiags...), sortDiags...)
+	refDiags, err := lint.CheckDocRefs(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tgraph-lint: %v\n", err)
+		os.Exit(2)
+	}
+	diags = append(append(append(diags, docDiags...), sortDiags...), refDiags...)
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}

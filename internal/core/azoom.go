@@ -71,10 +71,15 @@ func azoomVerticesDataflow[O any](spec AZoomSpec, mapped *dataflow.Dataset[azVer
 	})
 }
 
-// AZoom over VE (Algorithm 2). Vertices follow the shared pipeline;
-// edge redirection joins the edge relation with the vertex relation
-// twice (VE stores foreign keys only), recomputing each edge state's
-// interval as the intersection with both endpoint states.
+// AZoom over VE (Algorithm 2). Vertices follow the shared pipeline.
+// The paper redirects edges by joining the edge relation with the
+// vertex relation twice, once per endpoint (VE stores foreign keys
+// only), and intersects each edge state's interval with both endpoint
+// states'. Here the input vertex relation is gathered once into a
+// historyIndex instead, and every edge partition probes it and runs
+// OG's redirect kernel (RedirectEdge) per edge state: the same
+// triples, in the joins' order, with the vertex-side group-by the only
+// shuffle.
 func (g *VE) AZoom(spec AZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -96,30 +101,28 @@ func (g *VE) azoom(spec AZoomSpec) (TGraph, error) {
 		return nil, err
 	}
 
-	edgeSkolem := spec.edgeSkolem()
-	jsp := obs.StartSpan("edge-join")
-	j1 := dataflow.Join(g.e, g.v,
-		func(e EdgeTuple) VertexID { return e.Src },
-		func(vt VertexTuple) VertexID { return vt.ID }, cmp.Compare[VertexID])
-	j2 := dataflow.Join(j1, g.v,
-		func(p dataflow.Pair[EdgeTuple, VertexTuple]) VertexID { return p.First.Dst },
-		func(vt VertexTuple) VertexID { return vt.ID }, cmp.Compare[VertexID])
-	jsp.End()
 	rsp := obs.StartSpan("edge-redirect")
-	e := dataflow.FilterMap(j2, func(p dataflow.Pair[dataflow.Pair[EdgeTuple, VertexTuple], VertexTuple]) (EdgeTuple, bool) {
-		et, v1, v2 := p.First.First, p.First.Second, p.Second
-		return redirectOne(spec, edgeSkolem, et,
-			HistoryItem{Interval: v1.Interval, Props: v1.Props},
-			HistoryItem{Interval: v2.Interval, Props: v2.Props})
+	x := indexTuples(g.v.Partitions(), g.v.Count())
+	esk := spec.edgeSkolem()
+	e := dataflow.MapPartitions(g.e, func(_ int, es []EdgeTuple) []EdgeTuple {
+		out := make([]EdgeTuple, 0, len(es))
+		var one [1]HistoryItem // the edge state, as a history of one
+		for _, t := range es {
+			one[0] = HistoryItem{Interval: t.Interval, Props: t.Props}
+			out = RedirectEdge(spec, esk, t.Key(), one[:], x.of(t.Src), x.of(t.Dst), out)
+		}
+		return out
 	})
 	rsp.End()
 	return veFromDatasets(g.ctx, v, e, false), nil
 }
 
 // AZoom over OG (Algorithm 3). The vertex pipeline operates over the
-// flattened history arrays; edge redirection uses the triplet-view
-// routing table instead of joins, because OG gives each edge direct
-// access to its endpoint histories.
+// flattened history arrays. Edge redirection needs no join, because OG
+// keeps a vertex's states in one record: the paper reads each edge's
+// endpoint histories through GraphX's routing table, and here every
+// edge partition finds them in a historyIndex that shares the input's
+// history arrays.
 func (g *OG) AZoom(spec AZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -153,32 +156,20 @@ func (g *OG) azoom(spec AZoomSpec) (TGraph, error) {
 		return nil, err
 	}
 
-	// Edge redirection via the routing table (recompute_history): the
-	// table shares every vertex's history array, and each edge runs
-	// through the same RedirectEdge kernel the incremental engine uses.
+	// Edge redirection (recompute_history): every edge history runs
+	// through RedirectEdge against its endpoints' histories; the
+	// redirected states are grouped by their new edge entity.
 	rsp := obs.StartSpan("edge-redirect")
-	table := make(map[VertexID][]HistoryItem, g.graph.NumVertices())
-	for _, part := range g.graph.Vertices().Partitions() {
-		for _, v := range part {
-			table[v.ID] = v.Attr
-		}
-	}
-	edgeSkolem := spec.edgeSkolem()
-	redirected := dataflow.FlatMapAppend(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem], out []dataflow.Pair[EdgeKey, HistoryItem]) []dataflow.Pair[EdgeKey, HistoryItem] {
-		k := EdgeKey{ID: e.ID, Src: e.Src, Dst: e.Dst}
-		for _, t := range RedirectEdge(spec, edgeSkolem, k, e.Attr, table[e.Src], table[e.Dst], nil) {
-			out = append(out, dataflow.Pair[EdgeKey, HistoryItem]{
-				First:  t.Key(),
-				Second: HistoryItem{Interval: t.Interval, Props: t.Props},
-			})
-		}
-		return out
+	x := indexHistories(g.graph.Vertices().Partitions(), g.graph.NumVertices())
+	esk := spec.edgeSkolem()
+	redirected := dataflow.FlatMapAppend(g.graph.Edges(), func(e graphx.Edge[[]HistoryItem], out []EdgeTuple) []EdgeTuple {
+		return RedirectEdge(spec, esk, EdgeKey{ID: e.ID, Src: e.Src, Dst: e.Dst}, e.Attr, x.of(e.Src), x.of(e.Dst), out)
 	})
-	egroups := dataflow.GroupByKey(redirected, func(p dataflow.Pair[EdgeKey, HistoryItem]) EdgeKey { return p.First }, EdgeKey.compare)
-	newE := dataflow.Map(egroups, func(gr dataflow.Group[EdgeKey, dataflow.Pair[EdgeKey, HistoryItem]]) graphx.Edge[[]HistoryItem] {
+	egroups := dataflow.GroupByKey(redirected, EdgeTuple.Key, EdgeKey.compare)
+	newE := dataflow.Map(egroups, func(gr dataflow.Group[EdgeKey, EdgeTuple]) graphx.Edge[[]HistoryItem] {
 		h := make([]HistoryItem, len(gr.Values))
-		for i, p := range gr.Values {
-			h[i] = p.Second
+		for i, t := range gr.Values {
+			h[i] = HistoryItem{Interval: t.Interval, Props: t.Props}
 		}
 		return graphx.Edge[[]HistoryItem]{
 			ID:   gr.Key.ID,

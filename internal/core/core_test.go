@@ -280,7 +280,9 @@ func randomValidGraph(r *rand.Rand, ctx *dataflow.Context) *VE {
 
 // TestAZoomCrossRepresentationEquivalence: all representations
 // supporting aZoom^T must produce identical graphs (after coalescing)
-// on random valid inputs.
+// on random valid inputs, coalesced and fragmented — split,
+// out-of-order states, which VE's gathered vertex index must keep in
+// input order.
 func TestAZoomCrossRepresentationEquivalence(t *testing.T) {
 	ctx := testCtx()
 	spec := GroupByProperty("grp", "cluster", props.Count("n"), props.Sum("wsum", "w"))
@@ -290,20 +292,25 @@ func TestAZoomCrossRepresentationEquivalence(t *testing.T) {
 		if err := Validate(g); err != nil {
 			t.Fatalf("generator produced invalid graph: %v", err)
 		}
-		veOut, err := g.AZoom(spec)
-		if err != nil {
-			t.Fatalf("VE aZoom: %v", err)
+		for _, in := range []struct {
+			label string
+			g     *VE
+		}{{"coalesced", g}, {"fragmented", fragmented(r, g)}} {
+			veOut, err := in.g.AZoom(spec)
+			if err != nil {
+				t.Fatalf("VE aZoom: %v", err)
+			}
+			ogOut, err := ToOG(in.g).AZoom(spec)
+			if err != nil {
+				t.Fatalf("OG aZoom: %v", err)
+			}
+			rgOut, err := ToRG(in.g).AZoom(spec)
+			if err != nil {
+				t.Fatalf("RG aZoom: %v", err)
+			}
+			requireGraphsEqual(t, in.label+": OG vs VE", ogOut, veOut)
+			requireGraphsEqual(t, in.label+": RG vs VE", rgOut, veOut)
 		}
-		ogOut, err := ToOG(g).AZoom(spec)
-		if err != nil {
-			t.Fatalf("OG aZoom: %v", err)
-		}
-		rgOut, err := ToRG(g).AZoom(spec)
-		if err != nil {
-			t.Fatalf("RG aZoom: %v", err)
-		}
-		requireGraphsEqual(t, "OG vs VE", ogOut, veOut)
-		requireGraphsEqual(t, "RG vs VE", rgOut, veOut)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -52,7 +52,8 @@ func wzoomWindows(g TGraph, spec WZoomSpec) []temporal.Window {
 // in place unless the input is flagged coalesced, and the windows are
 // evaluated over the run by OG's per-entity kernel (wzoomRun). Change
 // points come from the coalesced runs. Dangling edges are removed as on
-// OG, against the gathered vertex result (vertexIndex), with no shuffle.
+// OG, against the vertex result gathered into a historyIndex, with no
+// shuffle.
 func (g *VE) WZoom(spec WZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -106,12 +107,10 @@ func (g *VE) wzoom(spec WZoomSpec) (TGraph, error) {
 			return nil, err
 		}
 		dsp := obs.StartSpan("dangling")
-		x := gatherVertices(v.Partitions(), v.Count(), func(x vertexIndex, t VertexTuple) vertexIndex {
-			return append(x, vertexSpan{t.ID, t.Interval})
-		})
+		x := indexTuples(v.Partitions(), v.Count())
 		e = dataflow.MapPartitions(e, func(_ int, es []EdgeTuple) []EdgeTuple {
 			return slices.DeleteFunc(es, func(t EdgeTuple) bool {
-				return !keepsEdgeState(t.Interval, x.states(t.Src), x.states(t.Dst), spanIv)
+				return !keepsEdgeState(t.Interval, x.of(t.Src), x.of(t.Dst))
 			})
 		})
 		dsp.End()
@@ -181,45 +180,11 @@ func wzoomGroups[K comparable, T any](
 	})
 }
 
-// vertexIndex is a zoomed vertex result gathered for the dangling-edge
-// rule: every state of every partition, projected to its id and
-// interval, in one slice sorted by id. Each edge partition probes it in
-// place, as GraphX's routing table ships vertex attributes to the edges,
-// instead of shuffling the edges to the vertices.
-type vertexIndex []vertexSpan
-
-type vertexSpan struct {
-	ID       VertexID
-	Interval temporal.Interval
-}
-
-func spanIv(s *vertexSpan) *temporal.Interval { return &s.Interval }
-
-// gatherVertices builds the index from the partitions of a zoomed
-// vertex result, with room for n spans; spans appends one record's.
-func gatherVertices[T any](parts [][]T, n int, spans func(vertexIndex, T) vertexIndex) vertexIndex {
-	x := make(vertexIndex, 0, n)
-	for _, part := range parts {
-		for _, rec := range part {
-			x = spans(x, rec)
-		}
-	}
-	slices.SortFunc(x, func(a, b vertexSpan) int { return cmp.Compare(a.ID, b.ID) })
-	return x
-}
-
-// states returns the spans of vertex id.
-func (x vertexIndex) states(id VertexID) []vertexSpan {
-	lo := sort.Search(len(x), func(i int) bool { return x[i].ID >= id })
-	hi := sort.Search(len(x), func(i int) bool { return x[i].ID > id })
-	return x[lo:hi]
-}
-
 // WZoom over OG (Algorithm 6): every entity's history is recomputed
 // in-place — a narrow map with no shuffle, because OG's temporal
 // locality puts all states of an entity in one record. Dangling-edge
-// removal trims each edge's history in place against the gathered
-// vertex result (vertexIndex).
+// removal trims each edge's history in place against the vertex result
+// gathered into a historyIndex.
 func (g *OG) WZoom(spec WZoomSpec) (TGraph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -267,17 +232,12 @@ func (g *OG) wzoom(spec WZoomSpec) (TGraph, error) {
 			return nil, err
 		}
 		dsp := obs.StartSpan("dangling")
-		x := gatherVertices(newV.Partitions(), newV.Count(), func(x vertexIndex, v graphx.Vertex[[]HistoryItem]) vertexIndex {
-			for _, it := range v.Attr {
-				x = append(x, vertexSpan{v.ID, it.Interval})
-			}
-			return x
-		})
+		x := indexHistories(newV.Partitions(), newV.Count())
 		newE = dataflow.MapPartitions(newE, func(_ int, es []graphx.Edge[[]HistoryItem]) []graphx.Edge[[]HistoryItem] {
 			for i, e := range es {
-				src, dst := x.states(e.Src), x.states(e.Dst)
+				src, dst := x.of(e.Src), x.of(e.Dst)
 				es[i].Attr = slices.DeleteFunc(e.Attr, func(it HistoryItem) bool {
-					return !keepsEdgeState(it.Interval, src, dst, spanIv)
+					return !keepsEdgeState(it.Interval, src, dst)
 				})
 			}
 			return slices.DeleteFunc(es, func(e graphx.Edge[[]HistoryItem]) bool { return len(e.Attr) == 0 })

@@ -113,11 +113,11 @@ func TestAZoomSkolemDeclinesAll(t *testing.T) {
 	}
 }
 
-// TestOGAZoomRoutingTableSharesHistories: OG aZoom's routing table
-// holds every vertex's history array itself, not a copy of it. Every
-// state declines the Skolem function, so nothing but the table grows
-// with the vertex count, and the zoom allocates far fewer than one
-// object per vertex.
+// TestOGAZoomRoutingTableSharesHistories: OG aZoom's vertex index, its
+// routing table, holds every vertex's history array itself, not a copy
+// of it. Every state declines the Skolem function, so nothing but the
+// index grows with the vertex count, and the zoom allocates far fewer
+// than one object per vertex.
 func TestOGAZoomRoutingTableSharesHistories(t *testing.T) {
 	const n = 2000
 	ctx := testCtx()
@@ -135,6 +135,34 @@ func TestOGAZoomRoutingTableSharesHistories(t *testing.T) {
 	})
 	if allocs > n/4 {
 		t.Errorf("OG aZoom over %d vertices: %v allocs, want at most %d (no copy of a history per vertex)", n, allocs, n/4)
+	}
+}
+
+// TestAZoomShuffleCounts pins DESIGN's claim-1 departure on Figure 1:
+// VE aZoom shuffles once (the vertex group-by; its edges probe a
+// gathered vertex index instead of joining twice), OG twice (vertex
+// and edge group-by) and RG once per snapshot (its per-snapshot
+// reduce).
+func TestAZoomShuffleCounts(t *testing.T) {
+	spec := GroupByProperty("school", "school", props.Count("students"))
+	ctx := testCtx()
+	defer ctx.Close()
+	ve := figure1(ctx)
+	og, rg := ToOG(ve), ToRG(ve)
+	for _, c := range []struct {
+		g    TGraph
+		want int64
+	}{{ve, 1}, {og, 2}, {rg, int64(rg.NumSnapshots())}} {
+		before := ctx.Metrics()
+		if _, err := c.g.AZoom(spec); err != nil {
+			t.Fatal(err)
+		}
+		after := ctx.Metrics()
+		n, recs := after.Shuffles-before.Shuffles, after.ShuffledRecords-before.ShuffledRecords
+		t.Logf("%v aZoom: %d shuffles, %d shuffled records", c.g.Rep(), n, recs)
+		if n != c.want {
+			t.Errorf("%v aZoom: %d shuffles, want %d", c.g.Rep(), n, c.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/graphx"
 	"repro/internal/props"
 	"repro/internal/temporal"
 )
@@ -117,54 +118,105 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// redirectOne redirects a single (edge state, src state, dst state)
-// triple: the output interval is the three-way intersection, the
-// endpoints are re-pointed at the Skolem identities, and the edge id
-// is re-derived through the edge Skolem function. ok=false when the
-// intersection is empty or either endpoint's Skolem function declines.
-// This scalar kernel is shared by the VE join pipeline and RedirectEdge.
-func redirectOne(spec AZoomSpec, esk EdgeSkolemFunc, et EdgeTuple, srcState, dstState HistoryItem) (EdgeTuple, bool) {
-	iv := et.Interval.Intersect(srcState.Interval).Intersect(dstState.Interval)
-	if iv.IsEmpty() {
-		return EdgeTuple{}, false
-	}
-	s1, ok1 := spec.Skolem(et.Src, srcState.Props)
-	s2, ok2 := spec.Skolem(et.Dst, dstState.Props)
-	if !ok1 || !ok2 {
-		return EdgeTuple{}, false
-	}
-	return EdgeTuple{
-		ID:       esk(et.ID, s1, s2),
-		Src:      s1,
-		Dst:      s2,
-		Interval: iv,
-		Props:    et.Props,
-	}, true
-}
-
 // RedirectEdge redirects every state h holds of input edge k against
 // the full histories of its two endpoints (Algorithm 3's
 // recompute_history): every (edge state, src state, dst state) triple
-// with a non-empty three-way intersection yields one output state
-// re-pointed at the Skolem identities, appended to out. The OG batch
-// pipeline, the incremental aZoom view and the shard workers call it
-// per input edge, with the endpoint histories they hold — shared, not
+// with a non-empty three-way intersection yields one output state over
+// that intersection, its endpoints re-pointed at their Skolem
+// identities and its id re-derived by the edge Skolem function esk,
+// appended to out. A triple an endpoint's Skolem function declines
+// yields nothing. It is the one redirect kernel: VE and OG run it per
+// edge against a gathered historyIndex, the incremental aZoom view and
+// the shard workers against the histories they hold — shared, not
 // copied.
 func RedirectEdge(spec AZoomSpec, esk EdgeSkolemFunc, k EdgeKey, h, src, dst []HistoryItem, out []EdgeTuple) []EdgeTuple {
 	for _, eh := range h {
-		et := k.state(eh)
 		for _, sh := range src {
-			if et.Interval.Intersect(sh.Interval).IsEmpty() {
+			siv := eh.Interval.Intersect(sh.Interval)
+			if siv.IsEmpty() {
+				continue
+			}
+			s1, ok := spec.Skolem(k.Src, sh.Props)
+			if !ok {
 				continue
 			}
 			for _, dh := range dst {
-				if t, ok := redirectOne(spec, esk, et, sh, dh); ok {
-					out = append(out, t)
+				iv := siv.Intersect(dh.Interval)
+				if iv.IsEmpty() {
+					continue
+				}
+				if s2, ok := spec.Skolem(k.Dst, dh.Props); ok {
+					out = append(out, EdgeTuple{ID: esk(k.ID, s1, s2), Src: s1, Dst: s2, Interval: iv, Props: eh.Props})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// historyIndex is a vertex relation gathered for the vertex–edge steps
+// of the VE and OG drivers — aZoom^T's edge redirection and wZoom^T's
+// dangling-edge rule: one record per vertex, sorted by id, holding the
+// vertex's history. Each edge partition probes it by binary search, as
+// GraphX ships vertex attributes to the edge partitions, instead of
+// shuffling the edges to the vertices.
+type historyIndex []graphx.Vertex[[]HistoryItem]
+
+// indexHistories gathers OG vertex records, n in all, one per vertex:
+// the index shares their history arrays and copies no state.
+func indexHistories(parts [][]graphx.Vertex[[]HistoryItem], n int) historyIndex {
+	x := make(historyIndex, 0, n)
+	for _, part := range parts {
+		x = append(x, part...)
+	}
+	slices.SortFunc(x, func(a, b graphx.Vertex[[]HistoryItem]) int { return cmp.Compare(a.ID, b.ID) })
+	return x
+}
+
+// indexTuples gathers n flat vertex states into one arena, grouped by
+// id: a vertex's history holds its states in input order (partition,
+// then position), as a stable sort by id leaves them.
+func indexTuples(parts [][]VertexTuple, n int) historyIndex {
+	type ref struct {
+		id       VertexID
+		src, pos int32
+	}
+	refs := make([]ref, 0, n)
+	for src, part := range parts {
+		for pos, t := range part {
+			refs = append(refs, ref{t.ID, int32(src), int32(pos)})
+		}
+	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.src, b.src), cmp.Compare(a.pos, b.pos))
+	})
+	arena := make([]HistoryItem, len(refs))
+	ids := 0
+	for i, r := range refs {
+		t := parts[r.src][r.pos]
+		arena[i] = HistoryItem{Interval: t.Interval, Props: t.Props}
+		if i == 0 || r.id != refs[i-1].id {
+			ids++
+		}
+	}
+	x := make(historyIndex, 0, ids)
+	lo := 0
+	for i, r := range refs {
+		if i+1 == len(refs) || refs[i+1].id != r.id {
+			x = append(x, graphx.Vertex[[]HistoryItem]{ID: r.id, Attr: arena[lo : i+1 : i+1]})
+			lo = i + 1
+		}
+	}
+	return x
+}
+
+// of returns the history of vertex id, or nil if the index has none.
+func (x historyIndex) of(id VertexID) []HistoryItem {
+	i, ok := slices.BinarySearchFunc(x, id, func(v graphx.Vertex[[]HistoryItem], id VertexID) int { return cmp.Compare(v.ID, id) })
+	if !ok {
+		return nil
+	}
+	return x[i].Attr
 }
 
 // WZState is one input state clipped to a window: the window, the
@@ -290,12 +342,12 @@ func historyItem(iv temporal.Interval, p props.Props) HistoryItem {
 // the vertex quantifier is more restrictive than the edge quantifier:
 // an edge state over iv survives only if a state of its source and a
 // state of its destination each cover iv. src and dst are the
-// endpoints' windowed states, whose intervals ivOf reads: VE and OG
-// find them in a vertexIndex, Histories.WZoomFinish in its histories.
-func keepsEdgeState[T any](iv temporal.Interval, src, dst []T, ivOf func(*T) *temporal.Interval) bool {
-	covers := func(states []T) bool {
-		for i := range states {
-			if ivOf(&states[i]).Covers(iv) {
+// endpoints' windowed histories: VE and OG find them in a historyIndex,
+// Histories.WZoomFinish in its maps.
+func keepsEdgeState(iv temporal.Interval, src, dst []HistoryItem) bool {
+	covers := func(h []HistoryItem) bool {
+		for _, it := range h {
+			if it.Interval.Covers(iv) {
 				return true
 			}
 		}
@@ -428,7 +480,7 @@ func (h Histories) WZoomFinish(spec WZoomSpec) ([]VertexTuple, []EdgeTuple) {
 	for _, k := range sortedKeys(h.E, EdgeKey.compare) {
 		src, dst := h.V[k.Src], h.V[k.Dst]
 		for _, it := range h.E[k] {
-			if !dangling || keepsEdgeState(it.Interval, src, dst, historyIv) {
+			if !dangling || keepsEdgeState(it.Interval, src, dst) {
 				es = append(es, k.state(it))
 			}
 		}

@@ -5,7 +5,8 @@
 // A Dataset[T] is a horizontally partitioned collection. Transformations
 // are the parallelizable second-order functions of the paper's
 // algorithms (Algorithms 1–6: map, flatMap, filter, groupBy,
-// reduceByKey, join, sort, fold), executing user-defined first-order
+// reduceByKey, sort, fold; their joins run in internal/core as probes
+// of a gathered vertex index), executing user-defined first-order
 // functions on each partition in parallel on a worker pool. Wide transformations
 // perform an explicit hash shuffle between partitions; the engine counts
 // tasks and shuffled records so that experiments can report work

@@ -19,9 +19,10 @@ import (
 //   - tasks failing with a Transient-wrapped error are re-executed with
 //     jittered exponential backoff up to RetryPolicy.MaxAttempts.
 //
-// Because transformations are eager and value-returning (Map, Join, …
-// cannot return an error without breaking the second-order-function
-// shape of the paper's algorithms), a failed job panics with its
+// Because transformations are eager and value-returning (Map,
+// GroupByKey, … cannot return an error without breaking the
+// second-order-function shape of the paper's algorithms), a failed job
+// panics with its
 // *JobError; Context.Run converts that panic back into an ordinary
 // error at the job boundary, and the zoom entry points in internal/core
 // wrap their pipelines in it so callers never need recover.

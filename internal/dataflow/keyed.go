@@ -15,7 +15,7 @@ import (
 // leave every partition in key order. ReduceByKey applies map-side
 // combining before the shuffle, mirroring Spark's combiners.
 
-// Pair is a generic 2-tuple, used for join results and keyed outputs.
+// Pair is a generic 2-tuple, used for keyed records.
 type Pair[A, B any] struct {
 	First  A
 	Second B
@@ -216,43 +216,4 @@ func foldRuns[K, V, O any](idx []keyed[K], order func(a, b K) int, val func(pos 
 		out = append(out, emit(idx[lo].key, acc))
 	}
 	return out
-}
-
-// Join computes the inner equi-join of l and r on their keys: one
-// output pair per matching (left, right) combination, in left order,
-// each left record's matches in right input order. It shuffles both
-// sides to the same partitioning; a partition's task then looks each
-// left record up, by binary search, in its right side's sorted index,
-// as in a sort-merge join.
-func Join[K comparable, L, R any](l *Dataset[L], r *Dataset[R], lKey func(L) K, rKey func(R) K, order func(a, b K) int) *Dataset[Pair[L, R]] {
-	n := max(len(l.parts), len(r.parts))
-	lss := shuffleByKey(l, lKey, n)
-	rss := shuffleByKey(r, rKey, n)
-	out := make([][]Pair[L, R], n)
-	l.ctx.runTasks("join", n, func(i int) {
-		ls, rs := lss[i], rss[i]
-		idx := sortedIndex(len(rs), func(j int) K { return rKey(rs[j]) }, order)
-		keyAt := func(x int) K { return idx[x].key }
-		// Look every left record up once, so that the output is sized
-		// before it is filled.
-		runs := make([][2]int32, len(ls))
-		total := 0
-		for j, ll := range ls {
-			lo, found := slices.BinarySearchFunc(idx, lKey(ll), func(e keyed[K], k K) int { return order(e.key, k) })
-			hi := lo
-			if found {
-				hi = runEnd(len(idx), lo, keyAt, order)
-			}
-			runs[j] = [2]int32{int32(lo), int32(hi)}
-			total += hi - lo
-		}
-		p := make([]Pair[L, R], 0, total)
-		for j, ll := range ls {
-			for _, e := range idx[runs[j][0]:runs[j][1]] {
-				p = append(p, Pair[L, R]{First: ll, Second: rs[e.pos]})
-			}
-		}
-		out[i] = p
-	})
-	return &Dataset[Pair[L, R]]{ctx: l.ctx, parts: out}
 }

@@ -94,40 +94,6 @@ func TestReduceByKey(t *testing.T) {
 	_ = sums
 }
 
-func TestJoin(t *testing.T) {
-	ctx := testCtx()
-	type user struct {
-		id   int
-		name string
-	}
-	type msg struct {
-		uid  int
-		text string
-	}
-	users := Parallelize(ctx, []user{{1, "ann"}, {2, "bob"}, {3, "cat"}}, 2)
-	msgs := Parallelize(ctx, []msg{{1, "hi"}, {1, "yo"}, {3, "hey"}, {9, "lost"}}, 3)
-	got := Join(users, msgs,
-		func(u user) int { return u.id },
-		func(m msg) int { return m.uid }, cmp.Compare[int]).Collect()
-	if len(got) != 3 {
-		t.Fatalf("join produced %d rows, want 3: %v", len(got), got)
-	}
-	byName := map[string][]string{}
-	for _, p := range got {
-		byName[p.First.name] = append(byName[p.First.name], p.Second.text)
-	}
-	sort.Strings(byName["ann"])
-	if !reflect.DeepEqual(byName["ann"], []string{"hi", "yo"}) {
-		t.Errorf("ann msgs = %v", byName["ann"])
-	}
-	if len(byName["bob"]) != 0 {
-		t.Errorf("bob should not join: %v", byName["bob"])
-	}
-	if !reflect.DeepEqual(byName["cat"], []string{"hey"}) {
-		t.Errorf("cat msgs = %v", byName["cat"])
-	}
-}
-
 // Property: ReduceByKey equals a sequential group-then-fold regardless
 // of partitioning and parallelism.
 func TestReduceByKeyMatchesSequential(t *testing.T) {
@@ -162,40 +128,6 @@ func TestReduceByKeyMatchesSequential(t *testing.T) {
 		sort.Ints(ws)
 		sort.Ints(gs)
 		return reflect.DeepEqual(ws, gs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: join cardinality equals the sum over keys of |L_k| * |R_k|.
-func TestJoinCardinalityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ctx := NewContext(WithParallelism(4))
-		nl, nr := r.Intn(60), r.Intn(60)
-		ls := make([]int, nl)
-		rs := make([]int, nr)
-		for i := range ls {
-			ls[i] = r.Intn(10)
-		}
-		for i := range rs {
-			rs[i] = r.Intn(10)
-		}
-		lc, rc := map[int]int{}, map[int]int{}
-		for _, x := range ls {
-			lc[x]++
-		}
-		for _, x := range rs {
-			rc[x]++
-		}
-		want := 0
-		for k, n := range lc {
-			want += n * rc[k]
-		}
-		id := func(x int) int { return x }
-		got := Join(Parallelize(ctx, ls, 3), Parallelize(ctx, rs, 4), id, id, cmp.Compare[int]).Count()
-		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -245,12 +177,11 @@ func TestGroupsShareOneArrayWithoutOverlap(t *testing.T) {
 // of arrays per partition — the sorted index, the arena and the groups
 // — whatever the number of groups: a hundred times the groups allocate
 // no more (±2), and neither count exceeds a fixed ceiling, so a fixed
-// cost added to every call fails too. Join and ReduceByKey keep the
-// same guard.
+// cost added to every call fails too. ReduceByKey keeps the same
+// guard.
 func TestGroupByKeyAllocatesPerPartition(t *testing.T) {
 	ctx := NewContext(WithParallelism(1), WithDefaultPartitions(4))
 	d := Parallelize(ctx, ints(20000), 4)
-	right := Parallelize(ctx, ints(5000), 4)
 	add := func(a, b int) int { return a + b }
 	for _, op := range []struct {
 		name string
@@ -258,7 +189,6 @@ func TestGroupByKeyAllocatesPerPartition(t *testing.T) {
 	}{
 		{"GroupByKey", func(key func(int) int) { GroupByKey(d, key, cmp.Compare[int]) }},
 		{"ReduceByKey", func(key func(int) int) { ReduceByKey(d, key, cmp.Compare[int], add) }},
-		{"Join", func(key func(int) int) { Join(d, right, key, key, cmp.Compare[int]) }},
 	} {
 		allocs := func(groups int) float64 {
 			return testing.AllocsPerRun(5, func() { op.run(func(x int) int { return x % groups }) })
@@ -367,11 +297,10 @@ func refReduce(ctx *Context, parts [][]rec, reduce func(a, b rec) rec) [][]rec {
 	return out
 }
 
-// TestKeyedOpsMatchNaiveReference: GroupByKey, ReduceByKey and Join
-// equal a map-based reference partition for partition — group
-// key order, in-group order, ReduceByKey's fold sequence and
-// capacity-capped runs included — over random keys, 1–5 partitions a
-// side and empty partitions.
+// TestKeyedOpsMatchNaiveReference: GroupByKey and ReduceByKey equal a
+// map-based reference partition for partition — group key order,
+// in-group order, ReduceByKey's fold sequence and capacity-capped runs
+// included — over random keys, 1–5 partitions and empty partitions.
 func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 	capped := func(label string, vals []rec) {
 		if cap(vals) != len(vals) {
@@ -386,8 +315,8 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ctx := NewContext(WithParallelism(1 + r.Intn(4)))
-		lparts, rparts := randomParts(r, 7), randomParts(r, 7)
-		l, rd := FromPartitions(ctx, lparts), FromPartitions(ctx, rparts)
+		lparts := randomParts(r, 7)
+		l := FromPartitions(ctx, lparts)
 
 		got := GroupByKey(l, recKey, cmp.Compare[int]).Partitions()
 		for dst, recs := range refShuffle(ctx, lparts, len(lparts)) {
@@ -411,26 +340,8 @@ func TestKeyedOpsMatchNaiveReference(t *testing.T) {
 			}
 		}
 
-		n := max(len(lparts), len(rparts))
-		ls, rs := refShuffle(ctx, lparts, n), refShuffle(ctx, rparts, n)
-		joined := Join(l, rd, recKey, recKey, cmp.Compare[int]).Partitions()
-		for dst := 0; dst < n; dst++ {
-			_, rights := refGroup(rs[dst])
-			var wantJoin []Pair[rec, rec]
-			for _, a := range ls[dst] {
-				for _, b := range rights[a.K] {
-					wantJoin = append(wantJoin, Pair[rec, rec]{First: a, Second: b})
-				}
-			}
-			if len(joined[dst]) != len(wantJoin) || (len(wantJoin) > 0 && !reflect.DeepEqual(joined[dst], wantJoin)) {
-				t.Errorf("Join partition %d = %v, want %v", dst, joined[dst], wantJoin)
-			}
-			if cap(joined[dst]) != len(joined[dst]) {
-				t.Errorf("Join partition %d: cap %d != len %d, output not sized once", dst, cap(joined[dst]), len(joined[dst]))
-			}
-		}
-		if m := ctx.Metrics(); m.Shuffles != 1+1+2 {
-			t.Errorf("Shuffles = %d, want 4: one per GroupByKey and ReduceByKey, two for Join", m.Shuffles)
+		if m := ctx.Metrics(); m.Shuffles != 1+1 {
+			t.Errorf("Shuffles = %d, want 2: one per GroupByKey and ReduceByKey", m.Shuffles)
 		}
 		return !t.Failed()
 	}

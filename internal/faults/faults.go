@@ -17,10 +17,10 @@
 //
 //	dataflow.map, dataflow.flatmap, dataflow.filter,
 //	dataflow.mappartitions, dataflow.shuffle-route,
-//	dataflow.shuffle-gather, dataflow.groupbykey, dataflow.reducebykey,
-//	dataflow.join (task attempts; a GroupByKey visits shuffle-route
-//	and groupbykey only, the other keyed operators shuffle-route,
-//	shuffle-gather and their own stage);
+//	dataflow.shuffle-gather, dataflow.groupbykey, dataflow.reducebykey
+//	(task attempts; a GroupByKey visits shuffle-route and groupbykey
+//	only, a ReduceByKey mappartitions, shuffle-route, shuffle-gather
+//	and reducebykey);
 //	storage.pgc.chunk, storage.pgn.chunk (chunk reads);
 //	storage.write.create, storage.write.short, storage.write.sync,
 //	storage.write.rename (atomic-write crash points);

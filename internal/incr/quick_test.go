@@ -20,7 +20,7 @@ func testCtx() *dataflow.Context {
 }
 
 // canonGraph renders a graph canonically: coalesced, flattened to
-// state tuples, sorted, with property sets rendered by props.String.
+// state tuples, sorted, with property sets rendered by props.Props.String.
 // Two graphs with the same canonical rendering encode byte-identically
 // at the serving layer.
 func canonGraph(g core.TGraph) string {

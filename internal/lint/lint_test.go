@@ -4,6 +4,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -235,6 +237,72 @@ func f(xs []int, v sort) { s.Slice(xs, nil); v.Slice() }
 // repository itself.
 func TestRepositorySortsAreClean(t *testing.T) {
 	diags, err := CheckSorts("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}
+
+// TestDocRefsResolve builds a small module and checks which references
+// CheckDocRefs reports: unresolved names and members in backticked
+// spans, fenced blocks and Go comments, but not lowercase metric
+// names, unknown package names, the history documents or the
+// benchmark harness.
+func TestDocRefsResolve(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"internal/foo/foo.go": `package foo
+// F is a function.
+func F() {}
+// T is a type.
+type T struct{ A int }
+// M is a method.
+func (T) M() {}
+// E embeds T.
+type E struct{ T }
+`,
+		"facade.go":      "package tgraph\n// Uses foo.F and foo.Gone.\nfunc Open() {}\n",
+		"benchmark/b.go": "package main\n// foo.Gone is the harness's business.\n",
+		"README.md": "`foo.F` `foo.T.M` `foo.T.A` `foo.E.M` `foo.latency_ms` `bar.Thing`\n" +
+			"`foo.G` and `foo.T.Z`, not foo.H outside backticks\n```go\ntgraph.Open(); tgraph.Close()\n```\n",
+		"DESIGN.md":      "",
+		"PAPER.md":       "",
+		"EXPERIMENTS.md": "`foo.Old`\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diags, err := CheckDocRefs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, filepath.Base(d.Pos.Filename)+":"+strconv.Itoa(d.Pos.Line)+": "+d.Message)
+	}
+	want := []string{
+		"README.md:2: foo.G names no declaration of package foo",
+		"README.md:2: foo.T.Z: type foo.T has no member Z",
+		"README.md:4: tgraph.Close names no declaration of package tgraph",
+		"facade.go:2: foo.Gone names no declaration of package foo",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRepositoryDocRefsResolve runs the reference checker over the
+// repository itself.
+func TestRepositoryDocRefsResolve(t *testing.T) {
+	diags, err := CheckDocRefs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}

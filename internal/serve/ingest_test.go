@@ -10,8 +10,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -419,4 +423,102 @@ func TestAppendTriggersCompaction(t *testing.T) {
 	}}); code != http.StatusOK {
 		t.Fatalf("post-compaction append: %d", code)
 	}
+}
+
+// FuzzAppendBatch drives /v1/append with arbitrary bytes, split at NUL
+// bytes into up to three requests against one fresh copy of Figure 1.
+// Every answer is 2xx or 4xx and no handler panics; after the server is
+// drained (closing its log) and the directory reopened, the graph holds
+// Figure 1, every acked batch and nothing else.
+func FuzzAppendBatch(f *testing.F) {
+	for _, seed := range []string{
+		`{"graph":"fig1","deltas":[{"kind":"vertex","id":42,"start":10,"end":20,"props":{"type":"person","n":"3"}}]}`,
+		`{"graph":"fig1","deltas":[{"kind":"edge","id":7,"src":42,"dst":1,"start":12,"end":18}]}` + "\x00" +
+			`{"graph":"fig1","deltas":[{"kind":"vertex","id":1,"start":5,"end":5}]}` + "\x00" +
+			`{"graph":"fig1","deltas":[{"kind":"VERTEX","id":-3,"start":-9,"end":9223372036854775807,"props":{"x":"1.5"}}]}`,
+		`{"graph":"nope","deltas":[{"kind":"vertex","id":1,"start":1,"end":2}]}`,
+		`{"graph":"fig1","deltas":[]}`,
+		`{"graph":"fig1","deltas":[{"kind":"vertex","id":1,"start":1,"end":2,"props":{"":"x"}}]}`,
+		`{"graph":"fig1","deltas":[{"kind":"vertex","id":1,"start":1,"end":2}]} {}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	template := f.TempDir()
+	saveFigure1(f, template)
+	base := stateLines(loadDir(f, template))
+	panics := obs.Default().Counter("serve.panics_recovered")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(template)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Graphs: []GraphConfig{{Name: "fig1", Dir: dir}}, Parallelism: 2, CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]string(nil), base...)
+		for _, body := range bytes.SplitN(data, []byte{0}, 3) {
+			before := panics.Value()
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/append", bytes.NewReader(body)))
+			if panics.Value() != before {
+				t.Fatalf("handler panicked: %s", w.Body)
+			}
+			if w.Code >= 500 || w.Code < 200 {
+				t.Fatalf("append answered %d: %s", w.Code, w.Body)
+			}
+			if w.Code >= 300 {
+				continue
+			}
+			var req AppendRequest
+			if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+				t.Fatalf("acked body does not decode: %v", err)
+			}
+			ds, err := parseDeltas(req.Deltas)
+			if err != nil {
+				t.Fatalf("acked body does not parse: %v", err)
+			}
+			for _, d := range ds {
+				want = append(want, deltaLine(d))
+			}
+		}
+		s.Drain()
+		got := stateLines(loadDir(t, dir))
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("reopened graph holds\n%s\nwant Figure 1 plus the acked batches\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	})
+}
+
+// loadDir loads a stored graph the way a restarting server does.
+func loadDir(t testing.TB, dir string) core.TGraph {
+	t.Helper()
+	g, _, err := storage.Load(dataflow.NewContext(dataflow.WithParallelism(2)), dir, storage.LoadOptions{})
+	if err != nil {
+		t.Fatalf("load %s: %v", dir, err)
+	}
+	return g
+}
+
+// stateLines renders every state of g, one line each, sorted.
+func stateLines(g core.TGraph) []string {
+	var lines []string
+	for _, v := range g.VertexStates() {
+		lines = append(lines, fmt.Sprintf("v %d %v %s", v.ID, v.Interval, v.Props))
+	}
+	for _, e := range g.EdgeStates() {
+		lines = append(lines, fmt.Sprintf("e %d %d %d %v %s", e.ID, e.Src, e.Dst, e.Interval, e.Props))
+	}
+	slices.Sort(lines)
+	return lines
+}
+
+// deltaLine renders an appended delta as stateLines renders its state.
+func deltaLine(d wal.Delta) string {
+	if d.Kind == wal.KindVertex {
+		return fmt.Sprintf("v %d %v %s", d.ID, d.Interval, d.Props)
+	}
+	return fmt.Sprintf("e %d %d %d %v %s", d.ID, d.Src, d.Dst, d.Interval, d.Props)
 }

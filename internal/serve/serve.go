@@ -54,7 +54,7 @@
 // chain with no range restriction is queried, the server registers an
 // incrementally maintained view for it (internal/incr), and each append
 // routes its acked deltas into the view and patches the chain's cache
-// entry in place under the bumped version key (qcache.Patch) — the next
+// entry in place under the bumped version key (qcache.Cache.Patch) — the next
 // query answers X-TGraph-Cache: patched with a body byte-identical to a
 // cold recompute. Chains incremental maintenance cannot patch soundly
 // (change-based windows, custom aggregates) stay on the
@@ -130,7 +130,7 @@ const StatusClientClosedRequest = 499
 type GraphConfig struct {
 	// Name is the wire name requests refer to.
 	Name string
-	// Dir is the storage directory (as written by storage.Save).
+	// Dir is the storage directory (as written by storage.SaveGraph).
 	Dir string
 }
 

@@ -86,7 +86,7 @@ func collectLabels(n int, at func(int) props.Props) []string {
 	for k := range seen {
 		labels = append(labels, k)
 	}
-	// Name-sorted, matching props.Keys ordering, for a stable header.
+	// Name-sorted, matching props.Props.Keys ordering, for a stable header.
 	sort.Strings(labels)
 	return labels
 }
